@@ -29,9 +29,9 @@ use attacks::eval::{BankSweep, EvalConfig};
 use faults::FaultProfile;
 use utrr_bench::{
     arg_flag, arg_value, attack_columns, detection_label, device_ns_per_act, emit_metrics,
-    emit_trace, fault_args, install_trace, measure_hc_first_faulty, metrics_out_path, par_config,
-    re_input_key, reverse_engineer_module_resilient, run_registry, threads_arg, trace_args,
-    BenchPhases, ReOutcome,
+    emit_trace, fault_args, hc_first, install_trace, metrics_out_path, par_config, re_input_key,
+    retry_seeds, reverse_engineer, run_registry, threads_arg, trace_args, BenchPhases, ReOutcome,
+    RunConfig,
 };
 use utrr_modules::{catalog, ModuleSpec};
 
@@ -58,6 +58,13 @@ fn main() {
     let registry = run_registry();
     install_trace(&registry, &trace);
     let pool = par_config(threads, &registry);
+    let run_config = RunConfig {
+        rows,
+        seed: 7,
+        fault_profile,
+        fault_seed,
+        registry: Some(std::sync::Arc::clone(&registry)),
+    };
     let mut bench = BenchPhases::new(threads);
 
     let modules: Vec<ModuleSpec> = catalog()
@@ -102,14 +109,9 @@ fn main() {
         }
         let outcomes: Vec<Option<ReOutcome>> = bench.time("reverse_engineering", || {
             par::par_map(&pool, &unique, |(_, spec)| {
-                reverse_engineer_module_resilient(
-                    spec,
-                    rows,
-                    7,
-                    Some(&registry),
-                    fault_profile,
-                    fault_seed,
-                )
+                retry_seeds(&run_config, |k| 7 + 97 * k, |c| reverse_engineer(spec, c))
+                    .unwrap_or_else(|e| panic!("reverse-engineering {}: {e}", spec.id))
+                    .outcome
             })
         });
         let re_cache: HashMap<&str, &Option<ReOutcome>> = unique
@@ -202,15 +204,9 @@ fn main() {
     // in catalog order.
     let results: Vec<(u64, BankSweep)> = bench.time("attack_columns", || {
         par::par_map(&pool, &modules, |spec| {
-            let hc = measure_hc_first_faulty(
-                spec,
-                rows.min(2_048),
-                48,
-                11,
-                Some(&registry),
-                fault_profile,
-                fault_seed,
-            );
+            let hc_config = RunConfig { rows: rows.min(2_048), seed: 11, ..run_config.clone() };
+            let hc =
+                hc_first(spec, &hc_config, 48).expect("characterization runs on an in-range bank");
             let sweep = attack_columns(spec, &config);
             (hc, sweep)
         })

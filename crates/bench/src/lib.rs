@@ -1,5 +1,7 @@
-//! Shared machinery for the table/figure reproduction binaries and the
-//! Criterion benches.
+//! Shared machinery for the table/figure reproduction binaries: the
+//! library entry points of the §6 pipeline ([`reverse_engineer`],
+//! [`hc_first`] and the seed-retry loop [`retry_seeds`]), the attack
+//! columns, and the binaries' CLI helpers.
 //!
 //! The binaries regenerate every evaluation artifact of the paper:
 //!
@@ -11,16 +13,16 @@
 //! | `repro-fig10` | Fig. 10 — flips-per-8-byte-dataword histograms (+ §7.4 ECC verdicts) |
 //! | `ablations`   | DESIGN.md §6 — outcome sensitivity to simulator design choices |
 
+use std::sync::Arc;
+
 use attacks::custom;
 use attacks::eval::{sweep_bank, BankSweep, EvalConfig};
 use dram_sim::{Bank, Module, ModuleConfig, Nanos, RowAddr};
 use faults::FaultProfile;
 use softmc::{MemoryController, RecoveryLadder};
 use utrr_core::reverse::{self, DetectionKind, ReverseOptions, TrrProfile};
-use utrr_core::schedule::{learn_group_schedules, learn_refresh_schedule};
-use utrr_core::{
-    ProfiledRowGroup, RowGroupLayout, RowScout, ScoutConfig, TrrAnalyzer, VerdictTier,
-};
+use utrr_core::schedule::learn_refresh_schedule;
+use utrr_core::{RowGroupLayout, RowScout, ScoutConfig, UtrrError, VerdictTier};
 use utrr_modules::ModuleSpec;
 
 /// Per-phase ACT budget the hostile profile arms on every `discover_*`
@@ -83,152 +85,86 @@ impl ReMatches {
     }
 }
 
-/// Runs the full §6 reverse-engineering suite against a module built
-/// from its spec (at a scaled geometry) and compares the findings with
-/// the planted ground truth.
+/// The inputs of one pipeline run ([`reverse_engineer`], [`hc_first`])
+/// on a module built from its spec. Under [`FaultProfile::None`] no
+/// fault plan is installed and `fault_seed` is irrelevant.
 ///
-/// # Panics
-///
-/// Panics when Row Scout cannot find the required row groups — the
-/// scaled geometry below 1024 rows is too small for that.
-pub fn reverse_engineer_module(spec: &ModuleSpec, rows: u32, seed: u64) -> ReOutcome {
-    reverse_engineer_module_with(spec, rows, seed, None)
+/// [`retry_seeds`] replaces `seed` on every attempt with one from the
+/// caller's schedule. The two schedules differ because their seeds
+/// come from different places. `repro-table1` runs every module from
+/// the fixed seed 7 and steps it by 97 (`7 + 97·k`). A fleet module
+/// draws all its phase seeds from one module seed: `HC_first` and the
+/// attack sweep take streams 3 and 4, so its attempts use disjoint
+/// stream blocks (`derive_seed(s, 2 + 16·k)`). Both schedules are
+/// pinned by committed outputs (`results/table1.txt` and the fleet
+/// digests), so neither can move to the other's.
+#[derive(Debug, Clone)]
+pub struct RunConfig {
+    /// Scaled rows per bank; below 1024 Row Scout cannot find its row
+    /// groups ([`UtrrError::NotEnoughRowGroups`]).
+    pub rows: u32,
+    /// Experiment seed of the module build.
+    pub seed: u64,
+    /// Fault profile installed into the controller.
+    pub fault_profile: FaultProfile,
+    /// Seed of the fault plan.
+    pub fault_seed: u64,
+    /// Shared registry the module reports its spans and counters into.
+    pub registry: Option<Arc<obs::MetricsRegistry>>,
 }
 
-/// [`reverse_engineer_module`] with an optional shared metrics registry
-/// attached to the module under test, so the suite's Row Scout and TRR
-/// Analyzer spans land in the run artifact.
-///
-/// # Panics
-///
-/// Panics when Row Scout cannot find the required row groups.
-pub fn reverse_engineer_module_with(
-    spec: &ModuleSpec,
-    rows: u32,
-    seed: u64,
-    registry: Option<&std::sync::Arc<obs::MetricsRegistry>>,
-) -> ReOutcome {
-    reverse_engineer_module_faulty(spec, rows, seed, registry, FaultProfile::None, 0)
-}
+impl RunConfig {
+    /// A fault-free run with no registry attached.
+    pub fn new(rows: u32, seed: u64) -> RunConfig {
+        RunConfig { rows, seed, fault_profile: FaultProfile::None, fault_seed: 0, registry: None }
+    }
 
-/// [`reverse_engineer_module_with`] against a faulty substrate: installs
-/// the deterministic fault plan for `(fault_profile, fault_seed)` into
-/// the controller before the suite runs. Under [`FaultProfile::None`]
-/// nothing is installed and the run is bit-identical to
-/// [`reverse_engineer_module_with`].
-///
-/// # Panics
-///
-/// Panics when Row Scout cannot find the required row groups — expected
-/// under [`FaultProfile::Hostile`], where only graceful degradation (not
-/// correctness) is promised.
-pub fn reverse_engineer_module_faulty(
-    spec: &ModuleSpec,
-    rows: u32,
-    seed: u64,
-    registry: Option<&std::sync::Arc<obs::MetricsRegistry>>,
-    fault_profile: FaultProfile,
-    fault_seed: u64,
-) -> ReOutcome {
-    try_reverse_engineer_module_faulty(spec, rows, seed, registry, fault_profile, fault_seed)
-        .unwrap_or_else(|e| panic!("reverse-engineering {}: {e}", spec.id))
-}
-
-/// Experiment-seed retry budget for
-/// [`reverse_engineer_module_resilient`].
-pub const RE_BIN_ATTEMPTS: u64 = 4;
-
-/// [`try_reverse_engineer_module_faulty`] behind the repro binaries'
-/// retry ladder: up to [`RE_BIN_ATTEMPTS`] deterministic experiment
-/// seeds (the first is `seed` itself, so sub-hostile runs are
-/// bit-identical to the panicking wrapper). Under
-/// [`FaultProfile::Hostile`] an exhausted ladder returns `None` — the
-/// caller records the module inconclusive and the run continues.
-///
-/// # Panics
-///
-/// Panics on exhaustion below hostile severity, where a failed suite is
-/// a regression, exactly like [`reverse_engineer_module_faulty`].
-pub fn reverse_engineer_module_resilient(
-    spec: &ModuleSpec,
-    rows: u32,
-    seed: u64,
-    registry: Option<&std::sync::Arc<obs::MetricsRegistry>>,
-    fault_profile: FaultProfile,
-    fault_seed: u64,
-) -> Option<ReOutcome> {
-    let mut last = None;
-    for attempt in 0..RE_BIN_ATTEMPTS {
-        match try_reverse_engineer_module_faulty(
-            spec,
-            rows,
-            seed + 97 * attempt,
-            registry,
-            fault_profile,
-            fault_seed,
-        ) {
-            Ok(re) => return Some(re),
-            Err(e) => last = Some(e),
+    /// The controller for a module built from `spec` for this run.
+    fn controller(&self, spec: &ModuleSpec) -> MemoryController {
+        let mut module = spec.build_scaled(self.rows, self.seed);
+        if let Some(registry) = &self.registry {
+            module.attach_registry(Arc::clone(registry));
         }
-    }
-    if fault_profile == FaultProfile::Hostile {
-        None
-    } else {
-        panic!("reverse-engineering {}: {}", spec.id, last.expect("at least one attempt ran"))
+        let mut mc = MemoryController::new(module);
+        faults::install(&mut mc, self.fault_profile, self.fault_seed);
+        mc
     }
 }
 
-/// The fallible core of [`reverse_engineer_module_faulty`]: identical
-/// pipeline, but scout shortfalls and non-converging measurements come
-/// back as errors instead of panics. Sweeps over arbitrary seeds (the
-/// fleet executor) retry with a different experiment seed on `Err`;
-/// the fixed-seed repro binaries keep the panicking wrapper.
+/// Runs the full §6 reverse-engineering suite (Row Scout, TRR Analyzer
+/// classification, refresh-schedule inference) against a module built
+/// from its spec and compares the findings with the planted ground
+/// truth.
 ///
 /// # Errors
 ///
-/// Propagates the first [`utrr_core::UtrrError`] of the suite: not
-/// enough row groups, failed classification experiments, or a
-/// non-converging refresh-schedule learner.
-pub fn try_reverse_engineer_module_faulty(
-    spec: &ModuleSpec,
-    rows: u32,
-    seed: u64,
-    registry: Option<&std::sync::Arc<obs::MetricsRegistry>>,
-    fault_profile: FaultProfile,
-    fault_seed: u64,
-) -> Result<ReOutcome, utrr_core::UtrrError> {
-    let mut module = spec.build_scaled(rows, seed);
-    if let Some(registry) = registry {
-        module.attach_registry(std::sync::Arc::clone(registry));
-    }
-    let mut mc = MemoryController::new(module);
-    faults::install(&mut mc, fault_profile, fault_seed);
+/// Propagates the first [`UtrrError`] of the suite: not enough row
+/// groups, failed classification experiments, or a non-converging
+/// refresh-schedule learner.
+pub fn reverse_engineer(spec: &ModuleSpec, config: &RunConfig) -> Result<ReOutcome, UtrrError> {
+    let mut mc = config.controller(spec);
     // Hostile severity unlocks the recovery ladder; arm its circuit
     // breakers. Below that, every budget stays `None` and the command
     // stream is exactly the pre-ladder one.
     let ladder_on = utrr_core::recovery::ladder_active(&mc);
     let scout_budget = ladder_on.then_some(HOSTILE_SCOUT_ACT_BUDGET);
+    let scan = |mc: &mut MemoryController, bank, layout, groups| {
+        let mut scout = ScoutConfig::new(bank, config.rows, layout, groups);
+        scout.max_acts = scout_budget;
+        RowScout::new(scout).scan_recover(mc)
+    };
+    let (bank, other_bank) = (Bank::new(0), Bank::new(1));
+    let pair = RowGroupLayout::single_aggressor_pair;
     let mut tier = VerdictTier::Confirmed;
-    let bank = Bank::new(0);
-    let pair_layout = RowGroupLayout::single_aggressor_pair();
     // 18 pair groups give the counter-capacity sweep room up to 17.
-    let mut pair_cfg = ScoutConfig::new(bank, rows, pair_layout, 18);
-    pair_cfg.max_acts = scout_budget;
-    let (groups, scout_tier) = RowScout::new(pair_cfg).scan_recover(&mut mc)?;
+    let (groups, scout_tier) = scan(&mut mc, bank, pair(), 18)?;
     tier.merge(&scout_tier);
-    let mut probe_cfg = ScoutConfig::new(bank, rows, RowGroupLayout::neighbor_probe(), 1);
-    probe_cfg.max_acts = scout_budget;
-    let (mut probe_groups, probe_tier) = RowScout::new(probe_cfg).scan_recover(&mut mc)?;
+    let (mut probe, probe_tier) = scan(&mut mc, bank, RowGroupLayout::neighbor_probe(), 1)?;
     tier.merge(&probe_tier);
-    let probe = probe_groups.remove(0);
     // A second-bank group for the shared-sampler test.
-    let other_bank = Bank::new(1);
-    let mut cross_cfg =
-        ScoutConfig::new(other_bank, rows, RowGroupLayout::single_aggressor_pair(), 1);
-    cross_cfg.max_acts = scout_budget;
-    let (mut cross_groups, cross_tier) = RowScout::new(cross_cfg).scan_recover(&mut mc)?;
+    let (mut cross, cross_tier) = scan(&mut mc, other_bank, pair(), 1)?;
     tier.merge(&cross_tier);
-    let cross = cross_groups.remove(0);
+    let (probe, cross) = (probe.remove(0), cross.remove(0));
 
     let opts = ReverseOptions {
         trigger_hammers: (spec.hc_first / 4).clamp(400, 4_000),
@@ -258,8 +194,7 @@ pub fn try_reverse_engineer_module_faulty(
     );
     let capacity_matches = match (spec.aggressor_capacity, &profile.detection) {
         (Some(gt), DetectionKind::Counter { capacity, .. }) => *capacity == gt as usize,
-        (Some(1), DetectionKind::Sampler { .. }) => true,
-        (None, _) => true,
+        (Some(1), DetectionKind::Sampler { .. }) | (None, _) => true,
         _ => false,
     };
     // On the paired-row organization a detection refreshes exactly one
@@ -285,52 +220,82 @@ pub fn try_reverse_engineer_module_faulty(
     })
 }
 
-/// Measures `HC_first` (footnote 1) on a module built from its spec,
-/// delegating to [`utrr_core::measure_hc_first`].
-pub fn measure_hc_first(spec: &ModuleSpec, rows: u32, samples: u32, seed: u64) -> u64 {
-    measure_hc_first_with(spec, rows, samples, seed, None)
+/// Experiment seeds [`retry_seeds`] tries: a few percent of seeds draw
+/// weak cells the scout or schedule learner cannot converge on.
+pub const RE_BIN_ATTEMPTS: u64 = 4;
+
+/// Counter: failed attempts [`retry_seeds`] followed with another seed.
+pub const CTR_RE_RETRIES: &str = "utrr.fleet.re_retries";
+
+/// What [`retry_seeds`] got.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Retried<T> {
+    /// The first successful result; `None` when every attempt failed
+    /// under [`FaultProfile::Hostile`] (the module is inconclusive).
+    pub outcome: Option<T>,
+    /// Attempts made, 1 to [`RE_BIN_ATTEMPTS`].
+    pub attempts: u32,
 }
 
-/// [`measure_hc_first`] with an optional shared metrics registry
-/// attached to the module under test.
+/// The seed-retry loop: runs `run` on `config` with the experiment seed
+/// `attempt_seed(k)` for `k = 0, 1, …` until an attempt succeeds or
+/// [`RE_BIN_ATTEMPTS`] have failed. Each failure records a
+/// [`obs::TraceKind::ReRetry`] event (`attempt`, `seed`, the error) in
+/// the registry's flight recorder; each one retried adds one to
+/// [`CTR_RE_RETRIES`].
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics when the characterization cannot run on the built bank.
-pub fn measure_hc_first_with(
-    spec: &ModuleSpec,
-    rows: u32,
-    samples: u32,
-    seed: u64,
-    registry: Option<&std::sync::Arc<obs::MetricsRegistry>>,
-) -> u64 {
-    measure_hc_first_faulty(spec, rows, samples, seed, registry, FaultProfile::None, 0)
-}
-
-/// [`measure_hc_first_with`] against a faulty substrate; under
-/// [`FaultProfile::None`] nothing is installed and the measurement is
-/// bit-identical to [`measure_hc_first_with`].
-///
-/// # Panics
-///
-/// Panics when the characterization cannot run on the built bank.
-pub fn measure_hc_first_faulty(
-    spec: &ModuleSpec,
-    rows: u32,
-    samples: u32,
-    seed: u64,
-    registry: Option<&std::sync::Arc<obs::MetricsRegistry>>,
-    fault_profile: FaultProfile,
-    fault_seed: u64,
-) -> u64 {
-    let mut module = spec.build_scaled(rows, seed);
-    if let Some(registry) = registry {
-        module.attach_registry(std::sync::Arc::clone(registry));
+/// The last error when every attempt fails below
+/// [`FaultProfile::Hostile`]. Under hostile faults that is no error:
+/// the result has no outcome and the module is inconclusive.
+pub fn retry_seeds<T>(
+    config: &RunConfig,
+    attempt_seed: impl Fn(u64) -> u64,
+    mut run: impl FnMut(&RunConfig) -> Result<T, UtrrError>,
+) -> Result<Retried<T>, UtrrError> {
+    let mut attempt_config = config.clone();
+    let mut attempt = 0;
+    loop {
+        attempt_config.seed = attempt_seed(attempt);
+        attempt += 1;
+        let error = match run(&attempt_config) {
+            Ok(outcome) => return Ok(Retried { outcome: Some(outcome), attempts: attempt as u32 }),
+            Err(error) => error,
+        };
+        let exhausted = attempt == RE_BIN_ATTEMPTS;
+        if let Some(registry) = &config.registry {
+            registry.trace(
+                obs::TraceKind::ReRetry,
+                0,
+                0,
+                None,
+                &[("attempt", attempt), ("seed", attempt_config.seed)],
+                &error.to_string(),
+            );
+            if !exhausted {
+                registry.counter(CTR_RE_RETRIES).inc();
+            }
+        }
+        if exhausted {
+            return if config.fault_profile == FaultProfile::Hostile {
+                Ok(Retried { outcome: None, attempts: attempt as u32 })
+            } else {
+                Err(error)
+            };
+        }
     }
-    let mut mc = MemoryController::new(module);
-    faults::install(&mut mc, fault_profile, fault_seed);
+}
+
+/// Measures `HC_first` (footnote 1) over `samples` victim rows of bank
+/// 0 with [`utrr_core::measure_hc_first`].
+///
+/// # Errors
+///
+/// Propagates the characterization's [`UtrrError`].
+pub fn hc_first(spec: &ModuleSpec, config: &RunConfig, samples: u32) -> Result<u64, UtrrError> {
+    let mut mc = config.controller(spec);
     utrr_core::measure_hc_first(&mut mc, Bank::new(0), samples, spec.hc_first * 2)
-        .expect("characterization runs on an in-range bank")
 }
 
 /// The Table-1 attack columns for one module: % vulnerable rows and max
@@ -385,32 +350,6 @@ pub fn attack_columns_par(
     pool: &par::ParConfig,
 ) -> Vec<BankSweep> {
     par::par_map(pool, specs, |spec| attack_columns(spec, config))
-}
-
-/// [`reverse_engineer_module_with`] for many modules on a worker pool;
-/// results are in `specs` order. Each task builds its own module (and
-/// engine) inside the worker, so nothing non-`Send` crosses threads.
-pub fn reverse_engineer_modules_par(
-    specs: &[ModuleSpec],
-    rows: u32,
-    seed: u64,
-    registry: Option<&std::sync::Arc<obs::MetricsRegistry>>,
-    pool: &par::ParConfig,
-) -> Vec<ReOutcome> {
-    par::par_map(pool, specs, |spec| reverse_engineer_module_with(spec, rows, seed, registry))
-}
-
-/// [`measure_hc_first_with`] for many modules on a worker pool; results
-/// are in `specs` order.
-pub fn measure_hc_first_modules_par(
-    specs: &[ModuleSpec],
-    rows: u32,
-    samples: u32,
-    seed: u64,
-    registry: Option<&std::sync::Arc<obs::MetricsRegistry>>,
-    pool: &par::ParConfig,
-) -> Vec<u64> {
-    par::par_map(pool, specs, |spec| measure_hc_first_with(spec, rows, samples, seed, registry))
 }
 
 /// Everything that determines a reverse-engineering outcome for a spec,
@@ -780,25 +719,6 @@ pub fn weak_scan_ns_per_row() -> f64 {
     start.elapsed().as_nanos() as f64 / f64::from(scanned)
 }
 
-/// Builds an analyzer with learned schedules for every group — used by
-/// benches that need schedule-filtered experiments.
-pub fn analyzer_with_schedules(
-    mc: &mut MemoryController,
-    bank: Bank,
-    groups: &[ProfiledRowGroup],
-) -> TrrAnalyzer {
-    let mut analyzer = TrrAnalyzer::new();
-    for g in groups {
-        learn_group_schedules(mc, bank, g, &mut analyzer).expect("schedules learnable");
-    }
-    analyzer
-}
-
-/// Formats a `Nanos` duration for report footers.
-pub fn fmt_sim_time(t: Nanos) -> String {
-    format!("{:.1} s simulated", t.as_ms_f64() / 1e3)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -825,12 +745,87 @@ mod tests {
     #[test]
     fn hc_first_measurement_tracks_ground_truth() {
         let spec = by_id("A5").unwrap();
-        let measured = measure_hc_first(&spec, 1_024, 24, 11);
+        let measured = hc_first(&spec, &RunConfig::new(1_024, 11), 24).unwrap();
         let gt = spec.hc_first;
         assert!(
             measured as f64 > gt as f64 * 0.8 && (measured as f64) < gt as f64 * 2.5,
             "measured {measured} vs HC_first {gt}"
         );
+    }
+
+    #[test]
+    fn reverse_engineering_below_1024_rows_is_an_error() {
+        let spec = by_id("A5").unwrap();
+        let result = reverse_engineer(&spec, &RunConfig::new(512, 7));
+        assert!(matches!(result, Err(UtrrError::NotEnoughRowGroups { .. })), "{result:?}");
+    }
+
+    /// `(attempt, seed, cause)` of a `re_retry` event.
+    type RetryEvent = (u64, u64, String);
+
+    /// Runs the retry loop under `profile` over the seeds 10, 20, 30, 40
+    /// with a fake runner that fails every seed but `ok_seed`, and a
+    /// flight recorder installed. Returns the result, the seeds tried,
+    /// the retry counter and the `re_retry` events.
+    fn fake_run(
+        profile: FaultProfile,
+        ok_seed: Option<u64>,
+    ) -> (Result<Retried<u64>, UtrrError>, Vec<u64>, u64, Vec<RetryEvent>) {
+        let registry = run_registry();
+        registry.install_recorder(Arc::new(obs::FlightRecorder::unfiltered()));
+        let config = RunConfig {
+            fault_profile: profile,
+            registry: Some(Arc::clone(&registry)),
+            ..RunConfig::new(99, 0)
+        };
+        let mut tried = Vec::new();
+        let runner = |c: &RunConfig| {
+            assert_eq!(c.rows, 99, "the loop only replaces the seed");
+            tried.push(c.seed);
+            let ok = Some(c.seed) == ok_seed;
+            ok.then_some(c.seed).ok_or(UtrrError::HammerCountUnsafe { count: c.seed })
+        };
+        let result = retry_seeds(&config, |k| 10 * (k + 1), runner);
+        let field = |e: &obs::TraceEvent, key| e.fields.iter().find(|(k, _)| k == key).unwrap().1;
+        let (events, _) = registry.recorder().unwrap().snapshot();
+        let events = events
+            .iter()
+            .filter(|e| e.kind == obs::TraceKind::ReRetry)
+            .map(|e| (field(e, "attempt"), field(e, "seed"), e.detail.clone()))
+            .collect();
+        (result, tried, registry.counter(CTR_RE_RETRIES).get(), events)
+    }
+
+    fn event(attempt: u64, seed: u64) -> RetryEvent {
+        (attempt, seed, UtrrError::HammerCountUnsafe { count: seed }.to_string())
+    }
+
+    #[test]
+    fn retry_loop_stops_at_the_first_success() {
+        let (result, tried, retries, events) = fake_run(FaultProfile::None, Some(30));
+        assert_eq!(result, Ok(Retried { outcome: Some(30), attempts: 3 }));
+        assert_eq!(tried, [10, 20, 30], "seeds in the given order, none after the success");
+        assert_eq!(retries, 2, "one per retried failure");
+        assert_eq!(events, [event(1, 10), event(2, 20)]);
+
+        let (result, _, retries, events) = fake_run(FaultProfile::None, Some(10));
+        assert_eq!(result, Ok(Retried { outcome: Some(10), attempts: 1 }));
+        assert_eq!((retries, events.len()), (0, 0));
+    }
+
+    #[test]
+    fn retry_loop_exhaustion_depends_on_the_fault_profile() {
+        let all_failed = [event(1, 10), event(2, 20), event(3, 30), event(4, 40)];
+        let (result, tried, retries, events) = fake_run(FaultProfile::Hostile, None);
+        assert_eq!(result, Ok(Retried { outcome: None, attempts: 4 }), "inconclusive");
+        assert_eq!(tried, [10, 20, 30, 40]);
+        assert_eq!(retries, 3, "the last failure is not retried");
+        assert_eq!(events, all_failed, "one event per failed attempt");
+        for profile in [FaultProfile::None, FaultProfile::Mild] {
+            let (result, _, retries, events) = fake_run(profile, None);
+            assert_eq!(result, Err(UtrrError::HammerCountUnsafe { count: 40 }), "the last cause");
+            assert_eq!((retries, events), (3, all_failed.to_vec()));
+        }
     }
 
     #[test]

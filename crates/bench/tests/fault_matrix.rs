@@ -5,12 +5,11 @@
 //! same commands, the same results, bit for bit, as a build without
 //! the fault layer.
 
+use std::sync::Arc;
+
 use faults::FaultProfile;
 use obs::MetricsRegistry;
-use utrr_bench::{
-    measure_hc_first_faulty, measure_hc_first_with, reverse_engineer_module_faulty,
-    reverse_engineer_module_with,
-};
+use utrr_bench::{hc_first, reverse_engineer, RunConfig};
 use utrr_modules::by_id;
 
 /// One module per vendor: counter-based (A), sampling-based (B), and
@@ -19,19 +18,27 @@ const VENDOR_SAMPLE: [&str; 3] = ["A5", "B0", "C9"];
 const ROWS: u32 = 2_048;
 const SEED: u64 = 7;
 
+/// The run under `fault_profile` with fault seed `fault_seed`.
+fn faulty(
+    fault_profile: FaultProfile,
+    fault_seed: u64,
+    registry: &Arc<MetricsRegistry>,
+) -> RunConfig {
+    RunConfig {
+        fault_profile,
+        fault_seed,
+        registry: Some(Arc::clone(registry)),
+        ..RunConfig::new(ROWS, SEED)
+    }
+}
+
 #[test]
 fn mild_faults_do_not_break_reverse_engineering() {
     let registry = MetricsRegistry::shared();
     for id in VENDOR_SAMPLE {
         let spec = by_id(id).expect("catalog module");
-        let outcome = reverse_engineer_module_faulty(
-            &spec,
-            ROWS,
-            SEED,
-            Some(&registry),
-            FaultProfile::Mild,
-            1,
-        );
+        let outcome = reverse_engineer(&spec, &faulty(FaultProfile::Mild, 1, &registry))
+            .expect("mild faults keep the suite running");
         assert!(
             outcome.matches.all(),
             "{id}: mild faults broke the inference: {:?} (profile {:?})",
@@ -61,19 +68,14 @@ fn none_profile_is_a_strict_noop() {
     let spec = by_id("A5").expect("catalog module");
 
     let clean_registry = MetricsRegistry::shared();
-    let clean = reverse_engineer_module_with(&spec, ROWS, SEED, Some(&clean_registry));
+    let clean = reverse_engineer(&spec, &faulty(FaultProfile::None, 0, &clean_registry))
+        .expect("the fault-free suite completes");
 
     // Any fault seed: under `None` the plan is never installed, so the
     // seed must be irrelevant and the command stream identical.
     let noop_registry = MetricsRegistry::shared();
-    let noop = reverse_engineer_module_faulty(
-        &spec,
-        ROWS,
-        SEED,
-        Some(&noop_registry),
-        FaultProfile::None,
-        0xDEAD_BEEF,
-    );
+    let noop = reverse_engineer(&spec, &faulty(FaultProfile::None, 0xDEAD_BEEF, &noop_registry))
+        .expect("the fault-free suite completes");
 
     assert_eq!(noop.profile, clean.profile);
     assert_eq!(noop.refresh_period, clean.refresh_period);
@@ -92,8 +94,11 @@ fn none_profile_is_a_strict_noop() {
 #[test]
 fn hc_first_measurement_survives_mild_faults() {
     let spec = by_id("A5").expect("catalog module");
-    let clean = measure_hc_first_with(&spec, ROWS, 16, 11, None);
-    let faulty = measure_hc_first_faulty(&spec, ROWS, 16, 11, None, FaultProfile::Mild, 1);
+    let measure = |profile| {
+        let config = RunConfig { seed: 11, ..faulty(profile, 1, &MetricsRegistry::shared()) };
+        hc_first(&spec, &config, 16).expect("characterization runs on an in-range bank")
+    };
+    let (clean, faulty) = (measure(FaultProfile::None), measure(FaultProfile::Mild));
     // The binary-search characterization self-heals through voted
     // reads; the mild substrate may nudge individual probes but the
     // estimate must stay within the sampling tolerance of Table 1.

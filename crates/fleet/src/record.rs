@@ -19,16 +19,14 @@ use dram_sim::rng::derive_seed;
 use faults::FaultProfile;
 use obs::jsonl::JsonValue;
 use obs::MetricsRegistry;
+pub use utrr_bench::CTR_RE_RETRIES;
 use utrr_bench::{
-    attack_columns, detection_label, measure_hc_first_faulty, try_reverse_engineer_module_faulty,
+    attack_columns, detection_label, hc_first, retry_seeds, reverse_engineer, RunConfig,
+    RE_BIN_ATTEMPTS,
 };
 use utrr_core::recovery::VerdictTier;
 
 use crate::gen::synth_spec;
-
-/// Counter: reverse-engineering retries across a fleet run (one per
-/// extra experiment seed a module needed).
-pub const CTR_RE_RETRIES: &str = "utrr.fleet.re_retries";
 
 /// Everything the per-module pipeline depends on. Two runs with equal
 /// parameters produce byte-identical records for every index.
@@ -123,12 +121,11 @@ pub struct FleetRecord {
     pub budget_trips: u64,
 }
 
-/// Retry budget for the reverse-engineering suite. On arbitrary seeds a
-/// few percent of modules draw a weak-cell population the scout or the
-/// schedule learner cannot converge on; a fresh experiment seed (a pure
+/// Retry budget for the reverse-engineering suite: the shared loop's
+/// [`RE_BIN_ATTEMPTS`]. Each attempt's experiment seed is a pure
 /// function of the module seed and the attempt number, so retries are
-/// deterministic) recovers them.
-pub const RE_ATTEMPTS: u32 = 4;
+/// deterministic.
+pub const RE_ATTEMPTS: u32 = RE_BIN_ATTEMPTS as u32;
 
 /// Runs the full pipeline for module `index` and returns its record.
 ///
@@ -151,46 +148,30 @@ pub fn characterize(params: &SweepParams, index: u64) -> FleetRecord {
     let registry = MetricsRegistry::shared();
     let fault_seed = derive_seed(synth.seed ^ params.fault_seed, 5);
 
-    let mut re_attempts = 0;
-    let re = loop {
-        // Streams 2..5 feed the first attempt's phases; retries move to
-        // a disjoint stream block (16, 32, …) per attempt.
-        let re_seed = derive_seed(synth.seed, 2 + 16 * u64::from(re_attempts));
-        re_attempts += 1;
-        match try_reverse_engineer_module_faulty(
-            spec,
-            synth.rows,
-            re_seed,
-            Some(&registry),
-            params.fault_profile,
-            fault_seed,
-        ) {
-            Ok(re) => break Some(re),
-            Err(e) if re_attempts < RE_ATTEMPTS => {
-                registry.counter(CTR_RE_RETRIES).inc();
-                let _ = e;
-            }
-            // The retry ladder is exhausted. Hostile shards isolate the
-            // failure as an inconclusive record and keep sweeping;
-            // below hostile severity an exhausted ladder is a real
-            // regression and still aborts loudly.
-            Err(_) if params.fault_profile == FaultProfile::Hostile => break None,
-            Err(e) => panic!(
-                "module {} (index {index}): reverse engineering failed after \
-                 {re_attempts} attempts: {e}",
-                spec.id
-            ),
-        }
-    };
-    let hc = measure_hc_first_faulty(
-        spec,
-        synth.rows,
-        params.hc_samples,
-        derive_seed(synth.seed, 3),
-        Some(&registry),
-        params.fault_profile,
+    let config = RunConfig {
+        rows: synth.rows,
+        seed: synth.seed,
+        fault_profile: params.fault_profile,
         fault_seed,
-    );
+        registry: Some(std::sync::Arc::clone(&registry)),
+    };
+    // Streams 2..5 feed the first attempt's phases; retries move to a
+    // disjoint stream block (16, 32, …) per attempt.
+    let re = retry_seeds(
+        &config,
+        |k| derive_seed(synth.seed, 2 + 16 * k),
+        |c| reverse_engineer(spec, c),
+    )
+    .unwrap_or_else(|e| {
+        panic!(
+            "module {} (index {index}): reverse engineering failed after \
+             {RE_ATTEMPTS} attempts: {e}",
+            spec.id
+        )
+    });
+    let hc_config = RunConfig { seed: derive_seed(synth.seed, 3), ..config };
+    let hc = hc_first(spec, &hc_config, params.hc_samples)
+        .expect("characterization runs on an in-range bank");
     let eval = EvalConfig {
         sample_count: params.attack_samples,
         windows: 1,
@@ -206,7 +187,8 @@ pub fn characterize(params: &SweepParams, index: u64) -> FleetRecord {
     let counter = |name: &str| registry.counter(name).get();
     // An inconclusive module keeps placeholder profile columns; its
     // RE-independent measurements (HC_first, attack sweep) are real.
-    let (re_match, ratio, neighbors, detection, per_bank, refresh_period, tier) = match &re {
+    let (re_match, ratio, neighbors, detection, per_bank, refresh_period, tier) = match &re.outcome
+    {
         Some(re) => (
             re.matches.all(),
             re.profile.trr_ref_ratio,
@@ -230,7 +212,7 @@ pub fn characterize(params: &SweepParams, index: u64) -> FleetRecord {
         retention_scale: spec.retention_scale,
         hc_first_gt: spec.hc_first,
         re_match,
-        re_attempts,
+        re_attempts: re.attempts,
         ratio,
         neighbors,
         detection,

@@ -68,6 +68,9 @@ pub enum TraceKind {
     Recovery,
     /// The Row Scout retried a validation check.
     ScoutRetry,
+    /// A reverse-engineering attempt failed on one experiment seed; the
+    /// detail carries the cause.
+    ReRetry,
     /// A conclusion, carrying the event IDs that constitute its
     /// evidence.
     Verdict,
@@ -89,6 +92,7 @@ impl TraceKind {
             TraceKind::FaultInjected => "fault_injected",
             TraceKind::Recovery => "recovery",
             TraceKind::ScoutRetry => "scout_retry",
+            TraceKind::ReRetry => "re_retry",
             TraceKind::Verdict => "verdict",
         }
     }
@@ -108,6 +112,7 @@ impl TraceKind {
             "fault_injected" => TraceKind::FaultInjected,
             "recovery" => TraceKind::Recovery,
             "scout_retry" => TraceKind::ScoutRetry,
+            "re_retry" => TraceKind::ReRetry,
             "verdict" => TraceKind::Verdict,
             _ => return None,
         })

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 
 use obs::trace::{read_trace_jsonl, write_trace_jsonl, FlightRecorder, TraceFilter, TraceKind};
 
-const KINDS: [TraceKind; 13] = [
+const KINDS: [TraceKind; 14] = [
     TraceKind::Act,
     TraceKind::Ref,
     TraceKind::BitFlip,
@@ -18,6 +18,7 @@ const KINDS: [TraceKind; 13] = [
     TraceKind::FaultInjected,
     TraceKind::Recovery,
     TraceKind::ScoutRetry,
+    TraceKind::ReRetry,
     TraceKind::Verdict,
 ];
 

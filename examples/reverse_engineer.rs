@@ -11,7 +11,7 @@ use dram_sim::{Bank, RowAddr};
 use softmc::MemoryController;
 use utrr::utrr_core::mapping_re::{candidate_mappings, detect_paired_rows, discover_mapping};
 use utrr::utrr_modules::by_id;
-use utrr_bench::reverse_engineer_module;
+use utrr_bench::{reverse_engineer, RunConfig};
 
 fn main() {
     for id in ["A0", "B7", "C7"] {
@@ -51,7 +51,8 @@ fn main() {
         }
 
         // §6: the full experiment suite on a scaled build.
-        let outcome = reverse_engineer_module(&spec, 2_048, 7);
+        let outcome =
+            reverse_engineer(&spec, &RunConfig::new(2_048, 7)).expect("the suite completes");
         println!(
             "  inferred: ratio 1/{}, {} neighbours refreshed, {:?}, per-bank {}",
             outcome.profile.trr_ref_ratio,

@@ -9,7 +9,7 @@ use utrr::attacks::eval::{sweep_bank, EvalConfig};
 use utrr::ecc::{analyze, CodeKind};
 use utrr::utrr_core::reverse::DetectionKind;
 use utrr::utrr_modules::by_id;
-use utrr_bench::reverse_engineer_module;
+use utrr_bench::{reverse_engineer, RunConfig};
 
 fn eval_config() -> EvalConfig {
     EvalConfig { sample_count: 16, ..EvalConfig::quick(16) }
@@ -18,7 +18,7 @@ fn eval_config() -> EvalConfig {
 #[test]
 fn vendor_a_pipeline() {
     let spec = by_id("A5").unwrap();
-    let outcome = reverse_engineer_module(&spec, 2_048, 7);
+    let outcome = reverse_engineer(&spec, &RunConfig::new(2_048, 7)).expect("the suite completes");
     assert!(outcome.matches.all(), "{:?}", outcome);
     assert!(matches!(
         outcome.profile.detection,
@@ -35,7 +35,7 @@ fn vendor_a_pipeline() {
 #[test]
 fn vendor_b_pipeline() {
     let spec = by_id("B0").unwrap();
-    let outcome = reverse_engineer_module(&spec, 2_048, 7);
+    let outcome = reverse_engineer(&spec, &RunConfig::new(2_048, 7)).expect("the suite completes");
     assert!(outcome.matches.all(), "{:?}", outcome);
     assert!(matches!(
         outcome.profile.detection,
@@ -52,7 +52,7 @@ fn vendor_b_pipeline() {
 #[test]
 fn vendor_c_pipeline() {
     let spec = by_id("C9").unwrap();
-    let outcome = reverse_engineer_module(&spec, 2_048, 7);
+    let outcome = reverse_engineer(&spec, &RunConfig::new(2_048, 7)).expect("the suite completes");
     assert!(outcome.matches.all(), "{:?}", outcome);
     assert!(matches!(outcome.profile.detection, DetectionKind::Window { .. }));
     assert_eq!(outcome.profile.trr_ref_ratio, 9, "Observation C1 (C_TRR2)");
