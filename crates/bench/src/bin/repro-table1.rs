@@ -119,25 +119,21 @@ fn main() {
             .zip(outcomes.iter())
             .map(|((key, _), outcome)| (key.as_str(), outcome))
             .collect();
-        let hostile = fault_profile == FaultProfile::Hostile;
         let mut tiers = [0u64; 3];
         for spec in &modules {
             match re_cache[key_of(spec).as_str()] {
                 Some(outcome) => {
-                    // Under the recovery ladder the match cell carries
-                    // the verdict tier; below hostile the table is
-                    // byte-identical to the pre-ladder one.
+                    // A non-confirmed tier, which only a tiered policy
+                    // produces, rides in the match cell.
+                    tiers[usize::try_from(outcome.tier.code()).expect("code fits")] += 1;
                     let mut verdict =
                         if outcome.matches.all() { "✓" } else { "partial" }.to_string();
-                    if hostile {
-                        tiers[usize::try_from(outcome.tier.code()).expect("code fits")] += 1;
-                        if !outcome.tier.is_confirmed() {
-                            verdict = format!(
-                                "{verdict} [{}: {}]",
-                                outcome.tier.label(),
-                                outcome.tier.reasons_string()
-                            );
-                        }
+                    if !outcome.tier.is_confirmed() {
+                        verdict = format!(
+                            "{verdict} [{}: {}]",
+                            outcome.tier.label(),
+                            outcome.tier.reasons_string()
+                        );
                     }
                     println!(
                         "| {} | {} | {} ({}) | {} ({}) | {} ({}) | {} ({}) | {} ({}) | {} |",
@@ -156,9 +152,10 @@ fn main() {
                         verdict,
                     );
                 }
-                // Only reachable under hostile: the retry ladder is
-                // exhausted, the module is recorded inconclusive, and
-                // the run continues with the ground truth alone.
+                // Only reachable under a tiered policy: the retry
+                // ladder is exhausted, the module is recorded
+                // inconclusive, and the run continues with the ground
+                // truth alone.
                 None => {
                     tiers[2] += 1;
                     println!(
@@ -175,7 +172,7 @@ fn main() {
             }
         }
         println!();
-        if hostile {
+        if run_config.policy().tiered {
             println!(
                 "verdict tiers: {} confirmed, {} degraded, {} inconclusive",
                 tiers[0], tiers[1], tiers[2]

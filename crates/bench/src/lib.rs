@@ -22,18 +22,10 @@ use faults::FaultProfile;
 use softmc::{MemoryController, RecoveryLadder};
 use utrr_core::reverse::{self, DetectionKind, ReverseOptions, TrrProfile};
 use utrr_core::schedule::learn_refresh_schedule;
-use utrr_core::{RowGroupLayout, RowScout, ScoutConfig, UtrrError, VerdictTier};
+use utrr_core::{RecoveryPolicy, RowGroupLayout, RowScout, ScoutConfig, UtrrError, VerdictTier};
 use utrr_modules::ModuleSpec;
 
-/// Per-phase ACT budget the hostile profile arms on every `discover_*`
-/// phase ([`ReverseOptions::phase_act_budget`]): far above what any
-/// honest phase consumes, so it only trips on pathological spin — and
-/// the phase then closes with partial evidence instead of hanging.
-pub const HOSTILE_PHASE_ACT_BUDGET: u64 = 48_000_000;
-
-/// Whole-scan ACT budget the hostile profile arms on each Row Scout
-/// scan ([`utrr_core::ScoutConfig::max_acts`]).
-pub const HOSTILE_SCOUT_ACT_BUDGET: u64 = 24_000_000;
+pub use utrr_core::recovery::{HOSTILE_PHASE_ACT_BUDGET, HOSTILE_SCOUT_ACT_BUDGET};
 
 /// Everything U-TRR re-discovers about one module, next to the planted
 /// ground truth.
@@ -129,6 +121,13 @@ impl RunConfig {
         faults::install(&mut mc, self.fault_profile, self.fault_seed);
         mc
     }
+
+    /// The [`RecoveryPolicy`] this run's controllers resolve to: that
+    /// of the fault profile's severity.
+    pub fn policy(&self) -> RecoveryPolicy {
+        let config = faults::FaultConfig::for_profile(self.fault_profile);
+        RecoveryPolicy::for_severity(config.map_or(0, |c| c.severity))
+    }
 }
 
 /// Runs the full §6 reverse-engineering suite (Row Scout, TRR Analyzer
@@ -143,15 +142,8 @@ impl RunConfig {
 /// refresh-schedule learner.
 pub fn reverse_engineer(spec: &ModuleSpec, config: &RunConfig) -> Result<ReOutcome, UtrrError> {
     let mut mc = config.controller(spec);
-    // Hostile severity unlocks the recovery ladder; arm its circuit
-    // breakers. Below that, every budget stays `None` and the command
-    // stream is exactly the pre-ladder one.
-    let ladder_on = utrr_core::recovery::ladder_active(&mc);
-    let scout_budget = ladder_on.then_some(HOSTILE_SCOUT_ACT_BUDGET);
     let scan = |mc: &mut MemoryController, bank, layout, groups| {
-        let mut scout = ScoutConfig::new(bank, config.rows, layout, groups);
-        scout.max_acts = scout_budget;
-        RowScout::new(scout).scan_recover(mc)
+        RowScout::new(ScoutConfig::new(bank, config.rows, layout, groups)).scan_recover(mc)
     };
     let (bank, other_bank) = (Bank::new(0), Bank::new(1));
     let pair = RowGroupLayout::single_aggressor_pair;
@@ -170,7 +162,7 @@ pub fn reverse_engineer(spec: &ModuleSpec, config: &RunConfig) -> Result<ReOutco
         trigger_hammers: (spec.hc_first / 4).clamp(400, 4_000),
         ratio_iterations: 80,
         long_iterations: 400,
-        phase_act_budget: ladder_on.then_some(HOSTILE_PHASE_ACT_BUDGET),
+        phase_act_budget: None,
     };
     // Hand the scout-phase tier in so the final verdict trace event
     // carries the whole pipeline's confidence, not just classification's.
@@ -231,7 +223,8 @@ pub const CTR_RE_RETRIES: &str = "utrr.fleet.re_retries";
 #[derive(Debug, Clone, PartialEq)]
 pub struct Retried<T> {
     /// The first successful result; `None` when every attempt failed
-    /// under [`FaultProfile::Hostile`] (the module is inconclusive).
+    /// under a [`RecoveryPolicy::tiered`] policy (the module is
+    /// inconclusive).
     pub outcome: Option<T>,
     /// Attempts made, 1 to [`RE_BIN_ATTEMPTS`].
     pub attempts: u32,
@@ -246,9 +239,10 @@ pub struct Retried<T> {
 ///
 /// # Errors
 ///
-/// The last error when every attempt fails below
-/// [`FaultProfile::Hostile`]. Under hostile faults that is no error:
-/// the result has no outcome and the module is inconclusive.
+/// The last error when every attempt fails, unless the run's
+/// [`RunConfig::policy`] is [`RecoveryPolicy::tiered`] (hostile
+/// faults): then the result has no outcome and the module is
+/// inconclusive.
 pub fn retry_seeds<T>(
     config: &RunConfig,
     attempt_seed: impl Fn(u64) -> u64,
@@ -278,7 +272,7 @@ pub fn retry_seeds<T>(
             }
         }
         if exhausted {
-            return if config.fault_profile == FaultProfile::Hostile {
+            return if config.policy().tiered {
                 Ok(Retried { outcome: None, attempts: attempt as u32 })
             } else {
                 Err(error)

@@ -303,15 +303,15 @@ impl TrrAnalyzer {
             }
         }
 
-        // Wait the first half of the retention window. On a faulty
-        // substrate each half is stretched by 5% — headroom past the
-        // injected retention-drift amplitude, so an unrefreshed victim
-        // still decays past its bucket when the environment runs a
-        // couple of percent "cold" (a clean read here must only ever
-        // mean "refreshed"). Fault-free the window is exactly the
-        // retention time, keeping the command stream unchanged.
-        let half_window =
-            if mc.faults_enabled() { exp.retention * 21 / 40 } else { exp.retention / 2 };
+        // Wait the first half of the retention window (the policy's
+        // half-window). On a faulty substrate each half is stretched by
+        // 5% — headroom past the injected retention-drift amplitude, so
+        // an unrefreshed victim still decays past its bucket when the
+        // environment runs a couple of percent "cold" (a clean read here
+        // must only ever mean "refreshed"). Fault-free the window is
+        // exactly the retention time.
+        let (num, den) = crate::recovery::RecoveryPolicy::of(mc).half_window;
+        let half_window = exp.retention * num / den;
         mc.wait_no_refresh(half_window);
 
         // ③④ Hammer rounds, each ending with REFs.

@@ -8,13 +8,7 @@ use dram_sim::{Bank, DataPattern, PhysRow, Topology};
 use softmc::MemoryController;
 
 use crate::error::UtrrError;
-use crate::recovery;
-
-/// Ceiling on the `HC_first` doubling search under the recovery ladder
-/// (hostile severity): a substrate whose faults keep victims reading
-/// clean would otherwise double forever. Two orders of magnitude above
-/// any shipped `HC_first`, so it never binds on honest measurements.
-pub const HC_SEARCH_CAP: u64 = 1 << 21;
+use crate::recovery::{self, RecoveryPolicy};
 
 /// How aggressors are arranged for an `HC_first` measurement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,17 +68,15 @@ pub fn measure_hc_first(
         Ok(false)
     };
 
+    // Hitting the policy's search cap closes the measurement at the cap
+    // (recorded on the ladder); without a cap the search is unbounded.
+    let cap = RecoveryPolicy::of(mc).hc_search_cap;
     let mut hi = start_guess.max(64);
     while !flips_at(mc, hi)? {
-        // Under the recovery ladder the doubling search carries a
-        // circuit breaker: a hostile substrate that keeps victims
-        // reading clean must not spin the search forever. Tripping
-        // closes the measurement at the cap (recorded on the ladder);
-        // below ladder severity the search is unbounded, as before.
-        if recovery::ladder_active(mc) && hi >= HC_SEARCH_CAP {
+        if let Some(cap) = cap.filter(|&cap| hi >= cap) {
             mc.recovery_mut().budget_trips += 1;
             recovery::ladder_event(mc, recovery::CTR_BUDGET_TRIPS, "hc_cap", bank, None);
-            return Ok(HC_SEARCH_CAP);
+            return Ok(cap);
         }
         hi *= 2;
     }

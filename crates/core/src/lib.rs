@@ -64,7 +64,7 @@ pub use arena::{ArenaStats, ScratchArena};
 pub use characterize::{compare_hammer_modes, data_pattern_sensitivity, measure_hc_first};
 pub use error::UtrrError;
 pub use layout::RowGroupLayout;
-pub use recovery::{DriftEstimator, PhaseBudget, VerdictTier};
+pub use recovery::{DriftEstimator, PhaseBudget, RecoveryPolicy, VerdictTier};
 pub use reverse::{DetectionKind, ReverseOptions, TrrProfile};
 pub use robust::{read_row_voted, write_row_checked};
 pub use rowscout::{

@@ -11,7 +11,7 @@ use softmc::{HammerMode, HammerSpec, MemoryController};
 
 use crate::analyzer::{Experiment, TrrAnalyzer, VictimOutcome};
 use crate::error::UtrrError;
-use crate::recovery::{self, PhaseBudget, VerdictTier};
+use crate::recovery::{PhaseBudget, RecoveryPolicy, VerdictTier};
 use crate::rowscout::ProfiledRowGroup;
 
 /// How a TRR mechanism detects aggressor rows, as uncovered by the
@@ -68,9 +68,14 @@ pub struct ReverseOptions {
     /// Per-phase ACT-budget circuit breaker: each `discover_*` phase
     /// closes with the partial evidence it has once it consumes this
     /// many row activations (see [`PhaseBudget`]). `None` — the default
-    /// and the fault-free shape — leaves every phase unbounded and
-    /// changes nothing.
+    /// — leaves the budget to the controller's
+    /// [`RecoveryPolicy::phase_act_budget`] (unbounded below hostile).
     pub phase_act_budget: Option<u64>,
+}
+
+/// The ACT-budget breaker of one `discover_*` phase, starting now.
+fn phase_budget(mc: &MemoryController, opts: &ReverseOptions) -> PhaseBudget {
+    PhaseBudget::begin(mc, opts.phase_act_budget.or(RecoveryPolicy::of(mc).phase_act_budget))
 }
 
 impl Default for ReverseOptions {
@@ -175,7 +180,7 @@ pub fn discover_trr_ref_ratio(
     // The slowest shipped ratio is 17 and pointer-walk observability can
     // be sparse, so give the search enough REFs for several TRR slots
     // regardless of the caller's budget.
-    let mut budget = PhaseBudget::begin(mc, opts.phase_act_budget);
+    let mut budget = phase_budget(mc, opts);
     for _ in 0..opts.ratio_iterations.max(170) {
         if budget.exhausted(mc, bank) {
             break;
@@ -239,7 +244,7 @@ pub fn discover_neighbors_refreshed(
         .with_refs(1);
     let mut max_refreshed = 0u32;
     let mut evidence = Vec::new();
-    let mut budget = PhaseBudget::begin(mc, opts.phase_act_budget);
+    let mut budget = phase_budget(mc, opts);
     for _ in 0..opts.ratio_iterations {
         if budget.exhausted(mc, bank) {
             break;
@@ -288,7 +293,7 @@ pub fn discover_counter_capacity(
     let block = (2 * trr_ref_ratio.max(1)) as u32;
     let mut capacity = 0;
     let mut evidence = Vec::new();
-    let mut budget = PhaseBudget::begin(mc, opts.phase_act_budget);
+    let mut budget = phase_budget(mc, opts);
     for n in 2..=groups.len() {
         if budget.tripped() {
             break;
@@ -350,7 +355,7 @@ pub fn discover_eviction_of_low_count_row(
     hammers[0] = 50;
     let mut weak_detected = false;
     let mut evidence = Vec::new();
-    let mut budget = PhaseBudget::begin(mc, opts.phase_act_budget);
+    let mut budget = phase_budget(mc, opts);
     for _ in 0..opts.long_iterations {
         if budget.exhausted(mc, bank) {
             break;
@@ -394,7 +399,7 @@ pub fn discover_counter_reset(
     let mut low = 0;
     let mut high = 0;
     let mut evidence = Vec::new();
-    let mut budget = PhaseBudget::begin(mc, opts.phase_act_budget);
+    let mut budget = phase_budget(mc, opts);
     for _ in 0..opts.long_iterations {
         if budget.exhausted(mc, bank) {
             break;
@@ -449,7 +454,7 @@ pub fn discover_table_persistence(
     let idle_exp = Experiment::on_group(bank, group).with_refs(1);
     let mut tail_hits = 0;
     let mut evidence = Vec::new();
-    let mut budget = PhaseBudget::begin(mc, opts.phase_act_budget);
+    let mut budget = phase_budget(mc, opts);
     for i in 0..iterations {
         if budget.exhausted(mc, bank) {
             break;
@@ -488,7 +493,7 @@ pub fn discover_last_hammered_bias(
     let mut second = 0u32;
     let mut total = 0u32;
     let mut evidence = Vec::new();
-    let mut budget = PhaseBudget::begin(mc, opts.phase_act_budget);
+    let mut budget = phase_budget(mc, opts);
     for _ in 0..opts.ratio_iterations {
         if budget.exhausted(mc, bank) {
             break;
@@ -540,7 +545,7 @@ pub fn discover_cross_bank_sharing(
     let t_long = groups[long].retention;
     let mut hits = [0u32; 2];
     let mut evidence = Vec::new();
-    let mut budget = PhaseBudget::begin(mc, opts.phase_act_budget);
+    let mut budget = phase_budget(mc, opts);
     for _ in 0..opts.ratio_iterations {
         if budget.exhausted(mc, banks[0]) {
             break;
@@ -632,9 +637,17 @@ pub fn discover_act_window(
     // capture cycles before concluding "never detected".
     let aggressor_hammers = 2_048u64;
     let iterations = opts.long_iterations.max(360);
-    let faulty = mc.faults_enabled();
+    // Fault-free, one detection is conclusive. Injected faults leave
+    // stray TRR verdicts at a rate of well under 1% of iterations
+    // (drift shifts the slot phase, VRT bursts fake a refresh), so a
+    // single detection cannot condemn a filler count there. Genuine
+    // capture — a counter or sampler that still sees the aggressor
+    // through the filler — lands at ~5% of iterations; the faulty
+    // policies split the two regimes at 2%.
+    let stray_den = RecoveryPolicy::of(mc).act_window_stray_den;
+    let strays = stray_den.map_or(0, |den| (iterations / den).max(1));
     let mut evidence = Vec::new();
-    let mut budget = PhaseBudget::begin(mc, opts.phase_act_budget);
+    let mut budget = phase_budget(mc, opts);
     for &filler in probes {
         if budget.tripped() {
             break;
@@ -645,37 +658,15 @@ pub fn discover_act_window(
             .with_refs(1);
         exp.dummies_first = true;
         let mut detected = false;
-        if faulty {
-            // Injected faults leave stray TRR verdicts at a rate of
-            // well under 1% of iterations (drift shifts the slot phase,
-            // VRT bursts fake a refresh), so a single detection cannot
-            // condemn a filler count. Genuine capture — a counter or
-            // sampler that still sees the aggressor through the filler
-            // — lands at ~5% of iterations; split the two regimes at
-            // 2%.
-            let threshold = (iterations / 50).max(1);
-            let mut hits = 0u32;
-            for _ in 0..iterations {
-                if budget.exhausted(mc, bank) {
-                    break;
-                }
-                let outcome = analyzer.run(mc, &exp)?;
-                if outcome.any_trr() {
-                    hits += 1;
-                    if hits > threshold {
-                        push_evidence(&mut evidence, &outcome.evidence);
-                        detected = true;
-                        break;
-                    }
-                }
+        let mut hits = 0u32;
+        for _ in 0..iterations {
+            if budget.exhausted(mc, bank) {
+                break;
             }
-        } else {
-            for _ in 0..iterations {
-                if budget.exhausted(mc, bank) {
-                    break;
-                }
-                let outcome = analyzer.run(mc, &exp)?;
-                if outcome.any_trr() {
+            let outcome = analyzer.run(mc, &exp)?;
+            if outcome.any_trr() {
+                hits += 1;
+                if hits > strays {
                     push_evidence(&mut evidence, &outcome.evidence);
                     detected = true;
                     break;
@@ -719,23 +710,24 @@ pub fn classify(
         .map(|(profile, _)| profile)
 }
 
-/// [`classify`] under the recovery ladder, returning the profile
-/// together with its [`VerdictTier`]. `initial_tier` carries what the
-/// earlier pipeline phases (the scout scans) already know — the
-/// returned tier and the final verdict trace event both reflect the
-/// merged pipeline confidence, not just classification's own.
+/// [`classify`] under the controller's [`RecoveryPolicy`], returning
+/// the profile together with its [`VerdictTier`]. `initial_tier`
+/// carries what the earlier pipeline phases (the scout scans) already
+/// know — the returned tier and the final verdict trace event both
+/// reflect the merged pipeline confidence, not just classification's
+/// own.
 ///
-/// Below [`recovery::LADDER_SEVERITY`] this *is* `classify` (same
-/// commands, same errors) with a `Confirmed` tier bolted on. With the
-/// ladder active:
+/// Below hostile severity this *is* `classify` (same commands, same
+/// errors) with a `Confirmed` tier bolted on. Under a
+/// [`RecoveryPolicy::tiered`] policy:
 ///
 /// * a group whose regular-refresh schedule cannot be learned is
 ///   dropped from the experiment set instead of aborting the whole
 ///   classification (tier reason `schedule`) — as long as at least two
 ///   pair groups survive;
-/// * any `discover_*` phase whose [`ReverseOptions::phase_act_budget`]
-///   breaker trips closes with partial evidence (tier reason
-///   `act-budget`).
+/// * any `discover_*` phase whose ACT-budget breaker trips closes with
+///   partial evidence (tier reason `act-budget`);
+/// * the final verdict trace event carries the tier.
 ///
 /// # Errors
 ///
@@ -750,45 +742,42 @@ pub fn classify_recover(
     opts: &ReverseOptions,
     initial_tier: VerdictTier,
 ) -> Result<(TrrProfile, VerdictTier), UtrrError> {
-    let ladder = recovery::ladder_active(mc);
+    let tiered = RecoveryPolicy::of(mc).tiered;
     let mut tier = initial_tier;
     let trips_before = mc.recovery().budget_trips;
     // Learn the regular-refresh schedule of every profiled row first, so
     // that periodic regular refreshes are never misattributed to TRR.
+    // `learn` reports whether the group's schedules were learned.
     let mut analyzer = TrrAnalyzer::new();
+    let mut learn = |mc: &mut MemoryController, bank: Bank, group: &ProfiledRowGroup| {
+        match crate::schedule::learn_group_schedules(mc, bank, group, &mut analyzer) {
+            Ok(()) => Ok(true),
+            Err(UtrrError::ScheduleNotFound) if tiered => {
+                tier.degrade("schedule");
+                Ok(false)
+            }
+            Err(e) => Err(e),
+        }
+    };
     let mut surviving: Vec<ProfiledRowGroup> = Vec::with_capacity(pair_groups.len());
     for group in pair_groups {
-        match crate::schedule::learn_group_schedules(mc, bank, group, &mut analyzer) {
-            Ok(()) => surviving.push(group.clone()),
-            Err(UtrrError::ScheduleNotFound) if ladder => tier.degrade("schedule"),
-            Err(e) => return Err(e),
+        if learn(mc, bank, group)? {
+            surviving.push(group.clone());
         }
     }
     if surviving.len() < 2 {
         return Err(UtrrError::ScheduleNotFound);
     }
     let pair_groups: &[ProfiledRowGroup] = &surviving;
-    match crate::schedule::learn_group_schedules(mc, bank, probe_group, &mut analyzer) {
-        Ok(()) => {}
-        // A probe group without learned schedules still runs its
-        // experiments; regular refreshes just can't be subtracted for
-        // it, which the degraded tier records.
-        Err(UtrrError::ScheduleNotFound) if ladder => tier.degrade("schedule"),
-        Err(e) => return Err(e),
-    }
+    // A probe group without learned schedules still runs its
+    // experiments; regular refreshes just can't be subtracted for it,
+    // which the degraded tier records.
+    learn(mc, bank, probe_group)?;
     let cross_bank = match cross_bank {
-        Some((other_bank, other_group)) => {
-            match crate::schedule::learn_group_schedules(mc, other_bank, other_group, &mut analyzer)
-            {
-                Ok(()) => Some((other_bank, other_group)),
-                Err(UtrrError::ScheduleNotFound) if ladder => {
-                    tier.degrade("schedule");
-                    None
-                }
-                Err(e) => return Err(e),
-            }
+        Some((other_bank, other_group)) if learn(mc, other_bank, other_group)? => {
+            Some((other_bank, other_group))
         }
-        None => None,
+        _ => None,
     };
     let analyzer = analyzer;
 
@@ -900,8 +889,8 @@ pub fn classify_recover(
             DetectionKind::Sampler { .. } => "detection:sampler",
             DetectionKind::Window { .. } => "detection:window",
         };
-        // The tier rides on the verdict event only when the ladder is
-        // active, so mild/fault-free trace streams stay byte-identical.
+        // The tier rides on the verdict event only under a tiered
+        // policy, so mild/fault-free trace streams stay byte-identical.
         // A non-confirmed tier also spells out its reasons in the
         // detail, which is what `utrr-trace explain` renders.
         let mut fields = vec![
@@ -910,7 +899,7 @@ pub fn classify_recover(
             ("per_bank", u64::from(per_bank)),
         ];
         let mut detail = kind.to_string();
-        if ladder {
+        if tiered {
             fields.push(("tier", tier.code()));
             if !tier.is_confirmed() {
                 detail = format!("{kind} [{}: {}]", tier.label(), tier.reasons_string());

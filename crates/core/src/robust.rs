@@ -4,22 +4,21 @@
 //! bit flips, stuck reads, dropped or garbled writes (see the `faults`
 //! crate) — would corrupt the retention side channel the whole
 //! methodology rests on. The helpers here reconcile repeated reads into
-//! a consensus readout and verify writes by reading them back.
-//!
-//! Every extra device command is gated on
-//! [`MemoryController::faults_enabled`]: on a fault-free controller the
-//! helpers degrade to exactly one read or one write, keeping command
-//! traces (and therefore experiment output) bit-identical to a build
-//! without this layer.
+//! a consensus readout and verify writes by reading them back, as far
+//! as the controller's [`RecoveryPolicy`] asks. Under
+//! [`RecoveryPolicy::IDENTITY`] they are exactly one read or one write,
+//! keeping fault-free command traces (and therefore experiment output)
+//! bit-identical to a build without this layer.
 
-use dram_sim::{majority3_flips, Bank, DataPattern, RowAddr, RowReadout};
+use dram_sim::{majority_flips, Bank, DataPattern, RowAddr, RowReadout};
 use softmc::MemoryController;
 
 use crate::error::UtrrError;
+use crate::recovery::{self, RecoveryPolicy};
 
 /// Counter: majority-voted reads performed (fault-aware mode only).
 pub const CTR_VOTED_READS: &str = "utrr.robust.voted_reads";
-/// Counter: voted reads whose three samples did not all agree.
+/// Counter: voted reads whose samples did not all agree.
 pub const CTR_READ_DISAGREEMENTS: &str = "utrr.robust.read_disagreements";
 /// Counter: verified writes that needed at least one retry.
 pub const CTR_WRITE_RETRIES: &str = "utrr.robust.write_retries";
@@ -27,24 +26,19 @@ pub const CTR_WRITE_RETRIES: &str = "utrr.robust.write_retries";
 /// budget (the row is left for quarantine logic to handle).
 pub const CTR_WRITE_GIVEUPS: &str = "utrr.robust.write_giveups";
 
-/// Verified-write retry budget (first attempt included).
-const WRITE_ATTEMPTS: u32 = 4;
-
-/// Reads `row` with majority-vote redundancy when fault injection is
-/// active: a bit counts as flipped only when a strict majority of the
-/// samples report it. Reading a row activates (and therefore restores)
-/// it, so the samples observe the same cell state and differ only
-/// through in-flight faults — the majority recovers the true readout
-/// unless independent faults collide on the same bit across half the
-/// samples.
+/// Reads `row` with majority-vote redundancy: a bit counts as flipped
+/// only when a strict majority of the samples report it. Reading a row
+/// activates (and therefore restores) it, so the samples observe the
+/// same cell state and differ only through in-flight faults — the
+/// majority recovers the true readout unless independent faults
+/// collide on the same bit across half the samples.
 ///
-/// The vote width is 3 by default; on a hostile substrate
-/// (severity ≥ 2) the recovery ladder widens it adaptively to 5 and 7
-/// when the running disagreement rate shows triple redundancy is no
-/// longer enough (see [`crate::recovery::note_vote`]).
-///
-/// With no fault injector installed this is exactly one
-/// [`MemoryController::read_row`].
+/// The vote width is the policy's [`RecoveryPolicy::vote_width`]: one
+/// plain [`MemoryController::read_row`] fault-free, three samples
+/// otherwise. Under [`RecoveryPolicy::HOSTILE`] the recovery ladder
+/// widens it adaptively to 5 and 7 when the running disagreement rate
+/// shows triple redundancy is no longer enough (see
+/// [`recovery::note_vote`]).
 ///
 /// # Errors
 ///
@@ -54,82 +48,32 @@ pub fn read_row_voted(
     bank: Bank,
     row: RowAddr,
 ) -> Result<RowReadout, UtrrError> {
-    if !mc.faults_enabled() {
+    let policy = RecoveryPolicy::of(mc);
+    let width = recovery::vote_width(mc, &policy);
+    if width == 1 {
         return Ok(mc.read_row(bank, row)?);
     }
-    if crate::recovery::ladder_active(mc) {
-        return read_row_voted_wide(mc, bank, row);
-    }
-    let a = mc.read_row(bank, row)?;
-    let b = mc.read_row(bank, row)?;
-    let c = mc.read_row(bank, row)?;
-    let registry = std::sync::Arc::clone(mc.registry());
-    registry.counter(CTR_VOTED_READS).inc();
-    if a.flipped_bits() == b.flipped_bits() && b.flipped_bits() == c.flipped_bits() {
-        return Ok(a);
-    }
-    registry.counter(CTR_READ_DISAGREEMENTS).inc();
-    registry.trace(
-        obs::TraceKind::Recovery,
-        mc.now().as_ns(),
-        u32::from(bank.index()),
-        Some(mc.module().phys_of(row).index()),
-        &[],
-        "read_disagreement",
-    );
-    let majority = majority3_flips(a.flipped_bits(), b.flipped_bits(), c.flipped_bits());
-    Ok(a.with_flips(majority))
-}
-
-/// The adaptive-width vote of the hostile recovery ladder: N samples
-/// (N = current ladder width), a bit is flipped iff a strict majority
-/// of the samples report it, and every vote feeds the disagreement-rate
-/// window that drives 3→5→7 widening.
-fn read_row_voted_wide(
-    mc: &mut MemoryController,
-    bank: Bank,
-    row: RowAddr,
-) -> Result<RowReadout, UtrrError> {
-    let width = crate::recovery::vote_width(mc);
     let mut samples = Vec::with_capacity(usize::from(width));
     for _ in 0..width {
         samples.push(mc.read_row(bank, row)?);
     }
-    let registry = std::sync::Arc::clone(mc.registry());
-    registry.counter(CTR_VOTED_READS).inc();
+    mc.registry().counter(CTR_VOTED_READS).inc();
     let unanimous = samples.windows(2).all(|pair| pair[0].flipped_bits() == pair[1].flipped_bits());
-    crate::recovery::note_vote(mc, bank, row, !unanimous);
+    recovery::note_vote(mc, &policy, bank, row, !unanimous);
     if unanimous {
         return Ok(samples.swap_remove(0));
     }
-    registry.counter(CTR_READ_DISAGREEMENTS).inc();
-    registry.trace(
-        obs::TraceKind::Recovery,
-        mc.now().as_ns(),
-        u32::from(bank.index()),
-        Some(mc.module().phys_of(row).index()),
-        &[("width", u64::from(width))],
-        "read_disagreement",
-    );
-    // Strict-majority merge: count each reported bit across the sorted
-    // per-sample flip lists (BTreeMap keeps the merged list ordered).
-    let mut counts = std::collections::BTreeMap::new();
-    for sample in &samples {
-        for &bit in sample.flipped_bits() {
-            *counts.entry(bit).or_insert(0u32) += 1;
-        }
-    }
-    let majority: Vec<u32> = counts
-        .into_iter()
-        .filter(|&(_, n)| u64::from(n) * 2 > u64::from(width))
-        .map(|(bit, _)| bit)
-        .collect();
+    let width = ("width", u64::from(width));
+    record(mc, CTR_READ_DISAGREEMENTS, bank, row, width, "read_disagreement");
+    let flips: Vec<&[u32]> = samples.iter().map(RowReadout::flipped_bits).collect();
+    let majority = majority_flips(&flips);
     Ok(samples.swap_remove(0).with_flips(majority))
 }
 
-/// Writes `pattern` into `row` and, when fault injection is active,
-/// reads it back (majority-voted) to confirm the write landed; dropped
-/// or garbled writes are retried up to a bounded number of attempts.
+/// Writes `pattern` into `row` and, when the policy allows more than
+/// one [`RecoveryPolicy::write_attempts`], reads it back
+/// (majority-voted) to confirm the write landed; dropped or garbled
+/// writes are retried up to that many attempts.
 ///
 /// Returns `Ok(true)` when the row verifiably holds the pattern (always
 /// the case fault-free, where this is exactly one
@@ -145,102 +89,77 @@ pub fn write_row_checked(
     row: RowAddr,
     pattern: &DataPattern,
 ) -> Result<bool, UtrrError> {
-    if !mc.faults_enabled() {
+    let attempts = RecoveryPolicy::of(mc).write_attempts;
+    if attempts == 1 {
+        // A single attempt could not be retried, so it is not verified.
         mc.write_row(bank, row, pattern.clone())?;
         return Ok(true);
     }
-    let registry = std::sync::Arc::clone(mc.registry());
-    for attempt in 0..WRITE_ATTEMPTS {
+    for attempt in 1..=attempts {
         mc.write_row(bank, row, pattern.clone())?;
         let back = read_row_voted(mc, bank, row)?;
         if back.pattern() == pattern && back.is_clean() {
             return Ok(true);
         }
-        if attempt + 1 < WRITE_ATTEMPTS {
-            registry.counter(CTR_WRITE_RETRIES).inc();
-            registry.trace(
-                obs::TraceKind::Recovery,
-                mc.now().as_ns(),
-                u32::from(bank.index()),
-                Some(mc.module().phys_of(row).index()),
-                &[("attempt", u64::from(attempt + 1))],
-                "write_retry",
-            );
+        if attempt < attempts {
+            let field = ("attempt", u64::from(attempt));
+            record(mc, CTR_WRITE_RETRIES, bank, row, field, "write_retry");
         }
     }
-    registry.counter(CTR_WRITE_GIVEUPS).inc();
-    registry.trace(
-        obs::TraceKind::Recovery,
-        mc.now().as_ns(),
-        u32::from(bank.index()),
-        Some(mc.module().phys_of(row).index()),
-        &[("attempts", u64::from(WRITE_ATTEMPTS))],
-        "write_giveup",
-    );
+    record(mc, CTR_WRITE_GIVEUPS, bank, row, ("attempts", u64::from(attempts)), "write_giveup");
     Ok(false)
+}
+
+/// Bumps `counter` and emits a `recovery` trace event on `row` carrying
+/// `field`.
+fn record(
+    mc: &MemoryController,
+    counter: &str,
+    bank: Bank,
+    row: RowAddr,
+    field: (&str, u64),
+    detail: &str,
+) {
+    mc.registry().counter(counter).inc();
+    let phys = mc.module().phys_of(row).index();
+    let (t, bank) = (mc.now().as_ns(), u32::from(bank.index()));
+    mc.registry().trace(obs::TraceKind::Recovery, t, bank, Some(phys), &[field], detail);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dram_sim::{Module, ModuleConfig, Nanos};
-    use softmc::{FaultInjector, WriteFault};
+    use crate::recovery::tests::{controller_at, Scripted};
+    use dram_sim::Nanos;
 
     const BANK: Bank = Bank::new(0);
 
-    /// Deterministic injector: corrupts every read until `reads_clean_after`
-    /// reads have happened, and drops the first `drop_writes` writes.
-    #[derive(Debug)]
-    struct Scripted {
-        flip_reads: u32,
-        drop_writes: u32,
-        reads: u32,
-        writes: u32,
-    }
-
-    impl FaultInjector for Scripted {
-        fn on_read(&mut self, _bank: Bank, _row: RowAddr, readout: &mut RowReadout, _now: Nanos) {
-            self.reads += 1;
-            if self.flip_reads > 0 {
-                self.flip_reads -= 1;
-                // Corrupt a different bit per read: no two samples agree.
-                readout.inject_flip(self.reads % readout.row_bits());
-            }
-        }
-
-        fn on_write(
-            &mut self,
-            _bank: Bank,
-            _row: RowAddr,
-            _pattern: &DataPattern,
-            _now: Nanos,
-        ) -> WriteFault {
-            self.writes += 1;
-            if self.drop_writes > 0 {
-                self.drop_writes -= 1;
-                WriteFault::Dropped
-            } else {
-                WriteFault::None
-            }
-        }
-
-        fn on_tick(&mut self, _now: Nanos, _module: &mut Module) {}
-    }
-
     fn controller() -> MemoryController {
-        MemoryController::new(Module::new(ModuleConfig::small_test(), 7))
+        controller_at(0, 7)
     }
 
     #[test]
-    fn fault_free_paths_issue_single_commands() {
-        let mut mc = controller();
-        let row = RowAddr::new(5);
-        assert!(write_row_checked(&mut mc, BANK, row, &DataPattern::Ones).unwrap());
-        let reads_before = mc.module().stats().row_reads;
-        let readout = read_row_voted(&mut mc, BANK, row).unwrap();
-        assert!(readout.is_clean());
-        assert_eq!(mc.module().stats().row_reads, reads_before + 1);
-        assert_eq!(mc.registry().counter(CTR_VOTED_READS).get(), 0);
+    fn policy_sets_the_commands_each_primitive_issues() {
+        // (severity, device writes + reads of a clean checked write,
+        // device reads of a clean voted read, voted reads counted)
+        for (severity, write_cmds, read_cmds, voted) in
+            [(0, (1, 0), 1, 0), (1, (1, 3), 3, 2), (2, (1, 3), 3, 2)]
+        {
+            let mut mc = controller_at(severity, 7);
+            let row = RowAddr::new(5);
+            let stats = |mc: &MemoryController| {
+                let s = mc.module().stats();
+                (s.row_writes, s.row_reads)
+            };
+            let before = stats(&mc);
+            assert!(write_row_checked(&mut mc, BANK, row, &DataPattern::Ones).unwrap());
+            let after = stats(&mc);
+            assert_eq!((after.0 - before.0, after.1 - before.1), write_cmds, "{severity}");
+            let readout = read_row_voted(&mut mc, BANK, row).unwrap();
+            assert!(readout.is_clean());
+            assert_eq!(stats(&mc).1 - after.1, read_cmds, "{severity}");
+            assert_eq!(mc.registry().counter(CTR_VOTED_READS).get(), voted, "{severity}");
+        }
     }
 
     #[test]
@@ -248,12 +167,8 @@ mod tests {
         let mut mc = controller();
         let row = RowAddr::new(5);
         mc.write_row(BANK, row, DataPattern::Ones).unwrap();
-        mc.set_fault_injector(Some(Box::new(Scripted {
-            flip_reads: u32::MAX,
-            drop_writes: 0,
-            reads: 0,
-            writes: 0,
-        })));
+        let flip_every_read = Scripted { flip_reads: u32::MAX, severity: 1, ..Scripted::default() };
+        mc.set_fault_injector(Some(Box::new(flip_every_read)));
         let readout = read_row_voted(&mut mc, BANK, row).unwrap();
         assert!(readout.is_clean(), "one corrupt bit per sample never reaches majority");
         assert_eq!(mc.registry().counter(CTR_READ_DISAGREEMENTS).get(), 1);
@@ -274,12 +189,8 @@ mod tests {
         mc.write_row(BANK, row, DataPattern::Zeros).unwrap();
         // Decay the row so a dropped re-write is observable as dirt.
         mc.wait_no_refresh(Nanos::from_ms(2_000));
-        mc.set_fault_injector(Some(Box::new(Scripted {
-            flip_reads: 0,
-            drop_writes: 2,
-            reads: 0,
-            writes: 0,
-        })));
+        let drop_two = Scripted { drop_writes: 2, severity: 1, ..Scripted::default() };
+        mc.set_fault_injector(Some(Box::new(drop_two)));
         assert!(write_row_checked(&mut mc, BANK, row, &DataPattern::Zeros).unwrap());
         assert!(mc.registry().counter(CTR_WRITE_RETRIES).get() >= 1);
         mc.set_fault_injector(None);

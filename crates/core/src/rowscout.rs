@@ -20,14 +20,14 @@
 //!
 //! On top of the paper's loop, the scout is hardened against transient
 //! device faults (see the `faults` crate): reads are majority-voted and
-//! writes verified when a fault injector is active, failed validation
-//! checks get a bounded retry, rows that keep misbehaving land on a
-//! quarantine list with a recorded [`QuarantineReason`], and
-//! [`RowScout::scan_report`] returns a partial [`ScoutReport`] instead
-//! of an opaque error when the scan cannot complete. All of the extra
-//! device traffic is gated on [`MemoryController::faults_enabled`] (or
-//! the opt-in [`ScoutConfig::vrt_probe`]), so a fault-free scan issues
-//! exactly the command sequence it always did.
+//! writes verified, failed validation checks get a bounded retry, rows
+//! that keep misbehaving land on a quarantine list with a recorded
+//! [`QuarantineReason`], and [`RowScout::scan_report`] returns a partial
+//! [`ScoutReport`] instead of an opaque error when the scan cannot
+//! complete. How much of that runs is the controller's
+//! [`RecoveryPolicy`] (plus the opt-in [`ScoutConfig::vrt_probe`]);
+//! under [`RecoveryPolicy::IDENTITY`] a scan issues exactly the command
+//! sequence of the paper's loop.
 
 use std::collections::BTreeMap;
 
@@ -37,18 +37,13 @@ use softmc::MemoryController;
 use crate::arena;
 use crate::error::UtrrError;
 use crate::layout::RowGroupLayout;
-use crate::recovery::{self, DriftEstimator, VerdictTier};
+use crate::recovery::{self, DriftEstimator, RecoveryPolicy, VerdictTier};
 use crate::robust;
 
 /// Counter: validation checks retried by the scout (fault-aware mode).
 pub const CTR_SCOUT_RETRIES: &str = "utrr.rowscout.retries";
 /// Counter: rows quarantined by the scout.
 pub const CTR_SCOUT_QUARANTINED: &str = "utrr.rowscout.quarantined";
-
-/// Relocation attempts [`RowScout::scan_recover`] makes when the
-/// configured window cannot satisfy the request under a hostile fault
-/// profile.
-pub const RELOCATION_ATTEMPTS: u32 = 3;
 
 /// SplitMix64 mixing step — the deterministic seeded search behind
 /// window relocation (self-contained so the core crate stays free of a
@@ -107,6 +102,8 @@ pub struct ScoutConfig {
     /// module's cumulative ACT count has grown by this much, the scan
     /// stops early and [`RowScout::scan_report`] reports whatever was
     /// found so far (graceful degradation instead of unbounded retries).
+    /// `None` leaves the budget to the controller's
+    /// [`RecoveryPolicy::scout_act_budget`].
     pub max_acts: Option<u64>,
     /// Opt-in extended VRT probe: track bit-level failure signatures
     /// across validation checks and probe each candidate group at a
@@ -249,20 +246,27 @@ struct ScanState {
     budget_exhausted: bool,
     retries: u64,
     quarantined: BTreeMap<u32, RowDiagnostics>,
-    /// Drift-adaptive validation margins (level 0 reproduces the static
-    /// 1.05×/0.5× faulty margins exactly, so mild scans are unchanged).
+    /// Drift-adaptive validation margins.
     drift: DriftEstimator,
+    /// Retries allowed per failed validation check.
+    max_retries: u32,
+    /// Whether quarantined rows are skipped and failure signatures
+    /// tracked (the policy's scout filter, or the opt-in VRT probe).
+    filter: bool,
 }
 
 impl ScanState {
-    fn new(acts_start: u64, max_acts: Option<u64>, drift: DriftEstimator) -> Self {
+    fn new(mc: &MemoryController, cfg: &ScoutConfig, drift: DriftEstimator) -> Self {
+        let policy = RecoveryPolicy::of(mc);
         ScanState {
-            acts_start,
-            max_acts,
+            acts_start: mc.module().activations(),
+            max_acts: cfg.max_acts.or(policy.scout_act_budget),
             budget_exhausted: false,
             retries: 0,
             quarantined: BTreeMap::new(),
             drift,
+            max_retries: policy.scout_retries,
+            filter: policy.scout_filter || cfg.vrt_probe,
         }
     }
 
@@ -273,7 +277,7 @@ impl ScanState {
             return true;
         }
         if let Some(max) = self.max_acts {
-            if mc.module().stats().activations - self.acts_start >= max {
+            if mc.module().activations() - self.acts_start >= max {
                 self.budget_exhausted = true;
             }
         }
@@ -349,53 +353,44 @@ impl RowScout {
         }
     }
 
-    /// Runs the Fig. 6 loop under the escalating recovery ladder and
-    /// returns whatever profile evidence could be assembled, tiered:
+    /// Runs the Fig. 6 loop under the controller's [`RecoveryPolicy`]
+    /// and returns whatever profile evidence could be assembled, tiered:
     ///
     /// * a complete scan is `Confirmed` (relocations and re-profiles
     ///   along the way don't degrade the tier — the evidence is whole);
     /// * an incomplete scan relocates the window to fresh subarray
     ///   regions via a deterministic seeded search (up to
-    ///   [`RELOCATION_ATTEMPTS`] shifts, each recorded on the ladder)
-    ///   and, if still short, returns the partial groups as
-    ///   `Degraded { scout-shortfall }` (plus `act-budget` when the ACT
-    ///   budget stopped a pass);
-    /// * only a scan with *zero* groups is an error.
+    ///   [`RecoveryPolicy::relocations`] shifts, each recorded on the
+    ///   ladder);
+    /// * a scan still short is an error, unless the policy is
+    ///   [`RecoveryPolicy::tiered`] and found at least one group: then
+    ///   the partial groups come back `Degraded { scout-shortfall }`
+    ///   (plus `act-budget` when the ACT budget stopped a pass).
     ///
     /// The [`DriftEstimator`] persists across relocation attempts, so
     /// margin escalations learned in one window carry into the next.
-    /// Below [`recovery::LADDER_SEVERITY`] this behaves exactly like
-    /// [`RowScout::scan`] — the ladder stays locked and mild/fault-free
-    /// command streams are untouched.
+    /// Below hostile severity no window relocates and no tier degrades,
+    /// so this issues exactly the commands of [`RowScout::scan`].
     ///
     /// # Errors
     ///
-    /// [`UtrrError::NotEnoughRowGroups`] only when no group at all
-    /// validated; device errors are propagated.
+    /// [`UtrrError::NotEnoughRowGroups`] when the scan comes up short
+    /// (under a tiered policy: only when no group at all validated);
+    /// device errors are propagated.
     pub fn scan_recover(
         &self,
         mc: &mut MemoryController,
     ) -> Result<(Vec<ProfiledRowGroup>, VerdictTier), UtrrError> {
         let cfg = &self.config;
-        let mut drift = DriftEstimator::default();
+        let policy = RecoveryPolicy::of(mc);
+        let mut drift = DriftEstimator::new(policy.scout_margins);
         let report = self.scan_report_with(mc, &mut drift)?;
         let mut budget_hit = report.budget_exhausted;
         let mut groups = report.groups;
-        if groups.len() >= cfg.group_count {
-            groups.truncate(cfg.group_count);
-            return Ok((groups, VerdictTier::Confirmed));
-        }
-        if !recovery::ladder_active(mc) {
-            return Err(UtrrError::NotEnoughRowGroups {
-                found: groups.len(),
-                needed: cfg.group_count,
-                max_retention: cfg.max_retention,
-            });
-        }
         let span = cfg.layout.span();
         let range = cfg.row_end.saturating_sub(cfg.row_start);
         let mut seed = relocation_seed(cfg);
-        for _ in 0..RELOCATION_ATTEMPTS {
+        for _ in 0..policy.relocations {
             if groups.len() >= cfg.group_count {
                 break;
             }
@@ -418,9 +413,9 @@ impl RowScout {
         if groups.len() >= cfg.group_count {
             return Ok((groups, VerdictTier::Confirmed));
         }
-        if groups.is_empty() {
+        if groups.is_empty() || !policy.tiered {
             return Err(UtrrError::NotEnoughRowGroups {
-                found: 0,
+                found: groups.len(),
                 needed: cfg.group_count,
                 max_retention: cfg.max_retention,
             });
@@ -443,7 +438,7 @@ impl RowScout {
     /// Device errors are propagated; an incomplete scan is *not* an
     /// error here.
     pub fn scan_report(&self, mc: &mut MemoryController) -> Result<ScoutReport, UtrrError> {
-        self.scan_report_with(mc, &mut DriftEstimator::default())
+        self.scan_report_with(mc, &mut DriftEstimator::new(RecoveryPolicy::of(mc).scout_margins))
     }
 
     /// [`RowScout::scan_report`] with caller-owned drift-margin state,
@@ -478,8 +473,7 @@ impl RowScout {
         drift: &mut DriftEstimator,
     ) -> Result<ScoutReport, UtrrError> {
         let cfg = &self.config;
-        let acts_start = mc.module().stats().activations;
-        let mut state = ScanState::new(acts_start, cfg.max_acts, *drift);
+        let mut state = ScanState::new(mc, cfg, *drift);
         let mut best: Vec<ProfiledRowGroup> = Vec::new();
         let mut retention = cfg.initial_retention;
         while retention <= cfg.max_retention && !state.budget_spent(mc) {
@@ -508,7 +502,7 @@ impl RowScout {
             quarantined: state.quarantined.into_values().collect(),
             retries: state.retries,
             budget_exhausted: state.budget_exhausted,
-            acts_used: mc.module().stats().activations - acts_start,
+            acts_used: mc.module().activations() - state.acts_start,
         })
     }
 
@@ -535,10 +529,6 @@ impl RowScout {
         }
         arena::recycle_bools(fail_early);
 
-        // Skipping known-bad rows changes which candidates get probed,
-        // so it only kicks in under fault injection or the opt-in VRT
-        // probe — a plain scan's command stream stays untouched.
-        let skip_quarantined = mc.faults_enabled() || cfg.vrt_probe;
         let mut groups = Vec::new();
         let mut base = cfg.row_start;
         let span = cfg.layout.span();
@@ -551,7 +541,10 @@ impl RowScout {
                 .profiled()
                 .iter()
                 .all(|&off| bucket[(base + off - cfg.row_start) as usize]);
-            let quarantined = skip_quarantined
+            // Skipping known-bad rows changes which candidates get
+            // probed, so it only kicks in under the scout filter — a
+            // plain scan's command stream stays untouched.
+            let quarantined = state.filter
                 && cfg.layout.profiled().iter().any(|&off| state.is_quarantined(base + off));
             if in_bucket && !quarantined {
                 let group = self.assemble_group(mc, base, retention);
@@ -633,10 +626,10 @@ impl RowScout {
     /// after `0.55 T`. Returns `None` when the group is valid, or the
     /// diagnostics of the first offending row.
     ///
-    /// Under fault injection a failed check is retried a bounded number
-    /// of times before the row is quarantined, because a single
-    /// injected fault can mimic every quarantine signature; fault-free,
-    /// the first failure is final (as before).
+    /// A failed check is retried up to the policy's
+    /// [`RecoveryPolicy::scout_retries`] before the row is quarantined,
+    /// because a single injected fault can mimic every quarantine
+    /// signature; fault-free, the first failure is final.
     fn validate_group(
         &self,
         mc: &mut MemoryController,
@@ -659,66 +652,33 @@ impl RowScout {
         signatures: &mut [Option<Vec<u32>>],
     ) -> Result<Option<RowDiagnostics>, UtrrError> {
         let cfg = &self.config;
-        let faulty = mc.faults_enabled();
-        let ladder = recovery::ladder_active(mc);
-        let max_retries: u32 = if ladder {
-            3
-        } else if faulty {
-            2
-        } else {
-            0
-        };
-        let track_flips = faulty || cfg.vrt_probe;
         let mut retries_spent = 0u32;
         for _ in 0..cfg.consistency_checks {
-            // The rows must fail after the full interval T…
-            let mut attempt = 0u32;
-            loop {
-                match self.check_fails_at_t(mc, group, track_flips, signatures, state.drift)? {
-                    None => break,
-                    Some((profiled, reason)) => {
-                        if ladder && reason == QuarantineReason::VrtFlap {
-                            state.drift.note_margin_failure(mc, cfg.bank, profiled.row);
-                        }
-                        if attempt < max_retries && reason != QuarantineReason::WriteUnstable {
-                            attempt += 1;
-                            retries_spent += 1;
-                            state.retries += 1;
-                            self.trace_retry(mc, &profiled, reason, attempt);
-                            continue;
-                        }
-                        return Ok(Some(RowDiagnostics {
-                            row: profiled.row,
-                            phys: profiled.phys,
-                            reason,
-                            retries: retries_spent,
-                        }));
+            for must_fail in [true, false] {
+                let mut attempt = 0u32;
+                loop {
+                    let failure =
+                        self.check(mc, group, must_fail, state.filter, signatures, state.drift)?;
+                    let Some((profiled, reason)) = failure else { break };
+                    if matches!(
+                        reason,
+                        QuarantineReason::VrtFlap | QuarantineReason::RetentionDrift
+                    ) {
+                        state.drift.note_margin_failure(mc, cfg.bank, profiled.row);
                     }
-                }
-            }
-            // …and must still hold at the 0.55 T early margin.
-            let mut attempt = 0u32;
-            loop {
-                match self.check_holds_at_margin(mc, group, state.drift)? {
-                    None => break,
-                    Some((profiled, reason)) => {
-                        if ladder && reason == QuarantineReason::RetentionDrift {
-                            state.drift.note_margin_failure(mc, cfg.bank, profiled.row);
-                        }
-                        if attempt < max_retries && reason != QuarantineReason::WriteUnstable {
-                            attempt += 1;
-                            retries_spent += 1;
-                            state.retries += 1;
-                            self.trace_retry(mc, &profiled, reason, attempt);
-                            continue;
-                        }
-                        return Ok(Some(RowDiagnostics {
-                            row: profiled.row,
-                            phys: profiled.phys,
-                            reason,
-                            retries: retries_spent,
-                        }));
+                    if attempt < state.max_retries && reason != QuarantineReason::WriteUnstable {
+                        attempt += 1;
+                        retries_spent += 1;
+                        state.retries += 1;
+                        self.trace_retry(mc, &profiled, reason, attempt);
+                        continue;
                     }
+                    return Ok(Some(RowDiagnostics {
+                        row: profiled.row,
+                        phys: profiled.phys,
+                        reason,
+                        retries: retries_spent,
+                    }));
                 }
             }
         }
@@ -753,23 +713,27 @@ impl RowScout {
         );
     }
 
-    /// One "must fail at T" validation check. With `track_flips`, also
-    /// requires the failure *signature* (the exact flipped-bit set) to
+    /// One validation check: after the drift estimator's fail-by margin
+    /// every row must have failed (`must_fail`), or after its hold-at
+    /// margin every row must still read clean. With `track_flips`, a
+    /// failing row's *signature* (the exact flipped-bit set) must also
     /// repeat across checks: a VRT cell toggling inside the bucket
     /// changes the signature even while the row keeps failing.
     ///
-    /// On a faulty substrate the decay window is stretched — by 5% at
-    /// drift level 0 (headroom past the injected retention-drift
-    /// amplitude, so a row profiled right at `T` still fails when the
-    /// environment runs a couple of percent "cold"), and further as the
+    /// Fault-free the margins are exactly `T` and `0.55 T`. On a faulty
+    /// substrate they are 1.05 `T` and 0.5 `T` at drift level 0 —
+    /// headroom past the injected retention-drift amplitude, so a row
+    /// profiled right at `T` still fails when the environment runs a
+    /// couple of percent "cold", and a row just above `0.55 T` is not
+    /// condemned as drifting when it runs "hot" — and widen as the
     /// [`DriftEstimator`] escalates under hostile drift. VRT swings are
     /// ~3×, far outside any margin level, so the flap detection keeps
-    /// its teeth. Fault-free the wait is exactly `T`, keeping the
-    /// command stream unchanged.
-    fn check_fails_at_t(
+    /// its teeth.
+    fn check(
         &self,
         mc: &mut MemoryController,
         group: &ProfiledRowGroup,
+        must_fail: bool,
         track_flips: bool,
         signatures: &mut [Option<Vec<u32>>],
         drift: DriftEstimator,
@@ -780,19 +744,20 @@ impl RowScout {
                 return Ok(Some((*profiled, QuarantineReason::WriteUnstable)));
             }
         }
-        let wait = if mc.faults_enabled() {
-            let (num, den) = drift.wait_margin();
-            group.retention * num / den
-        } else {
-            group.retention
-        };
-        mc.wait_no_refresh(wait);
+        let (wait, hold) = drift.margins();
+        let (num, den) = if must_fail { wait } else { hold };
+        mc.wait_no_refresh(group.retention * num / den);
         for (i, profiled) in group.rows.iter().enumerate() {
             let readout = robust::read_row_voted(mc, cfg.bank, profiled.row)?;
-            if readout.is_clean() {
-                return Ok(Some((*profiled, QuarantineReason::VrtFlap)));
+            if readout.is_clean() == must_fail {
+                let reason = if must_fail {
+                    QuarantineReason::VrtFlap
+                } else {
+                    QuarantineReason::RetentionDrift
+                };
+                return Ok(Some((*profiled, reason)));
             }
-            if track_flips {
+            if must_fail && track_flips {
                 // Compare against the recorded signature in place; a
                 // buffer is taken from the scratch pool only the first
                 // time a row's signature is seen.
@@ -807,41 +772,6 @@ impl RowScout {
                         signatures[i] = Some(sig);
                     }
                 }
-            }
-        }
-        Ok(None)
-    }
-
-    /// One "must hold at 0.55 T" validation check. On a faulty
-    /// substrate the margin tightens to `0.5 T` at drift level 0 — the
-    /// mirror image of [`Self::check_fails_at_t`]'s stretched window,
-    /// so a bucket row whose retention sits just above `0.55 T` isn't
-    /// condemned as drifting when the injected environment runs a
-    /// couple of percent "hot" — and relaxes further as the
-    /// [`DriftEstimator`] escalates. Fault-free the wait is exactly
-    /// `0.55 T` as before.
-    fn check_holds_at_margin(
-        &self,
-        mc: &mut MemoryController,
-        group: &ProfiledRowGroup,
-        drift: DriftEstimator,
-    ) -> Result<Option<(ProfiledRow, QuarantineReason)>, UtrrError> {
-        let cfg = &self.config;
-        for profiled in &group.rows {
-            if !robust::write_row_checked(mc, cfg.bank, profiled.row, &cfg.pattern)? {
-                return Ok(Some((*profiled, QuarantineReason::WriteUnstable)));
-            }
-        }
-        let margin = if mc.faults_enabled() {
-            let (num, den) = drift.hold_margin();
-            group.retention * num / den
-        } else {
-            group.retention * 55 / 100
-        };
-        mc.wait_no_refresh(margin);
-        for profiled in &group.rows {
-            if !robust::read_row_voted(mc, cfg.bank, profiled.row)?.is_clean() {
-                return Ok(Some((*profiled, QuarantineReason::RetentionDrift)));
             }
         }
         Ok(None)
@@ -1056,38 +986,6 @@ mod tests {
         assert!(matches!(err, UtrrError::NotEnoughRowGroups { .. }));
     }
 
-    /// Command-transparent injector whose only effect is unlocking the
-    /// recovery ladder via its severity.
-    #[derive(Debug)]
-    struct HostileMarker;
-
-    impl softmc::FaultInjector for HostileMarker {
-        fn on_read(
-            &mut self,
-            _bank: Bank,
-            _row: RowAddr,
-            _readout: &mut dram_sim::RowReadout,
-            _now: Nanos,
-        ) {
-        }
-
-        fn on_write(
-            &mut self,
-            _bank: Bank,
-            _row: RowAddr,
-            _pattern: &DataPattern,
-            _now: Nanos,
-        ) -> softmc::WriteFault {
-            softmc::WriteFault::None
-        }
-
-        fn on_tick(&mut self, _now: Nanos, _module: &mut dram_sim::Module) {}
-
-        fn severity(&self) -> u8 {
-            2
-        }
-    }
-
     #[test]
     fn scan_recover_is_confirmed_when_the_scan_completes() {
         let mut mc = controller(11);
@@ -1108,9 +1006,7 @@ mod tests {
         let mut cfg = ScoutConfig::new(Bank::new(0), 128, layout, 40);
         cfg.max_retention = Nanos::from_ms(400);
 
-        let mut mc = controller(11);
-        mc.set_fault_injector(Some(Box::new(HostileMarker)));
-        assert_eq!(mc.fault_severity(), 2);
+        let mut mc = crate::recovery::tests::controller_at(2, 11);
         let (groups, tier) = RowScout::new(cfg.clone()).scan_recover(&mut mc).unwrap();
         assert!(!groups.is_empty());
         assert!(groups.len() < 40);
@@ -1120,7 +1016,7 @@ mod tests {
             }
             other => panic!("expected a degraded tier, got {other:?}"),
         }
-        assert_eq!(mc.recovery().relocations, u64::from(RELOCATION_ATTEMPTS));
+        assert_eq!(mc.recovery().relocations, u64::from(RecoveryPolicy::HOSTILE.relocations));
         assert!(mc.registry().counter(recovery::CTR_RELOCATIONS).get() > 0);
         // Relocated windows never produce overlapping groups.
         let span = cfg.layout.span();

@@ -17,6 +17,7 @@
 use softmc::MemoryController;
 
 use crate::error::UtrrError;
+use crate::recovery::RecoveryPolicy;
 use crate::robust;
 use crate::rowscout::ProfiledRowGroup;
 
@@ -94,13 +95,17 @@ pub fn learn_refresh_schedule(
 
 /// Learns the regular-refresh schedule of one retention-profiled row.
 ///
-/// Under fault injection the whole measurement is retried a bounded
-/// number of times, and every learned schedule must pass a predictive
-/// verification (its covers/doesn't-cover prediction has to match a
-/// handful of fresh trials) before it is accepted — a schedule learned
-/// from a fault-corrupted trial would silently misclassify TRR
-/// refreshes for the rest of the run. Fault-free, the measurement runs
-/// exactly once with no verification, as before.
+/// The controller's [`RecoveryPolicy`] sets how hard this tries. Under
+/// fault injection the whole measurement is retried up to
+/// [`RecoveryPolicy::schedule_attempts`] times, and every learned
+/// schedule must pass a predictive verification (its
+/// covers/doesn't-cover prediction has to match a handful of fresh
+/// trials) before it is accepted — a schedule learned from a
+/// fault-corrupted trial would silently misclassify TRR refreshes for
+/// the rest of the run. Hostile fault rates make three attempts per row
+/// a near-certain loss over the ~40 schedule learns of a
+/// classification, so that policy allows ten. Fault-free, the
+/// measurement runs exactly once with no verification.
 ///
 /// # Errors
 ///
@@ -114,22 +119,10 @@ pub fn learn_row_schedule(
     retention: dram_sim::Nanos,
     pattern: &dram_sim::DataPattern,
 ) -> Result<RefreshSchedule, UtrrError> {
-    // The recovery ladder escalates the retry budget: hostile fault
-    // rates make three attempts per row a near-certain loss over the
-    // ~40 schedule learns of a classification, while each extra
-    // attempt is cheap and independently verified. Mild keeps the
-    // original budget, fault-free runs measure exactly once.
-    let ladder = crate::recovery::ladder_active(mc);
-    let attempts = if ladder {
-        10
-    } else if mc.faults_enabled() {
-        3
-    } else {
-        1
-    };
+    let policy = RecoveryPolicy::of(mc);
     let registry = std::sync::Arc::clone(mc.registry());
     let mut last = UtrrError::ScheduleNotFound;
-    for attempt in 0..attempts {
+    for attempt in 0..policy.schedule_attempts {
         if attempt > 0 {
             registry.counter(CTR_SCHEDULE_RETRIES).inc();
             registry.trace(
@@ -145,14 +138,13 @@ pub fn learn_row_schedule(
         // row's true retention R in (0.55 T, T], and hostile drift
         // swings R by another ±8% — no timing derived from the bin
         // alone can separate restored from unrestored decay across
-        // that whole band. The ladder therefore re-profiles the row's
-        // *current* retention (a DriftEstimator escalation stage) on
-        // every attempt, so the window tracks the live drift phase:
-        // restored rows decay 0.58 R̂ (< 0.92 R̂ even when the estimate
-        // was taken at peak drift), unrestored rows decay 1.2 R̂
-        // (> 1.08 R̂ even at trough). Below the ladder the symmetric
-        // ±4% window is bit-identical to before.
-        let timing = if ladder {
+        // that whole band. The hostile policy therefore re-profiles the
+        // row's *current* retention on every attempt, so the window
+        // tracks the live drift phase: restored rows decay 0.58 R̂
+        // (< 0.92 R̂ even when the estimate was taken at peak drift),
+        // unrestored rows decay 1.2 R̂ (> 1.08 R̂ even at trough).
+        // Otherwise the window is the symmetric ±4% one around T/2.
+        let timing = if policy.reprofile_schedule {
             let estimate = reprofile_retention(mc, bank, probe, pattern, retention)?;
             mc.recovery_mut().reprofiles += 1;
             crate::recovery::ladder_event(
@@ -168,7 +160,7 @@ pub fn learn_row_schedule(
         };
         match learn_row_schedule_once(mc, bank, probe, pattern, timing) {
             Ok(schedule) => {
-                if !mc.faults_enabled()
+                if !policy.verify_schedule
                     || verify_schedule(mc, bank, probe, pattern, timing, &schedule)?
                 {
                     return Ok(schedule);

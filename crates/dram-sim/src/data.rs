@@ -248,48 +248,50 @@ fn gather_chunk(list: &[u32], i: &mut usize, chunk: u32) -> u64 {
     mask
 }
 
-/// Bitwise two-of-three majority over three sorted, deduplicated flip
-/// lists: a bit is in the result iff it appears in at least two of the
-/// inputs. Output is sorted ascending.
+/// Bitwise strict majority over sorted, deduplicated flip lists: a bit
+/// is in the result iff it appears in more than half of the inputs
+/// (two of three, three of five, …). Output is sorted ascending.
 ///
 /// This is the consensus kernel behind fault-tolerant voted row reads:
-/// instead of tallying each bit position in a map, the three lists are
-/// merged one aligned 64-bit dataword at a time and the majority is taken
-/// with three ANDs and an OR over whole words.
+/// instead of tallying each bit position in a map, the lists are merged
+/// one aligned 64-bit dataword at a time, and per word a running
+/// "seen in at least `k` lists" mask is kept for every `k` up to the
+/// majority, each updated with one AND and one OR per list.
 ///
 /// # Example
 ///
 /// ```
-/// use dram_sim::majority3_flips;
+/// use dram_sim::majority_flips;
 ///
-/// let maj = majority3_flips(&[3, 70], &[3, 200], &[70, 200]);
+/// let maj = majority_flips(&[&[3, 70], &[3, 200], &[70, 200]]);
 /// assert_eq!(maj, vec![3, 70, 200]);
 /// ```
-pub fn majority3_flips(a: &[u32], b: &[u32], c: &[u32]) -> Vec<u32> {
-    // Every majority bit is in at least two lists, hence in at least one
-    // of the two smallest — their combined size bounds the output.
-    let mut sizes = [a.len(), b.len(), c.len()];
+pub fn majority_flips(lists: &[&[u32]]) -> Vec<u32> {
+    let need = lists.len() / 2 + 1;
+    // Every majority bit is in `need` lists, hence in at least one of
+    // the `len - need + 1` smallest — their combined size bounds the
+    // output.
+    let mut sizes: Vec<usize> = lists.iter().map(|l| l.len()).collect();
     sizes.sort_unstable();
-    let mut out = Vec::with_capacity(sizes[0] + sizes[1]);
-    let (mut ia, mut ib, mut ic) = (0usize, 0usize, 0usize);
+    let mut out = Vec::with_capacity(sizes.iter().take(lists.len() + 1 - need).sum());
+    let mut cursors = vec![0usize; lists.len()];
+    // `at_least[k]`: bits of the current word seen in at least `k` lists.
+    let mut at_least = vec![0u64; need + 1];
     loop {
-        let mut chunk = u32::MAX;
-        if ia < a.len() {
-            chunk = chunk.min(a[ia] / 64);
-        }
-        if ib < b.len() {
-            chunk = chunk.min(b[ib] / 64);
-        }
-        if ic < c.len() {
-            chunk = chunk.min(c[ic] / 64);
-        }
-        if chunk == u32::MAX {
+        let next = lists.iter().zip(&cursors).filter_map(|(list, &i)| list.get(i)).min();
+        let Some(&next) = next else {
             return out;
+        };
+        let chunk = next / 64;
+        at_least.fill(0);
+        at_least[0] = u64::MAX;
+        for (list, i) in lists.iter().zip(&mut cursors) {
+            let mask = gather_chunk(list, i, chunk);
+            for k in (1..=need).rev() {
+                at_least[k] |= at_least[k - 1] & mask;
+            }
         }
-        let ma = gather_chunk(a, &mut ia, chunk);
-        let mb = gather_chunk(b, &mut ib, chunk);
-        let mc = gather_chunk(c, &mut ic, chunk);
-        let mut maj = (ma & mb) | (ma & mc) | (mb & mc);
+        let mut maj = at_least[need];
         while maj != 0 {
             out.push(chunk * 64 + maj.trailing_zeros());
             maj &= maj - 1;
@@ -371,37 +373,42 @@ mod tests {
     }
 
     #[test]
-    fn majority3_matches_tally_reference() {
+    fn majority_matches_tally_reference() {
         // Pin the chunked merge against the obvious per-bit tally over
-        // randomized sorted flip sets, including cross-chunk spreads.
+        // randomized sorted flip sets, including cross-chunk spreads, at
+        // every vote width the recovery ladder uses.
         let row_bits: u64 = 2048;
-        for seed in 0..64u64 {
-            let mut rng = crate::rng::SplitMix64::new(seed.wrapping_mul(0x1234_5678_9ABC_DEF1));
-            let mut draw = |n: u64| -> Vec<u32> {
-                let mut v: Vec<u32> = (0..n).map(|_| (rng.next_u64() % row_bits) as u32).collect();
-                v.sort_unstable();
-                v.dedup();
-                v
-            };
-            let (a, b, c) = (draw(40), draw(40), draw(40));
-            let mut tally = std::collections::BTreeMap::new();
-            for &bit in a.iter().chain(&b).chain(&c) {
-                *tally.entry(bit).or_insert(0u32) += 1;
+        for width in [3usize, 5, 7] {
+            for seed in 0..64u64 {
+                let mut rng = crate::rng::SplitMix64::new(seed.wrapping_mul(0x1234_5678_9ABC_DEF1));
+                let mut draw = |n: u64| -> Vec<u32> {
+                    let mut v: Vec<u32> =
+                        (0..n).map(|_| (rng.next_u64() % row_bits) as u32).collect();
+                    v.sort_unstable();
+                    v.dedup();
+                    v
+                };
+                let lists: Vec<Vec<u32>> = (0..width).map(|_| draw(40)).collect();
+                let mut tally = std::collections::BTreeMap::new();
+                for &bit in lists.iter().flatten() {
+                    *tally.entry(bit).or_insert(0usize) += 1;
+                }
+                let expected: Vec<u32> =
+                    tally.into_iter().filter(|&(_, n)| 2 * n > width).map(|(bit, _)| bit).collect();
+                let views: Vec<&[u32]> = lists.iter().map(Vec::as_slice).collect();
+                assert_eq!(majority_flips(&views), expected, "width {width}, seed {seed}");
             }
-            let expected: Vec<u32> =
-                tally.into_iter().filter(|&(_, n)| n >= 2).map(|(bit, _)| bit).collect();
-            assert_eq!(majority3_flips(&a, &b, &c), expected, "seed {seed}");
         }
     }
 
     #[test]
-    fn majority3_edge_cases() {
-        assert!(majority3_flips(&[], &[], &[]).is_empty());
-        assert!(majority3_flips(&[5], &[], &[]).is_empty());
-        assert_eq!(majority3_flips(&[5], &[5], &[]), vec![5]);
-        assert_eq!(majority3_flips(&[5], &[5], &[5]), vec![5]);
+    fn majority_edge_cases() {
+        assert!(majority_flips(&[&[], &[], &[]]).is_empty());
+        assert!(majority_flips(&[&[5], &[], &[]]).is_empty());
+        assert_eq!(majority_flips(&[&[5], &[5], &[]]), vec![5]);
+        assert_eq!(majority_flips(&[&[5], &[5], &[5]]), vec![5]);
         // Disjoint pairwise overlaps across distant chunks.
-        assert_eq!(majority3_flips(&[0, 640], &[0, 1300], &[640, 1300]), vec![0, 640, 1300]);
+        assert_eq!(majority_flips(&[&[0, 640], &[0, 1300], &[640, 1300]]), vec![0, 640, 1300]);
     }
 
     #[test]

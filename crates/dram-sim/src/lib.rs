@@ -68,7 +68,7 @@ pub mod stats;
 pub mod time;
 
 pub use addr::{Bank, ColAddr, ModuleGeometry, PhysRow, RowAddr};
-pub use data::{majority3_flips, DataPattern, RowReadout};
+pub use data::{majority_flips, DataPattern, RowReadout};
 pub use error::DramError;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use mapping::{RowMapping, Topology};

@@ -177,6 +177,8 @@ pub struct Module {
     seed: u64,
     now: Nanos,
     ref_count: u64,
+    /// Activations this device executed (see [`Module::activations`]).
+    activations: u64,
     /// Incrementally maintained round-robin window of the *next* `REF`
     /// (see [`Module::refresh_window`]). Stepping it is a few adds and
     /// compares — the closed form costs three integer divisions per
@@ -234,6 +236,7 @@ impl Module {
             seed,
             now: Nanos::ZERO,
             ref_count: 0,
+            activations: 0,
             ref_window,
             row_index: vec![u32::MAX; row_slots],
             row_states: Vec::new(),
@@ -284,6 +287,14 @@ impl Module {
     /// registry's `dram.*` counters).
     pub fn stats(&self) -> ModuleStats {
         self.metrics.stats_view()
+    }
+
+    /// Activations this device has executed. Unlike
+    /// [`ModuleStats::activations`], which reads the registry's
+    /// `dram.cmd.act`, this excludes every other device sharing the
+    /// registry, so it is the same whatever runs alongside.
+    pub fn activations(&self) -> u64 {
+        self.activations
     }
 
     /// Name of the installed mitigation engine.
@@ -367,6 +378,7 @@ impl Module {
         let b = &mut self.banks[bank.index() as usize];
         b.open = Some((row, phys));
         b.last_act = Some(phys);
+        self.activations += 1;
         self.metrics.act.inc();
         if self.metrics.detail() {
             self.metrics.act_ns.record(self.config.timings.t_ras.as_ns());
@@ -505,6 +517,7 @@ impl Module {
         self.engine.on_activations(bank, phys, count, self.now);
         self.apply_inline_detections();
         self.banks[bank.index() as usize].last_act = Some(phys);
+        self.activations += count;
         self.metrics.act.add(count);
         if self.metrics.detail() {
             // One O(1) update for the whole batch.
@@ -617,6 +630,7 @@ impl Module {
         self.engine.on_interleaved_pair(bank, p1, p2, pairs, self.now);
         self.apply_inline_detections();
         self.banks[bank_idx].last_act = Some(p2);
+        self.activations += 2 * pairs;
         self.metrics.act.add(2 * pairs);
         if self.metrics.detail() {
             self.metrics.act_ns.record_n(self.config.timings.t_rc().as_ns(), 2 * pairs);

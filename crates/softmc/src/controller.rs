@@ -77,7 +77,7 @@ impl HammerSpec {
 /// reporting only.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryLadder {
-    /// Current majority-vote width (`0` = policy default of 3).
+    /// Current majority-vote width (`0` = the policy's starting width).
     pub vote_width: u8,
     /// Voted reads observed since the last widening step.
     pub voted_reads: u64,
@@ -138,17 +138,10 @@ impl MemoryController {
         self.faults = injector;
     }
 
-    /// Whether a fault injector is installed. Robust callers use this to
-    /// decide whether defensive re-reads are worth their device traffic:
-    /// when `false`, the substrate is exact and extra verification would
-    /// only perturb command-stream reproducibility.
-    pub fn faults_enabled(&self) -> bool {
-        self.faults.is_some()
-    }
-
     /// The installed injector's [`FaultInjector::severity`], or `0` when
-    /// no injector is installed. Recovery policies gate their escalating
-    /// stages on `>= 2` so milder substrates keep exact command streams.
+    /// no injector is installed. `utrr_core::RecoveryPolicy::of`
+    /// resolves the pipeline's whole fault-tolerance policy from it:
+    /// `0` is the exact, fault-free substrate.
     pub fn fault_severity(&self) -> u8 {
         self.faults.as_ref().map_or(0, |f| f.severity())
     }

@@ -117,7 +117,7 @@ mod tests {
         assert_eq!(corrupted.flipped_bits(), &[7], "injected transient flip");
         // The cell itself is clean: remove the injector and re-read.
         mc.set_fault_injector(None);
-        assert!(!mc.faults_enabled());
+        assert_eq!(mc.fault_severity(), 0);
         assert!(mc.read_row(bank, row).unwrap().is_clean());
     }
 
