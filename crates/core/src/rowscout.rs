@@ -332,6 +332,7 @@ impl RowScout {
     /// The whole scan runs under a `utrr.rowscout.scan` span, with one
     /// `utrr.rowscout.pass` child span per retention interval tried; the
     /// `utrr.rowscout.groups_found` counter records validated groups.
+    /// This is [`RowScout::scan_recover`] without the verdict tier.
     ///
     /// # Errors
     ///
@@ -339,18 +340,7 @@ impl RowScout {
     /// the configured ACT budget) is reached first; device errors are
     /// propagated.
     pub fn scan(&self, mc: &mut MemoryController) -> Result<Vec<ProfiledRowGroup>, UtrrError> {
-        let report = self.scan_report(mc)?;
-        if report.is_complete() {
-            let mut groups = report.groups;
-            groups.truncate(self.config.group_count);
-            Ok(groups)
-        } else {
-            Err(UtrrError::NotEnoughRowGroups {
-                found: report.groups.len(),
-                needed: self.config.group_count,
-                max_retention: self.config.max_retention,
-            })
-        }
+        self.scan_recover(mc).map(|(groups, _)| groups)
     }
 
     /// Runs the Fig. 6 loop under the controller's [`RecoveryPolicy`]
@@ -369,8 +359,7 @@ impl RowScout {
     ///
     /// The [`DriftEstimator`] persists across relocation attempts, so
     /// margin escalations learned in one window carry into the next.
-    /// Below hostile severity no window relocates and no tier degrades,
-    /// so this issues exactly the commands of [`RowScout::scan`].
+    /// Below hostile severity no window relocates and no tier degrades.
     ///
     /// # Errors
     ///
