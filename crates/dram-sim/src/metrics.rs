@@ -124,7 +124,7 @@ impl DeviceMetrics {
 
     /// Records an event (no-op unless detail is enabled).
     #[inline]
-    pub fn event(&self, kind: &str, t_sim: u64, fields: &[(&str, u64)]) {
+    pub fn event(&self, kind: &'static str, t_sim: u64, fields: &[(&'static str, u64)]) {
         self.registry.event(kind, t_sim, fields);
     }
 

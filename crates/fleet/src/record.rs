@@ -14,6 +14,8 @@
 //! and the module index — the property the executor's byte-identical
 //! resume contract is built on.
 
+use std::sync::Arc;
+
 use attacks::eval::EvalConfig;
 use dram_sim::rng::derive_seed;
 use faults::FaultProfile;
@@ -144,8 +146,9 @@ pub fn characterize(params: &SweepParams, index: u64) -> FleetRecord {
     let synth = synth_spec(params.fleet_seed, index, params.base_rows);
     let spec = &synth.spec;
     // A private registry per module: its counters are exactly this
-    // module's pipeline traffic, nothing else's.
-    let registry = MetricsRegistry::shared();
+    // module's pipeline traffic, nothing else's. The record reads only
+    // counters, so detail (histograms, events) stays off.
+    let registry = Arc::new(MetricsRegistry::new());
     let fault_seed = derive_seed(synth.seed ^ params.fault_seed, 5);
 
     let config = RunConfig {
@@ -153,7 +156,7 @@ pub fn characterize(params: &SweepParams, index: u64) -> FleetRecord {
         seed: synth.seed,
         fault_profile: params.fault_profile,
         fault_seed,
-        registry: Some(std::sync::Arc::clone(&registry)),
+        registry: Some(Arc::clone(&registry)),
     };
     // Streams 2..5 feed the first attempt's phases; retries move to a
     // disjoint stream block (16, 32, …) per attempt.
@@ -177,7 +180,7 @@ pub fn characterize(params: &SweepParams, index: u64) -> FleetRecord {
         windows: 1,
         scaled_rows: Some(synth.rows),
         seed: derive_seed(synth.seed, 4),
-        registry: Some(std::sync::Arc::clone(&registry)),
+        registry: Some(Arc::clone(&registry)),
         fault_profile: params.fault_profile,
         fault_seed,
         ..EvalConfig::quick(params.attack_samples)

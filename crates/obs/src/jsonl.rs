@@ -69,7 +69,7 @@ pub fn write_jsonl(registry: &MetricsRegistry, out: &mut impl Write) -> io::Resu
             out,
             "{{\"type\":\"event\",\"t_sim_ns\":{},\"kind\":{},\"fields\":{}}}",
             event.t_sim,
-            quote(&event.kind),
+            quote(event.kind),
             fields_object(&event.fields),
         )?;
     }
@@ -119,13 +119,13 @@ fn histogram_line(name: &str, snapshot: &HistogramSnapshot) -> String {
     line
 }
 
-fn fields_object(fields: &[(String, u64)]) -> String {
+fn fields_object(fields: &[(impl AsRef<str>, u64)]) -> String {
     let mut object = String::from("{");
     for (i, (key, value)) in fields.iter().enumerate() {
         if i > 0 {
             object.push(',');
         }
-        let _ = write!(object, "{}:{value}", quote(key));
+        let _ = write!(object, "{}:{value}", quote(key.as_ref()));
     }
     object.push('}');
     object

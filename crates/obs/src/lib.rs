@@ -5,11 +5,14 @@
 //! into one [`MetricsRegistry`]:
 //!
 //! - **Counters and gauges** ([`Counter`], [`Gauge`]): named atomic
-//!   cells. Handles are `Arc`-backed and lock-free on the hot path, so
-//!   parallel sweeps can share one registry; the registry lock is taken
-//!   only at registration time.
+//!   cells. Handles are `Arc`-backed and lock-free on the hot path;
+//!   the registry lock is taken only at registration time. Counters
+//!   keep one cache-line-padded cell per writer thread, so parallel
+//!   sweeps can share one registry without bouncing lines between
+//!   cores; reads fold the cells exactly.
 //! - **Histograms** ([`Histogram`]): log₂-binned distributions with
-//!   count/sum/min/max and quantile estimates accurate to one bin.
+//!   count/sum/min/max and quantile estimates accurate to one bin,
+//!   sharded per writer thread like counters.
 //! - **Spans** ([`SpanGuard`], [`span!`]): hierarchical timed regions
 //!   carrying both wall-clock and simulated-time durations, kept in a
 //!   bounded ring buffer.
@@ -36,8 +39,8 @@ pub mod span;
 pub mod trace;
 
 pub use metrics::{
-    bin_index, bin_lower_bound, bin_upper_bound, Counter, EventRecord, Gauge, Histogram,
-    HistogramSnapshot, MetricsRegistry, BIN_COUNT,
+    bin_index, bin_lower_bound, bin_upper_bound, Counter, EventFields, EventRecord, Gauge,
+    Histogram, HistogramSnapshot, MetricsRegistry, BIN_COUNT, EVENT_FIELDS,
 };
 pub use span::{SpanGuard, SpanRecord};
 pub use trace::{

@@ -1,12 +1,24 @@
 //! Named counters, gauges, log₂-binned histograms, and events.
 //!
-//! Handles returned by the registry are cheap `Arc` clones over atomic
-//! cells: the hot path (a simulator command) touches only relaxed
-//! atomics, never the registry lock, so parallel sweeps can hammer one
-//! shared registry without contention.
+//! Handles returned by the registry are cheap `Arc` clones, and the hot
+//! path (a simulator command) touches only relaxed atomics, never the
+//! registry lock. Parallel sweeps share one registry across worker
+//! threads, so a single atomic per counter would bounce its cache line
+//! between cores on every command. Instead every [`Counter`] and
+//! [`Histogram`] is a fixed array of `SHARDS` cells, each alone on
+//! its own cache lines, and a writer updates the cell of its thread's
+//! shard (threads take shard indices round-robin on first write).
+//! Readers fold the cells: counter totals, histogram bins, sums and
+//! extremes are exact, so snapshots and artifacts do not depend on how
+//! the writes were spread. The flags every command reads (`detail`,
+//! `tracing`, the event gate's `full`) share one padded block that is
+//! written only when they change; the tally of dropped events is itself
+//! a sharded counter.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::ops::Deref;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::span::{SpanCollector, SpanGuard, SpanRecord};
@@ -20,6 +32,42 @@ pub const BIN_COUNT: usize = 65;
 /// Cap on buffered [`EventRecord`]s; later events are counted as
 /// dropped rather than stored.
 const EVENT_CAPACITY: usize = 65_536;
+
+/// Most fields one [`EventRecord`] carries; they are stored inline.
+pub const EVENT_FIELDS: usize = 3;
+
+/// Writer cells per counter and histogram. Threads beyond this many
+/// share cells (still exact, just contended again).
+const SHARDS: usize = 8;
+
+/// A value alone on its cache lines. 128 bytes rather than 64 because
+/// x86's adjacent-line prefetcher pulls 64-byte lines in pairs.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct Padded<T>(T);
+
+static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    static SHARD: Cell<usize> = const { Cell::new(usize::MAX) };
+}
+
+/// This thread's cell index, assigned round-robin on first use, so
+/// the workers of one pool (spawned back to back) land on distinct
+/// cells.
+#[inline]
+fn shard() -> usize {
+    SHARD.with(|cell| {
+        let shard = cell.get();
+        if shard < SHARDS {
+            shard
+        } else {
+            let shard = NEXT_SHARD.fetch_add(1, Ordering::Relaxed) % SHARDS;
+            cell.set(shard);
+            shard
+        }
+    })
+}
 
 /// The bin a value falls into (log₂ binning).
 #[inline]
@@ -56,7 +104,7 @@ pub fn bin_upper_bound(bin: usize) -> u64 {
 /// A monotonically increasing named count.
 #[derive(Debug, Clone, Default)]
 pub struct Counter {
-    cell: Arc<AtomicU64>,
+    cells: Arc<[Padded<AtomicU64>; SHARDS]>,
 }
 
 impl Counter {
@@ -69,13 +117,12 @@ impl Counter {
     /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        self.cell.fetch_add(n, Ordering::Relaxed);
+        self.cells[shard()].0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// The current count.
-    #[inline]
+    /// The current count, summed over all cells.
     pub fn get(&self) -> u64 {
-        self.cell.load(Ordering::Relaxed)
+        self.cells.iter().fold(0, |total, cell| total.wrapping_add(cell.0.load(Ordering::Relaxed)))
     }
 }
 
@@ -105,17 +152,20 @@ impl Gauge {
     }
 }
 
+/// One writer cell of a [`Histogram`]. The total count is derivable
+/// from the bins (each record lands in exactly one), so it is not
+/// stored.
 #[derive(Debug)]
-struct HistogramCore {
+struct HistogramCell {
     bins: [AtomicU64; BIN_COUNT],
     sum: AtomicU64,
     min: AtomicU64,
     max: AtomicU64,
 }
 
-impl Default for HistogramCore {
+impl Default for HistogramCell {
     fn default() -> Self {
-        HistogramCore {
+        HistogramCell {
             bins: std::array::from_fn(|_| AtomicU64::new(0)),
             sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
@@ -127,7 +177,7 @@ impl Default for HistogramCore {
 /// A named log₂-binned value distribution.
 #[derive(Debug, Clone, Default)]
 pub struct Histogram {
-    core: Arc<HistogramCore>,
+    cells: Arc<[Padded<HistogramCell>; SHARDS]>,
 }
 
 impl Histogram {
@@ -147,33 +197,34 @@ impl Histogram {
         }
         // The device hot paths record one histogram observation per
         // command, so every atomic here is paid millions of times per
-        // run. The total count is derivable from the bins (each record
-        // lands in exactly one), and min/max stabilize after the first
-        // few observations — a relaxed load screens out the RMW in the
-        // overwhelmingly common no-change case. Net: two RMWs per
-        // record instead of five.
-        let core = &*self.core;
-        core.bins[bin_index(value)].fetch_add(n, Ordering::Relaxed);
-        core.sum.fetch_add(value.wrapping_mul(n), Ordering::Relaxed);
-        if core.min.load(Ordering::Relaxed) > value {
-            core.min.fetch_min(value, Ordering::Relaxed);
+        // run. Min/max stabilize after the first few observations — a
+        // relaxed load screens out the RMW in the overwhelmingly common
+        // no-change case. Net: two RMWs per record.
+        let cell = &self.cells[shard()].0;
+        cell.bins[bin_index(value)].fetch_add(n, Ordering::Relaxed);
+        cell.sum.fetch_add(value.wrapping_mul(n), Ordering::Relaxed);
+        if cell.min.load(Ordering::Relaxed) > value {
+            cell.min.fetch_min(value, Ordering::Relaxed);
         }
-        if core.max.load(Ordering::Relaxed) < value {
-            core.max.fetch_max(value, Ordering::Relaxed);
+        if cell.max.load(Ordering::Relaxed) < value {
+            cell.max.fetch_max(value, Ordering::Relaxed);
         }
     }
 
-    /// A point-in-time copy of the distribution.
+    /// A point-in-time copy of the distribution, folded over all cells.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let core = &*self.core;
-        let bins: [u64; BIN_COUNT] = std::array::from_fn(|b| core.bins[b].load(Ordering::Relaxed));
-        HistogramSnapshot {
-            count: bins.iter().sum(),
-            bins,
-            sum: core.sum.load(Ordering::Relaxed),
-            min: core.min.load(Ordering::Relaxed),
-            max: core.max.load(Ordering::Relaxed),
-        }
+        self.cells.iter().fold(HistogramSnapshot::default(), |total, cell| {
+            let cell = &cell.0;
+            let bins: [u64; BIN_COUNT] =
+                std::array::from_fn(|b| cell.bins[b].load(Ordering::Relaxed));
+            total.merge(&HistogramSnapshot {
+                count: bins.iter().sum(),
+                bins,
+                sum: cell.sum.load(Ordering::Relaxed),
+                min: cell.min.load(Ordering::Relaxed),
+                max: cell.max.load(Ordering::Relaxed),
+            })
+        })
     }
 }
 
@@ -253,31 +304,60 @@ impl HistogramSnapshot {
 }
 
 /// A rare, high-value moment: a bit flip, a TRR detection. Timestamped
-/// in simulated nanoseconds with integer coordinate fields.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// in simulated nanoseconds with integer coordinate fields. Stored
+/// inline — no heap allocation per event.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EventRecord {
     /// Simulated time of the event, in nanoseconds.
     pub t_sim: u64,
     /// Event kind, dotted-path style (`"dram.bit_flip"`).
-    pub kind: String,
+    pub kind: &'static str,
     /// Coordinates and attributes (`("bank", 1), ("row", 4242)`, …).
-    pub fields: Vec<(String, u64)>,
+    pub fields: EventFields,
 }
 
-#[derive(Debug, Default)]
-struct EventBuffer {
-    events: Vec<EventRecord>,
-    dropped: u64,
+/// Up to [`EVENT_FIELDS`] `(name, value)` pairs stored inline; derefs
+/// to the slice of the pairs actually set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EventFields {
+    len: u8,
+    slots: [(&'static str, u64); EVENT_FIELDS],
 }
 
-/// Relaxed mirror of the event buffer's fill level, maintained under
-/// the buffer lock. Lets `event()` skip the mutex entirely once the
-/// buffer is full — a long run emits far more events than the capacity
-/// holds, and the overflow path must not serialize worker threads.
+impl EventFields {
+    /// # Panics
+    ///
+    /// Panics if given more than [`EVENT_FIELDS`] fields.
+    fn new(fields: &[(&'static str, u64)]) -> Self {
+        assert!(fields.len() <= EVENT_FIELDS, "an event carries at most {EVENT_FIELDS} fields");
+        let mut slots = [("", 0); EVENT_FIELDS];
+        slots[..fields.len()].copy_from_slice(fields);
+        EventFields { len: fields.len() as u8, slots }
+    }
+}
+
+impl Deref for EventFields {
+    type Target = [(&'static str, u64)];
+
+    fn deref(&self) -> &Self::Target {
+        &self.slots[..usize::from(self.len)]
+    }
+}
+
+/// The flags every command reads, alone on their cache lines and
+/// written only when they change.
 #[derive(Debug, Default)]
-struct EventGate {
-    full: AtomicBool,
-    dropped: AtomicU64,
+struct HotFlags {
+    /// Detail instrumentation (histograms, events) is on.
+    detail: AtomicBool,
+    /// A flight recorder is installed.
+    tracing: AtomicBool,
+    /// Relaxed mirror of the event buffer's fill level, maintained
+    /// under the buffer lock. Lets `event()` skip the mutex entirely
+    /// once the buffer is full — a long run emits far more events than
+    /// the capacity holds, and the overflow path must not serialize
+    /// worker threads.
+    events_full: AtomicBool,
 }
 
 /// The central sink all layers report into.
@@ -288,15 +368,25 @@ struct EventGate {
 /// across modules, controllers, and methodology passes.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
+    flags: Padded<HotFlags>,
     counters: Mutex<BTreeMap<String, Counter>>,
     gauges: Mutex<BTreeMap<String, Gauge>>,
     histograms: Mutex<BTreeMap<String, Histogram>>,
-    events: Mutex<EventBuffer>,
-    event_gate: EventGate,
+    events: Mutex<Vec<EventRecord>>,
+    /// Events not stored because the buffer was full.
+    events_dropped: Counter,
     spans: SpanCollector,
-    detail: AtomicBool,
     recorder: OnceLock<Arc<FlightRecorder>>,
-    tracing: AtomicBool,
+}
+
+/// The handle registered under `name`, created on first use. Looks the
+/// name up before allocating its owned key.
+fn resolve<T: Clone + Default>(map: &Mutex<BTreeMap<String, T>>, name: &str) -> T {
+    let mut map = map.lock().unwrap();
+    if let Some(handle) = map.get(name) {
+        return handle.clone();
+    }
+    map.entry(name.to_string()).or_default().clone()
 }
 
 impl MetricsRegistry {
@@ -320,60 +410,57 @@ impl MetricsRegistry {
     /// wanted.
     #[inline]
     pub fn detail_enabled(&self) -> bool {
-        self.detail.load(Ordering::Relaxed)
+        self.flags.0.detail.load(Ordering::Relaxed)
     }
 
     /// Turns detail instrumentation on or off.
     pub fn set_detail(&self, enabled: bool) {
-        self.detail.store(enabled, Ordering::Relaxed);
+        self.flags.0.detail.store(enabled, Ordering::Relaxed);
     }
 
     /// The counter registered under `name`, creating it at zero on
     /// first use. The handle is lock-free; keep it around rather than
     /// re-looking it up in a loop.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut map = self.counters.lock().unwrap();
-        map.entry(name.to_string()).or_default().clone()
+        resolve(&self.counters, name)
     }
 
     /// The gauge registered under `name` (see [`Self::counter`]).
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut map = self.gauges.lock().unwrap();
-        map.entry(name.to_string()).or_default().clone()
+        resolve(&self.gauges, name)
     }
 
     /// The histogram registered under `name` (see [`Self::counter`]).
     pub fn histogram(&self, name: &str) -> Histogram {
-        let mut map = self.histograms.lock().unwrap();
-        map.entry(name.to_string()).or_default().clone()
+        resolve(&self.histograms, name)
     }
 
     /// Records an event if detail is enabled and the buffer has room;
     /// overflow is tallied, not stored.
-    pub fn event(&self, kind: &str, t_sim: u64, fields: &[(&str, u64)]) {
+    ///
+    /// # Panics
+    ///
+    /// Panics if a stored event has more than [`EVENT_FIELDS`] fields.
+    pub fn event(&self, kind: &'static str, t_sim: u64, fields: &[(&'static str, u64)]) {
         if !self.detail_enabled() {
             return;
         }
         // Once the buffer has filled, every further event is a drop —
-        // tally it on the lock-free gate instead of serializing the
+        // tally it on the sharded counter instead of serializing the
         // worker threads on the buffer mutex.
-        if self.event_gate.full.load(Ordering::Relaxed) {
-            self.event_gate.dropped.fetch_add(1, Ordering::Relaxed);
+        if self.flags.0.events_full.load(Ordering::Relaxed) {
+            self.events_dropped.inc();
             return;
         }
-        let mut buffer = self.events.lock().unwrap();
-        if buffer.events.len() >= EVENT_CAPACITY {
-            self.event_gate.full.store(true, Ordering::Relaxed);
-            buffer.dropped += 1;
+        let mut events = self.events.lock().unwrap();
+        if events.len() >= EVENT_CAPACITY {
+            self.flags.0.events_full.store(true, Ordering::Relaxed);
+            self.events_dropped.inc();
             return;
         }
-        buffer.events.push(EventRecord {
-            t_sim,
-            kind: kind.to_string(),
-            fields: fields.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
-        });
-        if buffer.events.len() >= EVENT_CAPACITY {
-            self.event_gate.full.store(true, Ordering::Relaxed);
+        events.push(EventRecord { t_sim, kind, fields: EventFields::new(fields) });
+        if events.len() >= EVENT_CAPACITY {
+            self.flags.0.events_full.store(true, Ordering::Relaxed);
         }
     }
 
@@ -383,7 +470,7 @@ impl MetricsRegistry {
     pub fn install_recorder(&self, recorder: Arc<FlightRecorder>) -> bool {
         let installed = self.recorder.set(recorder).is_ok();
         if installed {
-            self.tracing.store(true, Ordering::Relaxed);
+            self.flags.0.tracing.store(true, Ordering::Relaxed);
         }
         installed
     }
@@ -393,7 +480,7 @@ impl MetricsRegistry {
     /// tracing-off is a no-op.
     #[inline]
     pub fn tracing_enabled(&self) -> bool {
-        self.tracing.load(Ordering::Relaxed)
+        self.flags.0.tracing.load(Ordering::Relaxed)
     }
 
     /// The installed flight recorder, if any.
@@ -468,8 +555,7 @@ impl MetricsRegistry {
 
     /// Buffered events in arrival order, plus how many overflowed.
     pub fn events_snapshot(&self) -> (Vec<EventRecord>, u64) {
-        let buffer = self.events.lock().unwrap();
-        (buffer.events.clone(), buffer.dropped + self.event_gate.dropped.load(Ordering::Relaxed))
+        (self.events.lock().unwrap().clone(), self.events_dropped.get())
     }
 
     /// Closed spans in completion order, plus how many the ring
@@ -516,7 +602,15 @@ mod tests {
         assert_eq!(dropped, 0);
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].kind, "dram.bit_flip");
-        assert_eq!(events[0].fields[1], ("row".to_string(), 42));
+        assert_eq!(events[0].fields[1], ("row", 42));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 3 fields")]
+    fn events_reject_more_inline_fields_than_they_hold() {
+        let registry = MetricsRegistry::new();
+        registry.set_detail(true);
+        registry.event("dram.bit_flip", 0, &[("a", 1), ("b", 2), ("c", 3), ("d", 4)]);
     }
 
     #[test]
@@ -589,26 +683,72 @@ mod tests {
         assert_eq!(recorder.len(), 2);
     }
 
+    /// The byte range `[start, end)` a value occupies.
+    fn bytes<T>(value: &T) -> (usize, usize) {
+        let start = value as *const T as usize;
+        (start, start + std::mem::size_of::<T>())
+    }
+
+    #[test]
+    fn shard_cells_and_hot_flags_sit_on_separate_cache_lines() {
+        let counter = Counter::default();
+        let histogram = Histogram::default();
+        let counter_cells: Vec<_> = counter.cells.iter().map(|c| bytes(&c.0)).collect();
+        let histogram_cells: Vec<_> = histogram.cells.iter().map(|c| bytes(&c.0)).collect();
+        for cells in [counter_cells, histogram_cells] {
+            for pair in cells.windows(2) {
+                let ((_, end), (next, _)) = (pair[0], pair[1]);
+                assert!(next >= end + 64, "cells closer than 64 bytes: {pair:?}");
+            }
+        }
+        let registry = MetricsRegistry::new();
+        let (start, end) = bytes(&registry.flags.0);
+        let flag_lines = start / 64..=(end - 1) / 64;
+        for cell in registry.events_dropped.cells.iter() {
+            let (start, end) = bytes(&cell.0);
+            assert!(
+                !flag_lines.contains(&(start / 64)) && !flag_lines.contains(&((end - 1) / 64)),
+                "the hot flags share a line with the `dropped` tally"
+            );
+        }
+    }
+
     #[test]
     fn counters_are_safe_under_parallel_writers() {
-        let registry = Arc::new(MetricsRegistry::new());
-        let threads: Vec<_> = (0..4)
-            .map(|_| {
-                let registry = Arc::clone(&registry);
-                std::thread::spawn(move || {
-                    let c = registry.counter("shared");
-                    let h = registry.histogram("h");
-                    for i in 0..10_000u64 {
-                        c.inc();
-                        h.record(i % 128);
+        // More writers than cells, so some cells also take concurrent
+        // writers.
+        const THREADS: u64 = SHARDS as u64 + 2;
+        let values = |t: u64| (0..5_000u64).map(move |i| (i * 7_919 + t * 104_729) % 200_003);
+        let registry = MetricsRegistry::new();
+        let barrier = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let (registry, barrier) = (&registry, &barrier);
+                scope.spawn(move || {
+                    let counter = registry.counter("shared");
+                    let histogram = registry.histogram("h");
+                    barrier.wait();
+                    for v in values(t) {
+                        counter.add(v);
+                        histogram.record_n(v, 1 + v % 3);
                     }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
+                });
+            }
+        });
+        let reference = Histogram::default();
+        let mut total = 0u64;
+        for v in (0..THREADS).flat_map(values) {
+            total += v;
+            reference.record_n(v, 1 + v % 3);
         }
-        assert_eq!(registry.counter("shared").get(), 40_000);
-        assert_eq!(registry.histogram("h").snapshot().count, 40_000);
+        let counter = registry.counter("shared");
+        assert_eq!(counter.get(), total);
+        assert!(counter.cells.iter().filter(|c| c.0.load(Ordering::Relaxed) > 0).count() > 1);
+        let (shared, single) = (registry.histogram("h").snapshot(), reference.snapshot());
+        assert_eq!(shared.bins, single.bins);
+        assert_eq!(
+            (shared.count, shared.sum, shared.min, shared.max),
+            (single.count, single.sum, single.min, single.max)
+        );
     }
 }

@@ -170,7 +170,7 @@ pub fn render_summary(registry: &MetricsRegistry) -> String {
     if !events.is_empty() || dropped > 0 {
         let mut by_kind: BTreeMap<&str, u64> = BTreeMap::new();
         for event in &events {
-            *by_kind.entry(event.kind.as_str()).or_default() += 1;
+            *by_kind.entry(event.kind).or_default() += 1;
         }
         let _ = writeln!(out, "events");
         for (kind, count) in &by_kind {
