@@ -3,10 +3,16 @@
 //! generator/scheduler/verdict pipeline must issue the exact same
 //! device-call sequence as the frozen pre-refactor implementation in
 //! [`attacks::reference`] — same flips at same positions, same dataword
-//! histograms, same `ACT` counter. These properties randomise the
-//! attack parameters, the TRR engine guarding the module, and the
-//! module seed, and assert whole-`BankSweep` equality plus
-//! command-stream equality on every draw.
+//! histograms, same `ACT` counter.
+//!
+//! Each attack is pinned on a grid: both ends and the midpoint of every
+//! parameter range, × every engine of [`engine_module`], × two module
+//! seeds. A grid point's digest (FNV-1a over the whole `BankSweep` and
+//! the `ACT` / row-read / bit-flip counters) must match the one
+//! committed in `golden/builder_equiv.txt`.
+
+use std::collections::BTreeMap;
+use std::fmt::Debug;
 
 use attacks::baseline::{DoubleSided, ManySided, SingleSided};
 use attacks::custom::{VendorAPattern, VendorBPattern, VendorCPattern};
@@ -16,12 +22,17 @@ use attacks::reference::Legacy;
 use attacks::{AccessPattern, AttackBuilder, BuiltinAttack};
 use dram_sim::{Bank, Module, ModuleConfig};
 use obs::MetricsRegistry;
-use proptest::prelude::*;
 use trr::{CounterTrr, SamplerTrr, WindowTrr};
 
-/// The engine roster a draw can guard the module with (index into
+/// `digest label` lines, one per grid point.
+const GOLDEN: &str = include_str!("golden/builder_equiv.txt");
+
+/// The engine roster a grid point guards the module with (index into
 /// [`engine_module`]); `0` is the unmitigated module.
 const ENGINE_COUNT: u8 = 6;
+
+/// Module seeds of every grid point.
+const SEEDS: [u64; 2] = [1, 499];
 
 fn engine_module(engine: u8, seed: u64) -> Module {
     // Raise HC_first as the in-crate tests do, so TRR-suppressed and
@@ -39,132 +50,141 @@ fn engine_module(engine: u8, seed: u64) -> Module {
     }
 }
 
-/// Runs the frozen and the builder-assembled implementation of the same
-/// parameterisation over identical modules and asserts sweep + command
-/// equality.
-fn assert_equivalent<T>(attack: T, engine: u8, seed: u64) -> Result<(), TestCaseError>
-where
-    T: BuiltinAttack + Copy + 'static,
-    Legacy<T>: AccessPattern,
-{
+/// The two ends and the midpoint of the half-open range `lo..hi`.
+fn span(lo: u64, hi: u64) -> Vec<u64> {
+    let mut points = vec![lo, (lo + hi - 1) / 2, hi - 1];
+    points.dedup();
+    points
+}
+
+/// FNV-1a digest of one sweep of `pattern` plus its command counters.
+fn digest(pattern: &dyn AccessPattern, engine: u8, seed: u64) -> String {
+    let registry = MetricsRegistry::shared();
     let positions = (0..4).map(|i| dram_sim::PhysRow::new(150 + i * 90)).collect();
-    let old_registry = MetricsRegistry::shared();
-    let new_registry = MetricsRegistry::shared();
-    let config = EvalConfig { positions, windows: 1, bank: Bank::new(0), ..EvalConfig::quick(4) };
-    let old_config = EvalConfig { registry: Some(old_registry.clone()), ..config.clone() };
-    let new_config = EvalConfig { registry: Some(new_registry.clone()), ..config };
-
-    let old = sweep_bank_module(engine_module(engine, seed), &Legacy(attack), &old_config);
-    let composed = AttackBuilder::from_attack(attack).build();
-    let new = sweep_bank_module(engine_module(engine, seed), &composed, &new_config);
-
-    prop_assert_eq!(old, new, "sweep diverged (engine {}, seed {})", engine, seed);
-    for counter in [
+    let config = EvalConfig {
+        positions,
+        windows: 1,
+        bank: Bank::new(0),
+        registry: Some(registry.clone()),
+        ..EvalConfig::quick(4)
+    };
+    let sweep = sweep_bank_module(engine_module(engine, seed), pattern, &config);
+    let counters = [
         dram_sim::metrics::CTR_ACT,
         dram_sim::metrics::CTR_ROW_READS,
         dram_sim::metrics::CTR_BIT_FLIPS,
-    ] {
-        prop_assert_eq!(
-            old_registry.counter(counter).get(),
-            new_registry.counter(counter).get(),
-            "counter {} diverged (engine {}, seed {})",
-            counter,
-            engine,
-            seed
-        );
+    ]
+    .map(|name| registry.counter(name).get());
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in format!("{sweep:?}{counters:?}").as_bytes() {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
-    Ok(())
+    format!("{hash:016x}")
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn single_sided_matches_reference(
-        hammers in 1u64..220,
-        engine in 0u8..ENGINE_COUNT,
-        seed in 1u64..500,
-    ) {
-        assert_equivalent(SingleSided { hammers }, engine, seed)?;
+/// Checks every grid point of `attacks` against the golden digests and
+/// the frozen reference, reporting all mismatches (as ready-to-commit
+/// golden lines) at once.
+fn assert_grid<T>(attacks: impl IntoIterator<Item = T>)
+where
+    T: BuiltinAttack + Copy + Debug + 'static,
+    Legacy<T>: AccessPattern,
+{
+    let golden: BTreeMap<&str, &str> =
+        GOLDEN.lines().filter_map(|line| line.split_once(' ').map(|(d, l)| (l, d))).collect();
+    let mut mismatches = Vec::new();
+    for attack in attacks {
+        let composed = AttackBuilder::from_attack(attack).build();
+        for engine in 0..ENGINE_COUNT {
+            for seed in SEEDS {
+                let label = format!("{attack:?} engine={engine} seed={seed}");
+                let got = digest(&composed, engine, seed);
+                assert_eq!(got, digest(&Legacy(attack), engine, seed), "{label}");
+                if golden.get(label.as_str()) != Some(&got.as_str()) {
+                    mismatches.push(format!("{got} {label}"));
+                }
+            }
+        }
     }
+    assert!(mismatches.is_empty(), "digests differ from golden:\n{}", mismatches.join("\n"));
+}
 
-    #[test]
-    fn double_sided_matches_reference(
-        hammers_per_aggressor in 1u64..75,
-        engine in 0u8..ENGINE_COUNT,
-        seed in 1u64..500,
-    ) {
-        assert_equivalent(DoubleSided { hammers_per_aggressor }, engine, seed)?;
-    }
+#[test]
+fn single_sided_matches_golden() {
+    assert_grid(span(1, 220).into_iter().map(|hammers| SingleSided { hammers }));
+}
 
-    #[test]
-    fn many_sided_matches_reference(
-        sides in 2u32..13,
-        hammers_per_aggressor in 1u64..16,
-        engine in 0u8..ENGINE_COUNT,
-        seed in 1u64..500,
-    ) {
-        assert_equivalent(ManySided { sides, hammers_per_aggressor }, engine, seed)?;
-    }
+#[test]
+fn double_sided_matches_golden() {
+    assert_grid(
+        span(1, 75).into_iter().map(|hammers_per_aggressor| DoubleSided { hammers_per_aggressor }),
+    );
+}
 
-    #[test]
-    fn vendor_a_matches_reference(
-        aggressor_hammers in 1u64..30,
-        dummy_rows in 0usize..17,
-        dummy_hammers in 1u64..9,
-        engine in 0u8..ENGINE_COUNT,
-        seed in 1u64..500,
-    ) {
-        assert_equivalent(
-            VendorAPattern { aggressor_hammers, dummy_rows, dummy_hammers },
-            engine,
-            seed,
-        )?;
-    }
+#[test]
+fn many_sided_matches_golden() {
+    assert_grid(span(2, 13).into_iter().flat_map(|sides| {
+        span(1, 16).into_iter().map(move |hammers_per_aggressor| ManySided {
+            sides: sides as u32,
+            hammers_per_aggressor,
+        })
+    }));
+}
 
-    #[test]
-    fn vendor_b_matches_reference(
-        ratio in 1u64..10,
-        per_bank in 0u8..2,
-        hammers_per_interval in 1u64..75,
-        dummy_hammers in 1u64..160,
-        engine in 0u8..ENGINE_COUNT,
-        seed in 1u64..500,
-    ) {
-        assert_equivalent(
-            VendorBPattern {
-                ratio,
-                per_bank_sampler: per_bank == 1,
-                hammers_per_interval,
-                dummy_hammers,
-            },
-            engine,
-            seed,
-        )?;
+#[test]
+fn vendor_a_matches_golden() {
+    let mut grid = Vec::new();
+    for aggressor_hammers in span(1, 30) {
+        for dummy_rows in span(0, 17) {
+            for dummy_hammers in span(1, 9) {
+                grid.push(VendorAPattern {
+                    aggressor_hammers,
+                    dummy_rows: dummy_rows as usize,
+                    dummy_hammers,
+                });
+            }
+        }
     }
+    assert_grid(grid);
+}
 
-    #[test]
-    fn vendor_c_matches_reference(
-        ratio in 1u64..10,
-        dummy_acts in 0u64..450,
-        hammers_per_interval in 1u64..75,
-        engine in 0u8..ENGINE_COUNT,
-        seed in 1u64..500,
-    ) {
-        assert_equivalent(
-            VendorCPattern { ratio, dummy_acts, hammers_per_interval },
-            engine,
-            seed,
-        )?;
+#[test]
+fn vendor_b_matches_golden() {
+    let mut grid = Vec::new();
+    for ratio in span(1, 10) {
+        for per_bank in span(0, 2) {
+            for hammers_per_interval in span(1, 75) {
+                for dummy_hammers in span(1, 160) {
+                    grid.push(VendorBPattern {
+                        ratio,
+                        per_bank_sampler: per_bank == 1,
+                        hammers_per_interval,
+                        dummy_hammers,
+                    });
+                }
+            }
+        }
     }
+    assert_grid(grid);
+}
 
-    #[test]
-    fn half_double_matches_reference(
-        far_pairs in 1u64..75,
-        near_pairs in 0u64..10,
-        engine in 0u8..ENGINE_COUNT,
-        seed in 1u64..500,
-    ) {
-        assert_equivalent(HalfDouble { far_pairs, near_pairs }, engine, seed)?;
+#[test]
+fn vendor_c_matches_golden() {
+    let mut grid = Vec::new();
+    for ratio in span(1, 10) {
+        for dummy_acts in span(0, 450) {
+            for hammers_per_interval in span(1, 75) {
+                grid.push(VendorCPattern { ratio, dummy_acts, hammers_per_interval });
+            }
+        }
     }
+    assert_grid(grid);
+}
+
+#[test]
+fn half_double_matches_golden() {
+    assert_grid(span(1, 75).into_iter().flat_map(|far_pairs| {
+        span(0, 10).into_iter().map(move |near_pairs| HalfDouble { far_pairs, near_pairs })
+    }));
 }
