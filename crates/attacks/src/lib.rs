@@ -20,8 +20,7 @@
 //! [`verdict::Verdict`] stage (what counts as success), assembled by
 //! [`AttackBuilder`]. The [`fuzz`] module searches that component space
 //! with a seeded frequency-domain fuzzer and re-derives §7.1-class
-//! bypasses against the ground-truth TRR engines; [`reference`] keeps
-//! the frozen pre-refactor implementations as an equivalence oracle.
+//! bypasses against the ground-truth TRR engines.
 //!
 //! # Example
 //!
@@ -42,7 +41,6 @@ pub mod eval;
 pub mod fuzz;
 pub mod half_double;
 pub mod pattern;
-pub mod reference;
 pub mod schedulers;
 pub mod verdict;
 
