@@ -232,30 +232,45 @@ impl Topology {
         rows_per_bank: u32,
         span: crate::mitigation::NeighborSpan,
     ) -> Vec<PhysRow> {
+        let (victims, n) = self.trr_victims_fixed(row, rows_per_bank, span);
+        victims[..n].to_vec()
+    }
+
+    /// Allocation-free form of [`Topology::trr_victims`]: fills a fixed
+    /// array (a detection refreshes at most 4 rows) and returns how many
+    /// entries are valid, in the same order — every TRR detection a
+    /// `REF` acts on resolves its victims through here.
+    pub fn trr_victims_fixed(
+        self,
+        row: PhysRow,
+        rows_per_bank: u32,
+        span: crate::mitigation::NeighborSpan,
+    ) -> ([PhysRow; 4], usize) {
         let r = row.index();
+        let mut out = [PhysRow::new(0); 4];
+        let mut n = 0;
         match self {
             Topology::Linear => {
-                let distance = span.per_side();
-                let mut out = Vec::with_capacity(2 * distance as usize);
-                for d in 1..=distance {
+                for d in 1..=span.per_side() {
                     if let Some(above) = r.checked_sub(d) {
-                        out.push(PhysRow::new(above));
+                        out[n] = PhysRow::new(above);
+                        n += 1;
                     }
                     if r + d < rows_per_bank {
-                        out.push(PhysRow::new(r + d));
+                        out[n] = PhysRow::new(r + d);
+                        n += 1;
                     }
                 }
-                out
             }
             Topology::Paired => {
                 let pair = r ^ 1;
                 if pair < rows_per_bank {
-                    vec![PhysRow::new(pair)]
-                } else {
-                    vec![]
+                    out[0] = PhysRow::new(pair);
+                    n = 1;
                 }
             }
         }
+        (out, n)
     }
 }
 

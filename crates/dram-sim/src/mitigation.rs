@@ -109,6 +109,21 @@ pub trait MitigationEngine: fmt::Debug {
     /// [`MitigationEngineExt::refresh_detections`].
     fn on_refresh(&mut self, now: Nanos, out: &mut Vec<TrrDetection>);
 
+    /// Consumes up to `max` upcoming `REF`s that provably append no
+    /// detection, and returns how many (`m ≤ max`) it consumed.
+    ///
+    /// The contract is exact: afterwards the engine must be in the state
+    /// `m` consecutive [`MitigationEngine::on_refresh`] calls would have
+    /// left it in (REF counters, armed slots, RNG position, metrics), and
+    /// each of those calls must have appended nothing. No activation can
+    /// happen in between — the device calls this only inside a `REF`
+    /// burst ([`crate::Module::refresh_burst_at_refi`]), where it then
+    /// runs the regular-refresh sweeps of those `REF`s itself. The
+    /// default consumes nothing, which is always correct.
+    fn skip_idle_refs(&mut self, _max: u64) -> u64 {
+        0
+    }
+
     /// Appends detections to act on *immediately*, drained after every
     /// activation batch. In-DRAM TRR never uses this (it piggybacks on
     /// `REF` — §2.4 of the paper), but proposed ACT-synchronous
@@ -189,6 +204,10 @@ impl MitigationEngine for NoMitigation {
     fn on_activations(&mut self, _: Bank, _: PhysRow, _: u64, _: Nanos) {}
 
     fn on_refresh(&mut self, _: Nanos, _out: &mut Vec<TrrDetection>) {}
+
+    fn skip_idle_refs(&mut self, max: u64) -> u64 {
+        max
+    }
 
     fn detects_inline(&self) -> bool {
         false

@@ -32,7 +32,8 @@ use crate::error::DramError;
 use crate::mapping::{RowMapping, Topology};
 use crate::metrics::{DeviceMetrics, EVT_BIT_FLIP, EVT_TRR_DETECTION};
 use crate::mitigation::{MitigationEngine, NoMitigation, TrrDetection};
-use crate::physics::{window_flips, PhysicsConfig, RowPhysics, RowPhysicsView};
+use crate::physics::{window_flips, PhysicsConfig, RowPhysics, RowPhysicsView, WeakCells};
+use crate::rng::SplitMix64;
 use crate::stats::ModuleStats;
 use crate::time::{Nanos, Timings};
 use obs::TraceKind;
@@ -99,13 +100,57 @@ impl ModuleConfig {
     }
 }
 
-/// Mutable per-row state, created on first touch.
+/// Cold per-row state, created on first touch: the row's data and its
+/// weak-cell physics. Restores read it only when a bit can flip or a
+/// VRT cell switches (see [`HotRow`]).
 #[derive(Debug)]
 struct RowState {
-    last_restore: Nanos,
-    disturbance: f64,
     data: Option<RowData>,
     physics: RowPhysics,
+}
+
+/// The part of a touched row's state every restore reads, kept in a
+/// small record parallel to [`RowState`] so regular-refresh sweeps and
+/// TRR victim restores of rows that cannot flip touch one cache line.
+///
+/// Invariant: whenever the row holds data, `min_live` is the minimum
+/// effective retention over the weak cells whose stored bit equals
+/// their charged value ([`WeakCells::NO_CELLS`] if none) — recomputed
+/// on write, after flips and after a VRT transition. A restore with no
+/// data, or with a decay window `≤ min_live` and disturbance below
+/// `hc_base`, flips nothing. If the window also reaches
+/// [`VRT_OBSERVATION_FLOOR`] on a VRT row, the row's VRT stream (kept
+/// here) is drawn first; only a draw that switches a cell needs the
+/// cold path.
+#[derive(Debug, Clone, Copy)]
+struct HotRow {
+    last_restore: Nanos,
+    disturbance: f64,
+    /// [`PhysicsConfig::aggressor_coupling`] of the row's data pattern.
+    coupling: f64,
+    /// Copy of [`RowPhysics::hc_base`]: the first-flip disturbance.
+    hc_base: f64,
+    min_live: Nanos,
+    /// The row's VRT transition stream ([`RowPhysics::advance_vrt`]).
+    vrt_rng: SplitMix64,
+    /// [`RowPhysics::vrt_cells`]: draws per VRT observation.
+    vrt_cells: u32,
+    has_data: bool,
+}
+
+impl HotRow {
+    fn fresh(now: Nanos, physics: &RowPhysics, vrt_rng: SplitMix64, cfg: &PhysicsConfig) -> Self {
+        HotRow {
+            last_restore: now,
+            disturbance: 0.0,
+            coupling: cfg.aggressor_coupling(None),
+            hc_base: physics.hc_base,
+            min_live: WeakCells::NO_CELLS,
+            vrt_rng,
+            vrt_cells: physics.vrt_cells(),
+            has_data: false,
+        }
+    }
 }
 
 /// The round-robin `REF` window `[start, end)` of the upcoming `REF`,
@@ -189,14 +234,24 @@ pub struct Module {
     /// hot path resolves a row in two array reads — no hashing.
     /// Entries are only meaningful where the `touched` bit is set.
     row_index: Vec<u32>,
-    /// Backing store of every touched row's state, in first-touch order.
+    /// Backing store of every touched row's cold state, in first-touch
+    /// order.
     row_states: Vec<RowState>,
+    /// Hot restore state of every touched row, parallel to `row_states`
+    /// (kept per touched row, not per slot, so it costs nothing for the
+    /// untouched majority of the module).
+    hot_rows: Vec<HotRow>,
     /// One bit per `(bank, physical row)`: set iff the row has an entry
-    /// in `row_states`. `REF`'s round-robin scan and TRR victim restores
-    /// consult this O(1) index instead of probing every candidate row —
-    /// untouched rows (the overwhelming majority of a 64K-row bank
-    /// under a targeted attack) cost one bit test.
+    /// in `row_states`. Laid out row-major — row `r`'s `bank_words`
+    /// words hold bank `b` at bit `b % 64` of word `r·bank_words + b/64`
+    /// — so a `REF` finds every bank holding a touched row of its window
+    /// in one word per row. TRR victim restores consult the same O(1)
+    /// index instead of probing every candidate row: untouched rows (the
+    /// overwhelming majority of a 64K-row bank under a targeted attack)
+    /// cost one bit test.
     touched: Vec<u64>,
+    /// Words of `touched` per physical row (`⌈banks / 64⌉`).
+    bank_words: usize,
     banks: Vec<BankState>,
     /// Reusable drain buffer for mitigation detections, so the `REF`
     /// and post-batch hot paths allocate nothing per command.
@@ -223,6 +278,8 @@ impl Module {
     pub fn with_engine(config: ModuleConfig, engine: Box<dyn MitigationEngine>, seed: u64) -> Self {
         let banks = vec![BankState::default(); config.geometry.banks as usize];
         let row_slots = config.geometry.banks as usize * config.geometry.rows_per_bank as usize;
+        let bank_words = (config.geometry.banks as usize).div_ceil(64).max(1);
+        let touched = vec![0u64; config.geometry.rows_per_bank as usize * bank_words];
         let metrics = DeviceMetrics::private();
         let mut engine = engine;
         engine.attach_metrics(metrics.registry());
@@ -240,7 +297,9 @@ impl Module {
             ref_window,
             row_index: vec![u32::MAX; row_slots],
             row_states: Vec::new(),
-            touched: vec![0u64; row_slots.div_ceil(64)],
+            hot_rows: Vec::new(),
+            touched,
+            bank_words,
             banks,
             detect_buf: Vec::new(),
             retention_drift: 1.0,
@@ -424,11 +483,18 @@ impl Module {
     pub fn write_open_row(&mut self, bank: Bank, pattern: DataPattern) -> Result<(), DramError> {
         self.check_bank(bank)?;
         let (logical, phys) = self.open_row(bank)?;
-        let now = self.now;
-        let state = self.row_state(bank, phys);
-        state.data = Some(RowData::new(pattern, logical));
-        state.last_restore = now;
-        state.disturbance = 0.0;
+        let index = self.row_index_of(bank, phys);
+        let data = RowData::new(pattern, logical);
+        let state = &mut self.row_states[index];
+        self.hot_rows[index] = HotRow {
+            last_restore: self.now,
+            disturbance: 0.0,
+            coupling: self.config.physics.aggressor_coupling(Some(&data.pattern)),
+            min_live: state.physics.cells.min_live(|bit| data.bit(bit)),
+            has_data: true,
+            ..self.hot_rows[index]
+        };
+        state.data = Some(data);
         self.metrics.row_writes.inc();
         if self.metrics.detail() {
             self.metrics.write_ns.record(ROW_IO.as_ns());
@@ -625,8 +691,10 @@ impl Module {
         // radius-2 disturbance they deposit on *each other* never
         // accumulates past one cycle; the batch restores them only once
         // up front, so clear the residue it would otherwise pile up.
-        self.row_state(bank, p1).disturbance = 0.0;
-        self.row_state(bank, p2).disturbance = 0.0;
+        for row in [p1, p2] {
+            let index = self.row_index_of(bank, row);
+            self.hot_rows[index].disturbance = 0.0;
+        }
         self.engine.on_interleaved_pair(bank, p1, p2, pairs, self.now);
         self.apply_inline_detections();
         self.banks[bank_idx].last_act = Some(p2);
@@ -663,11 +731,13 @@ impl Module {
     /// TRR-induced refreshes the mitigation engine decides to piggyback.
     ///
     /// The regular sweep is event-driven: instead of probing every row of
-    /// the round-robin window, it walks the `touched` bitmap word by word
-    /// and extracts set bits with `trailing_zeros`, so untouched rows cost
-    /// nothing at all and a `REF` whose window holds no touched rows goes
-    /// straight to the mitigation engine's `on_refresh` hook. The restore
-    /// order (ascending physical row within each bank, banks in order) is
+    /// the round-robin window in every bank, it ORs the window rows'
+    /// words of the row-major `touched` bitmap into the set of banks that
+    /// hold any touched row there and extracts them with
+    /// `trailing_zeros`, so untouched rows and banks cost nothing and a
+    /// `REF` whose window holds no touched rows goes straight to the
+    /// mitigation engine's `on_refresh` hook. The restore order
+    /// (ascending physical row within each bank, banks in order) is
     /// identical to the full-window probe retained in
     /// [`Module::refresh_naive`].
     pub fn refresh(&mut self) {
@@ -680,41 +750,37 @@ impl Module {
     /// shared-registry atomics `count` times.
     fn refresh_impl(&mut self, record_metrics: bool) {
         let (start, end) = self.refresh_window();
-        // Scaled-down geometries have more REFs per period than rows per
-        // bank, so most windows are empty — skip the bank scan outright.
-        if start < end {
-            let rows_per_bank = self.config.geometry.rows_per_bank as usize;
-            let mut restored = 0u64;
-            for bank_idx in 0..self.config.geometry.banks {
-                let bank = Bank::new(bank_idx);
-                let base = bank_idx as usize * rows_per_bank;
-                let lo = base + start as usize;
-                let hi = base + end as usize;
-                let mut word_idx = lo / 64;
-                while word_idx * 64 < hi {
-                    let word_base = word_idx * 64;
-                    let mut bits = self.touched[word_idx];
-                    if word_base < lo {
-                        bits &= !0u64 << (lo - word_base);
-                    }
-                    if hi - word_base < 64 {
-                        bits &= (1u64 << (hi - word_base)) - 1;
-                    }
-                    while bits != 0 {
-                        let offset = bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        let phys = PhysRow::new((word_base + offset - base) as u32);
-                        self.restore(bank, phys);
-                        restored += 1;
-                    }
-                    word_idx += 1;
-                }
-            }
-            if restored > 0 {
-                self.metrics.regular_row_refreshes.add(restored);
-            }
+        let restored = self.sweep_window(start, end);
+        if restored > 0 {
+            self.metrics.regular_row_refreshes.add(restored);
         }
         self.complete_refresh(start, end, record_metrics);
+    }
+
+    /// The regular-refresh sweep of one `REF`: restores every touched
+    /// row of the physical window `[start, end)`, banks in order and
+    /// ascending rows within each bank, and returns how many it restored.
+    fn sweep_window(&mut self, start: u64, end: u64) -> u64 {
+        // Scaled-down geometries have more REFs per period than rows per
+        // bank, so most windows are empty and skip the loops outright.
+        let (start, end) = (start as usize, end as usize);
+        let mut restored = 0u64;
+        for word in 0..self.bank_words {
+            let bits = |m: &Self, row: usize| m.touched[row * m.bank_words + word];
+            let mut banks = (start..end).fold(0, |acc, row| acc | bits(self, row));
+            while banks != 0 {
+                let bit = banks.trailing_zeros();
+                banks &= banks - 1;
+                let bank = Bank::new((word * 64) as u8 + bit as u8);
+                for row in start..end {
+                    if bits(self, row) >> bit & 1 != 0 {
+                        self.restore(bank, PhysRow::new(row as u32));
+                        restored += 1;
+                    }
+                }
+            }
+        }
+        restored
     }
 
     /// Reference implementation of [`Module::refresh`] that probes every
@@ -793,23 +859,60 @@ impl Module {
     }
 
     /// Issues `count` `REF` commands paced one per `tREFI` (the idle gap
-    /// between them is dead time). The idle gap and the engine's drain
-    /// buffer are loop invariants: each `refresh()` reuses the module's
-    /// detection buffer, so the burst performs no per-`REF` allocation.
+    /// between them is dead time), observationally identical to `count`
+    /// × ([`Module::refresh`] + [`Module::advance`]`(tREFI − tRFC)`).
+    ///
+    /// The burst runs in segments: the mitigation engine first consumes
+    /// the upcoming `REF`s that provably detect nothing
+    /// ([`MitigationEngine::skip_idle_refs`]), for which the device only
+    /// sweeps the regular-refresh windows; the next `REF` then runs in
+    /// full. While a flight recorder is attached every `REF` runs in
+    /// full, so the trace keeps its per-`REF` events.
     pub fn refresh_burst_at_refi(&mut self, count: u64) {
         if count == 0 {
             return;
         }
         let idle = self.config.timings.t_refi.saturating_sub(self.config.timings.t_rfc);
-        for _ in 0..count {
+        let segmented = !self.metrics.tracing();
+        let mut left = count;
+        while left > 0 {
+            if segmented {
+                let skipped = self.engine.skip_idle_refs(left).min(left);
+                self.idle_refs(skipped, idle);
+                left -= skipped;
+                if left == 0 {
+                    break;
+                }
+            }
             self.refresh_impl(false);
             self.advance(idle);
+            left -= 1;
         }
         // One counter add and one histogram record for the whole burst —
         // identical totals, none of the per-`REF` shared-atomic traffic.
         self.metrics.refresh.add(count);
         if self.metrics.detail() {
             self.metrics.ref_ns.record_n(self.config.timings.t_rfc.as_ns(), count);
+        }
+    }
+
+    /// Runs `refs` `REF`s the engine has already consumed through
+    /// [`MitigationEngine::skip_idle_refs`]: each sweeps its window and
+    /// advances the clock by `tRFC + idle`, with one counter add for all
+    /// of them and no detection, trace or `REF` counter work (the burst
+    /// accounts `REF`s once).
+    fn idle_refs(&mut self, refs: u64, idle: Nanos) {
+        let per_ref = self.config.timings.t_rfc + idle;
+        let mut restored = 0u64;
+        for _ in 0..refs {
+            let (start, end) = self.refresh_window();
+            restored += self.sweep_window(start, end);
+            self.ref_count += 1;
+            self.ref_window.step();
+            self.now += per_ref;
+        }
+        if restored > 0 {
+            self.metrics.regular_row_refreshes.add(restored);
         }
     }
 
@@ -840,9 +943,11 @@ impl Module {
         bank.index() as usize * self.config.geometry.rows_per_bank as usize + phys.index() as usize
     }
 
+    /// Word and bit of `(bank, phys)` in the row-major `touched` bitmap.
+    #[inline]
     fn touched_slot(&self, bank: Bank, phys: PhysRow) -> (usize, u64) {
-        let index = self.slot(bank, phys);
-        (index / 64, 1u64 << (index % 64))
+        let b = bank.index() as usize;
+        (phys.index() as usize * self.bank_words + b / 64, 1u64 << (b % 64))
     }
 
     /// Whether `(bank, phys)` has an entry in the row table.
@@ -872,51 +977,58 @@ impl Module {
         self.banks[bank.index() as usize].open.ok_or(DramError::BankClosed { bank })
     }
 
-    /// Get-or-create the state of a row. The `touched` bit doubles as
-    /// the existence check, so the common "row already exists" path
-    /// costs one bit test plus two array reads — no hashing.
+    /// Get-or-create a row: its index into `row_states` / `hot_rows`.
+    /// The `touched` bit doubles as the existence check, so the common
+    /// "row already exists" path costs one bit test plus one array read
+    /// — no hashing.
     #[inline]
-    fn row_state(&mut self, bank: Bank, phys: PhysRow) -> &mut RowState {
+    fn row_index_of(&mut self, bank: Bank, phys: PhysRow) -> usize {
         let slot = self.slot(bank, phys);
-        let (word, mask) = (slot / 64, 1u64 << (slot % 64));
+        let (word, mask) = self.touched_slot(bank, phys);
         if self.touched[word] & mask == 0 {
             self.touched[word] |= mask;
-            let state = RowState {
-                last_restore: self.now,
-                disturbance: 0.0,
-                data: None,
-                physics: RowPhysics::derive(
-                    &self.config.physics,
-                    self.seed,
-                    Self::key(bank, phys),
-                    self.config.geometry.row_bits(),
-                ),
-            };
+            let (physics, vrt_rng) = RowPhysics::derive(
+                &self.config.physics,
+                self.seed,
+                Self::key(bank, phys),
+                self.config.geometry.row_bits(),
+            );
             self.row_index[slot] = u32::try_from(self.row_states.len())
                 .expect("fewer than 2^32 touched rows per module");
-            self.row_states.push(state);
+            self.hot_rows.push(HotRow::fresh(self.now, &physics, vrt_rng, &self.config.physics));
+            self.row_states.push(RowState { data: None, physics });
         }
-        let index = self.row_index[slot] as usize;
+        self.row_index[slot] as usize
+    }
+
+    /// Get-or-create the cold state of a row.
+    fn row_state(&mut self, bank: Bank, phys: PhysRow) -> &mut RowState {
+        let index = self.row_index_of(bank, phys);
         &mut self.row_states[index]
     }
 
     /// Ends the decay window of a row: materializes retention and
     /// RowHammer flips into its data, then marks it fully restored.
+    ///
+    /// Only the row's [`HotRow`] is read unless the window can flip a
+    /// bit or switches a VRT cell; otherwise the cold path would do
+    /// nothing but stamp the row (and draw the VRT stream), so this does
+    /// exactly that directly.
     fn restore(&mut self, bank: Bank, phys: PhysRow) {
-        let slot = self.slot(bank, phys);
-        if self.touched[slot / 64] & (1u64 << (slot % 64)) == 0 {
+        if !self.is_touched(bank, phys) {
             // First touch: a freshly created state is already restored.
-            let _ = self.row_state(bank, phys);
+            self.row_index_of(bank, phys);
             return;
         }
+        let index = self.row_index[self.slot(bank, phys)] as usize;
+        #[cfg(debug_assertions)]
+        self.debug_assert_hot_row(index);
         let now = self.now;
-        let row_bits = self.config.geometry.row_bits();
-        let state = &mut self.row_states[self.row_index[slot] as usize];
-        if now - state.last_restore == Nanos::ZERO && state.disturbance == 0.0 {
+        let hot = &mut self.hot_rows[index];
+        let raw_elapsed = now - hot.last_restore;
+        if raw_elapsed == Nanos::ZERO && hot.disturbance == 0.0 {
             return;
         }
-        let cfg = &self.config.physics;
-        let raw_elapsed = now - state.last_restore;
         // Retention drift scales the decay window, not the clock: a 2%
         // cooler part behaves as if 2% less time had passed. 1.0 takes
         // the untouched path so fault-free runs stay bit-identical.
@@ -925,10 +1037,27 @@ impl Module {
         } else {
             raw_elapsed
         };
+        let cfg = &self.config.physics;
+        let switch_prob = self.vrt_switch_override.unwrap_or(cfg.vrt_switch_prob);
+        let vrt_step = raw_elapsed >= VRT_OBSERVATION_FLOOR;
+        if !(hot.has_data && (elapsed > hot.min_live || hot.disturbance >= hot.hc_base)) {
+            // Nothing can flip. Draw the VRT observation ahead: if no
+            // cell switches, the cold path would only have made these
+            // same draws and stamped the row.
+            let mut rng = hot.vrt_rng;
+            if !vrt_step || (0..hot.vrt_cells).all(|_| !rng.next_bool(switch_prob)) {
+                hot.vrt_rng = rng;
+                hot.last_restore = now;
+                hot.disturbance = 0.0;
+                return;
+            }
+        }
+        let row_bits = self.config.geometry.row_bits();
+        let state = &mut self.row_states[index];
         let mut new_flips = 0u64;
         if let Some(data) = &mut state.data {
             let flips =
-                window_flips(&state.physics, cfg, elapsed, state.disturbance, row_bits, |bit| {
+                window_flips(&state.physics, cfg, elapsed, hot.disturbance, row_bits, |bit| {
                     data.bit(bit)
                 });
             new_flips = flips.len() as u64;
@@ -936,12 +1065,14 @@ impl Module {
                 data.set_flipped(bit);
             }
         }
-        if raw_elapsed >= VRT_OBSERVATION_FLOOR {
-            let switch_prob = self.vrt_switch_override.unwrap_or(cfg.vrt_switch_prob);
-            state.physics.advance_vrt(switch_prob);
+        let toggled = vrt_step && state.physics.advance_vrt(&mut hot.vrt_rng, switch_prob);
+        if let Some(data) = &state.data {
+            if new_flips > 0 || toggled {
+                hot.min_live = state.physics.cells.min_live(|bit| data.bit(bit));
+            }
         }
-        state.last_restore = now;
-        state.disturbance = 0.0;
+        hot.last_restore = now;
+        hot.disturbance = 0.0;
         if new_flips > 0 {
             self.metrics.bit_flips.add(new_flips);
             self.metrics.event(
@@ -961,6 +1092,22 @@ impl Module {
                 &[("flips", new_flips)],
                 "",
             );
+        }
+    }
+
+    /// Checks a row's [`HotRow`] caches against its cold state — the
+    /// `min_live` invariant above all, since a stale value would let a
+    /// restore skip real flips.
+    #[cfg(debug_assertions)]
+    fn debug_assert_hot_row(&self, index: usize) {
+        let (hot, state) = (&self.hot_rows[index], &self.row_states[index]);
+        let pattern = state.data.as_ref().map(|d| &d.pattern);
+        debug_assert_eq!(hot.coupling, self.config.physics.aggressor_coupling(pattern));
+        debug_assert_eq!(hot.hc_base, state.physics.hc_base);
+        debug_assert_eq!(hot.vrt_cells, state.physics.vrt_cells());
+        debug_assert_eq!(hot.has_data, state.data.is_some());
+        if let Some(data) = &state.data {
+            debug_assert_eq!(hot.min_live, state.physics.cells.min_live(|bit| data.bit(bit)));
         }
     }
 
@@ -994,43 +1141,52 @@ impl Module {
             return;
         }
         self.metrics.trr_detections.add(detections.len() as u64);
+        let detail = self.metrics.detail();
+        let tracing = self.metrics.tracing();
+        let now = self.now.as_ns();
+        let rows_per_bank = self.config.geometry.rows_per_bank;
+        let mut refreshed = 0u64;
         for &det in detections {
-            self.metrics.event(
-                EVT_TRR_DETECTION,
-                self.now.as_ns(),
-                &[
-                    ("bank", det.bank.index() as u64),
-                    ("aggressor", det.aggressor.index() as u64),
-                    ("span", det.span.per_side() as u64),
-                ],
-            );
-            self.metrics.trace(
-                TraceKind::TrrDetect,
-                self.now.as_ns(),
-                det.bank.index() as u32,
-                Some(det.aggressor.index()),
-                &[("span", det.span.per_side() as u64)],
-                "",
-            );
-            let victims = self.config.topology.trr_victims(
-                det.aggressor,
-                self.config.geometry.rows_per_bank,
-                det.span,
-            );
-            for victim in victims {
-                if self.restore_existing(det.bank, victim) {
-                    self.metrics.trr_row_refreshes.inc();
-                }
-                self.disturb_from(det.bank, victim, 1.0);
+            let (bank, aggressor) = (det.bank.index(), det.aggressor.index());
+            let span = det.span.per_side() as u64;
+            if detail {
+                self.metrics.event(
+                    EVT_TRR_DETECTION,
+                    now,
+                    &[("bank", bank as u64), ("aggressor", aggressor as u64), ("span", span)],
+                );
+            }
+            if tracing {
                 self.metrics.trace(
-                    TraceKind::TrrRefresh,
-                    self.now.as_ns(),
-                    det.bank.index() as u32,
-                    Some(victim.index()),
-                    &[("aggressor", det.aggressor.index() as u64)],
+                    TraceKind::TrrDetect,
+                    now,
+                    bank as u32,
+                    Some(aggressor),
+                    &[("span", span)],
                     "",
                 );
             }
+            let (victims, n) =
+                self.config.topology.trr_victims_fixed(det.aggressor, rows_per_bank, det.span);
+            for &victim in &victims[..n] {
+                if self.restore_existing(det.bank, victim) {
+                    refreshed += 1;
+                }
+                self.disturb_from(det.bank, victim, 1.0);
+                if tracing {
+                    self.metrics.trace(
+                        TraceKind::TrrRefresh,
+                        now,
+                        bank as u32,
+                        Some(victim.index()),
+                        &[("aggressor", aggressor as u64)],
+                        "",
+                    );
+                }
+            }
+        }
+        if refreshed > 0 {
+            self.metrics.trr_row_refreshes.add(refreshed);
         }
     }
 
@@ -1051,13 +1207,11 @@ impl Module {
     /// activation of `source` to its topological neighbours.
     fn disturb_from(&mut self, bank: Bank, source: PhysRow, weight: f64) {
         let coupling = {
-            let slot = self.slot(bank, source);
-            let pattern = if self.touched[slot / 64] & (1u64 << (slot % 64)) != 0 {
-                self.row_states[self.row_index[slot] as usize].data.as_ref().map(|d| &d.pattern)
+            if self.is_touched(bank, source) {
+                self.hot_rows[self.row_index[self.slot(bank, source)] as usize].coupling
             } else {
-                None
-            };
-            self.config.physics.aggressor_coupling(pattern)
+                self.config.physics.aggressor_coupling(None)
+            }
         };
         let (targets, n) = self.config.topology.disturb_targets_fixed(
             source,
@@ -1065,7 +1219,8 @@ impl Module {
             self.config.physics.radius2_weight,
         );
         for &(victim, w) in &targets[..n] {
-            self.row_state(bank, victim).disturbance += w * weight * coupling;
+            let index = self.row_index_of(bank, victim);
+            self.hot_rows[index].disturbance += w * weight * coupling;
         }
     }
 }

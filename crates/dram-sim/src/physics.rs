@@ -150,36 +150,43 @@ impl PhysicsConfig {
     }
 }
 
-/// The retention-weak cells of one row, stored struct-of-arrays: every
-/// per-cell attribute lives in its own parallel array, so the restore hot
-/// loop and Row Scout's weak-cell scans stream one attribute linearly
-/// instead of striding over interleaved per-cell structs.
+/// One retention-weak cell.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct WeakCell {
+    /// Short-state retention time.
+    retention: Nanos,
+    /// Long-state retention of a VRT cell; `Nanos::ZERO` = not VRT.
+    vrt_long: Nanos,
+    /// Bit position within the row.
+    bit: u32,
+    /// The data value the cell leaks *from*: a flip happens only when
+    /// the stored bit equals this value.
+    charged: bool,
+    /// Whether a VRT cell currently holds charge for the long time.
+    vrt_in_long: bool,
+}
+
+/// The retention-weak cells of one row, in one exact-size allocation.
 ///
-/// # Layout invariants
+/// Every touched row owns one (the calibrated modules give every row a
+/// retention tail), so this is most of a row's cold memory. Restores
+/// read it only when the device's hot row state says a bit can flip or
+/// a VRT cell switches, so one block per row beats a layout tuned for
+/// streaming.
 ///
-/// * All five arrays share the same length (the cell count); index `i`
-///   addresses one cell across all of them.
-/// * `vrt_long[i] == Nanos::ZERO` marks a non-VRT cell, in which case
-///   `vrt_in_long[i]` is `false` and stays false. (A real VRT long state
-///   is `retention × vrt_retention_factor` of a positive retention, so
-///   zero can never be a legitimate long-state value.)
+/// # Invariants
+///
+/// * `vrt_long == Nanos::ZERO` marks a non-VRT cell, whose `vrt_in_long`
+///   is `false` and stays false. (A real VRT long state is `retention ×
+///   vrt_retention_factor` of a positive retention, so zero can never
+///   be a legitimate long-state value.)
 /// * `min_effective` caches the minimum of `effective_retention(i)` over
 ///   all cells ([`WeakCells::NO_CELLS`] when empty) and is recomputed
-///   after every VRT state transition — it gates the restore fast path,
-///   so staleness would change simulation results.
+///   after every VRT state transition — it gates the per-cell scan of
+///   [`window_flips`], so staleness would change simulation results.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct WeakCells {
-    /// Bit position of each cell within the row.
-    bits: Vec<u32>,
-    /// Short-state retention time of each cell.
-    retention: Vec<Nanos>,
-    /// The data value each cell leaks *from*: a flip happens only when
-    /// the stored bit equals this value.
-    charged: Vec<bool>,
-    /// Long-state retention of each VRT cell; `Nanos::ZERO` = not VRT.
-    vrt_long: Vec<Nanos>,
-    /// Whether each VRT cell currently holds charge for the long time.
-    vrt_in_long: Vec<bool>,
+    cells: Box<[WeakCell]>,
     /// Cached minimum currently-effective retention over all cells.
     min_effective: Nanos,
 }
@@ -187,26 +194,13 @@ pub(crate) struct WeakCells {
 impl WeakCells {
     /// `min_effective` of a row with no weak cells: later than any decay
     /// window, so the restore fast path always skips the cell loop.
-    const NO_CELLS: Nanos = Nanos::from_ns(u64::MAX);
+    pub(crate) const NO_CELLS: Nanos = Nanos::from_ns(u64::MAX);
 
-    fn empty() -> Self {
-        WeakCells {
-            bits: Vec::new(),
-            retention: Vec::new(),
-            charged: Vec::new(),
-            vrt_long: Vec::new(),
-            vrt_in_long: Vec::new(),
-            min_effective: Self::NO_CELLS,
-        }
-    }
-
-    fn push(&mut self, bit: u32, retention: Nanos, charged: bool, vrt: Option<(Nanos, bool)>) {
-        self.bits.push(bit);
-        self.retention.push(retention);
-        self.charged.push(charged);
-        let (long, in_long) = vrt.unwrap_or((Nanos::ZERO, false));
-        self.vrt_long.push(long);
-        self.vrt_in_long.push(in_long);
+    fn new(cells: Vec<WeakCell>) -> Self {
+        let mut cells =
+            WeakCells { cells: cells.into_boxed_slice(), min_effective: Self::NO_CELLS };
+        cells.recompute_min();
+        cells
     }
 
     fn recompute_min(&mut self) {
@@ -216,40 +210,41 @@ impl WeakCells {
 
     /// Number of weak cells.
     pub fn len(&self) -> usize {
-        self.bits.len()
+        self.cells.len()
     }
 
     /// Whether the row has no weak cells.
     pub fn is_empty(&self) -> bool {
-        self.bits.is_empty()
+        self.cells.is_empty()
     }
 
     /// Bit position of cell `i`.
     pub fn bit(&self, i: usize) -> u32 {
-        self.bits[i]
+        self.cells[i].bit
     }
 
     /// Short-state retention of cell `i`.
     pub fn retention(&self, i: usize) -> Nanos {
-        self.retention[i]
+        self.cells[i].retention
     }
 
     /// The value cell `i` leaks from.
     pub fn charged(&self, i: usize) -> bool {
-        self.charged[i]
+        self.cells[i].charged
     }
 
     /// Whether cell `i` suffers from VRT.
     pub fn is_vrt(&self, i: usize) -> bool {
-        self.vrt_long[i] != Nanos::ZERO
+        self.cells[i].vrt_long != Nanos::ZERO
     }
 
     /// The retention of cell `i` currently in effect.
     pub fn effective_retention(&self, i: usize) -> Nanos {
-        if self.vrt_in_long[i] {
-            self.vrt_long[i]
+        let cell = &self.cells[i];
+        if cell.vrt_in_long {
+            cell.vrt_long
         } else {
-            self.retention[i]
+            cell.retention
         }
     }
 
@@ -259,6 +254,18 @@ impl WeakCells {
     /// restore skip the per-cell scan entirely.
     pub fn min_effective(&self) -> Nanos {
         self.min_effective
+    }
+
+    /// Minimum currently-effective retention over the cells that can
+    /// still leak — those whose stored bit (per `stored_bit`) equals
+    /// their charged value — or [`WeakCells::NO_CELLS`] if none can. A
+    /// decay window no longer than this flips no weak cell.
+    pub fn min_live(&self, stored_bit: impl Fn(u32) -> bool) -> Nanos {
+        (0..self.len())
+            .filter(|&i| stored_bit(self.bit(i)) == self.charged(i))
+            .map(|i| self.effective_retention(i))
+            .min()
+            .unwrap_or(Self::NO_CELLS)
     }
 }
 
@@ -272,17 +279,22 @@ pub(crate) struct RowPhysics {
     pub hc_base: f64,
     /// Seed for deriving hammerable-cell positions.
     cell_seed: u64,
-    /// RNG stream driving VRT transitions of this row.
-    vrt_rng: SplitMix64,
 }
 
 impl RowPhysics {
     /// Derives the physics of row `stream` (a stable `(bank, phys row)`
-    /// encoding chosen by the module) of a module seeded with `seed`.
-    pub fn derive(cfg: &PhysicsConfig, seed: u64, stream: u64, row_bits: u32) -> Self {
+    /// encoding chosen by the module) of a module seeded with `seed`,
+    /// plus the RNG stream driving the row's VRT transitions (see
+    /// [`RowPhysics::advance_vrt`]), which the caller keeps.
+    pub fn derive(
+        cfg: &PhysicsConfig,
+        seed: u64,
+        stream: u64,
+        row_bits: u32,
+    ) -> (Self, SplitMix64) {
         let mut rng = SplitMix64::new(derive_seed(seed, stream));
         let scale = cfg.retention_scale();
-        let mut cells = WeakCells::empty();
+        let mut cells = Vec::new();
         if rng.next_bool(cfg.weak_row_prob) {
             loop {
                 let retention = Nanos::from_ns(
@@ -291,29 +303,29 @@ impl RowPhysics {
                         cfg.retention_max.as_ns() as f64,
                     ) * scale) as u64,
                 );
-                let vrt = if rng.next_bool(cfg.vrt_prob) {
-                    Some((
+                let (vrt_long, vrt_in_long) = if rng.next_bool(cfg.vrt_prob) {
+                    (
                         Nanos::from_ns(
                             (retention.as_ns() as f64 * cfg.vrt_retention_factor) as u64,
                         ),
                         rng.next_bool(0.5),
-                    ))
+                    )
                 } else {
-                    None
+                    (Nanos::ZERO, false)
                 };
                 let bit = rng.next_below(row_bits as u64) as u32;
                 let charged = rng.next_bool(0.5);
-                cells.push(bit, retention, charged, vrt);
+                cells.push(WeakCell { retention, vrt_long, bit, charged, vrt_in_long });
                 if !rng.next_bool(cfg.extra_weak_cell_prob) {
                     break;
                 }
             }
-            cells.recompute_min();
         }
+        let cells = WeakCells::new(cells);
         let hc_base = cfg.min_base_threshold() * (1.0 + rng.next_exp(cfg.hc_lambda));
         let cell_seed = rng.next_u64();
         let vrt_rng = SplitMix64::new(rng.next_u64());
-        RowPhysics { cells, hc_base, cell_seed, vrt_rng }
+        (RowPhysics { cells, hc_base, cell_seed }, vrt_rng)
     }
 
     /// Shortest currently-effective retention among the row's weak cells,
@@ -330,29 +342,38 @@ impl RowPhysics {
     /// Whether any weak cell of the row is VRT-afflicted.
     #[cfg_attr(not(test), allow(dead_code))]
     pub fn has_vrt(&self) -> bool {
-        (0..self.cells.len()).any(|i| self.cells.is_vrt(i))
+        self.vrt_cells() > 0
+    }
+
+    /// Number of VRT-afflicted weak cells: the draws one
+    /// [`RowPhysics::advance_vrt`] takes from the VRT stream.
+    pub fn vrt_cells(&self) -> u32 {
+        (0..self.cells.len()).filter(|&i| self.cells.is_vrt(i)).count() as u32
     }
 
     /// Advances the VRT Markov chain of every VRT cell by one observation
-    /// window. Called by the device whenever a non-trivial decay window
-    /// ends (a restore after time has passed). The switch probability is
-    /// passed in because the device may override the configured value
-    /// during an injected VRT burst episode.
+    /// window, drawing from the row's VRT stream `rng`. Called by the
+    /// device whenever a non-trivial decay window ends (a restore after
+    /// time has passed). The switch probability is passed in because the
+    /// device may override the configured value during an injected VRT
+    /// burst episode.
     ///
-    /// Draws from the VRT RNG stream for VRT cells only, in cell order —
+    /// Draws one `next_bool(switch_prob)` per VRT cell, in cell order —
     /// the exact draw discipline of every prior release, so seeded
-    /// simulations stay bit-for-bit reproducible.
-    pub fn advance_vrt(&mut self, switch_prob: f64) {
+    /// simulations stay bit-for-bit reproducible. Returns whether any
+    /// cell switched state.
+    pub fn advance_vrt(&mut self, rng: &mut SplitMix64, switch_prob: f64) -> bool {
         let mut toggled = false;
         for i in 0..self.cells.len() {
-            if self.cells.is_vrt(i) && self.vrt_rng.next_bool(switch_prob) {
-                self.cells.vrt_in_long[i] = !self.cells.vrt_in_long[i];
+            if self.cells.is_vrt(i) && rng.next_bool(switch_prob) {
+                self.cells.cells[i].vrt_in_long = !self.cells.cells[i].vrt_in_long;
                 toggled = true;
             }
         }
         if toggled {
             self.cells.recompute_min();
         }
+        toggled
     }
 
     /// Number of hammerable cells whose threshold is at or below the
@@ -455,15 +476,15 @@ mod tests {
         let a = RowPhysics::derive(&cfg(), 1, 7, 2048);
         let b = RowPhysics::derive(&cfg(), 1, 7, 2048);
         assert_eq!(a, b);
-        let c = RowPhysics::derive(&cfg(), 1, 8, 2048);
-        assert_ne!(a.hc_base, c.hc_base);
+        let c = RowPhysics::derive(&cfg(), 1, 8, 2048).0;
+        assert_ne!(a.0.hc_base, c.hc_base);
     }
 
     #[test]
     fn weak_row_fraction_close_to_config() {
         let c = cfg();
         let weak =
-            (0..20_000).filter(|&s| !RowPhysics::derive(&c, 3, s, 2048).cells.is_empty()).count();
+            (0..20_000).filter(|&s| !RowPhysics::derive(&c, 3, s, 2048).0.cells.is_empty()).count();
         let frac = weak as f64 / 20_000.0;
         assert!((frac - c.weak_row_prob).abs() < 0.01, "observed {frac}");
     }
@@ -472,7 +493,7 @@ mod tests {
     fn retention_is_within_bounds() {
         let c = cfg();
         for s in 0..5_000 {
-            let p = RowPhysics::derive(&c, 5, s, 2048);
+            let p = RowPhysics::derive(&c, 5, s, 2048).0;
             for i in 0..p.cells.len() {
                 assert!(p.cells.retention(i) >= c.retention_min);
                 assert!(p.cells.retention(i) <= c.retention_max);
@@ -484,7 +505,7 @@ mod tests {
     fn hc_base_floor_is_twice_hc_first() {
         let c = cfg();
         let min = (0..20_000)
-            .map(|s| RowPhysics::derive(&c, 9, s, 2048).hc_base)
+            .map(|s| RowPhysics::derive(&c, 9, s, 2048).0.hc_base)
             .fold(f64::INFINITY, f64::min);
         assert!(min >= c.min_base_threshold());
         assert!(min < c.min_base_threshold() * 1.05, "weakest row near HC_first: {min}");
@@ -493,7 +514,7 @@ mod tests {
     #[test]
     fn hammer_flip_count_ladder() {
         let c = cfg();
-        let p = RowPhysics::derive(&c, 9, 0, 2048);
+        let p = RowPhysics::derive(&c, 9, 0, 2048).0;
         assert_eq!(p.hammer_flip_count(&c, 0.0), 0);
         assert_eq!(p.hammer_flip_count(&c, p.hc_base * 0.999), 0);
         assert_eq!(p.hammer_flip_count(&c, p.hc_base), 1);
@@ -505,7 +526,7 @@ mod tests {
     #[test]
     fn hammer_cells_are_stable_and_in_range() {
         let c = cfg();
-        let p = RowPhysics::derive(&c, 2, 0, 2048);
+        let p = RowPhysics::derive(&c, 2, 0, 2048).0;
         for k in 0..c.hc_max_cells {
             let (bit, _) = p.hammer_cell(k, 2048);
             assert!(bit < 2048);
@@ -517,9 +538,9 @@ mod tests {
     fn vrt_cells_toggle_eventually() {
         let c = cfg();
         // Find a VRT row.
-        let mut p = (0..10_000)
+        let (mut p, mut rng) = (0..10_000)
             .map(|s| RowPhysics::derive(&c, 11, s, 2048))
-            .find(|p| p.has_vrt())
+            .find(|(p, _)| p.has_vrt())
             .expect("some VRT row exists");
         let snapshot = |p: &RowPhysics| -> Vec<Nanos> {
             (0..p.cells.len()).map(|i| p.cells.effective_retention(i)).collect()
@@ -527,7 +548,7 @@ mod tests {
         let initial = snapshot(&p);
         let mut changed = false;
         for _ in 0..1_000 {
-            p.advance_vrt(c.vrt_switch_prob);
+            p.advance_vrt(&mut rng, c.vrt_switch_prob);
             let now = snapshot(&p);
             if now != initial {
                 changed = true;
@@ -540,22 +561,24 @@ mod tests {
     #[test]
     fn non_vrt_rows_never_change() {
         let c = cfg();
-        let mut p = (0..10_000)
+        let (mut p, mut rng) = (0..10_000)
             .map(|s| RowPhysics::derive(&c, 13, s, 2048))
-            .find(|p| !p.cells.is_empty() && !p.has_vrt())
+            .find(|(p, _)| !p.cells.is_empty() && !p.has_vrt())
             .expect("some weak non-VRT row exists");
         let initial = p.min_retention();
+        let stream = rng;
         for _ in 0..1_000 {
-            p.advance_vrt(c.vrt_switch_prob);
+            assert!(!p.advance_vrt(&mut rng, c.vrt_switch_prob));
         }
         assert_eq!(p.min_retention(), initial);
+        assert_eq!(rng, stream, "a row without VRT cells draws nothing");
     }
 
     #[test]
     fn window_flips_respect_data_orientation() {
         let c = cfg();
         let p = (0..10_000)
-            .map(|s| RowPhysics::derive(&c, 17, s, 2048))
+            .map(|s| RowPhysics::derive(&c, 17, s, 2048).0)
             .find(|p| !p.cells.is_empty())
             .expect("weak row exists");
         let (bit, charged) = (p.cells.bit(0), p.cells.charged(0));
@@ -577,7 +600,7 @@ mod tests {
     #[test]
     fn window_flips_deduplicates_hammer_and_retention() {
         let c = cfg();
-        let p = RowPhysics::derive(&c, 19, 0, 2048);
+        let p = RowPhysics::derive(&c, 19, 0, 2048).0;
         let flips = window_flips(&p, &c, Nanos::from_ms(60_000), p.hc_base * 50.0, 2048, |_| true);
         let mut sorted = flips.clone();
         sorted.sort_unstable();
@@ -593,8 +616,8 @@ mod tests {
         assert_eq!(hot.retention_scale(), 1.0);
         assert_eq!(cool.retention_scale(), 16.0);
         for s in 0..200 {
-            let p_hot = RowPhysics::derive(&hot, 7, s, 2048);
-            let p_cool = RowPhysics::derive(&cool, 7, s, 2048);
+            let p_hot = RowPhysics::derive(&hot, 7, s, 2048).0;
+            let p_cool = RowPhysics::derive(&cool, 7, s, 2048).0;
             assert_eq!(p_hot.cells.len(), p_cool.cells.len());
             for i in 0..p_hot.cells.len() {
                 assert_eq!(p_hot.cells.bit(i), p_cool.cells.bit(i), "same cells, different clock");
@@ -611,10 +634,10 @@ mod tests {
         hotter.temperature_c = 95.0;
         assert_eq!(hotter.retention_scale(), 0.5);
         let p = (0..500)
-            .map(|s| RowPhysics::derive(&hotter, 9, s, 2048))
+            .map(|s| RowPhysics::derive(&hotter, 9, s, 2048).0)
             .find(|p| !p.cells.is_empty())
             .unwrap();
-        let reference = RowPhysics::derive(&cfg(), 9, 0, 2048);
+        let reference = RowPhysics::derive(&cfg(), 9, 0, 2048).0;
         let _ = reference;
         assert!(p.min_retention().unwrap() < cfg().retention_max);
     }
@@ -631,7 +654,7 @@ mod tests {
     fn physics_view_reports_ground_truth() {
         let c = cfg();
         let p = (0..10_000)
-            .map(|s| RowPhysics::derive(&c, 23, s, 2048))
+            .map(|s| RowPhysics::derive(&c, 23, s, 2048).0)
             .find(|p| !p.cells.is_empty())
             .unwrap();
         let view = RowPhysicsView::of(&p);
@@ -649,10 +672,10 @@ mod tests {
                 .unwrap_or(Nanos::from_ns(u64::MAX))
         };
         for s in 0..200 {
-            let mut p = RowPhysics::derive(&c, 29, s, 2048);
+            let (mut p, mut rng) = RowPhysics::derive(&c, 29, s, 2048);
             assert_eq!(p.cells.min_effective(), brute(&p), "stale cache at derive, stream {s}");
             for _ in 0..50 {
-                p.advance_vrt(c.vrt_switch_prob);
+                p.advance_vrt(&mut rng, c.vrt_switch_prob);
                 assert_eq!(p.cells.min_effective(), brute(&p), "stale cache after VRT step");
             }
         }

@@ -322,6 +322,16 @@ impl MitigationEngine for CounterTrr {
         }
     }
 
+    fn skip_idle_refs(&mut self, max: u64) -> u64 {
+        // Every REF before the next TRR-capable one only counts itself;
+        // the TRR-capable one toggles TREF_a/TREF_b even if it detects
+        // nothing, so the skip stops just before it.
+        let interval = self.config.trr_ref_interval;
+        let idle = (interval - 1 - self.ref_count % interval).min(max);
+        self.ref_count += idle;
+        idle
+    }
+
     fn attach_metrics(&mut self, registry: &std::sync::Arc<obs::MetricsRegistry>) {
         self.det_ctr = Some(registry.counter(&format!("trr.{}.detections", self.name)));
         self.evict_ctr = Some(registry.counter(&format!("trr.{}.evictions", self.name)));
@@ -378,6 +388,23 @@ mod tests {
         assert_eq!(registry.counter("trr.A_TRR1.evictions").get(), 4);
         assert_eq!(registry.counter("trr.A_TRR1.detections").get(), hits.len() as u64);
         assert!(!hits.is_empty());
+    }
+
+    #[test]
+    fn skip_idle_refs_stops_before_each_trr_capable_ref() {
+        let mut skipped = 0;
+        for seed in 0..300 {
+            for make in [|| CounterTrr::a_trr1(2), || CounterTrr::a_trr2(2)] {
+                skipped += crate::skip_contract::check(make, 2, seed, seed % 40);
+            }
+        }
+        assert!(skipped > 0);
+        // Never past the next TRR-capable REF, even with an empty table.
+        let mut e = CounterTrr::a_trr1(1);
+        assert_eq!(e.skip_idle_refs(100), 8);
+        assert_eq!(e.skip_idle_refs(100), 0);
+        assert!(e.refresh_detections(T0).is_empty());
+        assert_eq!(e.skip_idle_refs(3), 3);
     }
 
     #[test]

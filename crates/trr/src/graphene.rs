@@ -193,6 +193,19 @@ impl MitigationEngine for Graphene {
         }
     }
 
+    fn skip_idle_refs(&mut self, max: u64) -> u64 {
+        // Graphene detects inline only; a REF at most clears the tables
+        // at a window boundary (idempotent, so once per skip suffices).
+        let to_reset = self.config.window_refs - self.ref_count % self.config.window_refs;
+        if max >= to_reset {
+            for table in &mut self.banks {
+                table.reset();
+            }
+        }
+        self.ref_count += max;
+        max
+    }
+
     fn take_inline_detections(&mut self, out: &mut Vec<TrrDetection>) {
         out.append(&mut self.pending);
     }

@@ -84,6 +84,63 @@ pub fn engine_for_version(
     }
 }
 
+/// Checker for the [`dram_sim::MitigationEngine::skip_idle_refs`]
+/// contract, shared by the engines' unit tests.
+#[cfg(test)]
+pub(crate) mod skip_contract {
+    use dram_sim::rng::SplitMix64;
+    use dram_sim::{Bank, MitigationEngine, MitigationEngineExt, Nanos, PhysRow, TrrDetection};
+
+    /// Builds two engines with `make`, drives both through the same
+    /// random activation history (REFs interleaved, seeded by `seed`),
+    /// lets the first skip up to `k` REFs and the second refresh as many
+    /// times as the first consumed. Asserts the skip stayed within `k`,
+    /// the twin detected nothing on those REFs, and both then emit the
+    /// same detection stream over the next 64 REFs. Returns the number
+    /// of REFs skipped.
+    pub fn check<E: MitigationEngine>(make: impl Fn() -> E, banks: u8, seed: u64, k: u64) -> u64 {
+        let (mut a, mut b) = (make(), make());
+        let mut rng = SplitMix64::new(seed);
+        for _ in 0..rng.next_below(24) {
+            let bank = Bank::new(rng.next_below(banks as u64) as u8);
+            let row = PhysRow::new(100 + rng.next_below(32) as u32);
+            let n = 1 + rng.next_below(3_000);
+            match rng.next_below(3) {
+                0 => {
+                    for e in [&mut a, &mut b] {
+                        e.on_activations(bank, row, n, Nanos::ZERO);
+                    }
+                }
+                1 => {
+                    let other = PhysRow::new(row.index() + 2);
+                    for e in [&mut a, &mut b] {
+                        e.on_interleaved_pair(bank, row, other, n / 2 + 1, Nanos::ZERO);
+                    }
+                }
+                _ => {
+                    for _ in 0..rng.next_below(20) {
+                        assert_eq!(
+                            a.refresh_detections(Nanos::ZERO),
+                            b.refresh_detections(Nanos::ZERO)
+                        );
+                    }
+                }
+            }
+        }
+        let skipped = a.skip_idle_refs(k);
+        assert!(skipped <= k, "skipped {skipped} of at most {k} REFs");
+        for i in 0..skipped {
+            let detected = b.refresh_detections(Nanos::ZERO);
+            assert!(detected.is_empty(), "skipped REF {i} of {skipped} detects {detected:?}");
+        }
+        let stream = |e: &mut E| -> Vec<Vec<TrrDetection>> {
+            (0..64).map(|_| e.refresh_detections(Nanos::ZERO)).collect()
+        };
+        assert_eq!(stream(&mut a), stream(&mut b), "detections diverge after the skip");
+        skipped
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

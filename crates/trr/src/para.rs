@@ -104,6 +104,11 @@ impl MitigationEngine for Para {
 
     fn on_refresh(&mut self, _now: Nanos, _out: &mut Vec<TrrDetection>) {}
 
+    fn skip_idle_refs(&mut self, max: u64) -> u64 {
+        // PARA keeps no REF-time state at all.
+        max
+    }
+
     fn take_inline_detections(&mut self, out: &mut Vec<TrrDetection>) {
         out.append(&mut self.pending);
     }

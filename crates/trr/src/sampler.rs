@@ -251,6 +251,20 @@ impl MitigationEngine for SamplerTrr {
         }
     }
 
+    fn skip_idle_refs(&mut self, max: u64) -> u64 {
+        // With every register empty no REF can detect (only ACTs sample);
+        // otherwise the next TRR-capable REF re-detects the held sample
+        // (Observation B5), so the skip stops just before it.
+        let idle = if self.registers.iter().all(Option::is_none) {
+            max
+        } else {
+            let interval = self.config.trr_ref_interval;
+            (interval - 1 - self.ref_count % interval).min(max)
+        };
+        self.ref_count += idle;
+        idle
+    }
+
     fn attach_metrics(&mut self, registry: &std::sync::Arc<obs::MetricsRegistry>) {
         self.det_ctr = Some(registry.counter(&format!("trr.{}.detections", self.name)));
         self.sample_ctr = Some(registry.counter(&format!("trr.{}.samples", self.name)));
@@ -305,6 +319,36 @@ mod tests {
             })
             .count();
         assert!(hits < 30, "p ≈ 1/100, observed {hits}/1000");
+    }
+
+    #[test]
+    fn skip_idle_refs_matches_refreshing() {
+        let mut skipped = 0;
+        for seed in 0..300 {
+            let makes = [
+                || SamplerTrr::b_trr1(2, 7),
+                || SamplerTrr::b_trr2(2, 7),
+                || SamplerTrr::b_trr3(2, 7),
+            ];
+            for make in makes {
+                skipped += crate::skip_contract::check(make, 2, seed, seed % 40);
+            }
+        }
+        assert!(skipped > 0);
+    }
+
+    #[test]
+    fn skip_idle_refs_stops_before_a_held_sample_is_redetected() {
+        let mut e = SamplerTrr::b_trr1(16, 3);
+        // Empty registers: no REF can detect, so everything is skipped.
+        assert_eq!(e.skip_idle_refs(1_000), 1_000);
+        e.on_activations(Bank::new(0), PhysRow::new(9), 2_000, T0);
+        // REF 1_000 was the last one; 1_004 is TRR-capable.
+        assert_eq!(e.skip_idle_refs(1_000), 3);
+        assert_eq!(e.skip_idle_refs(1_000), 0);
+        let det = e.refresh_detections(T0);
+        assert_eq!(det.len(), 1, "the held sample is detected at the TRR-capable REF");
+        assert_eq!(e.skip_idle_refs(2), 2);
     }
 
     #[test]

@@ -264,6 +264,31 @@ impl MitigationEngine for WindowTrr {
         }
     }
 
+    fn skip_idle_refs(&mut self, max: u64) -> u64 {
+        // A bank acts at a REF only while pending with a candidate
+        // (detect) or an exhausted window (reopen, an RNG draw); neither
+        // can appear without activations. So: nothing to skip while such
+        // a bank is pending; if some bank holds one but is not pending,
+        // skip up to just before the armed REF that would make it so;
+        // otherwise skip everything, arming every bank if an armed REF
+        // falls inside.
+        let window = self.config.window;
+        let live = |w: &BankWindow| w.candidate.is_some() || w.position >= window;
+        if self.banks.iter().any(|w| w.pending && live(w)) {
+            return 0;
+        }
+        let interval = self.config.trr_ref_interval;
+        let to_armed = interval - self.ref_count % interval;
+        let idle = if self.banks.iter().any(live) { (to_armed - 1).min(max) } else { max };
+        if idle >= to_armed {
+            for w in &mut self.banks {
+                w.pending = true;
+            }
+        }
+        self.ref_count += idle;
+        idle
+    }
+
     fn attach_metrics(&mut self, registry: &std::sync::Arc<obs::MetricsRegistry>) {
         self.det_ctr = Some(registry.counter(&format!("trr.{}.detections", self.name)));
     }
@@ -297,6 +322,59 @@ mod tests {
 
     const B0: Bank = Bank::new(0);
     const T0: Nanos = Nanos::ZERO;
+
+    #[test]
+    fn skip_idle_refs_matches_refreshing() {
+        let mut skipped = 0;
+        for seed in 0..300 {
+            let makes = [
+                || WindowTrr::c_trr1(2, 11),
+                || WindowTrr::c_trr2(2, 11),
+                || WindowTrr::c_trr3(2, 11),
+            ];
+            for make in makes {
+                skipped += crate::skip_contract::check(make, 2, seed, seed % 40);
+            }
+        }
+        assert!(skipped > 0);
+    }
+
+    #[test]
+    fn skip_arms_pending_when_an_armed_ref_falls_inside() {
+        let mut a = WindowTrr::c_trr1(2, 5);
+        let mut b = WindowTrr::c_trr1(2, 5);
+        for e in [&mut a, &mut b] {
+            for _ in 0..5 {
+                assert!(e.refresh_detections(T0).is_empty());
+            }
+        }
+        // No candidate and no exhausted window: the skip runs past the
+        // armed 17th REF, which leaves every bank pending.
+        assert_eq!(a.skip_idle_refs(40), 40);
+        for _ in 0..40 {
+            assert!(b.refresh_detections(T0).is_empty());
+        }
+        assert!(a.banks.iter().all(|w| w.pending));
+        // Pending banks fire at the very next REF once a capture exists
+        // (Obs C1) — and then nothing is skippable until it has.
+        for e in [&mut a, &mut b] {
+            e.on_activations(B0, PhysRow::new(3), 2_048, T0);
+        }
+        assert_eq!(a.skip_idle_refs(40), 0);
+        let det = a.refresh_detections(T0);
+        assert_eq!(det.len(), 1);
+        assert_eq!(det, b.refresh_detections(T0));
+    }
+
+    #[test]
+    fn skip_stops_before_the_armed_ref_of_a_waiting_candidate() {
+        let mut e = WindowTrr::c_trr2(1, 5);
+        e.on_activations(B0, PhysRow::new(3), 2_048, T0);
+        assert_eq!(e.skip_idle_refs(100), 8, "REF 9 is armed and the candidate is captured");
+        assert_eq!(e.refresh_detections(T0).len(), 1);
+        // The detection closed the window: nothing live, skip everything.
+        assert_eq!(e.skip_idle_refs(100), 100);
+    }
 
     #[test]
     fn trr_interval_is_respected_when_candidate_ready() {
