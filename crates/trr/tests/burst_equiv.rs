@@ -128,9 +128,11 @@ fn run(
     for _ in 0..64 {
         m.refresh();
     }
+    // Every touched row: the written cluster plus the blast radius and
+    // TRR victims around it.
     let mut readouts = Vec::new();
     for b in 0..banks {
-        for r in ROWS {
+        for r in ROWS.start - 2..ROWS.end + 2 {
             readouts
                 .push(m.read_row(Bank::new(b), RowAddr::new(r)).unwrap().flipped_bits().to_vec());
         }
