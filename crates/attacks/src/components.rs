@@ -21,7 +21,7 @@
 //! so `AttackBuilder::from_attack(VendorAPattern::paper_optimum())`
 //! reproduces the hand-written §7.1 pattern byte-for-byte.
 
-use dram_sim::{Bank, DramError, RowAddr};
+use dram_sim::{Bank, HammerOp, RowAddr};
 use softmc::MemoryController;
 
 use crate::pattern::{AccessPattern, PatternTarget};
@@ -48,7 +48,8 @@ impl RowDose {
 }
 
 /// A generator's answer for one victim position: which rows to drive
-/// and how hard. The scheduler turns this into per-interval [`Slot`]s.
+/// and how hard. The scheduler turns this into per-interval
+/// [`HammerOp`]s.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AggressorLayout {
     /// True aggressors, in hammering order.
@@ -61,45 +62,13 @@ pub struct AggressorLayout {
     pub other_bank: Vec<(Bank, RowDose)>,
 }
 
-/// One scheduled unit of work inside a `tREFI` interval. Executing a
-/// slot with a zero dose is a strict no-op on the device (no state, no
-/// metrics, no clock), so schedulers may emit them freely.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Slot {
-    /// Back-to-back activations of one row.
-    Burst {
-        /// Row to activate.
-        row: RowAddr,
-        /// Activation count.
-        acts: u64,
-    },
-    /// Alternating activations of two rows (`first`, `second`, `first`,
-    /// …) — `pairs` activations of each.
-    Pair {
-        /// First row of the pair.
-        first: RowAddr,
-        /// Second row of the pair.
-        second: RowAddr,
-        /// Activations per row.
-        pairs: u64,
-    },
-    /// Activations in another bank, overlapped with the target bank's
-    /// interval (they do not consume the target bank's budget).
-    OtherBank {
-        /// The other bank.
-        bank: Bank,
-        /// Row to activate there.
-        row: RowAddr,
-        /// Activation count.
-        acts: u64,
-    },
-}
-
 /// Produces the aggressor layout for a victim position.
 ///
-/// Method names deliberately differ from [`AccessPattern`]'s so a type
+/// Apart from `layout`, which [`AccessPattern::layout`] forwards to,
+/// method names deliberately differ from [`AccessPattern`]'s so a type
 /// can implement both without call-site ambiguity (the blanket impl for
-/// [`BuiltinAttack`] bridges them).
+/// [`BuiltinAttack`] bridges them; call `layout` through the trait you
+/// mean, e.g. `PatternGenerator::layout(&attack, mc, target)`).
 pub trait PatternGenerator: Send + Sync {
     /// Short identifier used in reports ([`AccessPattern::name`]).
     fn id(&self) -> &str;
@@ -129,54 +98,8 @@ pub trait Scheduler: Send + Sync {
     /// Short identifier for reports and artifacts.
     fn id(&self) -> &str;
 
-    /// Appends this interval's slots to `slots` (cleared by the
-    /// caller).
-    fn schedule(&self, layout: &AggressorLayout, interval: u64, slots: &mut Vec<Slot>);
-}
-
-/// Issues scheduled slots to the device, in order.
-///
-/// # Errors
-///
-/// Propagates device protocol errors.
-pub fn execute_slots(
-    mc: &mut MemoryController,
-    bank: Bank,
-    slots: &[Slot],
-) -> Result<(), DramError> {
-    for slot in slots {
-        match *slot {
-            Slot::Burst { row, acts } => mc.module_mut().hammer(bank, row, acts)?,
-            Slot::Pair { first, second, pairs } => {
-                mc.module_mut().hammer_pair(bank, first, second, pairs)?;
-            }
-            Slot::OtherBank { bank: other, row, acts } => {
-                mc.module_mut().hammer_overlapped(other, row, acts)?;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Runs one interval of a generator/scheduler pair: layout → slots →
-/// device.
-///
-/// # Errors
-///
-/// Propagates device protocol errors.
-pub fn run_composed(
-    generator: &dyn PatternGenerator,
-    scheduler: &dyn Scheduler,
-    mc: &mut MemoryController,
-    target: &PatternTarget,
-    interval: u64,
-) -> Result<(), DramError> {
-    let layout = generator.layout(mc, target);
-    let mut slots = Vec::with_capacity(
-        layout.aggressors.len() + layout.dummies.len() + layout.other_bank.len(),
-    );
-    scheduler.schedule(&layout, interval, &mut slots);
-    execute_slots(mc, target.bank, &slots)
+    /// Appends this interval's ops to `slots` (cleared by the caller).
+    fn schedule(&self, layout: &AggressorLayout, interval: u64, slots: &mut Vec<HammerOp>);
 }
 
 /// A generator with a canonical scheduler — what the hand-written
@@ -206,13 +129,12 @@ impl<T: BuiltinAttack> AccessPattern for T {
         self.seed_rows(target)
     }
 
-    fn run_interval(
-        &self,
-        mc: &mut MemoryController,
-        target: &PatternTarget,
-        interval: u64,
-    ) -> Result<(), DramError> {
-        run_composed(self, &self.scheduler(), mc, target, interval)
+    fn layout(&self, mc: &MemoryController, target: &PatternTarget) -> AggressorLayout {
+        PatternGenerator::layout(self, mc, target)
+    }
+
+    fn schedule(&self, layout: &AggressorLayout, interval: u64, slots: &mut Vec<HammerOp>) {
+        self.scheduler().schedule(layout, interval, slots);
     }
 }
 
@@ -255,13 +177,12 @@ impl AccessPattern for ComposedAttack {
         self.generator.seed_rows(target)
     }
 
-    fn run_interval(
-        &self,
-        mc: &mut MemoryController,
-        target: &PatternTarget,
-        interval: u64,
-    ) -> Result<(), DramError> {
-        run_composed(self.generator.as_ref(), self.scheduler.as_ref(), mc, target, interval)
+    fn layout(&self, mc: &MemoryController, target: &PatternTarget) -> AggressorLayout {
+        self.generator.layout(mc, target)
+    }
+
+    fn schedule(&self, layout: &AggressorLayout, interval: u64, slots: &mut Vec<HammerOp>) {
+        self.scheduler.schedule(layout, interval, slots);
     }
 
     fn verdict(&self) -> &dyn Verdict {
@@ -339,17 +260,17 @@ mod tests {
     use dram_sim::{Module, ModuleConfig, PhysRow};
 
     #[test]
-    fn zero_dose_slots_are_device_noops() {
+    fn zero_dose_ops_are_device_noops() {
         let mut mc = MemoryController::new(Module::new(ModuleConfig::small_test(), 3));
-        let before = mc.module().ref_count();
+        let (now, refs) = (mc.now(), mc.module().ref_count());
         let acts_before = mc.registry().counter(dram_sim::metrics::CTR_ACT).get();
-        let slots = [
-            Slot::Burst { row: RowAddr::new(10), acts: 0 },
-            Slot::Pair { first: RowAddr::new(10), second: RowAddr::new(12), pairs: 0 },
-            Slot::OtherBank { bank: Bank::new(1), row: RowAddr::new(10), acts: 0 },
+        let ops = [
+            HammerOp::Burst { row: RowAddr::new(10), acts: 0 },
+            HammerOp::Pair { first: RowAddr::new(10), second: RowAddr::new(12), pairs: 0 },
+            HammerOp::OtherBank { bank: Bank::new(1), row: RowAddr::new(10), acts: 0 },
         ];
-        execute_slots(&mut mc, Bank::new(0), &slots).unwrap();
-        assert_eq!(mc.module().ref_count(), before);
+        mc.module_mut().hammer_batch(Bank::new(0), &ops).unwrap();
+        assert_eq!((mc.now(), mc.module().ref_count()), (now, refs));
         assert_eq!(mc.registry().counter(dram_sim::metrics::CTR_ACT).get(), acts_before);
     }
 

@@ -191,10 +191,16 @@ pub fn evaluate_position(
     let timings = mc.module().timings();
     let period = mc.module().config().refresh.period_refs as u64;
     let intervals = period * config.windows as u64;
+    let layout = pattern.layout(mc, &target);
+    let mut slots = Vec::new();
     for _ in 0..intervals {
         let started = mc.now();
         let interval = mc.module().ref_count();
-        pattern.run_interval(mc, &target, interval).expect("patterns stay within protocol rules");
+        slots.clear();
+        pattern.schedule(&layout, interval, &mut slots);
+        mc.module_mut()
+            .hammer_batch(config.bank, &slots)
+            .expect("patterns stay within protocol rules");
         mc.module_mut().refresh();
         let elapsed = mc.now() - started;
         mc.module_mut().advance(timings.t_refi.saturating_sub(elapsed));

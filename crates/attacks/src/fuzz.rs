@@ -18,12 +18,13 @@
 //! `--threads N` — the same contract as every repro binary.
 
 use dram_sim::rng::{derive_seed, SplitMix64};
+use dram_sim::HammerOp;
 use obs::jsonl::JsonValue;
 use softmc::MemoryController;
 use utrr_modules::{by_version, ModuleSpec};
 
 use crate::components::{
-    AggressorLayout, AttackBuilder, BuiltinAttack, PatternGenerator, RowDose, Scheduler, Slot,
+    AggressorLayout, AttackBuilder, BuiltinAttack, PatternGenerator, RowDose, Scheduler,
     INTERVAL_BUDGET,
 };
 use crate::eval::{sweep_bank, EvalConfig};
@@ -275,7 +276,7 @@ impl Scheduler for FuzzScheduler {
         "fuzz-phased"
     }
 
-    fn schedule(&self, layout: &AggressorLayout, interval: u64, slots: &mut Vec<Slot>) {
+    fn schedule(&self, layout: &AggressorLayout, interval: u64, slots: &mut Vec<HammerOp>) {
         let p = &self.params;
         let period = p.period.max(1);
         let pos = (interval + p.phase) % period;
@@ -285,10 +286,10 @@ impl Scheduler for FuzzScheduler {
             // engine samples next.
             if p.divert_other_banks {
                 for &(bank, d) in layout.other_bank.iter().take(4) {
-                    slots.push(Slot::OtherBank { bank, row: d.row, acts: d.acts });
+                    slots.push(HammerOp::OtherBank { bank, row: d.row, acts: d.acts });
                 }
             } else if let Some(d) = layout.dummies.first() {
-                slots.push(Slot::Burst { row: d.row, acts: INTERVAL_BUDGET });
+                slots.push(HammerOp::Burst { row: d.row, acts: INTERVAL_BUDGET });
             }
             return;
         }
@@ -299,14 +300,14 @@ impl Scheduler for FuzzScheduler {
         let lead = p.lead_dummy_acts.saturating_sub(consumed).min(budget);
         if lead > 0 {
             if let Some(d) = layout.dummies.first() {
-                slots.push(Slot::Burst { row: d.row, acts: lead });
+                slots.push(HammerOp::Burst { row: d.row, acts: lead });
             }
             budget -= lead; // interval time passes with or without a dummy row
         }
         // Aggressors at the sampled amplitude.
         if p.interleave && layout.aggressors.len() == 2 {
             let pairs = (budget / 2).min(layout.aggressors[0].acts);
-            slots.push(Slot::Pair {
+            slots.push(HammerOp::Pair {
                 first: layout.aggressors[0].row,
                 second: layout.aggressors[1].row,
                 pairs,
@@ -316,7 +317,7 @@ impl Scheduler for FuzzScheduler {
             for a in &layout.aggressors {
                 let acts = a.acts.min(budget);
                 if acts > 0 {
-                    slots.push(Slot::Burst { row: a.row, acts });
+                    slots.push(HammerOp::Burst { row: a.row, acts });
                     budget -= acts;
                 }
             }
@@ -327,7 +328,7 @@ impl Scheduler for FuzzScheduler {
                 break;
             }
             let acts = d.acts.min(budget);
-            slots.push(Slot::Burst { row: d.row, acts });
+            slots.push(HammerOp::Burst { row: d.row, acts });
             budget -= acts;
         }
     }
@@ -780,9 +781,9 @@ mod tests {
                 let same_bank: u64 = slots
                     .iter()
                     .map(|s| match *s {
-                        Slot::Burst { acts, .. } => acts,
-                        Slot::Pair { pairs, .. } => 2 * pairs,
-                        Slot::OtherBank { .. } => 0,
+                        HammerOp::Burst { acts, .. } => acts,
+                        HammerOp::Pair { pairs, .. } => 2 * pairs,
+                        HammerOp::OtherBank { .. } => 0,
                     })
                     .sum();
                 assert!(

@@ -46,7 +46,7 @@ pub mod verdict;
 
 pub use components::{
     AggressorLayout, AttackBuilder, BuiltinAttack, ComposedAttack, PatternGenerator, RowDose,
-    Scheduler, Slot, INTERVAL_BUDGET,
+    Scheduler, INTERVAL_BUDGET,
 };
 pub use eval::{BankSweep, EvalConfig, PositionResult};
 pub use pattern::{AccessPattern, PatternTarget};

@@ -9,8 +9,10 @@
 //! once every 7.8 µs to comply with the vendor-specified default refresh
 //! rate" (§7.2).
 
-use dram_sim::{Bank, DramError, PhysRow, RowAddr, Topology};
+use dram_sim::{Bank, HammerOp, PhysRow, RowAddr, Topology};
 use softmc::MemoryController;
+
+use crate::components::AggressorLayout;
 
 /// Everything a pattern needs to know about one victim position.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,7 +74,7 @@ impl PatternTarget {
 /// Implementations must stay within one bank's activation budget per
 /// interval (~149 activations for standard DDR4 timings) on the target
 /// bank; concurrent other-bank activity goes through
-/// [`dram_sim::Module::hammer_overlapped`].
+/// [`HammerOp::OtherBank`], which does not advance the device clock.
 pub trait AccessPattern {
     /// A short identifier used in reports.
     fn name(&self) -> &str;
@@ -92,20 +94,17 @@ pub trait AccessPattern {
         target.aggressors.clone()
     }
 
-    /// Executes one `tREFI` interval's accesses. `interval` counts
-    /// intervals since power-on (equal to the device's `REF` count), so
-    /// patterns can synchronize with the TRR-capable-`REF` cadence the
-    /// way the paper's attacker does via SMASH-style timing channels.
-    ///
-    /// # Errors
-    ///
-    /// Propagates device protocol errors.
-    fn run_interval(
-        &self,
-        mc: &mut MemoryController,
-        target: &PatternTarget,
-        interval: u64,
-    ) -> Result<(), DramError>;
+    /// The rows this pattern drives for `target` and their
+    /// per-interval doses — resolved once per victim position.
+    fn layout(&self, mc: &MemoryController, target: &PatternTarget) -> AggressorLayout;
+
+    /// Appends one `tREFI` interval's accesses to `slots` (cleared by
+    /// the caller), which the harness issues as one
+    /// [`dram_sim::Module::hammer_batch`]. `interval` counts intervals
+    /// since power-on (equal to the device's `REF` count), so patterns
+    /// can synchronize with the TRR-capable-`REF` cadence the way the
+    /// paper's attacker does via SMASH-style timing channels.
+    fn schedule(&self, layout: &AggressorLayout, interval: u64, slots: &mut Vec<HammerOp>);
 
     /// The verdict stage scoring each victim position once the
     /// hammering windows complete — flip counting by default; builder

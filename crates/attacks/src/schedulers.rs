@@ -7,19 +7,21 @@
 //! phase their work against the TRR-capable-`REF` cadence the way the
 //! paper's attacker does via SMASH-style timing channels (§7.1).
 
-use crate::components::{AggressorLayout, RowDose, Scheduler, Slot, INTERVAL_BUDGET};
+use dram_sim::HammerOp;
+
+use crate::components::{AggressorLayout, RowDose, Scheduler, INTERVAL_BUDGET};
 
 /// Emits the standard aggressor interleave: consecutive aggressors are
-/// paired into alternating [`Slot::Pair`]s (the dose of the pair's
+/// paired into alternating [`HammerOp::Pair`]s (the dose of the pair's
 /// first row sets the pair count); a trailing unpaired aggressor gets a
-/// back-to-back [`Slot::Burst`]. With the usual one- or two-aggressor
+/// back-to-back [`HammerOp::Burst`]. With the usual one- or two-aggressor
 /// targets this reproduces `hammer` / `hammer_pair` exactly; Half-Double
 /// hands it two pairs (far then near).
-fn interleave_aggressors(aggressors: &[RowDose], slots: &mut Vec<Slot>) {
+fn interleave_aggressors(aggressors: &[RowDose], slots: &mut Vec<HammerOp>) {
     for chunk in aggressors.chunks(2) {
         match *chunk {
-            [a] => slots.push(Slot::Burst { row: a.row, acts: a.acts }),
-            [a, b] => slots.push(Slot::Pair { first: a.row, second: b.row, pairs: a.acts }),
+            [a] => slots.push(HammerOp::Burst { row: a.row, acts: a.acts }),
+            [a, b] => slots.push(HammerOp::Pair { first: a.row, second: b.row, pairs: a.acts }),
             _ => unreachable!("chunks(2) yields 1- or 2-element chunks"),
         }
     }
@@ -39,15 +41,15 @@ impl Scheduler for CascadeScheduler {
         "cascade"
     }
 
-    fn schedule(&self, layout: &AggressorLayout, _interval: u64, slots: &mut Vec<Slot>) {
+    fn schedule(&self, layout: &AggressorLayout, _interval: u64, slots: &mut Vec<HammerOp>) {
         for a in &layout.aggressors {
-            slots.push(Slot::Burst { row: a.row, acts: a.acts });
+            slots.push(HammerOp::Burst { row: a.row, acts: a.acts });
         }
         for d in &layout.dummies {
-            slots.push(Slot::Burst { row: d.row, acts: d.acts });
+            slots.push(HammerOp::Burst { row: d.row, acts: d.acts });
         }
         for &(bank, d) in &layout.other_bank {
-            slots.push(Slot::OtherBank { bank, row: d.row, acts: d.acts });
+            slots.push(HammerOp::OtherBank { bank, row: d.row, acts: d.acts });
         }
     }
 }
@@ -63,13 +65,13 @@ impl Scheduler for InterleaveScheduler {
         "interleave"
     }
 
-    fn schedule(&self, layout: &AggressorLayout, _interval: u64, slots: &mut Vec<Slot>) {
+    fn schedule(&self, layout: &AggressorLayout, _interval: u64, slots: &mut Vec<HammerOp>) {
         interleave_aggressors(&layout.aggressors, slots);
         for d in &layout.dummies {
-            slots.push(Slot::Burst { row: d.row, acts: d.acts });
+            slots.push(HammerOp::Burst { row: d.row, acts: d.acts });
         }
         for &(bank, d) in &layout.other_bank {
-            slots.push(Slot::OtherBank { bank, row: d.row, acts: d.acts });
+            slots.push(HammerOp::OtherBank { bank, row: d.row, acts: d.acts });
         }
     }
 }
@@ -85,13 +87,13 @@ impl Scheduler for RoundRobinScheduler {
         "round-robin"
     }
 
-    fn schedule(&self, layout: &AggressorLayout, _interval: u64, slots: &mut Vec<Slot>) {
+    fn schedule(&self, layout: &AggressorLayout, _interval: u64, slots: &mut Vec<HammerOp>) {
         let rows = layout.aggressors.iter().chain(&layout.dummies);
         let turns = rows.clone().map(|r| r.acts).max().unwrap_or(0);
         for turn in 0..turns {
             for r in rows.clone() {
                 if r.acts > turn {
-                    slots.push(Slot::Burst { row: r.row, acts: 1 });
+                    slots.push(HammerOp::Burst { row: r.row, acts: 1 });
                 }
             }
         }
@@ -115,17 +117,17 @@ impl Scheduler for RefSyncScheduler {
         "ref-sync"
     }
 
-    fn schedule(&self, layout: &AggressorLayout, interval: u64, slots: &mut Vec<Slot>) {
+    fn schedule(&self, layout: &AggressorLayout, interval: u64, slots: &mut Vec<HammerOp>) {
         // The REF ending this interval is TRR-capable iff the engine's
         // post-increment count is a ratio multiple.
         let trr_ref_next = (interval + 1).is_multiple_of(self.ratio);
         if trr_ref_next && self.ratio > 1 {
             // Diversion interval: steal the sampler with dummy rows.
             for d in &layout.dummies {
-                slots.push(Slot::Burst { row: d.row, acts: d.acts });
+                slots.push(HammerOp::Burst { row: d.row, acts: d.acts });
             }
             for &(bank, d) in &layout.other_bank {
-                slots.push(Slot::OtherBank { bank, row: d.row, acts: d.acts });
+                slots.push(HammerOp::OtherBank { bank, row: d.row, acts: d.acts });
             }
         } else {
             interleave_aggressors(&layout.aggressors, slots);
@@ -152,7 +154,7 @@ impl Scheduler for WindowSyncScheduler {
         "window-sync"
     }
 
-    fn schedule(&self, layout: &AggressorLayout, interval: u64, slots: &mut Vec<Slot>) {
+    fn schedule(&self, layout: &AggressorLayout, interval: u64, slots: &mut Vec<HammerOp>) {
         // Position inside the TRR window: TRR-capable REFs end the
         // intervals where (interval + 1) is a ratio multiple, so
         // `interval % ratio` counts intervals since the last one.
@@ -163,15 +165,15 @@ impl Scheduler for WindowSyncScheduler {
             let Some(d) = layout.dummies.first() else {
                 return; // bank too small for a safe dummy
             };
-            slots.push(Slot::Burst { row: d.row, acts: dummy_now });
+            slots.push(HammerOp::Burst { row: d.row, acts: dummy_now });
         }
         let budget = INTERVAL_BUDGET - dummy_now;
         if budget == 0 {
             return;
         }
         match layout.aggressors[..] {
-            [a] => slots.push(Slot::Burst { row: a.row, acts: budget.min(a.acts * 2) }),
-            [a, b] => slots.push(Slot::Pair {
+            [a] => slots.push(HammerOp::Burst { row: a.row, acts: budget.min(a.acts * 2) }),
+            [a, b] => slots.push(HammerOp::Pair {
                 first: a.row,
                 second: b.row,
                 pairs: (budget / 2).min(a.acts),
@@ -203,10 +205,10 @@ mod tests {
         let mut slots = Vec::new();
         CascadeScheduler.schedule(&two_sided_layout(), 0, &mut slots);
         assert_eq!(slots.len(), 2 + 16 + 1);
-        assert_eq!(slots[0], Slot::Burst { row: RowAddr::new(10), acts: 24 });
-        assert_eq!(slots[1], Slot::Burst { row: RowAddr::new(12), acts: 24 });
-        assert_eq!(slots[2], Slot::Burst { row: RowAddr::new(500), acts: 6 });
-        assert!(matches!(slots[18], Slot::OtherBank { .. }));
+        assert_eq!(slots[0], HammerOp::Burst { row: RowAddr::new(10), acts: 24 });
+        assert_eq!(slots[1], HammerOp::Burst { row: RowAddr::new(12), acts: 24 });
+        assert_eq!(slots[2], HammerOp::Burst { row: RowAddr::new(500), acts: 6 });
+        assert!(matches!(slots[18], HammerOp::OtherBank { .. }));
     }
 
     #[test]
@@ -220,8 +222,8 @@ mod tests {
         assert_eq!(
             slots,
             vec![
-                Slot::Pair { first: RowAddr::new(10), second: RowAddr::new(14), pairs: 70 },
-                Slot::Burst { row: RowAddr::new(11), acts: 3 },
+                HammerOp::Pair { first: RowAddr::new(10), second: RowAddr::new(14), pairs: 70 },
+                HammerOp::Burst { row: RowAddr::new(11), acts: 3 },
             ]
         );
     }
@@ -236,9 +238,9 @@ mod tests {
         };
         RoundRobinScheduler.schedule(&layout, 0, &mut slots);
         assert_eq!(slots.len(), 6);
-        assert!(slots.iter().all(|s| matches!(s, Slot::Burst { acts: 1, .. })));
-        assert_eq!(slots[0], Slot::Burst { row: RowAddr::new(10), acts: 1 });
-        assert_eq!(slots[2], Slot::Burst { row: RowAddr::new(700), acts: 1 });
+        assert!(slots.iter().all(|s| matches!(s, HammerOp::Burst { acts: 1, .. })));
+        assert_eq!(slots[0], HammerOp::Burst { row: RowAddr::new(10), acts: 1 });
+        assert_eq!(slots[2], HammerOp::Burst { row: RowAddr::new(700), acts: 1 });
     }
 
     #[test]
@@ -250,14 +252,14 @@ mod tests {
             let mut slots = Vec::new();
             sched.schedule(&layout, interval, &mut slots);
             assert_eq!(slots.len(), 1, "interval {interval} must hammer");
-            assert!(matches!(slots[0], Slot::Pair { .. }));
+            assert!(matches!(slots[0], HammerOp::Pair { .. }));
         }
         // Interval 3 ends with the TRR-capable 4th REF: diversion.
         let mut slots = Vec::new();
         sched.schedule(&layout, 3, &mut slots);
         assert_eq!(slots.len(), 17);
-        assert!(slots.iter().take(16).all(|s| matches!(s, Slot::Burst { .. })));
-        assert!(matches!(slots[16], Slot::OtherBank { .. }));
+        assert!(slots.iter().take(16).all(|s| matches!(s, HammerOp::Burst { .. })));
+        assert!(matches!(slots[16], HammerOp::OtherBank { .. }));
     }
 
     #[test]
@@ -267,20 +269,20 @@ mod tests {
         // Interval 0: all budget on dummies (320 > 149).
         let mut slots = Vec::new();
         sched.schedule(&layout, 0, &mut slots);
-        assert_eq!(slots, vec![Slot::Burst { row: RowAddr::new(500), acts: 149 }]);
+        assert_eq!(slots, vec![HammerOp::Burst { row: RowAddr::new(500), acts: 149 }]);
         // Interval 2: 320 - 2*149 = 22 dummies, the rest on aggressors.
         let mut slots = Vec::new();
         sched.schedule(&layout, 2, &mut slots);
-        assert_eq!(slots[0], Slot::Burst { row: RowAddr::new(500), acts: 22 });
+        assert_eq!(slots[0], HammerOp::Burst { row: RowAddr::new(500), acts: 22 });
         assert_eq!(
             slots[1],
-            Slot::Pair { first: RowAddr::new(10), second: RowAddr::new(12), pairs: 24 }
+            HammerOp::Pair { first: RowAddr::new(10), second: RowAddr::new(12), pairs: 24 }
         );
         // Interval 3 onward: full hammering budget.
         let mut slots = Vec::new();
         sched.schedule(&layout, 3, &mut slots);
         assert_eq!(slots.len(), 1);
-        assert!(matches!(slots[0], Slot::Pair { pairs: 24, .. }));
+        assert!(matches!(slots[0], HammerOp::Pair { pairs: 24, .. }));
     }
 
     #[test]

@@ -76,7 +76,7 @@ pub use metrics::DeviceMetrics;
 pub use mitigation::{
     MitigationEngine, MitigationEngineExt, NeighborSpan, NoMitigation, TrrDetection,
 };
-pub use module::{Module, ModuleConfig, RefreshConfig};
+pub use module::{HammerOp, Module, ModuleConfig, RefreshConfig};
 pub use physics::PhysicsConfig;
 pub use stats::ModuleStats;
 pub use time::{Nanos, Timings};

@@ -180,24 +180,25 @@ impl Topology {
         rows_per_bank: u32,
         radius2_weight: f64,
     ) -> Vec<(PhysRow, f64)> {
-        let (targets, n) = self.disturb_targets_fixed(row, rows_per_bank, radius2_weight);
-        targets[..n].to_vec()
+        let mut targets = Vec::with_capacity(4);
+        self.for_each_disturb_target(row, rows_per_bank, radius2_weight, |victim, w| {
+            targets.push((victim, w));
+        });
+        targets
     }
 
-    /// Allocation-free form of [`Topology::disturb_targets`]: fills a
-    /// fixed array (a topology disturbs at most 4 rows) and returns how
-    /// many entries are valid. This is the per-`ACT` hot path — every
-    /// activation resolves its victims through here, so it must not
-    /// touch the heap.
-    pub fn disturb_targets_fixed(
+    /// Calls `visit` for every row [`Topology::disturb_targets`] lists,
+    /// in the same order. This is the per-`ACT` hot path: the caller
+    /// consumes each target in registers, with no array in between.
+    #[inline]
+    pub fn for_each_disturb_target(
         self,
         row: PhysRow,
         rows_per_bank: u32,
         radius2_weight: f64,
-    ) -> ([(PhysRow, f64); 4], usize) {
+        mut visit: impl FnMut(PhysRow, f64),
+    ) {
         let r = row.index();
-        let mut out = [(PhysRow::new(0), 0.0f64); 4];
-        let mut n = 0;
         match self {
             Topology::Linear => {
                 let candidates = [
@@ -208,20 +209,17 @@ impl Topology {
                 ];
                 for (c, w) in candidates {
                     if c < rows_per_bank && w > 0.0 {
-                        out[n] = (PhysRow::new(c), w);
-                        n += 1;
+                        visit(PhysRow::new(c), w);
                     }
                 }
             }
             Topology::Paired => {
                 let pair = r ^ 1;
                 if pair < rows_per_bank {
-                    out[0] = (PhysRow::new(pair), 1.0);
-                    n = 1;
+                    visit(PhysRow::new(pair), 1.0);
                 }
             }
         }
-        (out, n)
     }
 
     /// Physical rows a TRR mechanism refreshes when it detects `row` as an

@@ -208,6 +208,43 @@ struct BankState {
     last_act: Option<PhysRow>,
 }
 
+/// One op of a [`Module::hammer_batch`]. An op with a zero dose is a
+/// strict no-op on the device (no state, no metrics, no clock), so
+/// callers may emit them freely.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HammerOp {
+    /// Back-to-back activations of one row ([`Module::hammer`]).
+    Burst {
+        /// Row to activate.
+        row: RowAddr,
+        /// Activation count.
+        acts: u64,
+    },
+    /// Alternating activations of two rows (`first`, `second`, `first`,
+    /// …) — `pairs` activations of each ([`Module::hammer_pair`]).
+    Pair {
+        /// First row of the pair.
+        first: RowAddr,
+        /// Second row of the pair.
+        second: RowAddr,
+        /// Activations per row.
+        pairs: u64,
+    },
+    /// Activations in another bank, overlapped with the batch bank's
+    /// time: they run at the current time and do not advance the clock
+    /// (the §7.1 vendor-B pattern hammers dummy rows in four banks
+    /// concurrently, bounded by `tFAW` rather than one bank's `tRC`
+    /// budget).
+    OtherBank {
+        /// The other bank.
+        bank: Bank,
+        /// Row to activate there.
+        row: RowAddr,
+        /// Activation count.
+        acts: u64,
+    },
+}
+
 /// A simulated DRAM module (one rank) driven at DDR-command granularity.
 ///
 /// See the [crate documentation](crate) for an end-to-end example.
@@ -565,61 +602,7 @@ impl Module {
     ///
     /// Fails if the bank has an open row or an address is out of range.
     pub fn hammer(&mut self, bank: Bank, row: RowAddr, count: u64) -> Result<(), DramError> {
-        self.check_bank(bank)?;
-        self.check_row(row)?;
-        if let Some((open, _)) = self.banks[bank.index() as usize].open {
-            return Err(DramError::BankAlreadyOpen { bank, open });
-        }
-        if count == 0 {
-            return Ok(());
-        }
-        let phys = self.phys_of(row);
-        self.restore(bank, phys);
-        let discount = self.config.physics.same_row_discount;
-        let first =
-            if self.banks[bank.index() as usize].last_act == Some(phys) { discount } else { 1.0 };
-        let weight = first + discount * (count - 1) as f64;
-        self.disturb_from(bank, phys, weight);
-        self.engine.on_activations(bank, phys, count, self.now);
-        self.apply_inline_detections();
-        self.banks[bank.index() as usize].last_act = Some(phys);
-        self.activations += count;
-        self.metrics.act.add(count);
-        if self.metrics.detail() {
-            // One O(1) update for the whole batch.
-            self.metrics.act_ns.record_n(self.config.timings.t_rc().as_ns(), count);
-        }
-        self.metrics.trace(
-            TraceKind::Act,
-            self.now.as_ns(),
-            bank.index() as u32,
-            Some(phys.index()),
-            &[("count", count)],
-            "",
-        );
-        self.now += self.config.timings.t_rc() * count;
-        Ok(())
-    }
-
-    /// Like [`Module::hammer`], but without advancing the device clock:
-    /// models hammering that proceeds *concurrently* in another bank
-    /// while the caller accounts the interval's time once (the §7.1
-    /// vendor-B pattern hammers dummy rows in four banks simultaneously,
-    /// bounded by `tFAW` rather than by one bank's `tRC` budget).
-    ///
-    /// # Errors
-    ///
-    /// Fails if the bank has an open row or an address is out of range.
-    pub fn hammer_overlapped(
-        &mut self,
-        bank: Bank,
-        row: RowAddr,
-        count: u64,
-    ) -> Result<(), DramError> {
-        let before = self.now;
-        self.hammer(bank, row, count)?;
-        self.now = before;
-        Ok(())
+        self.hammer_batch(bank, &[HammerOp::Burst { row, acts: count }])
     }
 
     /// Interleaved double-sided hammering: the alternating sequence
@@ -638,22 +621,121 @@ impl Module {
         second: RowAddr,
         pairs: u64,
     ) -> Result<(), DramError> {
+        self.hammer_batch(bank, &[HammerOp::Pair { first, second, pairs }])
+    }
+
+    /// Runs `ops` in order against `bank` (an [`HammerOp::OtherBank`]
+    /// op names its own bank). Each op has exactly the physics, engine
+    /// hook and trace event of its single call ([`Module::hammer`],
+    /// [`Module::hammer_pair`]); the batch only folds the `ACT` counter
+    /// and latency histogram into one update.
+    ///
+    /// # Errors
+    ///
+    /// Stops at the first op whose bank has an open row or whose address
+    /// is out of range: the ops before it have run and are counted, the
+    /// rest do not run.
+    pub fn hammer_batch(&mut self, bank: Bank, ops: &[HammerOp]) -> Result<(), DramError> {
+        let mut acts = 0u64;
+        let mut result = Ok(());
+        for &op in ops {
+            match self.hammer_op(bank, op) {
+                Ok(n) => acts += n,
+                Err(e) => {
+                    result = Err(e);
+                    break;
+                }
+            }
+        }
+        if acts > 0 {
+            self.activations += acts;
+            self.metrics.act.add(acts);
+            if self.metrics.detail() {
+                // One O(1) update for the whole batch.
+                self.metrics.act_ns.record_n(self.config.timings.t_rc().as_ns(), acts);
+            }
+        }
+        result
+    }
+
+    /// Runs one batch op and returns the activations it issued.
+    fn hammer_op(&mut self, bank: Bank, op: HammerOp) -> Result<u64, DramError> {
+        let t_rc = self.config.timings.t_rc();
+        match op {
+            HammerOp::Burst { row, acts } => {
+                self.check_hammer(bank, row, row)?;
+                if acts > 0 {
+                    self.burst(bank, self.phys_of(row), acts);
+                    self.now += t_rc * acts;
+                }
+                Ok(acts)
+            }
+            HammerOp::OtherBank { bank, row, acts } => {
+                self.check_hammer(bank, row, row)?;
+                if acts > 0 {
+                    // Overlapped with the target bank's interval: no
+                    // clock of its own.
+                    self.burst(bank, self.phys_of(row), acts);
+                }
+                Ok(acts)
+            }
+            HammerOp::Pair { first, second, pairs } => {
+                self.check_hammer(bank, first, second)?;
+                if pairs == 0 {
+                    return Ok(0);
+                }
+                let (p1, p2) = (self.phys_of(first), self.phys_of(second));
+                if p1 == p2 {
+                    // Degenerate: identical rows alternate into plain
+                    // hammering.
+                    self.burst(bank, p1, 2 * pairs);
+                } else {
+                    self.pair(bank, p1, p2, pairs);
+                }
+                self.now += t_rc * (2 * pairs);
+                Ok(2 * pairs)
+            }
+        }
+    }
+
+    /// The checks of a hammer op, in the order the single calls make
+    /// them: bank, rows, then the bank must be precharged.
+    fn check_hammer(&self, bank: Bank, first: RowAddr, second: RowAddr) -> Result<(), DramError> {
         self.check_bank(bank)?;
         self.check_row(first)?;
         self.check_row(second)?;
+        match self.banks[bank.index() as usize].open {
+            Some((open, _)) => Err(DramError::BankAlreadyOpen { bank, open }),
+            None => Ok(()),
+        }
+    }
+
+    /// `count ≥ 1` back-to-back activations of `phys` at the current
+    /// time, clock and `ACT` counters aside.
+    fn burst(&mut self, bank: Bank, phys: PhysRow, count: u64) {
+        self.restore(bank, phys);
+        let discount = self.config.physics.same_row_discount;
+        let first =
+            if self.banks[bank.index() as usize].last_act == Some(phys) { discount } else { 1.0 };
+        let weight = first + discount * (count - 1) as f64;
+        self.disturb_from(bank, phys, weight);
+        self.engine.on_activations(bank, phys, count, self.now);
+        self.apply_inline_detections();
+        self.banks[bank.index() as usize].last_act = Some(phys);
+        self.metrics.trace(
+            TraceKind::Act,
+            self.now.as_ns(),
+            bank.index() as u32,
+            Some(phys.index()),
+            &[("count", count)],
+            "",
+        );
+    }
+
+    /// `pairs ≥ 1` alternations of two distinct rows at the current
+    /// time, clock and `ACT` counters aside.
+    fn pair(&mut self, bank: Bank, p1: PhysRow, p2: PhysRow, pairs: u64) {
         let bank_idx = bank.index() as usize;
-        if let Some((open, _)) = self.banks[bank_idx].open {
-            return Err(DramError::BankAlreadyOpen { bank, open });
-        }
-        if pairs == 0 {
-            return Ok(());
-        }
-        let p1 = self.phys_of(first);
-        let p2 = self.phys_of(second);
-        if p1 == p2 {
-            // Degenerate: identical rows alternate into plain hammering.
-            return self.hammer(bank, first, 2 * pairs);
-        }
         self.restore(bank, p1);
         self.restore(bank, p2);
         let discount = self.config.physics.same_row_discount;
@@ -698,33 +780,20 @@ impl Module {
         self.engine.on_interleaved_pair(bank, p1, p2, pairs, self.now);
         self.apply_inline_detections();
         self.banks[bank_idx].last_act = Some(p2);
-        self.activations += 2 * pairs;
-        self.metrics.act.add(2 * pairs);
-        if self.metrics.detail() {
-            self.metrics.act_ns.record_n(self.config.timings.t_rc().as_ns(), 2 * pairs);
-        }
         if self.metrics.tracing() {
             let t = self.now.as_ns();
             let b = bank.index() as u32;
-            self.metrics.trace(
-                TraceKind::Act,
-                t,
-                b,
-                Some(p1.index()),
-                &[("count", pairs), ("interleaved", 1)],
-                "",
-            );
-            self.metrics.trace(
-                TraceKind::Act,
-                t,
-                b,
-                Some(p2.index()),
-                &[("count", pairs), ("interleaved", 1)],
-                "",
-            );
+            for row in [p1, p2] {
+                self.metrics.trace(
+                    TraceKind::Act,
+                    t,
+                    b,
+                    Some(row.index()),
+                    &[("count", pairs), ("interleaved", 1)],
+                    "",
+                );
+            }
         }
-        self.now += self.config.timings.t_rc() * (2 * pairs);
-        Ok(())
     }
 
     /// Issues one `REF` command: the round-robin regular refresh plus any
@@ -983,22 +1052,30 @@ impl Module {
     /// — no hashing.
     #[inline]
     fn row_index_of(&mut self, bank: Bank, phys: PhysRow) -> usize {
-        let slot = self.slot(bank, phys);
-        let (word, mask) = self.touched_slot(bank, phys);
-        if self.touched[word] & mask == 0 {
-            self.touched[word] |= mask;
-            let (physics, vrt_rng) = RowPhysics::derive(
-                &self.config.physics,
-                self.seed,
-                Self::key(bank, phys),
-                self.config.geometry.row_bits(),
-            );
-            self.row_index[slot] = u32::try_from(self.row_states.len())
-                .expect("fewer than 2^32 touched rows per module");
-            self.hot_rows.push(HotRow::fresh(self.now, &physics, vrt_rng, &self.config.physics));
-            self.row_states.push(RowState { data: None, physics });
+        if !self.is_touched(bank, phys) {
+            return self.create_row(bank, phys);
         }
-        self.row_index[slot] as usize
+        self.row_index[self.slot(bank, phys)] as usize
+    }
+
+    /// First touch of a row: derives its physics and appends its state.
+    #[cold]
+    #[inline(never)]
+    fn create_row(&mut self, bank: Bank, phys: PhysRow) -> usize {
+        let (word, mask) = self.touched_slot(bank, phys);
+        self.touched[word] |= mask;
+        let (physics, vrt_rng) = RowPhysics::derive(
+            &self.config.physics,
+            self.seed,
+            Self::key(bank, phys),
+            self.config.geometry.row_bits(),
+        );
+        let (slot, index) = (self.slot(bank, phys), self.row_states.len());
+        self.row_index[slot] =
+            u32::try_from(index).expect("fewer than 2^32 touched rows per module");
+        self.hot_rows.push(HotRow::fresh(self.now, &physics, vrt_rng, &self.config.physics));
+        self.row_states.push(RowState { data: None, physics });
+        index
     }
 
     /// Get-or-create the cold state of a row.
@@ -1017,7 +1094,7 @@ impl Module {
     fn restore(&mut self, bank: Bank, phys: PhysRow) {
         if !self.is_touched(bank, phys) {
             // First touch: a freshly created state is already restored.
-            self.row_index_of(bank, phys);
+            self.create_row(bank, phys);
             return;
         }
         let index = self.row_index[self.slot(bank, phys)] as usize;
@@ -1213,15 +1290,13 @@ impl Module {
                 self.config.physics.aggressor_coupling(None)
             }
         };
-        let (targets, n) = self.config.topology.disturb_targets_fixed(
-            source,
-            self.config.geometry.rows_per_bank,
-            self.config.physics.radius2_weight,
-        );
-        for &(victim, w) in &targets[..n] {
+        let topology = self.config.topology;
+        let (rows_per_bank, radius2_weight) =
+            (self.config.geometry.rows_per_bank, self.config.physics.radius2_weight);
+        topology.for_each_disturb_target(source, rows_per_bank, radius2_weight, |victim, w| {
             let index = self.row_index_of(bank, victim);
             self.hot_rows[index].disturbance += w * weight * coupling;
-        }
+        });
     }
 }
 

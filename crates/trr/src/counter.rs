@@ -54,21 +54,18 @@ impl CounterTrrConfig {
     }
 }
 
-/// One counter-table entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Entry {
-    row: PhysRow,
-    count: u64,
-    /// Activation sequence number of the row's most recent activation,
-    /// for LRU eviction.
-    last_used: u64,
-}
-
-/// Per-bank table state: fixed slots so the `TREF_b` pointer walk is
-/// stable under replacement.
+/// Per-bank table state, struct-of-arrays: fixed slots so the `TREF_b`
+/// pointer walk is stable under replacement. `last_used[i] == 0` marks
+/// slot `i` empty (every insertion stamps a sequence number ≥ 1), so an
+/// empty slot also has the lowest recency and "first empty slot, else
+/// least recently used" is one first-argmin.
 #[derive(Debug, Clone, Default)]
 struct BankTable {
-    slots: Vec<Option<Entry>>,
+    rows: Vec<PhysRow>,
+    counts: Vec<u64>,
+    /// Activation sequence number of each row's most recent activation,
+    /// for LRU eviction; 0 for an empty slot.
+    last_used: Vec<u64>,
     /// `TREF_b` walk pointer (slot index).
     pointer: usize,
     /// Per-bank activation sequence counter.
@@ -77,11 +74,21 @@ struct BankTable {
 
 impl BankTable {
     fn with_capacity(capacity: usize) -> Self {
-        BankTable { slots: vec![None; capacity], pointer: 0, seq: 0 }
+        BankTable {
+            rows: vec![PhysRow::new(0); capacity],
+            counts: vec![0; capacity],
+            last_used: vec![0; capacity],
+            pointer: 0,
+            seq: 0,
+        }
+    }
+
+    fn occupied(&self, slot: usize) -> bool {
+        self.last_used[slot] != 0
     }
 
     fn position(&self, row: PhysRow) -> Option<usize> {
-        self.slots.iter().position(|s| s.map(|e| e.row) == Some(row))
+        (0..self.rows.len()).find(|&i| self.rows[i] == row && self.occupied(i))
     }
 
     /// Records `count` back-to-back activations of `row`: exactly
@@ -95,61 +102,69 @@ impl BankTable {
         self.seq += count;
         let seq = self.seq;
         if let Some(i) = self.position(row) {
-            let entry = self.slots[i].as_mut().expect("position() found it");
-            entry.count += count;
-            entry.last_used = seq;
+            self.counts[i] += count;
+            self.last_used[i] = seq;
             return None;
         }
         let slot = self.free_or_lru_slot();
-        let evicted = self.slots[slot].map(|e| e.row);
-        self.slots[slot] = Some(Entry { row, count, last_used: seq });
+        let evicted = self.occupied(slot).then_some(self.rows[slot]);
+        self.rows[slot] = row;
+        self.counts[slot] = count;
+        self.last_used[slot] = seq;
         evicted
     }
 
     /// First empty slot, or the slot holding the least-recently-used
-    /// entry.
+    /// entry: the first minimum of `last_used`.
     fn free_or_lru_slot(&self) -> usize {
-        if let Some(i) = self.slots.iter().position(Option::is_none) {
-            return i;
+        let mut best = 0;
+        for i in 1..self.last_used.len() {
+            if self.last_used[i] < self.last_used[best] {
+                best = i;
+            }
         }
-        self.slots
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, s)| s.map(|e| e.last_used))
-            .map(|(i, _)| i)
-            .expect("table has at least one slot")
+        best
     }
 
-    /// `TREF_a`: the highest-count entry, if any activity is recorded.
+    /// `TREF_a`: the highest-count entry, if any activity is recorded;
+    /// the last one among equals. Empty slots count zero, so they never
+    /// win over a nonzero count.
     fn detect_max(&mut self) -> Option<PhysRow> {
-        let (idx, entry) = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.map(|e| (i, e)))
-            .max_by_key(|(_, e)| e.count)?;
-        if entry.count == 0 {
+        let mut idx = 0;
+        for i in 1..self.counts.len() {
+            if self.counts[i] >= self.counts[idx] {
+                idx = i;
+            }
+        }
+        if self.counts[idx] == 0 {
             return None;
         }
-        self.slots[idx].as_mut().expect("occupied").count = 0;
-        Some(entry.row)
+        self.counts[idx] = 0;
+        Some(self.rows[idx])
     }
 
     /// `TREF_b`: the next occupied slot at or after the pointer (detected
     /// even with a zero counter — Observation A7), then advance the
     /// pointer.
     fn detect_pointer(&mut self) -> Option<PhysRow> {
-        let size = self.slots.len();
+        let size = self.rows.len();
         for probe in 0..size {
             let idx = (self.pointer + probe) % size;
-            if let Some(entry) = &mut self.slots[idx] {
-                let row = entry.row;
-                entry.count = 0;
+            if self.occupied(idx) {
+                self.counts[idx] = 0;
                 self.pointer = (idx + 1) % size;
-                return Some(row);
+                return Some(self.rows[idx]);
             }
         }
         None
+    }
+
+    /// Occupied entries as `(row, count)`, in slot order.
+    fn entries(&self) -> Vec<(PhysRow, u64)> {
+        (0..self.rows.len())
+            .filter(|&i| self.occupied(i))
+            .map(|i| (self.rows[i], self.counts[i]))
+            .collect()
     }
 }
 
@@ -236,7 +251,7 @@ impl CounterTrr {
     /// Ground-truth inspection of a bank's occupied entries as
     /// `(row, count)` pairs — test support only.
     pub fn table(&self, bank: Bank) -> Vec<(PhysRow, u64)> {
-        self.banks[bank.index() as usize].slots.iter().flatten().map(|e| (e.row, e.count)).collect()
+        self.banks[bank.index() as usize].entries()
     }
 }
 
@@ -566,6 +581,166 @@ mod tests {
             }
             assert_eq!(batched.table(B0), singles.table(B0), "fill={fill}");
         }
+    }
+
+    /// The pre-struct-of-arrays table (`Option<Entry>` slots, three
+    /// scans per insertion), kept as the reference model [`BankTable`]
+    /// must match operation for operation.
+    mod reference {
+        use dram_sim::PhysRow;
+
+        #[derive(Debug, Clone, Copy)]
+        struct Entry {
+            row: PhysRow,
+            count: u64,
+            last_used: u64,
+        }
+
+        #[derive(Debug, Clone)]
+        pub struct RefTable {
+            slots: Vec<Option<Entry>>,
+            pointer: usize,
+            seq: u64,
+        }
+
+        impl RefTable {
+            pub fn with_capacity(capacity: usize) -> Self {
+                RefTable { slots: vec![None; capacity], pointer: 0, seq: 0 }
+            }
+
+            pub fn add(&mut self, row: PhysRow, count: u64) -> Option<PhysRow> {
+                if count == 0 {
+                    return None;
+                }
+                self.seq += count;
+                let seq = self.seq;
+                if let Some(i) = self.slots.iter().position(|s| s.map(|e| e.row) == Some(row)) {
+                    let entry = self.slots[i].as_mut().expect("found");
+                    entry.count += count;
+                    entry.last_used = seq;
+                    return None;
+                }
+                let slot = match self.slots.iter().position(Option::is_none) {
+                    Some(i) => i,
+                    None => {
+                        self.slots
+                            .iter()
+                            .enumerate()
+                            .min_by_key(|(_, s)| s.map(|e| e.last_used))
+                            .expect("nonempty")
+                            .0
+                    }
+                };
+                let evicted = self.slots[slot].map(|e| e.row);
+                self.slots[slot] = Some(Entry { row, count, last_used: seq });
+                evicted
+            }
+
+            pub fn detect_max(&mut self) -> Option<PhysRow> {
+                let (idx, entry) = self
+                    .slots
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(i, s)| s.map(|e| (i, e)))
+                    .max_by_key(|(_, e)| e.count)?;
+                if entry.count == 0 {
+                    return None;
+                }
+                self.slots[idx].as_mut().expect("occupied").count = 0;
+                Some(entry.row)
+            }
+
+            pub fn detect_pointer(&mut self) -> Option<PhysRow> {
+                let size = self.slots.len();
+                for probe in 0..size {
+                    let idx = (self.pointer + probe) % size;
+                    if let Some(entry) = &mut self.slots[idx] {
+                        let row = entry.row;
+                        entry.count = 0;
+                        self.pointer = (idx + 1) % size;
+                        return Some(row);
+                    }
+                }
+                None
+            }
+
+            pub fn entries(&self) -> Vec<(PhysRow, u64)> {
+                self.slots.iter().flatten().map(|e| (e.row, e.count)).collect()
+            }
+        }
+    }
+
+    #[test]
+    fn soa_table_matches_the_option_entry_reference() {
+        use dram_sim::rng::SplitMix64;
+        let mut evictions = 0u64;
+        for size in 2..=17usize {
+            for seed in 0..40 {
+                let mut rng = SplitMix64::new(seed * 31 + size as u64);
+                let (mut soa, mut model) =
+                    (BankTable::with_capacity(size), reference::RefTable::with_capacity(size));
+                // Few distinct rows, so hits, misses and evictions all occur.
+                let rows = 2 + rng.next_below(2 * size as u64) as u32;
+                for step in 0..400 {
+                    let row = PhysRow::new(rng.next_below(rows as u64) as u32);
+                    let n = rng.next_below(4) * rng.next_below(60);
+                    let ctx = format!("size {size} seed {seed} step {step}");
+                    match rng.next_below(5) {
+                        0 | 1 => {
+                            let evicted = soa.add(row, n);
+                            evictions += evicted.is_some() as u64;
+                            assert_eq!(evicted, model.add(row, n), "add: {ctx}");
+                        }
+                        2 => {
+                            // `on_interleaved_pair`'s four insertions.
+                            let other = PhysRow::new(row.index() + 1);
+                            for (r, k) in [(row, 1), (other, 1), (row, n), (other, n)] {
+                                assert_eq!(soa.add(r, k), model.add(r, k), "pair: {ctx}");
+                            }
+                        }
+                        3 => assert_eq!(soa.detect_max(), model.detect_max(), "TREF_a: {ctx}"),
+                        _ => {
+                            assert_eq!(
+                                soa.detect_pointer(),
+                                model.detect_pointer(),
+                                "TREF_b: {ctx}"
+                            )
+                        }
+                    }
+                    assert_eq!(soa.entries(), model.entries(), "table: {ctx}");
+                }
+            }
+        }
+        assert!(evictions > 1_000, "the sequences must evict, got {evictions}");
+    }
+
+    #[test]
+    fn tref_a_detects_the_last_of_equal_maxima() {
+        // `max_by_key` semantics: among equal counts the later slot wins.
+        let mut e = CounterTrr::a_trr1(1);
+        for row in [10, 20, 30] {
+            e.on_activations(B0, PhysRow::new(row), 7, T0);
+        }
+        e.on_activations(B0, PhysRow::new(40), 3, T0);
+        let hits = drain_refs(&mut e, 9);
+        assert_eq!(hits.len(), 1);
+        assert_eq!(hits[0].1.aggressor, PhysRow::new(30));
+    }
+
+    #[test]
+    fn tref_b_walk_skips_empty_slots_and_wraps() {
+        // Three entries in a 16-slot table: the pointer walks slots 0, 1,
+        // 2, skips the 13 empty slots and wraps back to slot 0.
+        let mut e = CounterTrr::a_trr1(1);
+        for row in [10, 20, 30] {
+            e.on_activations(B0, PhysRow::new(row), 5, T0);
+        }
+        // Ten TRR-capable REFs alternate TREF_a / TREF_b. TREF_a takes
+        // the last max (30), then 20, then finds every counter reset;
+        // TREF_b walks 10, 20, 30, wraps to 10, then 20.
+        let walk: Vec<u32> =
+            drain_refs(&mut e, 9 * 10).into_iter().map(|(_, d)| d.aggressor.index()).collect();
+        assert_eq!(walk, vec![30, 10, 20, 20, 30, 10, 20]);
     }
 
     /// Runs the §7.1 vendor-A attack shape for `intervals` REF intervals

@@ -105,6 +105,33 @@ pub struct SamplerTrr {
     sample_ctr: Option<obs::Counter>,
     /// The attached registry, for flight-recorder sample events.
     registry: Option<std::sync::Arc<obs::MetricsRegistry>>,
+    /// Last miss probability of [`MitigationEngine::on_activations`] and
+    /// of [`MitigationEngine::on_interleaved_pair`]: attack intervals
+    /// repeat the same batch sizes.
+    act_miss: MissMemo,
+    pair_miss: MissMemo,
+}
+
+/// The last `(1 − p)^n` computed, with its exponent (`powi` costs far
+/// more than the compare).
+#[derive(Debug, Clone, Copy)]
+struct MissMemo {
+    n: i32,
+    value: f64,
+}
+
+impl MissMemo {
+    /// `q^0`; the hooks never ask for a zero exponent.
+    const INIT: MissMemo = MissMemo { n: 0, value: 1.0 };
+
+    /// `q^n` for batch size `n`, bit-identical to computing it afresh.
+    fn get(&mut self, q: f64, n: u64) -> f64 {
+        let n = n.min(i32::MAX as u64) as i32;
+        if n != self.n {
+            *self = MissMemo { n, value: q.powi(n) };
+        }
+        self.value
+    }
 }
 
 impl SamplerTrr {
@@ -121,6 +148,8 @@ impl SamplerTrr {
             det_ctr: None,
             sample_ctr: None,
             registry: None,
+            act_miss: MissMemo::INIT,
+            pair_miss: MissMemo::INIT,
         }
     }
 
@@ -190,7 +219,7 @@ impl MitigationEngine for SamplerTrr {
         // Closed form for a same-row batch: the register ends up holding
         // this row iff at least one of the `count` activations is
         // sampled.
-        let miss = (1.0 - self.config.sample_prob).powi(count.min(i32::MAX as u64) as i32);
+        let miss = self.act_miss.get(1.0 - self.config.sample_prob, count);
         if self.rng.next_f64() >= miss {
             let idx = self.register_index(bank);
             self.registers[idx] = Some((bank, row));
@@ -219,7 +248,7 @@ impl MitigationEngine for SamplerTrr {
         // positions are `second`: P(second | sampled) = p·Σ q^(2j) over
         // the geometric tail = 1 / (1 + q), independent of length.
         let q = 1.0 - self.config.sample_prob;
-        let any = 1.0 - q.powi((2 * pairs).min(i32::MAX as u64) as i32);
+        let any = 1.0 - self.pair_miss.get(q, 2 * pairs);
         if self.rng.next_f64() < any {
             let row = if self.rng.next_f64() < 1.0 / (1.0 + q) { second } else { first };
             let idx = self.register_index(bank);
@@ -443,6 +472,18 @@ mod tests {
         }
         let diff = (batched_second as f64 - looped_second as f64).abs() / trials as f64;
         assert!(diff < 0.05, "distributions must agree, diff {diff}");
+    }
+
+    #[test]
+    fn memoised_miss_probability_is_bit_identical() {
+        for q in [1.0f64 - 1.0 / 100.0, 1.0 - 1.0 / 25.0] {
+            // One engine, one `q`: the memo is keyed on the exponent.
+            let mut memo = MissMemo::INIT;
+            for n in [24, 24, 12, 624, 624, 24, 1, 2_000, 2_000, u64::MAX] {
+                let fresh = q.powi(n.min(i32::MAX as u64) as i32);
+                assert_eq!(memo.get(q, n).to_bits(), fresh.to_bits(), "q {q} n {n}");
+            }
+        }
     }
 
     #[test]
