@@ -18,8 +18,10 @@ use std::fmt::Debug;
 use attacks::baseline::{DoubleSided, ManySided, SingleSided};
 use attacks::custom::{VendorAPattern, VendorBPattern, VendorCPattern};
 use attacks::eval::{sweep_bank_module, EvalConfig};
+use attacks::fuzz::{FuzzParams, FuzzPattern};
 use attacks::half_double::HalfDouble;
 use attacks::{AccessPattern, AttackBuilder, BuiltinAttack};
+use dram_sim::rng::SplitMix64;
 use dram_sim::{Bank, Module, ModuleConfig};
 use obs::MetricsRegistry;
 use trr::{CounterTrr, SamplerTrr, WindowTrr};
@@ -184,4 +186,11 @@ fn half_double_matches_golden() {
     assert_grid(span(1, 75).into_iter().flat_map(|far_pairs| {
         span(0, 10).into_iter().map(move |near_pairs| HalfDouble { far_pairs, near_pairs })
     }));
+}
+
+#[test]
+fn fuzz_matches_golden() {
+    assert_grid(
+        (0..16).map(|k| FuzzPattern { params: FuzzParams::sample(&mut SplitMix64::new(k)) }),
+    );
 }
