@@ -7,16 +7,15 @@
 //! that against the planted TRR engines, and to flip bits on
 //! TRR-less modules.
 //!
-//! Each baseline is a [`PatternGenerator`] with a canonical scheduler
-//! (via [`BuiltinAttack`]), so it runs standalone as an
-//! [`crate::AccessPattern`] and slots into
-//! [`crate::AttackBuilder::from_attack`] unchanged.
+//! Each baseline is an [`AccessPattern`] over one of the shared
+//! [`schedulers`]: single-sided cascades, double-sided interleaves,
+//! many-sided runs round robin.
 
+use dram_sim::HammerOp;
 use softmc::MemoryController;
 
-use crate::components::{AggressorLayout, BuiltinAttack, PatternGenerator, RowDose};
-use crate::pattern::PatternTarget;
-use crate::schedulers::{CascadeScheduler, InterleaveScheduler, RoundRobinScheduler};
+use crate::pattern::{AccessPattern, AggressorLayout, PatternTarget, RowDose};
+use crate::schedulers;
 
 /// Repeatedly activate one aggressor row (Fig. 2a).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,12 +31,12 @@ impl SingleSided {
     }
 }
 
-impl PatternGenerator for SingleSided {
-    fn id(&self) -> &str {
+impl AccessPattern for SingleSided {
+    fn name(&self) -> &str {
         "single-sided"
     }
 
-    fn rate_per_ref(&self) -> f64 {
+    fn hammers_per_aggressor_per_ref(&self) -> f64 {
         self.hammers as f64
     }
 
@@ -52,13 +51,9 @@ impl PatternGenerator for SingleSided {
             ..AggressorLayout::default()
         }
     }
-}
 
-impl BuiltinAttack for SingleSided {
-    type Sched = CascadeScheduler;
-
-    fn scheduler(&self) -> CascadeScheduler {
-        CascadeScheduler
+    fn schedule(&self, layout: &AggressorLayout, _interval: u64, slots: &mut Vec<HammerOp>) {
+        schedulers::cascade(layout, slots);
     }
 }
 
@@ -76,12 +71,12 @@ impl DoubleSided {
     }
 }
 
-impl PatternGenerator for DoubleSided {
-    fn id(&self) -> &str {
+impl AccessPattern for DoubleSided {
+    fn name(&self) -> &str {
         "double-sided"
     }
 
-    fn rate_per_ref(&self) -> f64 {
+    fn hammers_per_aggressor_per_ref(&self) -> f64 {
         self.hammers_per_aggressor as f64
     }
 
@@ -95,13 +90,9 @@ impl PatternGenerator for DoubleSided {
             ..AggressorLayout::default()
         }
     }
-}
 
-impl BuiltinAttack for DoubleSided {
-    type Sched = InterleaveScheduler;
-
-    fn scheduler(&self) -> InterleaveScheduler {
-        InterleaveScheduler
+    fn schedule(&self, layout: &AggressorLayout, _interval: u64, slots: &mut Vec<HammerOp>) {
+        schedulers::interleave(layout, slots);
     }
 }
 
@@ -125,18 +116,18 @@ impl ManySided {
     }
 }
 
-impl PatternGenerator for ManySided {
-    fn id(&self) -> &str {
+impl AccessPattern for ManySided {
+    fn name(&self) -> &str {
         "many-sided"
     }
 
-    fn rate_per_ref(&self) -> f64 {
+    fn hammers_per_aggressor_per_ref(&self) -> f64 {
         self.hammers_per_aggressor as f64
     }
 
     fn layout(&self, _mc: &MemoryController, target: &PatternTarget) -> AggressorLayout {
         // Victim-adjacent aggressors first, decoys (from the dummy pool)
-        // after; the round-robin scheduler interleaves them one
+        // after; the round-robin schedule interleaves them one
         // activation at a time.
         let aggressors: Vec<RowDose> = target
             .aggressors
@@ -152,13 +143,9 @@ impl PatternGenerator for ManySided {
             .collect();
         AggressorLayout { aggressors, dummies: decoys, other_bank: Vec::new() }
     }
-}
 
-impl BuiltinAttack for ManySided {
-    type Sched = RoundRobinScheduler;
-
-    fn scheduler(&self) -> RoundRobinScheduler {
-        RoundRobinScheduler
+    fn schedule(&self, layout: &AggressorLayout, _interval: u64, slots: &mut Vec<HammerOp>) {
+        schedulers::round_robin(layout, slots);
     }
 }
 
@@ -166,7 +153,6 @@ impl BuiltinAttack for ManySided {
 mod tests {
     use super::*;
     use crate::eval::{sweep_bank_module, EvalConfig};
-    use crate::pattern::AccessPattern;
     use dram_sim::{Bank, Module, ModuleConfig, PhysRow};
     use trr::CounterTrr;
 
@@ -225,6 +211,7 @@ mod tests {
     #[test]
     fn pattern_names_and_rates() {
         assert_eq!(SingleSided::max_rate().name(), "single-sided");
+        assert_eq!(DoubleSided::max_rate().name(), "double-sided");
         assert_eq!(DoubleSided::max_rate().hammers_per_aggressor_per_ref(), 74.0);
         assert_eq!(ManySided::nine_sided().sides, 9);
     }

@@ -1,20 +1,17 @@
 //! The §7.1 custom RowHammer access patterns, crafted from the U-TRR
 //! findings to keep TRR from refreshing the aggressors' victims.
 //!
-//! Each vendor pattern is a [`PatternGenerator`] paired with its
-//! REF-synchronised scheduler; the [`pattern_for`] /
-//! [`pattern_with_hammers`] factories assemble them through
-//! [`AttackBuilder`], which is also how downstream code (the Fig. 8
-//! sweep, the fuzzer's seeds) composes variants.
+//! Each vendor pattern is an [`AccessPattern`] over its shared schedule
+//! (vendor A cascades, B and C are REF-synchronised); the
+//! [`pattern_for`] / [`pattern_with_hammers`] factories pick one per
+//! module for Table 1 and the Fig. 8 sweep.
 
+use dram_sim::HammerOp;
 use softmc::MemoryController;
 use utrr_modules::{ModuleSpec, Vendor};
 
-use crate::components::{
-    AggressorLayout, AttackBuilder, BuiltinAttack, PatternGenerator, RowDose, INTERVAL_BUDGET,
-};
-use crate::pattern::{AccessPattern, PatternTarget};
-use crate::schedulers::{CascadeScheduler, RefSyncScheduler, WindowSyncScheduler};
+use crate::pattern::{AccessPattern, AggressorLayout, PatternTarget, RowDose, INTERVAL_BUDGET};
+use crate::schedulers;
 
 /// Vendor A: hammer the two aggressors right after a `REF`, then insert
 /// 16 dummy rows to push the aggressors out of the per-bank 16-entry
@@ -56,12 +53,12 @@ impl VendorAPattern {
     }
 }
 
-impl PatternGenerator for VendorAPattern {
-    fn id(&self) -> &str {
+impl AccessPattern for VendorAPattern {
+    fn name(&self) -> &str {
         "custom-vendor-A"
     }
 
-    fn rate_per_ref(&self) -> f64 {
+    fn hammers_per_aggressor_per_ref(&self) -> f64 {
         self.aggressor_hammers as f64
     }
 
@@ -69,7 +66,7 @@ impl PatternGenerator for VendorAPattern {
         // Cascaded aggressor hammering: interleaving two non-resident
         // rows would let each insertion evict the other from the LRU
         // table (§5.2: "cascaded hammering is more effective at evading
-        // the TRR mechanism") — hence the cascade scheduler.
+        // the TRR mechanism") — hence the cascade schedule.
         AggressorLayout {
             aggressors: target
                 .aggressors
@@ -85,13 +82,9 @@ impl PatternGenerator for VendorAPattern {
             other_bank: Vec::new(),
         }
     }
-}
 
-impl BuiltinAttack for VendorAPattern {
-    type Sched = CascadeScheduler;
-
-    fn scheduler(&self) -> CascadeScheduler {
-        CascadeScheduler
+    fn schedule(&self, layout: &AggressorLayout, _interval: u64, slots: &mut Vec<HammerOp>) {
+        schedulers::cascade(layout, slots);
     }
 }
 
@@ -141,12 +134,12 @@ impl VendorBPattern {
     }
 }
 
-impl PatternGenerator for VendorBPattern {
-    fn id(&self) -> &str {
+impl AccessPattern for VendorBPattern {
+    fn name(&self) -> &str {
         "custom-vendor-B"
     }
 
-    fn rate_per_ref(&self) -> f64 {
+    fn hammers_per_aggressor_per_ref(&self) -> f64 {
         self.hammers_per_interval as f64 * (self.ratio - 1).max(1) as f64 / self.ratio as f64
     }
 
@@ -181,13 +174,9 @@ impl PatternGenerator for VendorBPattern {
             other_bank,
         }
     }
-}
 
-impl BuiltinAttack for VendorBPattern {
-    type Sched = RefSyncScheduler;
-
-    fn scheduler(&self) -> RefSyncScheduler {
-        RefSyncScheduler { ratio: self.ratio }
+    fn schedule(&self, layout: &AggressorLayout, interval: u64, slots: &mut Vec<HammerOp>) {
+        schedulers::ref_sync(self.ratio, layout, interval, slots);
     }
 }
 
@@ -231,12 +220,12 @@ impl VendorCPattern {
     }
 }
 
-impl PatternGenerator for VendorCPattern {
-    fn id(&self) -> &str {
+impl AccessPattern for VendorCPattern {
+    fn name(&self) -> &str {
         "custom-vendor-C"
     }
 
-    fn rate_per_ref(&self) -> f64 {
+    fn hammers_per_aggressor_per_ref(&self) -> f64 {
         let dummy_intervals = (self.dummy_acts as f64 / INTERVAL_BUDGET as f64).ceil();
         self.hammers_per_interval as f64 * (self.ratio as f64 - dummy_intervals).max(0.0)
             / self.ratio as f64
@@ -249,7 +238,7 @@ impl PatternGenerator for VendorCPattern {
                 .iter()
                 .map(|&a| RowDose::new(a, self.hammers_per_interval))
                 .collect(),
-            // The window-opening dummy burst; the scheduler portions the
+            // The window-opening dummy burst; the schedule portions the
             // total `dummy_acts` dose across the window's intervals.
             dummies: target
                 .dummies
@@ -260,42 +249,27 @@ impl PatternGenerator for VendorCPattern {
             other_bank: Vec::new(),
         }
     }
-}
 
-impl BuiltinAttack for VendorCPattern {
-    type Sched = WindowSyncScheduler;
-
-    fn scheduler(&self) -> WindowSyncScheduler {
-        WindowSyncScheduler { ratio: self.ratio, dummy_acts: self.dummy_acts }
+    fn schedule(&self, layout: &AggressorLayout, interval: u64, slots: &mut Vec<HammerOp>) {
+        schedulers::window_sync(self.ratio, self.dummy_acts, layout, interval, slots);
     }
 }
 
 /// Builds the paper's custom pattern for a Table-1 module.
 pub fn pattern_for(spec: &ModuleSpec) -> Box<dyn AccessPattern> {
     match spec.vendor {
-        Vendor::A => Box::new(AttackBuilder::from_attack(VendorAPattern::paper_optimum()).build()),
-        Vendor::B => Box::new(AttackBuilder::from_attack(VendorBPattern::for_module(spec)).build()),
-        Vendor::C => Box::new(AttackBuilder::from_attack(VendorCPattern::for_module(spec)).build()),
+        Vendor::A => Box::new(VendorAPattern::paper_optimum()),
+        Vendor::B => Box::new(VendorBPattern::for_module(spec)),
+        Vendor::C => Box::new(VendorCPattern::for_module(spec)),
     }
 }
 
 /// Builds a pattern with a swept per-aggressor hammer rate (Fig. 8).
 pub fn pattern_with_hammers(spec: &ModuleSpec, hammers_per_ref: f64) -> Box<dyn AccessPattern> {
     match spec.vendor {
-        Vendor::A => Box::new(
-            AttackBuilder::from_attack(VendorAPattern::with_aggressor_hammers(
-                hammers_per_ref as u64,
-            ))
-            .build(),
-        ),
-        Vendor::B => Box::new(
-            AttackBuilder::from_attack(VendorBPattern::with_hammers_per_ref(spec, hammers_per_ref))
-                .build(),
-        ),
-        Vendor::C => Box::new(
-            AttackBuilder::from_attack(VendorCPattern::with_hammers_per_ref(spec, hammers_per_ref))
-                .build(),
-        ),
+        Vendor::A => Box::new(VendorAPattern::with_aggressor_hammers(hammers_per_ref as u64)),
+        Vendor::B => Box::new(VendorBPattern::with_hammers_per_ref(spec, hammers_per_ref)),
+        Vendor::C => Box::new(VendorCPattern::with_hammers_per_ref(spec, hammers_per_ref)),
     }
 }
 
@@ -350,19 +324,6 @@ mod tests {
         assert_eq!(pattern_for(&by_id("A3").unwrap()).name(), "custom-vendor-A");
         assert_eq!(pattern_for(&by_id("B9").unwrap()).name(), "custom-vendor-B");
         assert_eq!(pattern_for(&by_id("C13").unwrap()).name(), "custom-vendor-C");
-    }
-
-    #[test]
-    fn factories_assemble_the_canonical_schedulers() {
-        let spec_a = by_id("A3").unwrap();
-        let a = AttackBuilder::from_attack(VendorAPattern::paper_optimum()).build();
-        assert_eq!(a.scheduler_id(), "cascade");
-        let b =
-            AttackBuilder::from_attack(VendorBPattern::for_module(&by_id("B9").unwrap())).build();
-        assert_eq!(b.scheduler_id(), "ref-sync");
-        let c =
-            AttackBuilder::from_attack(VendorCPattern::for_module(&by_id("C13").unwrap())).build();
-        assert_eq!(c.scheduler_id(), "window-sync");
-        assert_eq!(pattern_for(&spec_a).hammers_per_aggressor_per_ref(), 24.0);
+        assert_eq!(pattern_for(&by_id("A3").unwrap()).hammers_per_aggressor_per_ref(), 24.0);
     }
 }

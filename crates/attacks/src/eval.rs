@@ -210,9 +210,36 @@ pub fn evaluate_position(
         mc.tick_environment();
     }
 
-    // The attack's verdict stage reads the victim back and scores it
-    // (flip counting against the weak-cell ground truth by default).
-    pattern.verdict().judge(mc, &target, victim_phys)
+    read_back(mc, &target, victim_phys)
+}
+
+/// Reads the victim back and scores it: bit flips against the module's
+/// weak-cell ground truth plus the per-8-byte-dataword flip histogram
+/// (§7.2–§7.4 metrics). Emits the `read_check` trace event so flight
+/// recordings keep their provenance chain.
+fn read_back(
+    mc: &mut MemoryController,
+    target: &PatternTarget,
+    victim_phys: PhysRow,
+) -> PositionResult {
+    let readout = mc.read_row(target.bank, target.victim).expect("victim address is in range");
+    mc.registry().trace(
+        obs::TraceKind::ReadCheck,
+        mc.now().as_ns(),
+        u32::from(target.bank.index()),
+        Some(victim_phys.index()),
+        &[("flips", readout.flip_count() as u64)],
+        if readout.is_clean() { "clean" } else { "flipped" },
+    );
+    let mut hist: std::collections::BTreeMap<u32, u32> = std::collections::BTreeMap::new();
+    for (_, k) in readout.flips_per_dataword() {
+        *hist.entry(k).or_default() += 1;
+    }
+    PositionResult {
+        victim: victim_phys,
+        flips: readout.flip_count() as u32,
+        dataword_hist: hist.into_iter().collect(),
+    }
 }
 
 /// Runs a sweep over a module built from its Table-1 spec.

@@ -4,13 +4,13 @@
 //! no human wrote down, and Blacksmith refined the search axes to the
 //! frequency domain: how often a row is hammered, at what phase
 //! relative to the `REF` cadence, and with what intensity
-//! distribution. This module samples exactly those axes over the
-//! component pipeline ([`crate::components`]) — a [`FuzzParams`] point
-//! describes a [`FuzzPattern`] generator plus a [`FuzzScheduler`] —
-//! scores each candidate by bit flips induced against ground-truth TRR
-//! engines, and refines promising candidates with per-engine elitist
-//! mutation rounds, re-deriving §7.1-class bypass patterns from search
-//! rather than from the paper.
+//! distribution. This module samples exactly those axes — a
+//! [`FuzzParams`] point is one [`FuzzPattern`], whose layout and phased
+//! schedule are the same [`crate::AccessPattern`] shape as the §7.1
+//! customs — scores each candidate by bit flips induced against
+//! ground-truth TRR engines, and refines promising candidates with
+//! per-engine elitist mutation rounds, re-deriving §7.1-class bypass
+//! patterns from search rather than from the paper.
 //!
 //! Determinism contract: candidate generation and mutation draw from
 //! SplitMix64 streams keyed by `(seed, round, slot)` via
@@ -23,12 +23,8 @@ use obs::jsonl::JsonValue;
 use softmc::MemoryController;
 use utrr_modules::{by_version, ModuleSpec};
 
-use crate::components::{
-    AggressorLayout, AttackBuilder, BuiltinAttack, PatternGenerator, RowDose, Scheduler,
-    INTERVAL_BUDGET,
-};
 use crate::eval::{sweep_bank, EvalConfig};
-use crate::pattern::PatternTarget;
+use crate::pattern::{AccessPattern, AggressorLayout, PatternTarget, RowDose, INTERVAL_BUDGET};
 
 /// Schema identifier of the fuzz run artifact.
 pub const FUZZ_SCHEMA: &str = "utrr-fuzz/1";
@@ -211,21 +207,24 @@ impl FuzzParams {
     }
 }
 
-/// The generator half of a fuzz candidate: aggressors at the sampled
-/// amplitude, the full 16-row dummy pool at the tail dose, and up to
-/// four other-bank dummies for diversions.
+/// One fuzz candidate: aggressors at the sampled amplitude, the full
+/// 16-row dummy pool at the tail dose, and up to four other-bank dummies
+/// for diversions, scheduled with REF-synchronised phasing, diversion
+/// tails, window-opening dummy spills, interleaved or cascaded
+/// aggressors, and tail dummy eviction — all capped at the per-interval
+/// activation budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FuzzPattern {
     /// The sampled parameter point.
     pub params: FuzzParams,
 }
 
-impl PatternGenerator for FuzzPattern {
-    fn id(&self) -> &str {
+impl AccessPattern for FuzzPattern {
+    fn name(&self) -> &str {
         "fuzz"
     }
 
-    fn rate_per_ref(&self) -> f64 {
+    fn hammers_per_aggressor_per_ref(&self) -> f64 {
         let p = &self.params;
         let hammering = p.period.saturating_sub(p.divert_intervals) as f64;
         p.aggressor_acts as f64 * hammering / p.period.max(1) as f64
@@ -250,30 +249,6 @@ impl PatternGenerator for FuzzPattern {
                 .map(|&(bank, d)| (bank, RowDose::new(d, OTHER_BANK_DIVERT_ACTS)))
                 .collect(),
         }
-    }
-}
-
-impl BuiltinAttack for FuzzPattern {
-    type Sched = FuzzScheduler;
-
-    fn scheduler(&self) -> FuzzScheduler {
-        FuzzScheduler { params: self.params }
-    }
-}
-
-/// The scheduler half of a fuzz candidate: REF-synchronised phasing
-/// with diversion tails, window-opening dummy spills, interleaved or
-/// cascaded aggressors, and tail dummy eviction — all capped at the
-/// per-interval activation budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FuzzScheduler {
-    /// The sampled parameter point.
-    pub params: FuzzParams,
-}
-
-impl Scheduler for FuzzScheduler {
-    fn id(&self) -> &str {
-        "fuzz-phased"
     }
 
     fn schedule(&self, layout: &AggressorLayout, interval: u64, slots: &mut Vec<HammerOp>) {
@@ -500,8 +475,7 @@ pub fn run_fuzz(config: &FuzzConfig, pool: &par::ParConfig) -> Result<FuzzOutcom
                 let scores = specs
                     .iter()
                     .map(|spec| {
-                        let attack = AttackBuilder::from_attack(FuzzPattern { params }).build();
-                        let sweep = sweep_bank(spec, &attack, &config.eval);
+                        let sweep = sweep_bank(spec, &FuzzPattern { params }, &config.eval);
                         EngineScore {
                             flips: sweep.results.iter().map(|r| u64::from(r.flips)).sum(),
                             vulnerable: sweep.results.iter().filter(|r| r.flips > 0).count() as u32,
@@ -759,7 +733,7 @@ mod tests {
     fn scheduler_respects_the_interval_budget() {
         for seed in 0..128 {
             let params = params_fixture(seed);
-            let scheduler = FuzzScheduler { params };
+            let pattern = FuzzPattern { params };
             let layout = AggressorLayout {
                 aggressors: vec![
                     RowDose::new(dram_sim::RowAddr::new(10), params.aggressor_acts),
@@ -777,7 +751,7 @@ mod tests {
             };
             for interval in 0..(2 * MAX_PERIOD) {
                 let mut slots = Vec::new();
-                scheduler.schedule(&layout, interval, &mut slots);
+                pattern.schedule(&layout, interval, &mut slots);
                 let same_bank: u64 = slots
                     .iter()
                     .map(|s| match *s {

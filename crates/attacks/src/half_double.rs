@@ -16,11 +16,11 @@
 //! samplers fall to it with **no dummy-row diversion at all**. The test
 //! suite pins exactly that contrast.
 
+use dram_sim::HammerOp;
 use softmc::MemoryController;
 
-use crate::components::{AggressorLayout, BuiltinAttack, PatternGenerator, RowDose};
-use crate::pattern::PatternTarget;
-use crate::schedulers::InterleaveScheduler;
+use crate::pattern::{AccessPattern, AggressorLayout, PatternTarget, RowDose};
+use crate::schedulers;
 
 /// The Half-Double pattern: heavy far (distance-2) hammering with a
 /// light near (distance-1) assist.
@@ -46,16 +46,16 @@ impl HalfDouble {
     }
 }
 
-impl PatternGenerator for HalfDouble {
-    fn id(&self) -> &str {
+impl AccessPattern for HalfDouble {
+    fn name(&self) -> &str {
         "half-double"
     }
 
-    fn rate_per_ref(&self) -> f64 {
+    fn hammers_per_aggressor_per_ref(&self) -> f64 {
         self.far_pairs as f64
     }
 
-    fn seed_rows(&self, target: &PatternTarget) -> Vec<dram_sim::RowAddr> {
+    fn init_rows(&self, target: &PatternTarget) -> Vec<dram_sim::RowAddr> {
         // The far rows are the real aggressors; touching the near rows
         // even once would plant them in persistent trackers whose
         // pointer walk then refreshes the victim as their neighbour.
@@ -71,7 +71,7 @@ impl PatternGenerator for HalfDouble {
     fn layout(&self, mc: &MemoryController, target: &PatternTarget) -> AggressorLayout {
         // Far rows: the victim's ±2 neighbours, derived from the near
         // aggressors the target builder found (±1 of the victim). Both
-        // pairs go to the interleave scheduler: the far pair first, the
+        // pairs go to the interleave schedule: the far pair first, the
         // near assist pair after. A victim too close to the bank edge
         // for a far pair yields an empty layout (no hammering at all).
         let module = mc.module();
@@ -93,13 +93,9 @@ impl PatternGenerator for HalfDouble {
         }
         AggressorLayout { aggressors, ..AggressorLayout::default() }
     }
-}
 
-impl BuiltinAttack for HalfDouble {
-    type Sched = InterleaveScheduler;
-
-    fn scheduler(&self) -> InterleaveScheduler {
-        InterleaveScheduler
+    fn schedule(&self, layout: &AggressorLayout, _interval: u64, slots: &mut Vec<HammerOp>) {
+        schedulers::interleave(layout, slots);
     }
 }
 
@@ -107,7 +103,6 @@ impl BuiltinAttack for HalfDouble {
 mod tests {
     use super::*;
     use crate::eval::{sweep_bank_module, EvalConfig};
-    use crate::pattern::AccessPattern;
     use dram_sim::Module;
     use trr::{CounterTrr, SamplerTrr};
     use utrr_modules::by_id;

@@ -14,13 +14,14 @@
 //!   for a number of refresh windows and reports the §7.2–§7.4 metrics
 //!   (bit flips per row, % vulnerable rows, flips per 8-byte dataword).
 //!
-//! Every attack decomposes into composable components ([`components`]):
-//! a [`PatternGenerator`] (which rows, what dose), a [`Scheduler`]
-//! (when, relative to the REF cadence — [`schedulers`]), and a
-//! [`verdict::Verdict`] stage (what counts as success), assembled by
-//! [`AttackBuilder`]. The [`fuzz`] module searches that component space
-//! with a seeded frequency-domain fuzzer and re-derives §7.1-class
-//! bypasses against the ground-truth TRR engines.
+//! Every attack implements one trait, [`AccessPattern`]: its
+//! [`layout`](AccessPattern::layout) says which rows carry the attack and
+//! at what per-interval dose (resolved once per victim position), and
+//! its [`schedule`](AccessPattern::schedule) says when those activations
+//! are issued relative to the TRR-capable-`REF` cadence, usually through
+//! one of the shared [`schedulers`]. The [`fuzz`] module searches the
+//! same shape with a seeded frequency-domain fuzzer and re-derives
+//! §7.1-class bypasses against the ground-truth TRR engines.
 //!
 //! # Example
 //!
@@ -35,19 +36,12 @@
 //! ```
 
 pub mod baseline;
-pub mod components;
 pub mod custom;
 pub mod eval;
 pub mod fuzz;
 pub mod half_double;
 pub mod pattern;
 pub mod schedulers;
-pub mod verdict;
 
-pub use components::{
-    AggressorLayout, AttackBuilder, BuiltinAttack, ComposedAttack, PatternGenerator, RowDose,
-    Scheduler, INTERVAL_BUDGET,
-};
 pub use eval::{BankSweep, EvalConfig, PositionResult};
-pub use pattern::{AccessPattern, PatternTarget};
-pub use verdict::{FlipCountVerdict, Verdict};
+pub use pattern::{AccessPattern, AggressorLayout, PatternTarget, RowDose, INTERVAL_BUDGET};

@@ -12,7 +12,40 @@
 use dram_sim::{Bank, HammerOp, PhysRow, RowAddr, Topology};
 use softmc::MemoryController;
 
-use crate::components::AggressorLayout;
+/// Single-bank activation budget between two `REF`s (footnote 10).
+pub const INTERVAL_BUDGET: u64 = 149;
+
+/// One row of the attack layout together with its per-interval
+/// activation dose.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RowDose {
+    /// Logical row address.
+    pub row: RowAddr,
+    /// Activations this row receives per scheduled interval.
+    pub acts: u64,
+}
+
+impl RowDose {
+    /// Convenience constructor.
+    pub fn new(row: RowAddr, acts: u64) -> Self {
+        RowDose { row, acts }
+    }
+}
+
+/// A pattern's answer for one victim position: which rows to drive and
+/// how hard. [`AccessPattern::schedule`] turns it into per-interval
+/// [`HammerOp`]s.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct AggressorLayout {
+    /// True aggressors, in hammering order.
+    pub aggressors: Vec<RowDose>,
+    /// Same-bank dummy rows (tracker eviction, sampler stealing, window
+    /// exhaustion), in hammering order.
+    pub dummies: Vec<RowDose>,
+    /// Dummy rows in other banks, for sampler-stealing diversions that
+    /// overlap the target bank's timing.
+    pub other_bank: Vec<(Bank, RowDose)>,
+}
 
 /// Everything a pattern needs to know about one victim position.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,7 +102,12 @@ impl PatternTarget {
     }
 }
 
-/// One RowHammer access pattern.
+/// One RowHammer access pattern: which rows it hammers, how many times,
+/// and when relative to the TRR-capable `REF`.
+///
+/// Every attack — the baselines, the §7.1 customs, Half-Double and the
+/// fuzzer's candidates — implements this trait directly; the shared
+/// timing shapes live in [`crate::schedulers`].
 ///
 /// Implementations must stay within one bank's activation budget per
 /// interval (~149 activations for standard DDR4 timings) on the target
@@ -105,19 +143,27 @@ pub trait AccessPattern {
     /// can synchronize with the TRR-capable-`REF` cadence the way the
     /// paper's attacker does via SMASH-style timing channels.
     fn schedule(&self, layout: &AggressorLayout, interval: u64, slots: &mut Vec<HammerOp>);
-
-    /// The verdict stage scoring each victim position once the
-    /// hammering windows complete — flip counting by default; builder
-    /// assemblies ([`crate::AttackBuilder::verdict`]) can override it.
-    fn verdict(&self) -> &dyn crate::verdict::Verdict {
-        &crate::verdict::FlipCountVerdict
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dram_sim::{Module, ModuleConfig};
+
+    #[test]
+    fn zero_dose_ops_are_device_noops() {
+        let mut mc = MemoryController::new(Module::new(ModuleConfig::small_test(), 3));
+        let (now, refs) = (mc.now(), mc.module().ref_count());
+        let acts_before = mc.registry().counter(dram_sim::metrics::CTR_ACT).get();
+        let ops = [
+            HammerOp::Burst { row: RowAddr::new(10), acts: 0 },
+            HammerOp::Pair { first: RowAddr::new(10), second: RowAddr::new(12), pairs: 0 },
+            HammerOp::OtherBank { bank: Bank::new(1), row: RowAddr::new(10), acts: 0 },
+        ];
+        mc.module_mut().hammer_batch(Bank::new(0), &ops).unwrap();
+        assert_eq!((mc.now(), mc.module().ref_count()), (now, refs));
+        assert_eq!(mc.registry().counter(dram_sim::metrics::CTR_ACT).get(), acts_before);
+    }
 
     #[test]
     fn target_builder_linear() {

@@ -1,15 +1,17 @@
-//! The scheduler library: how the §7 attacks order their activations
-//! within and across `tREFI` intervals.
+//! The shared schedules: how the §7 attacks order their activations
+//! within and across `tREFI` intervals. Each pattern's
+//! [`AccessPattern::schedule`](crate::AccessPattern::schedule) calls one
+//! of these (the fuzzer's phased schedule is its own).
 //!
-//! Free-running schedulers ([`CascadeScheduler`], [`InterleaveScheduler`],
-//! [`RoundRobinScheduler`]) issue the same slots every interval;
-//! REF-synchronised ones ([`RefSyncScheduler`], [`WindowSyncScheduler`])
-//! phase their work against the TRR-capable-`REF` cadence the way the
-//! paper's attacker does via SMASH-style timing channels (§7.1).
+//! Free-running schedules ([`cascade`], [`interleave`], [`round_robin`])
+//! issue the same ops every interval; REF-synchronised ones
+//! ([`ref_sync`], [`window_sync`]) phase their work against the
+//! TRR-capable-`REF` cadence the way the paper's attacker does via
+//! SMASH-style timing channels (§7.1).
 
 use dram_sim::HammerOp;
 
-use crate::components::{AggressorLayout, RowDose, Scheduler, INTERVAL_BUDGET};
+use crate::pattern::{AggressorLayout, RowDose, INTERVAL_BUDGET};
 
 /// Emits the standard aggressor interleave: consecutive aggressors are
 /// paired into alternating [`HammerOp::Pair`]s (the dose of the pair's
@@ -27,159 +29,108 @@ fn interleave_aggressors(aggressors: &[RowDose], slots: &mut Vec<HammerOp>) {
     }
 }
 
+/// Each same-bank dummy as a burst, then each other-bank dummy.
+fn push_dummies(layout: &AggressorLayout, slots: &mut Vec<HammerOp>) {
+    for d in &layout.dummies {
+        slots.push(HammerOp::Burst { row: d.row, acts: d.acts });
+    }
+    for &(bank, d) in &layout.other_bank {
+        slots.push(HammerOp::OtherBank { bank, row: d.row, acts: d.acts });
+    }
+}
+
 /// Cascaded hammering, every interval alike: each aggressor back-to-back
 /// in layout order, then each same-bank dummy, then the other-bank
 /// dummies. The vendor-A eviction pattern depends on exactly this order
 /// (§5.2: "cascaded hammering is more effective at evading the TRR
 /// mechanism" — interleaving two non-resident rows would let each
 /// insertion evict the other from the counter table).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CascadeScheduler;
-
-impl Scheduler for CascadeScheduler {
-    fn id(&self) -> &str {
-        "cascade"
+pub fn cascade(layout: &AggressorLayout, slots: &mut Vec<HammerOp>) {
+    for a in &layout.aggressors {
+        slots.push(HammerOp::Burst { row: a.row, acts: a.acts });
     }
-
-    fn schedule(&self, layout: &AggressorLayout, _interval: u64, slots: &mut Vec<HammerOp>) {
-        for a in &layout.aggressors {
-            slots.push(HammerOp::Burst { row: a.row, acts: a.acts });
-        }
-        for d in &layout.dummies {
-            slots.push(HammerOp::Burst { row: d.row, acts: d.acts });
-        }
-        for &(bank, d) in &layout.other_bank {
-            slots.push(HammerOp::OtherBank { bank, row: d.row, acts: d.acts });
-        }
-    }
+    push_dummies(layout, slots);
 }
 
 /// Pair-interleaved hammering, every interval alike: the aggressors go
 /// through [`interleave_aggressors`]; dummies and other-bank rows follow
 /// as bursts. The double-sided and Half-Double shape.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct InterleaveScheduler;
-
-impl Scheduler for InterleaveScheduler {
-    fn id(&self) -> &str {
-        "interleave"
-    }
-
-    fn schedule(&self, layout: &AggressorLayout, _interval: u64, slots: &mut Vec<HammerOp>) {
-        interleave_aggressors(&layout.aggressors, slots);
-        for d in &layout.dummies {
-            slots.push(HammerOp::Burst { row: d.row, acts: d.acts });
-        }
-        for &(bank, d) in &layout.other_bank {
-            slots.push(HammerOp::OtherBank { bank, row: d.row, acts: d.acts });
-        }
-    }
+pub fn interleave(layout: &AggressorLayout, slots: &mut Vec<HammerOp>) {
+    interleave_aggressors(&layout.aggressors, slots);
+    push_dummies(layout, slots);
 }
 
 /// TRRespass-style round robin: one activation per row per turn, rows in
 /// layout order (aggressors then dummies), until every row has received
 /// its dose — "the many sides aim to overflow the TRR tracker" (§2.4).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RoundRobinScheduler;
-
-impl Scheduler for RoundRobinScheduler {
-    fn id(&self) -> &str {
-        "round-robin"
-    }
-
-    fn schedule(&self, layout: &AggressorLayout, _interval: u64, slots: &mut Vec<HammerOp>) {
-        let rows = layout.aggressors.iter().chain(&layout.dummies);
-        let turns = rows.clone().map(|r| r.acts).max().unwrap_or(0);
-        for turn in 0..turns {
-            for r in rows.clone() {
-                if r.acts > turn {
-                    slots.push(HammerOp::Burst { row: r.row, acts: 1 });
-                }
+pub fn round_robin(layout: &AggressorLayout, slots: &mut Vec<HammerOp>) {
+    let rows = layout.aggressors.iter().chain(&layout.dummies);
+    let turns = rows.clone().map(|r| r.acts).max().unwrap_or(0);
+    for turn in 0..turns {
+        for r in rows.clone() {
+            if r.acts > turn {
+                slots.push(HammerOp::Burst { row: r.row, acts: 1 });
             }
         }
     }
 }
 
-/// The vendor-B sampler-stealing cadence: hammer the aggressors at full
-/// rate in the intervals after a TRR-capable `REF`, then spend the final
-/// interval before the next one on dummy rows, so the sampler's register
-/// holds a dummy when TRR fires. Same-bank dummies burst in the target
-/// bank (the per-bank sampler of B_TRR3 — footnote 13); other-bank
-/// dummies run overlapped (the chip-wide sampler of B_TRR1/2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RefSyncScheduler {
-    /// TRR-to-REF ratio of the target module (4, 9, or 2).
-    pub ratio: u64,
-}
-
-impl Scheduler for RefSyncScheduler {
-    fn id(&self) -> &str {
-        "ref-sync"
-    }
-
-    fn schedule(&self, layout: &AggressorLayout, interval: u64, slots: &mut Vec<HammerOp>) {
-        // The REF ending this interval is TRR-capable iff the engine's
-        // post-increment count is a ratio multiple.
-        let trr_ref_next = (interval + 1).is_multiple_of(self.ratio);
-        if trr_ref_next && self.ratio > 1 {
-            // Diversion interval: steal the sampler with dummy rows.
-            for d in &layout.dummies {
-                slots.push(HammerOp::Burst { row: d.row, acts: d.acts });
-            }
-            for &(bank, d) in &layout.other_bank {
-                slots.push(HammerOp::OtherBank { bank, row: d.row, acts: d.acts });
-            }
-        } else {
-            interleave_aggressors(&layout.aggressors, slots);
-        }
+/// The vendor-B sampler-stealing cadence for a TRR-to-REF `ratio` (4, 9,
+/// or 2): hammer the aggressors at full rate in the intervals after a
+/// TRR-capable `REF`, then spend the final interval before the next one
+/// on dummy rows, so the sampler's register holds a dummy when TRR
+/// fires. Same-bank dummies burst in the target bank (the per-bank
+/// sampler of B_TRR3 — footnote 13); other-bank dummies run overlapped
+/// (the chip-wide sampler of B_TRR1/2).
+pub fn ref_sync(ratio: u64, layout: &AggressorLayout, interval: u64, slots: &mut Vec<HammerOp>) {
+    // The REF ending this interval is TRR-capable iff the engine's
+    // post-increment count is a ratio multiple.
+    let trr_ref_next = (interval + 1).is_multiple_of(ratio);
+    if trr_ref_next && ratio > 1 {
+        // Diversion interval: steal the sampler with dummy rows.
+        push_dummies(layout, slots);
+    } else {
+        interleave_aggressors(&layout.aggressors, slots);
     }
 }
 
-/// The vendor-C window-exhaustion cadence: right after a TRR-induced
-/// refresh, fill the detector's capture horizon with `dummy_acts` dummy
-/// activations (spilling across intervals as needed), then hammer the
-/// aggressors with whatever budget remains ("it is critical to
-/// synchronize the dummy and aggressor row hammers with TRR-enabled REF
-/// commands").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WindowSyncScheduler {
-    /// TRR-to-REF ratio of the target module (17, 9, or 8).
-    pub ratio: u64,
-    /// Dummy activations at the start of each TRR window (paper: ≥ 252).
-    pub dummy_acts: u64,
-}
-
-impl Scheduler for WindowSyncScheduler {
-    fn id(&self) -> &str {
-        "window-sync"
+/// The vendor-C window-exhaustion cadence for a TRR-to-REF `ratio` (17,
+/// 9, or 8): right after a TRR-induced refresh, fill the detector's
+/// capture horizon with `dummy_acts` dummy activations (paper: ≥ 252,
+/// spilling across intervals as needed), then hammer the aggressors
+/// with whatever budget remains ("it is critical to synchronize the
+/// dummy and aggressor row hammers with TRR-enabled REF commands").
+pub fn window_sync(
+    ratio: u64,
+    dummy_acts: u64,
+    layout: &AggressorLayout,
+    interval: u64,
+    slots: &mut Vec<HammerOp>,
+) {
+    // Position inside the TRR window: TRR-capable REFs end the
+    // intervals where (interval + 1) is a ratio multiple, so
+    // `interval % ratio` counts intervals since the last one.
+    let pos = interval % ratio;
+    let consumed = pos * INTERVAL_BUDGET;
+    let dummy_now = dummy_acts.saturating_sub(consumed).min(INTERVAL_BUDGET);
+    if dummy_now > 0 {
+        let Some(d) = layout.dummies.first() else {
+            return; // bank too small for a safe dummy
+        };
+        slots.push(HammerOp::Burst { row: d.row, acts: dummy_now });
     }
-
-    fn schedule(&self, layout: &AggressorLayout, interval: u64, slots: &mut Vec<HammerOp>) {
-        // Position inside the TRR window: TRR-capable REFs end the
-        // intervals where (interval + 1) is a ratio multiple, so
-        // `interval % ratio` counts intervals since the last one.
-        let pos = interval % self.ratio;
-        let consumed = pos * INTERVAL_BUDGET;
-        let dummy_now = self.dummy_acts.saturating_sub(consumed).min(INTERVAL_BUDGET);
-        if dummy_now > 0 {
-            let Some(d) = layout.dummies.first() else {
-                return; // bank too small for a safe dummy
-            };
-            slots.push(HammerOp::Burst { row: d.row, acts: dummy_now });
-        }
-        let budget = INTERVAL_BUDGET - dummy_now;
-        if budget == 0 {
-            return;
-        }
-        match layout.aggressors[..] {
-            [a] => slots.push(HammerOp::Burst { row: a.row, acts: budget.min(a.acts * 2) }),
-            [a, b] => slots.push(HammerOp::Pair {
-                first: a.row,
-                second: b.row,
-                pairs: (budget / 2).min(a.acts),
-            }),
-            _ => {}
-        }
+    let budget = INTERVAL_BUDGET - dummy_now;
+    if budget == 0 {
+        return;
+    }
+    match layout.aggressors[..] {
+        [a] => slots.push(HammerOp::Burst { row: a.row, acts: budget.min(a.acts * 2) }),
+        [a, b] => slots.push(HammerOp::Pair {
+            first: a.row,
+            second: b.row,
+            pairs: (budget / 2).min(a.acts),
+        }),
+        _ => {}
     }
 }
 
@@ -203,7 +154,7 @@ mod tests {
     #[test]
     fn cascade_orders_aggressors_then_dummies() {
         let mut slots = Vec::new();
-        CascadeScheduler.schedule(&two_sided_layout(), 0, &mut slots);
+        cascade(&two_sided_layout(), &mut slots);
         assert_eq!(slots.len(), 2 + 16 + 1);
         assert_eq!(slots[0], HammerOp::Burst { row: RowAddr::new(10), acts: 24 });
         assert_eq!(slots[1], HammerOp::Burst { row: RowAddr::new(12), acts: 24 });
@@ -218,7 +169,7 @@ mod tests {
             aggressors: vec![dose(10, 70), dose(14, 70), dose(11, 3)],
             ..AggressorLayout::default()
         };
-        InterleaveScheduler.schedule(&layout, 7, &mut slots);
+        interleave(&layout, &mut slots);
         assert_eq!(
             slots,
             vec![
@@ -236,7 +187,7 @@ mod tests {
             dummies: vec![dose(700, 2)],
             ..AggressorLayout::default()
         };
-        RoundRobinScheduler.schedule(&layout, 0, &mut slots);
+        round_robin(&layout, &mut slots);
         assert_eq!(slots.len(), 6);
         assert!(slots.iter().all(|s| matches!(s, HammerOp::Burst { acts: 1, .. })));
         assert_eq!(slots[0], HammerOp::Burst { row: RowAddr::new(10), acts: 1 });
@@ -245,18 +196,17 @@ mod tests {
 
     #[test]
     fn ref_sync_diverts_only_before_trr_capable_refs() {
-        let sched = RefSyncScheduler { ratio: 4 };
         let layout = two_sided_layout();
         // Intervals 0..2 hammer (REF counts 1..3 are not multiples of 4).
         for interval in 0..3 {
             let mut slots = Vec::new();
-            sched.schedule(&layout, interval, &mut slots);
+            ref_sync(4, &layout, interval, &mut slots);
             assert_eq!(slots.len(), 1, "interval {interval} must hammer");
             assert!(matches!(slots[0], HammerOp::Pair { .. }));
         }
         // Interval 3 ends with the TRR-capable 4th REF: diversion.
         let mut slots = Vec::new();
-        sched.schedule(&layout, 3, &mut slots);
+        ref_sync(4, &layout, 3, &mut slots);
         assert_eq!(slots.len(), 17);
         assert!(slots.iter().take(16).all(|s| matches!(s, HammerOp::Burst { .. })));
         assert!(matches!(slots[16], HammerOp::OtherBank { .. }));
@@ -264,15 +214,14 @@ mod tests {
 
     #[test]
     fn window_sync_spills_dummies_then_hammers() {
-        let sched = WindowSyncScheduler { ratio: 17, dummy_acts: 320 };
         let layout = two_sided_layout();
         // Interval 0: all budget on dummies (320 > 149).
         let mut slots = Vec::new();
-        sched.schedule(&layout, 0, &mut slots);
+        window_sync(17, 320, &layout, 0, &mut slots);
         assert_eq!(slots, vec![HammerOp::Burst { row: RowAddr::new(500), acts: 149 }]);
         // Interval 2: 320 - 2*149 = 22 dummies, the rest on aggressors.
         let mut slots = Vec::new();
-        sched.schedule(&layout, 2, &mut slots);
+        window_sync(17, 320, &layout, 2, &mut slots);
         assert_eq!(slots[0], HammerOp::Burst { row: RowAddr::new(500), acts: 22 });
         assert_eq!(
             slots[1],
@@ -280,18 +229,17 @@ mod tests {
         );
         // Interval 3 onward: full hammering budget.
         let mut slots = Vec::new();
-        sched.schedule(&layout, 3, &mut slots);
+        window_sync(17, 320, &layout, 3, &mut slots);
         assert_eq!(slots.len(), 1);
         assert!(matches!(slots[0], HammerOp::Pair { pairs: 24, .. }));
     }
 
     #[test]
     fn window_sync_without_dummy_rows_skips_the_interval() {
-        let sched = WindowSyncScheduler { ratio: 17, dummy_acts: 320 };
         let layout =
             AggressorLayout { aggressors: vec![dose(10, 74)], ..AggressorLayout::default() };
         let mut slots = Vec::new();
-        sched.schedule(&layout, 0, &mut slots);
+        window_sync(17, 320, &layout, 0, &mut slots);
         assert!(slots.is_empty(), "a pending dummy dose with no dummy row skips everything");
     }
 }

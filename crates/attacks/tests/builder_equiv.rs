@@ -1,16 +1,17 @@
-//! The component refactor is an *equality*, not an approximation: for
-//! every attack and every parameterisation, the builder-assembled
-//! generator/scheduler/verdict pipeline must reproduce what the
+//! Every attack, pinned by digest: for each attack and each
+//! parameterisation, a sweep must reproduce exactly what the
 //! pre-refactor hand-written implementations did — same flips at same
 //! positions, same dataword histograms, same command counters.
 //!
 //! Each attack is pinned on a grid: both ends and the midpoint of every
-//! parameter range, × every engine of [`engine_module`], × two module
+//! parameter range (sixteen sampled points for the fuzzer's
+//! `FuzzPattern`), × every engine of [`engine_module`], × two module
 //! seeds. A grid point's digest (FNV-1a over the whole `BankSweep` and
 //! the `ACT` / row-read / bit-flip counters) must match the one in
-//! `golden/builder_equiv.txt`, which was captured while the frozen
-//! pre-refactor implementations still lived beside the builder and
-//! agreed with it on every point.
+//! `golden/builder_equiv.txt`. The digests were captured while the
+//! frozen pre-refactor implementations still agreed with the attacks
+//! on every point; the fuzz points were captured before its schedule
+//! moved into `FuzzPattern` itself.
 
 use std::collections::BTreeMap;
 use std::fmt::Debug;
@@ -20,7 +21,7 @@ use attacks::custom::{VendorAPattern, VendorBPattern, VendorCPattern};
 use attacks::eval::{sweep_bank_module, EvalConfig};
 use attacks::fuzz::{FuzzParams, FuzzPattern};
 use attacks::half_double::HalfDouble;
-use attacks::{AccessPattern, AttackBuilder, BuiltinAttack};
+use attacks::AccessPattern;
 use dram_sim::rng::SplitMix64;
 use dram_sim::{Bank, Module, ModuleConfig};
 use obs::MetricsRegistry;
@@ -89,17 +90,16 @@ fn digest(pattern: &dyn AccessPattern, engine: u8, seed: u64) -> String {
 /// reporting all mismatches (as ready-to-commit golden lines) at once.
 fn assert_grid<T>(attacks: impl IntoIterator<Item = T>)
 where
-    T: BuiltinAttack + Copy + Debug + 'static,
+    T: AccessPattern + Debug,
 {
     let golden: BTreeMap<&str, &str> =
         GOLDEN.lines().filter_map(|line| line.split_once(' ').map(|(d, l)| (l, d))).collect();
     let mut mismatches = Vec::new();
     for attack in attacks {
-        let composed = AttackBuilder::from_attack(attack).build();
         for engine in 0..ENGINE_COUNT {
             for seed in SEEDS {
                 let label = format!("{attack:?} engine={engine} seed={seed}");
-                let got = digest(&composed, engine, seed);
+                let got = digest(&attack, engine, seed);
                 if golden.get(label.as_str()) != Some(&got.as_str()) {
                     mismatches.push(format!("{got} {label}"));
                 }

@@ -17,7 +17,7 @@ use dram_sim::{Bank, DataPattern, Module, RowAddr};
 use faults::FaultProfile;
 use obs::MetricsRegistry;
 use utrr_bench::{
-    arg_value, emit_metrics, emit_trace, fault_args, install_trace, metrics_out_path, par_config,
+    arg_or, emit_metrics, emit_trace, fault_args, install_trace, metrics_out_path, par_config,
     run_registry, threads_arg, trace_args,
 };
 use utrr_modules::by_id;
@@ -182,8 +182,8 @@ fn ablate_trr_presence(
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let rows: u32 = arg_value(&args, "--rows").and_then(|v| v.parse().ok()).unwrap_or(2_048);
-    let samples: u32 = arg_value(&args, "--samples").and_then(|v| v.parse().ok()).unwrap_or(24);
+    let rows: u32 = arg_or(&args, "--rows", 2_048);
+    let samples: u32 = arg_or(&args, "--samples", 24);
     let metrics_path = metrics_out_path(&args);
     let faults = fault_args(&args);
     let trace = trace_args(&args);

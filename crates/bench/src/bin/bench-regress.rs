@@ -30,7 +30,7 @@
 //! Exits 1 on regression, 2 on malformed input, 0 otherwise.
 
 use obs::jsonl::{parse_json, JsonValue};
-use utrr_bench::{arg_flag, arg_value};
+use utrr_bench::{arg_flag, arg_or, arg_value};
 
 struct BenchRecord {
     threads: usize,
@@ -129,10 +129,9 @@ fn main() {
     let update_baseline = arg_flag(&args, "--update-baseline");
     let baseline_path =
         arg_value(&args, "--baseline").unwrap_or_else(|| "BENCH_sweep.json".to_string());
-    let threshold: f64 = arg_value(&args, "--threshold")
-        .or_else(|| std::env::var("UTRR_BENCH_THRESHOLD").ok())
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(15.0);
+    let env_threshold =
+        std::env::var("UTRR_BENCH_THRESHOLD").ok().and_then(|v| v.parse().ok()).unwrap_or(15.0);
+    let threshold: f64 = arg_or(&args, "--threshold", env_threshold);
 
     let baseline = load(&baseline_path);
     let (current, current_artifact) = load_current(&current_path);

@@ -13,16 +13,16 @@ use attacks::eval::EvalConfig;
 use ecc::{analyze_with_registry, CodeKind};
 use faults::FaultProfile;
 use utrr_bench::{
-    arg_flag, arg_value, attack_columns_par, emit_metrics, emit_trace, fault_args, install_trace,
-    metrics_out_path, par_config, run_registry, threads_arg, trace_args,
+    arg_flag, arg_or, arg_value, attack_columns_par, emit_metrics, emit_trace, fault_args,
+    install_trace, metrics_out_path, par_config, run_registry, threads_arg, trace_args,
 };
 use utrr_modules::{catalog, ModuleSpec};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let rows: u32 = arg_value(&args, "--rows").and_then(|v| v.parse().ok()).unwrap_or(2_048);
-    let samples: u32 = arg_value(&args, "--samples").and_then(|v| v.parse().ok()).unwrap_or(48);
-    let windows: u32 = arg_value(&args, "--windows").and_then(|v| v.parse().ok()).unwrap_or(2);
+    let rows: u32 = arg_or(&args, "--rows", 2_048);
+    let samples: u32 = arg_or(&args, "--samples", 48);
+    let windows: u32 = arg_or(&args, "--windows", 2);
     let filter = arg_value(&args, "--modules");
     let run_ecc = arg_flag(&args, "--ecc");
     let metrics_path = metrics_out_path(&args);

@@ -13,16 +13,16 @@
 use attacks::eval::EvalConfig;
 use faults::FaultProfile;
 use utrr_bench::{
-    arg_value, boxplot_line, emit_metrics, emit_trace, fault_args, fig8_sweep_par, install_trace,
+    arg_or, boxplot_line, emit_metrics, emit_trace, fault_args, fig8_sweep_par, install_trace,
     metrics_out_path, par_config, run_registry, threads_arg, trace_args,
 };
 use utrr_modules::fig8_modules;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let rows: u32 = arg_value(&args, "--rows").and_then(|v| v.parse().ok()).unwrap_or(2_048);
-    let samples: u32 = arg_value(&args, "--samples").and_then(|v| v.parse().ok()).unwrap_or(32);
-    let windows: u32 = arg_value(&args, "--windows").and_then(|v| v.parse().ok()).unwrap_or(2);
+    let rows: u32 = arg_or(&args, "--rows", 2_048);
+    let samples: u32 = arg_or(&args, "--samples", 32);
+    let windows: u32 = arg_or(&args, "--windows", 2);
     let metrics_path = metrics_out_path(&args);
     let (fault_profile, fault_seed) = fault_args(&args);
     let trace = trace_args(&args);

@@ -28,7 +28,7 @@ use std::collections::HashMap;
 use attacks::eval::{BankSweep, EvalConfig};
 use faults::FaultProfile;
 use utrr_bench::{
-    arg_flag, arg_value, attack_columns, detection_label, device_ns_per_act, emit_metrics,
+    arg_flag, arg_or, arg_value, attack_columns, detection_label, device_ns_per_act, emit_metrics,
     emit_trace, fault_args, hc_first, install_trace, metrics_out_path, par_config, re_input_key,
     retry_seeds, reverse_engineer, run_registry, threads_arg, trace_args, BenchPhases, ReOutcome,
     RunConfig,
@@ -37,7 +37,7 @@ use utrr_modules::{catalog, ModuleSpec};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let rows: u32 = arg_value(&args, "--rows").and_then(|v| v.parse().ok()).unwrap_or(2_048);
+    let rows: u32 = arg_or(&args, "--rows", 2_048);
     // Row Scout needs space for 18 pair groups plus the neighbour probe.
     let rows = if rows < 1_024 {
         eprintln!("note: --rows {rows} is too small for the reverse-engineering suite; using 1024");
@@ -45,8 +45,8 @@ fn main() {
     } else {
         rows
     };
-    let samples: u32 = arg_value(&args, "--samples").and_then(|v| v.parse().ok()).unwrap_or(48);
-    let windows: u32 = arg_value(&args, "--windows").and_then(|v| v.parse().ok()).unwrap_or(2);
+    let samples: u32 = arg_or(&args, "--samples", 48);
+    let windows: u32 = arg_or(&args, "--windows", 2);
     let filter = arg_value(&args, "--modules");
     let per_module_re = arg_flag(&args, "--per-module-re");
     let attack_only = arg_flag(&args, "--attack-only");

@@ -20,7 +20,7 @@ use dram_sim::{MitigationEngine, Module};
 use faults::FaultProfile;
 use trr::{Graphene, GrapheneConfig, Para};
 use utrr_bench::{
-    arg_value, emit_metrics, emit_trace, fault_args, install_trace, metrics_out_path, par_config,
+    arg_or, emit_metrics, emit_trace, fault_args, install_trace, metrics_out_path, par_config,
     run_registry, threads_arg, trace_args,
 };
 use utrr_modules::{by_id, ModuleSpec};
@@ -62,10 +62,9 @@ fn run_cell(cell: &Cell, rows: u32, para_prob: f64, config: &EvalConfig) -> (Str
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let rows: u32 = arg_value(&args, "--rows").and_then(|v| v.parse().ok()).unwrap_or(2_048);
-    let samples: u32 = arg_value(&args, "--samples").and_then(|v| v.parse().ok()).unwrap_or(24);
-    let para_prob: f64 =
-        arg_value(&args, "--para-prob").and_then(|v| v.parse().ok()).unwrap_or(0.001);
+    let rows: u32 = arg_or(&args, "--rows", 2_048);
+    let samples: u32 = arg_or(&args, "--samples", 24);
+    let para_prob: f64 = arg_or(&args, "--para-prob", 0.001);
     let metrics_path = metrics_out_path(&args);
     let (fault_profile, fault_seed) = fault_args(&args);
     let trace = trace_args(&args);

@@ -16,7 +16,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::fmt::Write as _;
 
 use obs::{TraceEvent, TraceFilter, TraceKind};
-use utrr_bench::arg_value;
+use utrr_bench::{arg_or, arg_value};
 
 /// Prints an accumulated report, ignoring broken pipes (`… | head`).
 fn flush_report(report: &str) {
@@ -80,7 +80,7 @@ fn explain(path: &str, args: &[String]) {
             std::process::exit(2);
         })
     });
-    let limit: usize = arg_value(args, "--limit").and_then(|v| v.parse().ok()).unwrap_or(20);
+    let limit: usize = arg_or(args, "--limit", 20);
 
     let (events, dropped) = load(path);
     let mut report = String::new();

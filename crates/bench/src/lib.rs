@@ -413,6 +413,24 @@ pub fn arg_value(args: &[String], key: &str) -> Option<String> {
     args.iter().position(|a| a == key).and_then(|i| args.get(i + 1).cloned())
 }
 
+/// The value of `--key` parsed as a `T`, or `default` when the flag is
+/// absent. Exits with status 2 (`error: --key: invalid value '<v>'`)
+/// when the value does not parse, as [`fault_args`] does for `--faults`.
+pub fn arg_or<T: std::str::FromStr>(args: &[String], key: &str, default: T) -> T {
+    parse_arg(args, key, default).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    })
+}
+
+/// [`arg_or`] with the parse failure returned as its message.
+fn parse_arg<T: std::str::FromStr>(args: &[String], key: &str, default: T) -> Result<T, String> {
+    match arg_value(args, key) {
+        Some(v) => v.parse().map_err(|_| format!("{key}: invalid value '{v}'")),
+        None => Ok(default),
+    }
+}
+
 /// The metrics artifact path for a run: the `--metrics-out <path>`
 /// argument, with the `UTRR_METRICS_OUT` environment variable as
 /// fallback. `None` disables the artifact (the summary table is still
@@ -534,7 +552,7 @@ pub fn emit_trace(registry: &obs::MetricsRegistry, trace: &TraceArgs) -> std::io
 /// Fault-injection arguments for a run: `--faults none|mild|hostile`
 /// (default `none`, the strict no-op path) and `--fault-seed N` (default
 /// 1). Shared by every repro binary. Exits with status 2 on an
-/// unrecognised profile name.
+/// unrecognised profile name or an unparsable seed.
 pub fn fault_args(args: &[String]) -> (FaultProfile, u64) {
     let profile = match arg_value(args, "--faults") {
         Some(name) => name.parse().unwrap_or_else(|e| {
@@ -543,15 +561,17 @@ pub fn fault_args(args: &[String]) -> (FaultProfile, u64) {
         }),
         None => FaultProfile::None,
     };
-    let seed = arg_value(args, "--fault-seed").and_then(|v| v.parse().ok()).unwrap_or(1);
+    let seed = arg_or(args, "--fault-seed", 1);
     (profile, seed)
 }
 
 /// Worker count for a run: the `--threads <n>` argument, with the
 /// `UTRR_THREADS` environment variable as fallback and the machine's
-/// available parallelism as default. Shared by every repro binary.
+/// available parallelism as default (`--threads 0` also falls back).
+/// Shared by every repro binary. Exits with status 2 on an unparsable
+/// count.
 pub fn threads_arg(args: &[String]) -> usize {
-    par::resolve_threads(arg_value(args, "--threads").and_then(|v| v.parse().ok()))
+    par::resolve_threads(Some(arg_or(args, "--threads", 0)))
 }
 
 /// The worker-pool configuration for a run: `threads` workers with
@@ -725,6 +745,22 @@ mod tests {
         assert_eq!(arg_value(&args, "--samples"), None);
         assert!(arg_flag(&args, "--full"));
         assert!(!arg_flag(&args, "--quick"));
+    }
+
+    #[test]
+    fn numeric_flags_parse_strictly() {
+        let args: Vec<String> = ["--rows", "512", "--seed", "0x1", "--modules", "3x"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        assert_eq!(parse_arg(&args, "--rows", 2_048u32), Ok(512));
+        assert_eq!(parse_arg(&args, "--samples", 48u32), Ok(48), "absent flag: default");
+        assert_eq!(parse_arg::<u64>(&args, "--seed", 1), Err("--seed: invalid value '0x1'".into()));
+        assert_eq!(
+            parse_arg::<u64>(&args, "--modules", 64),
+            Err("--modules: invalid value '3x'".into())
+        );
+        assert_eq!(arg_or(&args, "--rows", 2_048u32), 512);
     }
 
     #[test]

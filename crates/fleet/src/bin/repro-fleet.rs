@@ -22,8 +22,8 @@
 
 use faults::FaultProfile;
 use utrr_bench::{
-    arg_flag, arg_value, emit_metrics, fault_args, metrics_out_path, par_config, run_registry,
-    threads_arg, BenchPhases,
+    arg_flag, arg_or, arg_value, emit_metrics, fault_args, metrics_out_path, par_config,
+    run_registry, threads_arg, BenchPhases,
 };
 use utrr_fleet::record::SweepParams;
 use utrr_fleet::{FleetConfig, FleetSummary, RunOptions};
@@ -35,10 +35,10 @@ fn main() {
         return;
     }
 
-    let modules: u64 = arg_value(&args, "--modules").and_then(|v| v.parse().ok()).unwrap_or(64);
-    let shards: u32 = arg_value(&args, "--shards").and_then(|v| v.parse().ok()).unwrap_or(8);
-    let seed: u64 = arg_value(&args, "--seed").and_then(|v| v.parse().ok()).unwrap_or(1);
-    let rows: u32 = arg_value(&args, "--rows").and_then(|v| v.parse().ok()).unwrap_or(2_048);
+    let modules: u64 = arg_or(&args, "--modules", 64);
+    let shards: u32 = arg_or(&args, "--shards", 8);
+    let seed: u64 = arg_or(&args, "--seed", 1);
+    let rows: u32 = arg_or(&args, "--rows", 2_048);
     // The reverse-engineering suite needs room for its pair groups on
     // every anchor; below 2048 scaled rows the Row Scout can run dry.
     let rows = if rows < 2_048 {
@@ -47,13 +47,12 @@ fn main() {
     } else {
         rows
     };
-    let hc_samples: u32 =
-        arg_value(&args, "--hc-samples").and_then(|v| v.parse().ok()).unwrap_or(6);
-    let attack_samples: u32 =
-        arg_value(&args, "--samples").and_then(|v| v.parse().ok()).unwrap_or(6);
+    let hc_samples: u32 = arg_or(&args, "--hc-samples", 6);
+    let attack_samples: u32 = arg_or(&args, "--samples", 6);
     let out_dir = arg_value(&args, "--out").unwrap_or_else(|| "fleet-out".into());
     let resume = arg_flag(&args, "--resume");
-    let stop_after_shards = arg_value(&args, "--stop-after-shards").and_then(|v| v.parse().ok());
+    let stop_after_shards =
+        arg_value(&args, "--stop-after-shards").map(|_| arg_or(&args, "--stop-after-shards", 0));
     let (fault_profile, fault_seed) = fault_args(&args);
     let metrics_path = metrics_out_path(&args);
     let bench_path = arg_value(&args, "--bench-out").map(std::path::PathBuf::from);

@@ -24,20 +24,18 @@
 
 use attacks::eval::{sweep_bank, EvalConfig};
 use attacks::fuzz::{render_fuzz_jsonl, run_fuzz, FuzzConfig, FuzzPattern};
-use attacks::AttackBuilder;
 use utrr_bench::{
-    arg_value, emit_metrics, emit_trace, fault_args, install_trace, metrics_out_path, par_config,
-    run_registry, threads_arg, trace_args, BenchPhases,
+    arg_or, arg_value, emit_metrics, emit_trace, fault_args, install_trace, metrics_out_path,
+    par_config, run_registry, threads_arg, trace_args, BenchPhases,
 };
 use utrr_fleet::synth_spec;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let seed: u64 = arg_value(&args, "--seed").and_then(|v| v.parse().ok()).unwrap_or(1);
-    let rounds: u32 = arg_value(&args, "--rounds").and_then(|v| v.parse().ok()).unwrap_or(3);
-    let candidates: u32 =
-        arg_value(&args, "--candidates").and_then(|v| v.parse().ok()).unwrap_or(24);
-    let elites: u32 = arg_value(&args, "--elites").and_then(|v| v.parse().ok()).unwrap_or(4);
+    let seed: u64 = arg_or(&args, "--seed", 1);
+    let rounds: u32 = arg_or(&args, "--rounds", 3);
+    let candidates: u32 = arg_or(&args, "--candidates", 24);
+    let elites: u32 = arg_or(&args, "--elites", 4);
     let engines: Vec<String> = arg_value(&args, "--engines")
         .unwrap_or_else(|| "A_TRR1,B_TRR1,C_TRR1".into())
         .split(',')
@@ -45,13 +43,12 @@ fn main() {
         .filter(|s| !s.is_empty())
         .map(str::to_string)
         .collect();
-    let rows: u32 = arg_value(&args, "--rows").and_then(|v| v.parse().ok()).unwrap_or(1_024);
-    let samples: u32 = arg_value(&args, "--samples").and_then(|v| v.parse().ok()).unwrap_or(6);
-    let windows: u32 = arg_value(&args, "--windows").and_then(|v| v.parse().ok()).unwrap_or(1);
+    let rows: u32 = arg_or(&args, "--rows", 1_024);
+    let samples: u32 = arg_or(&args, "--samples", 6);
+    let windows: u32 = arg_or(&args, "--windows", 1);
     let out_path = arg_value(&args, "--out").map(std::path::PathBuf::from);
-    let fleet: u64 = arg_value(&args, "--fleet").and_then(|v| v.parse().ok()).unwrap_or(0);
-    let fleet_seed: u64 =
-        arg_value(&args, "--fleet-seed").and_then(|v| v.parse().ok()).unwrap_or(1);
+    let fleet: u64 = arg_or(&args, "--fleet", 0);
+    let fleet_seed: u64 = arg_or(&args, "--fleet-seed", 1);
     let (fault_profile, fault_seed) = fault_args(&args);
     let metrics_path = metrics_out_path(&args);
     let bench_path = arg_value(&args, "--bench-out").map(std::path::PathBuf::from);
@@ -137,8 +134,7 @@ fn main() {
                 let indices: Vec<u64> = (0..fleet).collect();
                 let flips: Vec<u64> = par::par_map(&pool, &indices, |&i| {
                     let synth = synth_spec(fleet_seed, i, rows.max(2_048));
-                    let attack = AttackBuilder::from_attack(FuzzPattern { params }).build();
-                    let sweep = sweep_bank(&synth.spec, &attack, &eval);
+                    let sweep = sweep_bank(&synth.spec, &FuzzPattern { params }, &eval);
                     sweep.results.iter().map(|r| u64::from(r.flips)).sum()
                 });
                 let bypassed = flips.iter().filter(|&&f| f > 0).count();
