@@ -53,7 +53,7 @@ pub fn cascade(layout: &AggressorLayout, slots: &mut Vec<HammerOp>) {
 }
 
 /// Pair-interleaved hammering, every interval alike: the aggressors go
-/// through [`interleave_aggressors`]; dummies and other-bank rows follow
+/// through `interleave_aggressors`; dummies and other-bank rows follow
 /// as bursts. The double-sided and Half-Double shape.
 pub fn interleave(layout: &AggressorLayout, slots: &mut Vec<HammerOp>) {
     interleave_aggressors(&layout.aggressors, slots);
