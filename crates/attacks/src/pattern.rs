@@ -154,7 +154,7 @@ mod tests {
     fn zero_dose_ops_are_device_noops() {
         let mut mc = MemoryController::new(Module::new(ModuleConfig::small_test(), 3));
         let (now, refs) = (mc.now(), mc.module().ref_count());
-        let acts_before = mc.registry().counter(dram_sim::metrics::CTR_ACT).get();
+        let acts_before = mc.module().stats().activations;
         let ops = [
             HammerOp::Burst { row: RowAddr::new(10), acts: 0 },
             HammerOp::Pair { first: RowAddr::new(10), second: RowAddr::new(12), pairs: 0 },
@@ -162,7 +162,7 @@ mod tests {
         ];
         mc.module_mut().hammer_batch(Bank::new(0), &ops).unwrap();
         assert_eq!((mc.now(), mc.module().ref_count()), (now, refs));
-        assert_eq!(mc.registry().counter(dram_sim::metrics::CTR_ACT).get(), acts_before);
+        assert_eq!(mc.module().stats().activations, acts_before);
     }
 
     #[test]

@@ -151,8 +151,16 @@ pub trait MitigationEngine: fmt::Debug {
     /// called on construction and whenever a new registry is attached
     /// ([`crate::Module::attach_registry`]). Engines that want to expose
     /// internal counters (table evictions, sampler hits, …) register
-    /// them here; the default keeps engines metrics-free.
+    /// them here (as [`crate::metrics::TallyCounter`]s, flushing what
+    /// they counted into the previous registry); the default keeps
+    /// engines metrics-free.
     fn attach_metrics(&mut self, _registry: &std::sync::Arc<obs::MetricsRegistry>) {}
+
+    /// Pushes the counts the engine made since its last flush into the
+    /// attached registry. The device calls this from
+    /// [`crate::Module::flush_metrics`] (and so on drop); engines count
+    /// per command into plain integers and pay the registry only here.
+    fn flush_metrics(&mut self) {}
 
     /// Clears all internal state (counter tables, sample registers,
     /// activation windows) back to power-on.

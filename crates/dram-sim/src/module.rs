@@ -346,12 +346,27 @@ impl Module {
     }
 
     /// Points this device (and its mitigation engine) at `registry`, so
-    /// several devices — or a whole run — share one artifact. Call right
-    /// after construction: counts already accumulated in the previous
-    /// (private) registry are not migrated.
+    /// several devices — or a whole run — share one artifact. Counts
+    /// made so far are flushed into the previous registry first, never
+    /// migrated, so call this right after construction.
+    ///
+    /// A live device does not write its counts into the registry per
+    /// command: they reach it at [`Module::flush_metrics`], at the next
+    /// `attach_registry`, or when the module is dropped. Read a shared
+    /// registry after its modules are gone (or flushed); [`Module::stats`]
+    /// already includes the pending counts.
     pub fn attach_registry(&mut self, registry: Arc<MetricsRegistry>) {
+        self.flush_metrics();
         self.metrics = DeviceMetrics::new(registry);
         self.engine.attach_metrics(self.metrics.registry());
+    }
+
+    /// Pushes this device's pending `dram.*` counts and latency
+    /// histograms, and its engine's `trr.<name>.*` counts, into the
+    /// attached registry. Runs on drop; flushing twice adds nothing.
+    pub fn flush_metrics(&mut self) {
+        self.metrics.flush(&self.config.timings, ROW_IO);
+        self.engine.flush_metrics();
     }
 
     /// The metrics registry this device reports into.
@@ -379,8 +394,8 @@ impl Module {
         self.config.timings
     }
 
-    /// Cumulative statistics (a snapshot view over the metrics
-    /// registry's `dram.*` counters).
+    /// Cumulative statistics: the metrics registry's `dram.*` counters
+    /// plus this device's counts not yet flushed into them.
     pub fn stats(&self) -> ModuleStats {
         self.metrics.stats_view()
     }
@@ -475,10 +490,8 @@ impl Module {
         b.open = Some((row, phys));
         b.last_act = Some(phys);
         self.activations += 1;
-        self.metrics.act.inc();
-        if self.metrics.detail() {
-            self.metrics.act_ns.record(self.config.timings.t_ras.as_ns());
-        }
+        self.metrics.pending.act += 1;
+        self.metrics.pending.single_act += 1;
         self.metrics.trace(
             TraceKind::Act,
             self.now.as_ns(),
@@ -504,10 +517,7 @@ impl Module {
             return Err(DramError::BankClosed { bank });
         }
         b.open = None;
-        self.metrics.pre.inc();
-        if self.metrics.detail() {
-            self.metrics.pre_ns.record(self.config.timings.t_rp.as_ns());
-        }
+        self.metrics.pending.pre += 1;
         self.now += self.config.timings.t_rp;
         Ok(())
     }
@@ -532,10 +542,7 @@ impl Module {
             ..self.hot_rows[index]
         };
         state.data = Some(data);
-        self.metrics.row_writes.inc();
-        if self.metrics.detail() {
-            self.metrics.write_ns.record(ROW_IO.as_ns());
-        }
+        self.metrics.pending.row_writes += 1;
         self.now += ROW_IO;
         Ok(())
     }
@@ -558,10 +565,7 @@ impl Module {
             }
             None => RowReadout::new(logical, DataPattern::Zeros, Vec::new(), row_bits),
         };
-        self.metrics.row_reads.inc();
-        if self.metrics.detail() {
-            self.metrics.read_ns.record(ROW_IO.as_ns());
-        }
+        self.metrics.pending.row_reads += 1;
         self.now += ROW_IO;
         Ok(readout)
     }
@@ -627,8 +631,8 @@ impl Module {
     /// Runs `ops` in order against `bank` (an [`HammerOp::OtherBank`]
     /// op names its own bank). Each op has exactly the physics, engine
     /// hook and trace event of its single call ([`Module::hammer`],
-    /// [`Module::hammer_pair`]); the batch only folds the `ACT` counter
-    /// and latency histogram into one update.
+    /// [`Module::hammer_pair`]); the batch only folds the `ACT` count
+    /// into one update.
     ///
     /// # Errors
     ///
@@ -647,14 +651,8 @@ impl Module {
                 }
             }
         }
-        if acts > 0 {
-            self.activations += acts;
-            self.metrics.act.add(acts);
-            if self.metrics.detail() {
-                // One O(1) update for the whole batch.
-                self.metrics.act_ns.record_n(self.config.timings.t_rc().as_ns(), acts);
-            }
-        }
+        self.activations += acts;
+        self.metrics.pending.act += acts;
         result
     }
 
@@ -810,20 +808,9 @@ impl Module {
     /// identical to the full-window probe retained in
     /// [`Module::refresh_naive`].
     pub fn refresh(&mut self) {
-        self.refresh_impl(true);
-    }
-
-    /// [`Module::refresh`] with per-`REF` counter/histogram recording
-    /// optionally deferred — the burst path accounts a whole burst with
-    /// one counter add and one histogram record instead of paying the
-    /// shared-registry atomics `count` times.
-    fn refresh_impl(&mut self, record_metrics: bool) {
         let (start, end) = self.refresh_window();
-        let restored = self.sweep_window(start, end);
-        if restored > 0 {
-            self.metrics.regular_row_refreshes.add(restored);
-        }
-        self.complete_refresh(start, end, record_metrics);
+        self.metrics.pending.regular_row_refreshes += self.sweep_window(start, end);
+        self.complete_refresh(start, end);
     }
 
     /// The regular-refresh sweep of one `REF`: restores every touched
@@ -866,11 +853,11 @@ impl Module {
             for r in start..end {
                 let phys = PhysRow::new(r as u32);
                 if self.restore_existing(bank, phys) {
-                    self.metrics.regular_row_refreshes.inc();
+                    self.metrics.pending.regular_row_refreshes += 1;
                 }
             }
         }
-        self.complete_refresh(start, end, true);
+        self.complete_refresh(start, end);
     }
 
     /// The physical row window `[start, end)` the next `REF` restores in
@@ -890,7 +877,7 @@ impl Module {
 
     /// Shared `REF` tail: TRR piggyback detections, counters, tracing,
     /// and timing. `start..end` is the physical window the sweep covered.
-    fn complete_refresh(&mut self, start: u64, end: u64, record_metrics: bool) {
+    fn complete_refresh(&mut self, start: u64, end: u64) {
         let mut detections = std::mem::take(&mut self.detect_buf);
         detections.clear();
         self.engine.on_refresh(self.now, &mut detections);
@@ -899,12 +886,7 @@ impl Module {
         let k = self.ref_count;
         self.ref_count += 1;
         self.ref_window.step();
-        if record_metrics {
-            self.metrics.refresh.inc();
-            if self.metrics.detail() {
-                self.metrics.ref_ns.record(self.config.timings.t_rfc.as_ns());
-            }
-        }
+        self.metrics.pending.refresh += 1;
         if self.metrics.tracing() {
             // Pre-gate on the tracked row set: a full tREFW is ~8k REFs,
             // and only the handful whose round-robin window sweeps past
@@ -953,23 +935,16 @@ impl Module {
                     break;
                 }
             }
-            self.refresh_impl(false);
+            self.refresh();
             self.advance(idle);
             left -= 1;
-        }
-        // One counter add and one histogram record for the whole burst —
-        // identical totals, none of the per-`REF` shared-atomic traffic.
-        self.metrics.refresh.add(count);
-        if self.metrics.detail() {
-            self.metrics.ref_ns.record_n(self.config.timings.t_rfc.as_ns(), count);
         }
     }
 
     /// Runs `refs` `REF`s the engine has already consumed through
     /// [`MitigationEngine::skip_idle_refs`]: each sweeps its window and
-    /// advances the clock by `tRFC + idle`, with one counter add for all
-    /// of them and no detection, trace or `REF` counter work (the burst
-    /// accounts `REF`s once).
+    /// advances the clock by `tRFC + idle`, with no detection or trace
+    /// work.
     fn idle_refs(&mut self, refs: u64, idle: Nanos) {
         let per_ref = self.config.timings.t_rfc + idle;
         let mut restored = 0u64;
@@ -980,9 +955,8 @@ impl Module {
             self.ref_window.step();
             self.now += per_ref;
         }
-        if restored > 0 {
-            self.metrics.regular_row_refreshes.add(restored);
-        }
+        self.metrics.pending.regular_row_refreshes += restored;
+        self.metrics.pending.refresh += refs;
     }
 
     /// Ground-truth physics of a row — **test/calibration support only**;
@@ -1109,10 +1083,10 @@ impl Module {
         // Retention drift scales the decay window, not the clock: a 2%
         // cooler part behaves as if 2% less time had passed. 1.0 takes
         // the untouched path so fault-free runs stay bit-identical.
-        let elapsed = if self.retention_drift != 1.0 {
-            Nanos::from_ns((raw_elapsed.as_ns() as f64 / self.retention_drift) as u64)
-        } else {
+        let elapsed = if self.retention_drift == 1.0 {
             raw_elapsed
+        } else {
+            drifted(raw_elapsed, self.retention_drift)
         };
         let cfg = &self.config.physics;
         let switch_prob = self.vrt_switch_override.unwrap_or(cfg.vrt_switch_prob);
@@ -1151,7 +1125,7 @@ impl Module {
         hot.last_restore = now;
         hot.disturbance = 0.0;
         if new_flips > 0 {
-            self.metrics.bit_flips.add(new_flips);
+            self.metrics.pending.bit_flips += new_flips;
             self.metrics.event(
                 EVT_BIT_FLIP,
                 now.as_ns(),
@@ -1213,11 +1187,10 @@ impl Module {
     fn apply_detections(&mut self, detections: &[TrrDetection]) {
         if detections.is_empty() {
             // Nearly every ACT and REF lands here: engines detect on a
-            // tiny fraction of commands, and a zero-length add is still
-            // an atomic RMW per command if not skipped.
+            // tiny fraction of commands.
             return;
         }
-        self.metrics.trr_detections.add(detections.len() as u64);
+        self.metrics.pending.trr_detections += detections.len() as u64;
         let detail = self.metrics.detail();
         let tracing = self.metrics.tracing();
         let now = self.now.as_ns();
@@ -1262,9 +1235,7 @@ impl Module {
                 }
             }
         }
-        if refreshed > 0 {
-            self.metrics.trr_row_refreshes.add(refreshed);
-        }
+        self.metrics.pending.trr_row_refreshes += refreshed;
     }
 
     /// Restores a row only if it has ever been touched; returns whether a
@@ -1298,6 +1269,21 @@ impl Module {
             self.hot_rows[index].disturbance += w * weight * coupling;
         });
     }
+}
+
+impl Drop for Module {
+    fn drop(&mut self) {
+        self.flush_metrics();
+    }
+}
+
+/// A decay window under retention drift `drift ≠ 1.0`. Out of line and
+/// cold on purpose: inlined, LLVM turns the drift test in
+/// [`Module::restore`] into a select and divides on every restore.
+#[cold]
+#[inline(never)]
+fn drifted(elapsed: Nanos, drift: f64) -> Nanos {
+    Nanos::from_ns((elapsed.as_ns() as f64 / drift) as u64)
 }
 
 #[cfg(test)]
@@ -1581,6 +1567,71 @@ mod tests {
         assert_eq!(s.activations, 11);
         assert_eq!(s.refreshes, 1);
         assert_eq!(m.ref_count(), 1);
+    }
+
+    /// An engine counting its activation hooks into `trr.probe.batches`.
+    #[derive(Debug, Default)]
+    struct BatchCounter(crate::metrics::TallyCounter);
+
+    impl MitigationEngine for BatchCounter {
+        fn on_activations(&mut self, _: Bank, _: PhysRow, _: u64, _: Nanos) {
+            self.0.add(1);
+        }
+        fn on_refresh(&mut self, _: Nanos, _: &mut Vec<TrrDetection>) {}
+        fn attach_metrics(&mut self, registry: &Arc<MetricsRegistry>) {
+            self.0.attach(registry, "trr.probe.batches");
+        }
+        fn flush_metrics(&mut self) {
+            self.0.flush();
+        }
+        fn reset(&mut self) {}
+        fn name(&self) -> &str {
+            "probe"
+        }
+    }
+
+    #[test]
+    fn counts_reach_the_registry_once_at_flush_attach_or_drop() {
+        use crate::metrics::{CTR_ACT, CTR_REF, HIST_ACT_NS, HIST_REF_NS};
+        let (old, new) = (MetricsRegistry::shared(), Arc::new(MetricsRegistry::new()));
+        let engine = Box::new(BatchCounter::default());
+        let mut m = Module::with_engine(ModuleConfig::small_test(), engine, 7);
+        m.attach_registry(Arc::clone(&old));
+        let (b, t) = (Bank::new(0), m.timings());
+        m.hammer(b, RowAddr::new(2), 10).unwrap();
+        m.activate(b, RowAddr::new(5)).unwrap();
+        m.precharge(b).unwrap();
+        m.refresh();
+        // Pending counts show in `stats` at once, in the registry only
+        // after a flush, and a second flush adds nothing.
+        assert_eq!((m.stats().activations, m.stats().refreshes), (11, 1));
+        assert_eq!(old.counter(CTR_ACT).get(), 0);
+        m.flush_metrics();
+        m.flush_metrics();
+        assert_eq!((old.counter(CTR_ACT).get(), old.counter(CTR_REF).get()), (11, 1));
+        assert_eq!(old.counter("trr.probe.batches").get(), 2);
+        let act = old.histogram(HIST_ACT_NS).snapshot();
+        assert_eq!((act.count, act.sum), (11, 10 * t.t_rc().as_ns() + t.t_ras.as_ns()));
+        assert_eq!((act.min, act.max), (t.t_ras.as_ns(), t.t_rc().as_ns()));
+        assert_eq!(old.histogram(HIST_REF_NS).snapshot().count, 1);
+        assert_eq!(m.stats().activations, 11);
+        // Attaching flushes into the old registry.
+        m.hammer(b, RowAddr::new(2), 4).unwrap();
+        m.attach_registry(Arc::clone(&new));
+        assert_eq!(old.counter(CTR_ACT).get(), 15);
+        assert_eq!(old.counter("trr.probe.batches").get(), 3);
+        assert_eq!(m.stats().activations, 0);
+        // Dropping flushes; a detail-off registry gets counters but no
+        // latency bins.
+        m.hammer(b, RowAddr::new(2), 6).unwrap();
+        m.refresh();
+        assert_eq!(new.counter(CTR_ACT).get(), 0);
+        drop(m);
+        assert_eq!((new.counter(CTR_ACT).get(), new.counter(CTR_REF).get()), (6, 1));
+        assert_eq!(new.counter("trr.probe.batches").get(), 1);
+        assert_eq!(new.histogram(HIST_ACT_NS).snapshot().count, 0);
+        assert_eq!(new.histogram(HIST_REF_NS).snapshot().count, 0);
+        assert_eq!(old.counter(CTR_ACT).get(), 15);
     }
 
     #[test]

@@ -845,6 +845,7 @@ mod tests {
             std::sync::Arc::clone(&registry),
         );
         m.hammer(dram_sim::Bank::new(0), dram_sim::RowAddr::new(10), 50).unwrap();
+        m.flush_metrics();
         assert_eq!(registry.counter("dram.cmd.act").get(), 50);
         // Attaching also re-registers the engine's counters on the
         // shared registry.

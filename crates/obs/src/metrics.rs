@@ -1,8 +1,9 @@
 //! Named counters, gauges, log₂-binned histograms, and events.
 //!
-//! Handles returned by the registry are cheap `Arc` clones, and the hot
-//! path (a simulator command) touches only relaxed atomics, never the
-//! registry lock. Parallel sweeps share one registry across worker
+//! Handles returned by the registry are cheap `Arc` clones, and a write
+//! through one touches only relaxed atomics, never the registry lock.
+//! (The simulator does not write per command: devices and engines tally
+//! into plain integers and flush them, see `dram_sim::metrics`.) Parallel sweeps share one registry across worker
 //! threads, so a single atomic per counter would bounce its cache line
 //! between cores on every command. Instead every [`Counter`] and
 //! [`Histogram`] is a fixed array of `SHARDS` cells, each alone on
@@ -404,10 +405,10 @@ impl MetricsRegistry {
     }
 
     /// Whether detail instrumentation (histograms, events) should be
-    /// recorded. Counters and spans are always live; hot paths consult
-    /// this flag before histogram/event work so that metrics stay
-    /// within the ≤5 % command-path overhead budget when detail is not
-    /// wanted.
+    /// recorded. Counters and spans are always live. Writers consult
+    /// this flag before histogram or event work: the simulator once per
+    /// device flush for its latency histograms, and per event for the
+    /// rare events it emits.
     #[inline]
     pub fn detail_enabled(&self) -> bool {
         self.flags.0.detail.load(Ordering::Relaxed)

@@ -497,6 +497,7 @@ mod tests {
         let mut module = Module::new(ModuleConfig::small_test(), 9);
         module.attach_registry(Arc::clone(&registry));
         trace.replay(&mut module).unwrap();
+        module.flush_metrics();
 
         use dram_sim::metrics::{CTR_ACT, CTR_PRE, CTR_REF, CTR_ROW_READS, CTR_ROW_WRITES};
         assert_eq!(registry.counter(CTR_ACT).get(), acts);

@@ -29,6 +29,7 @@
 
 use std::fmt;
 
+use dram_sim::metrics::TallyCounter;
 use dram_sim::{Bank, MitigationEngine, Nanos, NeighborSpan, PhysRow, TrrDetection};
 
 /// Configuration of a [`CounterTrr`] engine.
@@ -189,10 +190,10 @@ pub struct CounterTrr {
     ref_count: u64,
     /// Alternates TREF_a / TREF_b on successive TRR-capable REFs.
     next_is_tref_a: bool,
-    /// `trr.<name>.detections` — present once a registry is attached.
-    det_ctr: Option<obs::Counter>,
+    /// `trr.<name>.detections`.
+    det_ctr: TallyCounter,
     /// `trr.<name>.evictions` — table entries displaced by LRU insertion.
-    evict_ctr: Option<obs::Counter>,
+    evict_ctr: TallyCounter,
     /// The attached registry, for flight-recorder eviction events.
     registry: Option<std::sync::Arc<obs::MetricsRegistry>>,
 }
@@ -212,8 +213,8 @@ impl CounterTrr {
             banks: (0..banks).map(|_| BankTable::with_capacity(config.table_size)).collect(),
             ref_count: 0,
             next_is_tref_a: true,
-            det_ctr: None,
-            evict_ctr: None,
+            det_ctr: TallyCounter::default(),
+            evict_ctr: TallyCounter::default(),
             registry: None,
         }
     }
@@ -268,9 +269,7 @@ impl fmt::Debug for CounterTrr {
 impl MitigationEngine for CounterTrr {
     fn on_activations(&mut self, bank: Bank, row: PhysRow, count: u64, now: Nanos) {
         if let Some(evicted) = self.banks[bank.index() as usize].add(row, count) {
-            if let Some(c) = &self.evict_ctr {
-                c.inc();
-            }
+            self.evict_ctr.add(1);
             self.trace_eviction(bank, evicted, row, now);
         }
     }
@@ -302,9 +301,7 @@ impl MitigationEngine for CounterTrr {
         }
         let evictions = evicted.iter().flatten().count() as u64;
         if evictions > 0 {
-            if let Some(c) = &self.evict_ctr {
-                c.add(evictions);
-            }
+            self.evict_ctr.add(evictions);
             for (i, row) in evicted.iter().enumerate() {
                 if let Some(row) = row {
                     let inserted = if i % 2 == 0 { first } else { second };
@@ -330,11 +327,7 @@ impl MitigationEngine for CounterTrr {
             }
         }
         let detected = (out.len() - before) as u64;
-        if detected > 0 {
-            if let Some(c) = &self.det_ctr {
-                c.add(detected);
-            }
-        }
+        self.det_ctr.add(detected);
     }
 
     fn skip_idle_refs(&mut self, max: u64) -> u64 {
@@ -348,9 +341,14 @@ impl MitigationEngine for CounterTrr {
     }
 
     fn attach_metrics(&mut self, registry: &std::sync::Arc<obs::MetricsRegistry>) {
-        self.det_ctr = Some(registry.counter(&format!("trr.{}.detections", self.name)));
-        self.evict_ctr = Some(registry.counter(&format!("trr.{}.evictions", self.name)));
+        self.det_ctr.attach(registry, &format!("trr.{}.detections", self.name));
+        self.evict_ctr.attach(registry, &format!("trr.{}.evictions", self.name));
         self.registry = Some(std::sync::Arc::clone(registry));
+    }
+
+    fn flush_metrics(&mut self) {
+        self.det_ctr.flush();
+        self.evict_ctr.flush();
     }
 
     fn detects_inline(&self) -> bool {
@@ -400,6 +398,7 @@ mod tests {
             e.on_activations(B0, PhysRow::new(i), 100, T0);
         }
         let hits = drain_refs(&mut e, 9);
+        e.flush_metrics();
         assert_eq!(registry.counter("trr.A_TRR1.evictions").get(), 4);
         assert_eq!(registry.counter("trr.A_TRR1.detections").get(), hits.len() as u64);
         assert!(!hits.is_empty());

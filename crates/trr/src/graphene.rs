@@ -18,6 +18,7 @@
 
 use std::fmt;
 
+use dram_sim::metrics::TallyCounter;
 use dram_sim::{Bank, MitigationEngine, Nanos, NeighborSpan, PhysRow, TrrDetection};
 
 /// Configuration of a [`Graphene`] engine.
@@ -122,8 +123,8 @@ pub struct Graphene {
     banks: Vec<BankTable>,
     ref_count: u64,
     pending: Vec<TrrDetection>,
-    /// `trr.Graphene.detections` — present once a registry is attached.
-    det_ctr: Option<obs::Counter>,
+    /// `trr.Graphene.detections`.
+    det_ctr: TallyCounter,
 }
 
 impl Graphene {
@@ -134,7 +135,7 @@ impl Graphene {
             banks: (0..banks).map(|_| BankTable::default()).collect(),
             ref_count: 0,
             pending: Vec::new(),
-            det_ctr: None,
+            det_ctr: TallyCounter::default(),
         }
     }
 
@@ -148,9 +149,7 @@ impl Graphene {
         let crossed = self.banks[bank.index() as usize].add(row, count, &config);
         if crossed {
             self.pending.push(TrrDetection { bank, aggressor: row, span: NeighborSpan::One });
-            if let Some(c) = &self.det_ctr {
-                c.inc();
-            }
+            self.det_ctr.add(1);
         }
     }
 }
@@ -211,7 +210,11 @@ impl MitigationEngine for Graphene {
     }
 
     fn attach_metrics(&mut self, registry: &std::sync::Arc<obs::MetricsRegistry>) {
-        self.det_ctr = Some(registry.counter("trr.Graphene.detections"));
+        self.det_ctr.attach(registry, "trr.Graphene.detections");
+    }
+
+    fn flush_metrics(&mut self) {
+        self.det_ctr.flush();
     }
 
     fn reset(&mut self) {

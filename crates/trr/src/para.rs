@@ -16,6 +16,7 @@
 
 use std::fmt;
 
+use dram_sim::metrics::TallyCounter;
 use dram_sim::rng::SplitMix64;
 use dram_sim::{Bank, MitigationEngine, Nanos, NeighborSpan, PhysRow, TrrDetection};
 
@@ -38,8 +39,8 @@ pub struct Para {
     rng: SplitMix64,
     seed: u64,
     pending: Vec<TrrDetection>,
-    /// `trr.PARA.detections` — present once a registry is attached.
-    det_ctr: Option<obs::Counter>,
+    /// `trr.PARA.detections`.
+    det_ctr: TallyCounter,
 }
 
 impl Para {
@@ -51,7 +52,13 @@ impl Para {
     /// Panics unless `0 < prob <= 1`.
     pub fn new(prob: f64, seed: u64) -> Self {
         assert!(prob > 0.0 && prob <= 1.0, "probability must be in (0, 1]");
-        Para { prob, rng: SplitMix64::new(seed), seed, pending: Vec::new(), det_ctr: None }
+        Para {
+            prob,
+            rng: SplitMix64::new(seed),
+            seed,
+            pending: Vec::new(),
+            det_ctr: TallyCounter::default(),
+        }
     }
 
     /// The configured probability.
@@ -65,9 +72,7 @@ impl Para {
         let any = 1.0 - (1.0 - self.prob).powi(count.min(i32::MAX as u64) as i32);
         if self.rng.next_f64() < any {
             self.pending.push(TrrDetection { bank, aggressor: row, span: NeighborSpan::One });
-            if let Some(c) = &self.det_ctr {
-                c.inc();
-            }
+            self.det_ctr.add(1);
         }
     }
 }
@@ -114,7 +119,11 @@ impl MitigationEngine for Para {
     }
 
     fn attach_metrics(&mut self, registry: &std::sync::Arc<obs::MetricsRegistry>) {
-        self.det_ctr = Some(registry.counter("trr.PARA.detections"));
+        self.det_ctr.attach(registry, "trr.PARA.detections");
+    }
+
+    fn flush_metrics(&mut self) {
+        self.det_ctr.flush();
     }
 
     fn reset(&mut self) {

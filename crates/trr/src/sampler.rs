@@ -16,6 +16,7 @@
 
 use std::fmt;
 
+use dram_sim::metrics::TallyCounter;
 use dram_sim::rng::SplitMix64;
 use dram_sim::{Bank, MitigationEngine, Nanos, NeighborSpan, PhysRow, TrrDetection};
 
@@ -99,10 +100,10 @@ pub struct SamplerTrr {
     ref_count: u64,
     rng: SplitMix64,
     seed: u64,
-    /// `trr.<name>.detections` — present once a registry is attached.
-    det_ctr: Option<obs::Counter>,
+    /// `trr.<name>.detections`.
+    det_ctr: TallyCounter,
     /// `trr.<name>.samples` — register overwrites by sampled `ACT`s.
-    sample_ctr: Option<obs::Counter>,
+    sample_ctr: TallyCounter,
     /// The attached registry, for flight-recorder sample events.
     registry: Option<std::sync::Arc<obs::MetricsRegistry>>,
     /// Last miss probability of [`MitigationEngine::on_activations`] and
@@ -145,8 +146,8 @@ impl SamplerTrr {
             ref_count: 0,
             rng: SplitMix64::new(seed),
             seed,
-            det_ctr: None,
-            sample_ctr: None,
+            det_ctr: TallyCounter::default(),
+            sample_ctr: TallyCounter::default(),
             registry: None,
             act_miss: MissMemo::INIT,
             pair_miss: MissMemo::INIT,
@@ -223,9 +224,7 @@ impl MitigationEngine for SamplerTrr {
         if self.rng.next_f64() >= miss {
             let idx = self.register_index(bank);
             self.registers[idx] = Some((bank, row));
-            if let Some(c) = &self.sample_ctr {
-                c.inc();
-            }
+            self.sample_ctr.add(1);
             self.trace_sample(bank, row, now);
         }
     }
@@ -253,9 +252,7 @@ impl MitigationEngine for SamplerTrr {
             let row = if self.rng.next_f64() < 1.0 / (1.0 + q) { second } else { first };
             let idx = self.register_index(bank);
             self.registers[idx] = Some((bank, row));
-            if let Some(c) = &self.sample_ctr {
-                c.inc();
-            }
+            self.sample_ctr.add(1);
             self.trace_sample(bank, row, now);
         }
     }
@@ -273,11 +270,7 @@ impl MitigationEngine for SamplerTrr {
             span: self.config.span,
         }));
         let detected = (out.len() - before) as u64;
-        if detected > 0 {
-            if let Some(c) = &self.det_ctr {
-                c.add(detected);
-            }
-        }
+        self.det_ctr.add(detected);
     }
 
     fn skip_idle_refs(&mut self, max: u64) -> u64 {
@@ -295,9 +288,14 @@ impl MitigationEngine for SamplerTrr {
     }
 
     fn attach_metrics(&mut self, registry: &std::sync::Arc<obs::MetricsRegistry>) {
-        self.det_ctr = Some(registry.counter(&format!("trr.{}.detections", self.name)));
-        self.sample_ctr = Some(registry.counter(&format!("trr.{}.samples", self.name)));
+        self.det_ctr.attach(registry, &format!("trr.{}.detections", self.name));
+        self.sample_ctr.attach(registry, &format!("trr.{}.samples", self.name));
         self.registry = Some(std::sync::Arc::clone(registry));
+    }
+
+    fn flush_metrics(&mut self) {
+        self.det_ctr.flush();
+        self.sample_ctr.flush();
     }
 
     fn detects_inline(&self) -> bool {

@@ -23,6 +23,7 @@
 
 use std::fmt;
 
+use dram_sim::metrics::TallyCounter;
 use dram_sim::rng::SplitMix64;
 use dram_sim::{Bank, MitigationEngine, Nanos, NeighborSpan, PhysRow, TrrDetection};
 
@@ -107,8 +108,8 @@ pub struct WindowTrr {
     ref_count: u64,
     rng: SplitMix64,
     seed: u64,
-    /// `trr.<name>.detections` — present once a registry is attached.
-    det_ctr: Option<obs::Counter>,
+    /// `trr.<name>.detections`.
+    det_ctr: TallyCounter,
 }
 
 impl WindowTrr {
@@ -123,7 +124,7 @@ impl WindowTrr {
                 pending: false,
             })
             .collect();
-        WindowTrr { config, name, banks, ref_count: 0, rng, seed, det_ctr: None }
+        WindowTrr { config, name, banks, ref_count: 0, rng, seed, det_ctr: TallyCounter::default() }
     }
 
     /// The C_TRR1 mechanism (modules C0–C8 of Table 1).
@@ -257,11 +258,7 @@ impl MitigationEngine for WindowTrr {
             }
         }
         let detected = (out.len() - before) as u64;
-        if detected > 0 {
-            if let Some(c) = &self.det_ctr {
-                c.add(detected);
-            }
-        }
+        self.det_ctr.add(detected);
     }
 
     fn skip_idle_refs(&mut self, max: u64) -> u64 {
@@ -290,7 +287,11 @@ impl MitigationEngine for WindowTrr {
     }
 
     fn attach_metrics(&mut self, registry: &std::sync::Arc<obs::MetricsRegistry>) {
-        self.det_ctr = Some(registry.counter(&format!("trr.{}.detections", self.name)));
+        self.det_ctr.attach(registry, &format!("trr.{}.detections", self.name));
+    }
+
+    fn flush_metrics(&mut self) {
+        self.det_ctr.flush();
     }
 
     fn detects_inline(&self) -> bool {

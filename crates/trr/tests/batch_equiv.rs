@@ -10,6 +10,7 @@
 
 use std::sync::Arc;
 
+use dram_sim::metrics::{CTR_ACT, CTR_REF};
 use dram_sim::{
     Bank, DataPattern, DramError, HammerOp, MitigationEngine, Module, ModuleConfig, ModuleStats,
     Nanos, NoMitigation, RowAddr,
@@ -112,6 +113,21 @@ struct Outcome {
     readouts: Vec<Vec<u32>>,
 }
 
+impl Outcome {
+    /// A registry counter's total as the run saw it.
+    fn counter(&self, name: &str) -> u64 {
+        self.counters.iter().find(|(n, _)| n == name).map_or(0, |&(_, v)| v)
+    }
+
+    /// Both twins flush before the snapshot, so equal `ACT` and `REF`
+    /// totals only count if there are some.
+    fn assert_counted(&self, what: &str) {
+        for name in [CTR_ACT, CTR_REF] {
+            assert!(self.counter(name) > 0, "{what}: no {name} reached the registry");
+        }
+    }
+}
+
 /// Issues `ops` one call per op, stopping at the first error.
 fn one_call_per_op(m: &mut Module, bank: Bank, ops: &[HammerOp]) -> Result<(), DramError> {
     for &op in ops {
@@ -150,6 +166,7 @@ fn run(engine_name: &str, seed: u64, steps: &[Step], batched: bool, traced: bool
         }
     }
     let (stats, activations) = (m.stats(), m.activations());
+    m.flush_metrics();
     let (counters, histograms) = (registry.counters_snapshot(), registry.histograms_snapshot());
     let now = m.now();
     // The next 64 REFs: their detections land in the event log.
@@ -245,6 +262,7 @@ fn every_engine_matches_on_a_fixed_trace() {
         let batched = run(name, 3, &steps, true, false);
         assert_eq!(batched.results.iter().filter(|r| r.is_err()).count(), 5, "{name}");
         assert!(batched.stats.activations > 50_000, "{name}: the trace hammers");
+        batched.assert_counted(name);
         assert_eq!(batched, run(name, 3, &steps, false, false), "{name}");
     }
 }
@@ -258,6 +276,7 @@ fn traced_batch_keeps_per_op_events() {
         let batched = run(name, 3, &steps, true, true);
         let acts = batched.trace.iter().filter(|e| e.kind == obs::TraceKind::Act).count();
         assert!(acts > 1_000, "{name}: one Act event per op, got {acts}");
+        batched.assert_counted(name);
         assert_eq!(batched, run(name, 3, &steps, false, true), "{name}");
     }
 }

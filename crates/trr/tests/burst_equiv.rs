@@ -9,6 +9,7 @@
 
 use std::sync::Arc;
 
+use dram_sim::metrics::{CTR_ACT, CTR_REF};
 use dram_sim::{
     Bank, DataPattern, MitigationEngine, Module, ModuleConfig, ModuleStats, Nanos, NoMitigation,
     RowAddr,
@@ -80,6 +81,21 @@ struct Outcome {
     readouts: Vec<Vec<u32>>,
 }
 
+impl Outcome {
+    /// A registry counter's total as the run saw it.
+    fn counter(&self, name: &str) -> u64 {
+        self.counters.iter().find(|(n, _)| n == name).map_or(0, |&(_, v)| v)
+    }
+
+    /// Both twins flush before the snapshot, so equal `ACT` and `REF`
+    /// totals only count if there are some.
+    fn assert_counted(&self, what: &str) {
+        for name in [CTR_ACT, CTR_REF] {
+            assert!(self.counter(name) > 0, "{what}: no {name} reached the registry");
+        }
+    }
+}
+
 /// Runs `ops` on a fresh module; `segmented` selects whether bursts go
 /// through `refresh_burst_at_refi` or the per-`REF` twin.
 fn run(
@@ -121,8 +137,9 @@ fn run(
             }
         }
     }
-    let (stats, counters, histograms) =
-        (m.stats(), registry.counters_snapshot(), registry.histograms_snapshot());
+    let stats = m.stats();
+    m.flush_metrics();
+    let (counters, histograms) = (registry.counters_snapshot(), registry.histograms_snapshot());
     let (now, ref_count) = (m.now(), m.ref_count());
     // The next 64 REFs: their detections land in the event log.
     for _ in 0..64 {
@@ -206,6 +223,7 @@ fn every_engine_matches_on_a_fixed_trace() {
         for period in PERIODS {
             let segmented = run(name, period, 3, &ops, true, false);
             assert!(segmented.stats.refreshes > 10_000, "{name}: the trace bursts");
+            segmented.assert_counted(name);
             assert_eq!(segmented, run(name, period, 3, &ops, false, false), "{name} at {period}");
         }
     }
@@ -220,6 +238,7 @@ fn traced_burst_keeps_per_ref_events() {
         let segmented = run(name, 1_024, 3, &ops, true, true);
         let refs = segmented.trace.iter().filter(|e| e.kind == obs::TraceKind::Ref).count();
         assert!(refs as u64 >= segmented.ref_count, "{name}: one Ref event per REF, got {refs}");
+        segmented.assert_counted(name);
         assert_eq!(segmented, run(name, 1_024, 3, &ops, false, true), "{name}");
     }
 }
