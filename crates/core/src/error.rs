@@ -38,6 +38,22 @@ pub enum UtrrError {
     EmptyInput,
 }
 
+impl UtrrError {
+    /// A stable lower-kebab-case label of the error's kind (e.g.
+    /// `schedule-not-found`), for machine-readable failure causes such
+    /// as a fleet record's `re-failed:<cause>` reason.
+    pub fn cause(&self) -> &'static str {
+        match self {
+            UtrrError::Dram(_) => "device-error",
+            UtrrError::NotEnoughRowGroups { .. } => "not-enough-row-groups",
+            UtrrError::ScheduleNotFound => "schedule-not-found",
+            UtrrError::HammerCountUnsafe { .. } => "hammer-count-unsafe",
+            UtrrError::AdjacencyBroken => "adjacency-broken",
+            UtrrError::EmptyInput => "empty-input",
+        }
+    }
+}
+
 impl fmt::Display for UtrrError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -120,6 +136,24 @@ mod tests {
             let msg = err.to_string();
             assert!(msg.contains(needle), "{err:?} display {msg:?} lacks {needle:?}");
         }
+    }
+
+    #[test]
+    fn causes_are_distinct_kebab_labels() {
+        let errors = [
+            UtrrError::Dram(DramError::BankClosed { bank: Bank::new(0) }),
+            UtrrError::NotEnoughRowGroups { found: 0, needed: 1, max_retention: Nanos::ZERO },
+            UtrrError::ScheduleNotFound,
+            UtrrError::HammerCountUnsafe { count: 1 },
+            UtrrError::AdjacencyBroken,
+            UtrrError::EmptyInput,
+        ];
+        let mut causes: Vec<&str> = errors.iter().map(UtrrError::cause).collect();
+        assert!(causes.iter().all(|c| c.chars().all(|ch| ch.is_ascii_lowercase() || ch == '-')));
+        assert_eq!(UtrrError::ScheduleNotFound.cause(), "schedule-not-found");
+        causes.sort_unstable();
+        causes.dedup();
+        assert_eq!(causes.len(), errors.len());
     }
 
     #[test]

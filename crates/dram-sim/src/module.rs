@@ -267,10 +267,18 @@ pub struct Module {
     /// `REF`, which is real money at a million REFs per experiment.
     ref_window: RefWindow,
     /// Dense per-slot map from `(bank, physical row)` to an index into
-    /// `row_states` (4 bytes per row of the module). The hammer/restore
-    /// hot path resolves a row in two array reads — no hashing.
-    /// Entries are only meaningful where the `touched` bit is set.
+    /// `row_states` (4 bytes per row of the module), `u32::MAX` for a
+    /// row never touched. The hammer/restore hot path answers both
+    /// "touched?" and "where?" with this one load — no hashing.
     row_index: Vec<u32>,
+    /// A scrambled `config.mapping` tabulated over the bank's rows at
+    /// construction: `phys_table[l]` is the physical position of logical
+    /// row `l`, and `logical_table[p]` the logical address of physical
+    /// position `p` (8 bytes per row), so a translation is one load
+    /// however long the mapping's arithmetic. Both stay empty for the
+    /// identity, which needs no table.
+    phys_table: Vec<u32>,
+    logical_table: Vec<u32>,
     /// Backing store of every touched row's cold state, in first-touch
     /// order.
     row_states: Vec<RowState>,
@@ -282,10 +290,8 @@ pub struct Module {
     /// in `row_states`. Laid out row-major — row `r`'s `bank_words`
     /// words hold bank `b` at bit `b % 64` of word `r·bank_words + b/64`
     /// — so a `REF` finds every bank holding a touched row of its window
-    /// in one word per row. TRR victim restores consult the same O(1)
-    /// index instead of probing every candidate row: untouched rows (the
-    /// overwhelming majority of a 64K-row bank under a targeted attack)
-    /// cost one bit test.
+    /// in one word per row. Only the regular-refresh sweep reads it;
+    /// per-row lookups go through `row_index`.
     touched: Vec<u64>,
     /// Words of `touched` per physical row (`⌈banks / 64⌉`).
     bank_words: usize,
@@ -323,6 +329,13 @@ impl Module {
         let engine_inline = engine.detects_inline();
         let ref_window =
             RefWindow::new(config.geometry.rows_per_bank as u64, config.refresh.period_refs as u64);
+        let mapping = &config.mapping;
+        let rows = match mapping {
+            RowMapping::Identity => 0..0,
+            _ => 0..config.geometry.rows_per_bank,
+        };
+        let phys_table = rows.clone().map(|r| mapping.to_phys(RowAddr::new(r)).index()).collect();
+        let logical_table = rows.map(|p| mapping.to_logical(PhysRow::new(p)).index()).collect();
         Module {
             config,
             engine,
@@ -333,6 +346,8 @@ impl Module {
             activations: 0,
             ref_window,
             row_index: vec![u32::MAX; row_slots],
+            phys_table,
+            logical_table,
             row_states: Vec::new(),
             hot_rows: Vec::new(),
             touched,
@@ -418,14 +433,26 @@ impl Module {
         self.ref_count
     }
 
-    /// The physical position selected by a logical row address.
+    /// The physical position selected by a logical row address: one
+    /// table load for a scrambled mapping, the identity otherwise (for a
+    /// row outside the bank, whatever the mapping computes for it).
+    #[inline]
     pub fn phys_of(&self, row: RowAddr) -> PhysRow {
-        self.config.mapping.to_phys(row)
+        match self.phys_table.get(row.index() as usize) {
+            Some(&phys) => PhysRow::new(phys),
+            None => self.config.mapping.to_phys(row),
+        }
     }
 
-    /// The logical address that selects a physical position.
+    /// The logical address that selects a physical position: one table
+    /// load for a scrambled mapping, the identity otherwise (for a
+    /// position outside the bank, whatever the mapping computes for it).
+    #[inline]
     pub fn logical_of(&self, row: PhysRow) -> RowAddr {
-        self.config.mapping.to_logical(row)
+        match self.logical_table.get(row.index() as usize) {
+            Some(&logical) => RowAddr::new(logical),
+            None => self.config.mapping.to_logical(row),
+        }
     }
 
     /// Lets simulated time pass with the device idle (rows decaying, no
@@ -475,7 +502,7 @@ impl Module {
             return Err(DramError::BankAlreadyOpen { bank, open });
         }
         let phys = self.phys_of(row);
-        self.restore(bank, phys);
+        let index = self.restore(bank, phys);
         // Re-opening the row that was just closed toggles the wordline
         // less effectively, exactly as in the batched hammer paths.
         let weight = if self.banks[bank.index() as usize].last_act == Some(phys) {
@@ -483,7 +510,7 @@ impl Module {
         } else {
             1.0
         };
-        self.disturb_from(bank, phys, weight);
+        self.disturb_from(bank, phys, weight, self.hot_rows[index].coupling);
         self.engine.on_activations(bank, phys, 1, self.now);
         self.apply_inline_detections();
         let b = &mut self.banks[bank.index() as usize];
@@ -711,12 +738,12 @@ impl Module {
     /// `count ≥ 1` back-to-back activations of `phys` at the current
     /// time, clock and `ACT` counters aside.
     fn burst(&mut self, bank: Bank, phys: PhysRow, count: u64) {
-        self.restore(bank, phys);
+        let index = self.restore(bank, phys);
         let discount = self.config.physics.same_row_discount;
         let first =
             if self.banks[bank.index() as usize].last_act == Some(phys) { discount } else { 1.0 };
         let weight = first + discount * (count - 1) as f64;
-        self.disturb_from(bank, phys, weight);
+        self.disturb_from(bank, phys, weight, self.hot_rows[index].coupling);
         self.engine.on_activations(bank, phys, count, self.now);
         self.apply_inline_detections();
         self.banks[bank.index() as usize].last_act = Some(phys);
@@ -734,8 +761,7 @@ impl Module {
     /// time, clock and `ACT` counters aside.
     fn pair(&mut self, bank: Bank, p1: PhysRow, p2: PhysRow, pairs: u64) {
         let bank_idx = bank.index() as usize;
-        self.restore(bank, p1);
-        self.restore(bank, p2);
+        let (i1, i2) = (self.restore(bank, p1), self.restore(bank, p2));
         let discount = self.config.physics.same_row_discount;
         let p1_was_last = self.banks[bank_idx].last_act == Some(p1);
         let first_weight = if p1_was_last { discount + (pairs - 1) as f64 } else { pairs as f64 };
@@ -765,14 +791,13 @@ impl Module {
                 pairs as f64,
             );
         }
-        self.disturb_from(bank, p1, first_weight);
-        self.disturb_from(bank, p2, pairs as f64);
+        self.disturb_from(bank, p1, first_weight, self.hot_rows[i1].coupling);
+        self.disturb_from(bank, p2, pairs as f64, self.hot_rows[i2].coupling);
         // Each real alternation cycle re-restores both aggressors, so the
         // radius-2 disturbance they deposit on *each other* never
         // accumulates past one cycle; the batch restores them only once
         // up front, so clear the residue it would otherwise pile up.
-        for row in [p1, p2] {
-            let index = self.row_index_of(bank, row);
+        for index in [i1, i2] {
             self.hot_rows[index].disturbance = 0.0;
         }
         self.engine.on_interleaved_pair(bank, p1, p2, pairs, self.now);
@@ -986,18 +1011,12 @@ impl Module {
         bank.index() as usize * self.config.geometry.rows_per_bank as usize + phys.index() as usize
     }
 
-    /// Word and bit of `(bank, phys)` in the row-major `touched` bitmap.
+    /// Index of `(bank, phys)` into `row_states` / `hot_rows`, or `None`
+    /// for a row never touched.
     #[inline]
-    fn touched_slot(&self, bank: Bank, phys: PhysRow) -> (usize, u64) {
-        let b = bank.index() as usize;
-        (phys.index() as usize * self.bank_words + b / 64, 1u64 << (b % 64))
-    }
-
-    /// Whether `(bank, phys)` has an entry in the row table.
-    #[inline]
-    fn is_touched(&self, bank: Bank, phys: PhysRow) -> bool {
-        let (word, mask) = self.touched_slot(bank, phys);
-        self.touched[word] & mask != 0
+    fn existing_index(&self, bank: Bank, phys: PhysRow) -> Option<usize> {
+        let index = self.row_index[self.slot(bank, phys)];
+        (index != u32::MAX).then_some(index as usize)
     }
 
     fn check_bank(&self, bank: Bank) -> Result<(), DramError> {
@@ -1021,23 +1040,21 @@ impl Module {
     }
 
     /// Get-or-create a row: its index into `row_states` / `hot_rows`.
-    /// The `touched` bit doubles as the existence check, so the common
-    /// "row already exists" path costs one bit test plus one array read
-    /// — no hashing.
+    /// The common "row already exists" path is one array read.
     #[inline]
     fn row_index_of(&mut self, bank: Bank, phys: PhysRow) -> usize {
-        if !self.is_touched(bank, phys) {
-            return self.create_row(bank, phys);
+        match self.existing_index(bank, phys) {
+            Some(index) => index,
+            None => self.create_row(bank, phys),
         }
-        self.row_index[self.slot(bank, phys)] as usize
     }
 
     /// First touch of a row: derives its physics and appends its state.
     #[cold]
     #[inline(never)]
     fn create_row(&mut self, bank: Bank, phys: PhysRow) -> usize {
-        let (word, mask) = self.touched_slot(bank, phys);
-        self.touched[word] |= mask;
+        let b = bank.index() as usize;
+        self.touched[phys.index() as usize * self.bank_words + b / 64] |= 1u64 << (b % 64);
         let (physics, vrt_rng) = RowPhysics::derive(
             &self.config.physics,
             self.seed,
@@ -1065,13 +1082,21 @@ impl Module {
     /// bit or switches a VRT cell; otherwise the cold path would do
     /// nothing but stamp the row (and draw the VRT stream), so this does
     /// exactly that directly.
-    fn restore(&mut self, bank: Bank, phys: PhysRow) {
-        if !self.is_touched(bank, phys) {
+    ///
+    /// Returns the row's index into `row_states` / `hot_rows`.
+    fn restore(&mut self, bank: Bank, phys: PhysRow) -> usize {
+        match self.existing_index(bank, phys) {
+            Some(index) => {
+                self.restore_row(bank, phys, index);
+                index
+            }
             // First touch: a freshly created state is already restored.
-            self.create_row(bank, phys);
-            return;
+            None => self.create_row(bank, phys),
         }
-        let index = self.row_index[self.slot(bank, phys)] as usize;
+    }
+
+    /// [`Module::restore`] of a touched row, `index` its entry.
+    fn restore_row(&mut self, bank: Bank, phys: PhysRow, index: usize) {
         #[cfg(debug_assertions)]
         self.debug_assert_hot_row(index);
         let now = self.now;
@@ -1219,10 +1244,17 @@ impl Module {
             let (victims, n) =
                 self.config.topology.trr_victims_fixed(det.aggressor, rows_per_bank, det.span);
             for &victim in &victims[..n] {
-                if self.restore_existing(det.bank, victim) {
-                    refreshed += 1;
-                }
-                self.disturb_from(det.bank, victim, 1.0);
+                // The targeted refresh restores the victim if it has
+                // state, then disturbs its neighbours as an activation.
+                let coupling = match self.existing_index(det.bank, victim) {
+                    Some(index) => {
+                        self.restore_row(det.bank, victim, index);
+                        refreshed += 1;
+                        self.hot_rows[index].coupling
+                    }
+                    None => self.config.physics.aggressor_coupling(None),
+                };
+                self.disturb_from(det.bank, victim, 1.0, coupling);
                 if tracing {
                     self.metrics.trace(
                         TraceKind::TrrRefresh,
@@ -1241,26 +1273,21 @@ impl Module {
     /// Restores a row only if it has ever been touched; returns whether a
     /// restore happened. Untouched rows have no observable state, so
     /// skipping them is semantically free and keeps `REF` cheap — the
-    /// existence test is one bit in the `touched` index, no hashing.
+    /// existence test is the `row_index` load, no hashing.
     fn restore_existing(&mut self, bank: Bank, phys: PhysRow) -> bool {
-        if self.is_touched(bank, phys) {
-            self.restore(bank, phys);
-            true
-        } else {
-            false
+        match self.existing_index(bank, phys) {
+            Some(index) => {
+                self.restore_row(bank, phys, index);
+                true
+            }
+            None => false,
         }
     }
 
-    /// Adds `weight` units of disturbance (before coupling) from an
-    /// activation of `source` to its topological neighbours.
-    fn disturb_from(&mut self, bank: Bank, source: PhysRow, weight: f64) {
-        let coupling = {
-            if self.is_touched(bank, source) {
-                self.hot_rows[self.row_index[self.slot(bank, source)] as usize].coupling
-            } else {
-                self.config.physics.aggressor_coupling(None)
-            }
-        };
+    /// Adds `weight` units of disturbance (before `coupling`, the
+    /// source row's aggressor coupling) from an activation of `source`
+    /// to its topological neighbours.
+    fn disturb_from(&mut self, bank: Bank, source: PhysRow, weight: f64, coupling: f64) {
         let topology = self.config.topology;
         let (rows_per_bank, radius2_weight) =
             (self.config.geometry.rows_per_bank, self.config.physics.radius2_weight);

@@ -23,7 +23,7 @@ use obs::jsonl::JsonValue;
 use obs::MetricsRegistry;
 pub use utrr_bench::CTR_RE_RETRIES;
 use utrr_bench::{
-    attack_columns, detection_label, hc_first, retry_seeds, reverse_engineer, RunConfig,
+    attack_columns, detection_label, hc_first, retry_seeds, reverse_engineer, Retried, RunConfig,
     RE_BIN_ATTEMPTS,
 };
 use utrr_core::recovery::VerdictTier;
@@ -131,17 +131,18 @@ pub const RE_ATTEMPTS: u32 = RE_BIN_ATTEMPTS as u32;
 
 /// Runs the full pipeline for module `index` and returns its record.
 ///
-/// Under the `hostile` profile a module whose reverse engineering
-/// exhausts all [`RE_ATTEMPTS`] experiment seeds is recorded as
-/// `inconclusive` — with its recovery-ladder history and the
-/// RE-independent measurements (`HC_first`, attack columns) — and the
-/// sweep continues: hostile faults never abort a shard.
+/// A module whose reverse engineering exhausts all [`RE_ATTEMPTS`]
+/// experiment seeds is recorded as `inconclusive` — with its
+/// recovery-ladder history and the RE-independent measurements
+/// (`HC_first`, attack columns) — and the sweep continues: one stubborn
+/// module never aborts a shard. Below hostile severity, where every
+/// module is expected to succeed, such a record also names the last
+/// attempt's error in `tier_reasons` as `re-failed:<cause>` (see
+/// [`utrr_core::UtrrError::cause`]).
 ///
 /// # Panics
 ///
-/// Panics when the reverse-engineering suite cannot complete within
-/// [`RE_ATTEMPTS`] experiment seeds below hostile severity — the fleet
-/// executor promises full correctness for `none` and `mild` profiles.
+/// Panics if `HC_first` cannot be measured on bank 0.
 pub fn characterize(params: &SweepParams, index: u64) -> FleetRecord {
     let synth = synth_spec(params.fleet_seed, index, params.base_rows);
     let spec = &synth.spec;
@@ -160,18 +161,14 @@ pub fn characterize(params: &SweepParams, index: u64) -> FleetRecord {
     };
     // Streams 2..5 feed the first attempt's phases; retries move to a
     // disjoint stream block (16, 32, …) per attempt.
-    let re = retry_seeds(
+    let (re, failure) = match retry_seeds(
         &config,
         |k| derive_seed(synth.seed, 2 + 16 * k),
         |c| reverse_engineer(spec, c),
-    )
-    .unwrap_or_else(|e| {
-        panic!(
-            "module {} (index {index}): reverse engineering failed after \
-             {RE_ATTEMPTS} attempts: {e}",
-            spec.id
-        )
-    });
+    ) {
+        Ok(re) => (re, None),
+        Err(e) => (Retried { outcome: None, attempts: RE_ATTEMPTS }, Some(e)),
+    };
     let hc_config = RunConfig { seed: derive_seed(synth.seed, 3), ..config };
     let hc = hc_first(spec, &hc_config, params.hc_samples)
         .expect("characterization runs on an in-range bank");
@@ -232,7 +229,10 @@ pub fn characterize(params: &SweepParams, index: u64) -> FleetRecord {
         read_disagreements: counter(utrr_core::robust::CTR_READ_DISAGREEMENTS),
         write_retries: counter(utrr_core::robust::CTR_WRITE_RETRIES),
         tier: tier.label().to_string(),
-        tier_reasons: tier.reasons_string(),
+        tier_reasons: match failure {
+            Some(e) => format!("re-failed:{}", e.cause()),
+            None => tier.reasons_string(),
+        },
         vote_widenings: counter(utrr_core::recovery::CTR_VOTE_WIDENINGS),
         relocations: counter(utrr_core::recovery::CTR_RELOCATIONS),
         reprofiles: counter(utrr_core::recovery::CTR_REPROFILES),
@@ -430,6 +430,32 @@ mod tests {
         let tier = sample().verdict_tier();
         assert_eq!(tier.label(), "degraded");
         assert_eq!(tier.reasons_string(), "scout-shortfall+act-budget");
+    }
+
+    #[test]
+    fn failed_reverse_engineering_below_hostile_is_an_inconclusive_record() {
+        // 256 rows cannot host Row Scout's row groups, so every seed
+        // fails; `none` and `mild` still get a record, not a panic.
+        for fault_profile in [FaultProfile::None, FaultProfile::Mild] {
+            let params = SweepParams {
+                fleet_seed: 1,
+                base_rows: 256,
+                hc_samples: 2,
+                attack_samples: 2,
+                fault_profile,
+                fault_seed: 1,
+            };
+            let record = characterize(&params, 0);
+            assert_eq!(record.tier, "inconclusive", "{fault_profile:?}");
+            assert_eq!(record.tier_reasons, "re-failed:not-enough-row-groups", "{fault_profile:?}");
+            assert_eq!((record.re_attempts, record.re_match), (RE_ATTEMPTS, false));
+            assert_eq!(record.detection, "inconclusive");
+            assert!(record.hc_first_measured > 0, "HC_first is measured regardless");
+            // The cause survives the wire form.
+            let line = record.to_json_line();
+            let parsed = FleetRecord::from_json(&parse_json(&line).unwrap()).unwrap();
+            assert_eq!(parsed.to_json_line(), line);
+        }
     }
 
     #[test]

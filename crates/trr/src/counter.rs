@@ -56,40 +56,53 @@ impl CounterTrrConfig {
 }
 
 /// Per-bank table state, struct-of-arrays: fixed slots so the `TREF_b`
-/// pointer walk is stable under replacement. `last_used[i] == 0` marks
-/// slot `i` empty (every insertion stamps a sequence number ≥ 1), so an
-/// empty slot also has the lowest recency and "first empty slot, else
-/// least recently used" is one first-argmin.
-#[derive(Debug, Clone, Default)]
+/// pointer walk is stable under replacement.
+///
+/// Slots fill in index order and are never vacated (a detection only
+/// zeroes a count; `reset` rebuilds the table), so slots `0..len` are
+/// the occupied ones and the first empty slot is `len`. An intrusive
+/// doubly linked list threads the occupied slots from least to most
+/// recently activated. "First empty slot, else least recently used"
+/// is therefore `len`, else the list head: O(1), and the same slot as
+/// the first minimum of per-slot activation stamps (empty slots
+/// stamped 0), which `tests/counter_table_equiv.rs` keeps as the
+/// reference model.
+#[derive(Debug, Clone)]
 struct BankTable {
     rows: Vec<PhysRow>,
     counts: Vec<u64>,
-    /// Activation sequence number of each row's most recent activation,
-    /// for LRU eviction; 0 for an empty slot.
-    last_used: Vec<u64>,
+    /// Occupied slots: `0..len`.
+    len: usize,
+    /// Recency list links: the next older / newer occupied slot, or
+    /// [`NIL`] at either end.
+    older: Vec<u32>,
+    newer: Vec<u32>,
+    /// Least and most recently activated slots ([`NIL`] when empty).
+    lru: u32,
+    mru: u32,
     /// `TREF_b` walk pointer (slot index).
     pointer: usize,
-    /// Per-bank activation sequence counter.
-    seq: u64,
 }
+
+/// End-of-list marker of the [`BankTable`] recency list.
+const NIL: u32 = u32::MAX;
 
 impl BankTable {
     fn with_capacity(capacity: usize) -> Self {
         BankTable {
             rows: vec![PhysRow::new(0); capacity],
             counts: vec![0; capacity],
-            last_used: vec![0; capacity],
+            len: 0,
+            older: vec![NIL; capacity],
+            newer: vec![NIL; capacity],
+            lru: NIL,
+            mru: NIL,
             pointer: 0,
-            seq: 0,
         }
     }
 
-    fn occupied(&self, slot: usize) -> bool {
-        self.last_used[slot] != 0
-    }
-
     fn position(&self, row: PhysRow) -> Option<usize> {
-        (0..self.rows.len()).find(|&i| self.rows[i] == row && self.occupied(i))
+        self.rows[..self.len].iter().position(|&r| r == row)
     }
 
     /// Records `count` back-to-back activations of `row`: exactly
@@ -100,44 +113,65 @@ impl BankTable {
         if count == 0 {
             return None;
         }
-        self.seq += count;
-        let seq = self.seq;
         if let Some(i) = self.position(row) {
             self.counts[i] += count;
-            self.last_used[i] = seq;
+            self.touch(i as u32);
             return None;
         }
-        let slot = self.free_or_lru_slot();
-        let evicted = self.occupied(slot).then_some(self.rows[slot]);
-        self.rows[slot] = row;
-        self.counts[slot] = count;
-        self.last_used[slot] = seq;
+        let (slot, evicted) = if self.len < self.rows.len() {
+            let slot = self.len as u32;
+            self.len += 1;
+            self.push_mru(slot);
+            (slot, None)
+        } else {
+            let slot = self.lru;
+            self.touch(slot);
+            (slot, Some(self.rows[slot as usize]))
+        };
+        self.rows[slot as usize] = row;
+        self.counts[slot as usize] = count;
         evicted
     }
 
-    /// First empty slot, or the slot holding the least-recently-used
-    /// entry: the first minimum of `last_used`.
-    fn free_or_lru_slot(&self) -> usize {
-        let mut best = 0;
-        for i in 1..self.last_used.len() {
-            if self.last_used[i] < self.last_used[best] {
-                best = i;
-            }
+    /// Moves occupied `slot` to the most recent end of the list.
+    fn touch(&mut self, slot: u32) {
+        if slot == self.mru {
+            return;
         }
-        best
+        let (older, newer) = (self.older[slot as usize], self.newer[slot as usize]);
+        // Not the MRU, so `newer` is a slot.
+        self.older[newer as usize] = older;
+        if older == NIL {
+            self.lru = newer;
+        } else {
+            self.newer[older as usize] = newer;
+        }
+        self.push_mru(slot);
+    }
+
+    /// Links unlinked `slot` in as the most recent entry.
+    fn push_mru(&mut self, slot: u32) {
+        self.older[slot as usize] = self.mru;
+        self.newer[slot as usize] = NIL;
+        if self.mru == NIL {
+            self.lru = slot;
+        } else {
+            self.newer[self.mru as usize] = slot;
+        }
+        self.mru = slot;
     }
 
     /// `TREF_a`: the highest-count entry, if any activity is recorded;
-    /// the last one among equals. Empty slots count zero, so they never
-    /// win over a nonzero count.
+    /// the last one among equals.
     fn detect_max(&mut self) -> Option<PhysRow> {
+        let counts = &self.counts[..self.len];
         let mut idx = 0;
-        for i in 1..self.counts.len() {
-            if self.counts[i] >= self.counts[idx] {
+        for i in 1..counts.len() {
+            if counts[i] >= counts[idx] {
                 idx = i;
             }
         }
-        if self.counts[idx] == 0 {
+        if counts.get(idx).is_none_or(|&c| c == 0) {
             return None;
         }
         self.counts[idx] = 0;
@@ -146,26 +180,20 @@ impl BankTable {
 
     /// `TREF_b`: the next occupied slot at or after the pointer (detected
     /// even with a zero counter — Observation A7), then advance the
-    /// pointer.
+    /// pointer. Past the occupied prefix the walk wraps to slot 0.
     fn detect_pointer(&mut self) -> Option<PhysRow> {
-        let size = self.rows.len();
-        for probe in 0..size {
-            let idx = (self.pointer + probe) % size;
-            if self.occupied(idx) {
-                self.counts[idx] = 0;
-                self.pointer = (idx + 1) % size;
-                return Some(self.rows[idx]);
-            }
+        if self.len == 0 {
+            return None;
         }
-        None
+        let idx = if self.pointer < self.len { self.pointer } else { 0 };
+        self.counts[idx] = 0;
+        self.pointer = (idx + 1) % self.rows.len();
+        Some(self.rows[idx])
     }
 
     /// Occupied entries as `(row, count)`, in slot order.
     fn entries(&self) -> Vec<(PhysRow, u64)> {
-        (0..self.rows.len())
-            .filter(|&i| self.occupied(i))
-            .map(|i| (self.rows[i], self.counts[i]))
-            .collect()
+        (0..self.len).map(|i| (self.rows[i], self.counts[i])).collect()
     }
 }
 
@@ -187,6 +215,9 @@ pub struct CounterTrr {
     config: CounterTrrConfig,
     name: &'static str,
     banks: Vec<BankTable>,
+    /// Indices of the banks whose table holds an entry, ascending: the
+    /// only banks a `REF` can detect in.
+    live: Vec<u8>,
     ref_count: u64,
     /// Alternates TREF_a / TREF_b on successive TRR-capable REFs.
     next_is_tref_a: bool,
@@ -211,12 +242,24 @@ impl CounterTrr {
             config,
             name,
             banks: (0..banks).map(|_| BankTable::with_capacity(config.table_size)).collect(),
+            live: Vec::new(),
             ref_count: 0,
             next_is_tref_a: true,
             det_ctr: TallyCounter::default(),
             evict_ctr: TallyCounter::default(),
             registry: None,
         }
+    }
+
+    /// The table of `bank`, about to take an activation: a first entry
+    /// adds the bank to `live`.
+    fn table_for_insert(&mut self, bank: Bank) -> &mut BankTable {
+        let idx = bank.index();
+        if self.banks[idx as usize].len == 0 {
+            let at = self.live.partition_point(|&b| b < idx);
+            self.live.insert(at, idx);
+        }
+        &mut self.banks[idx as usize]
     }
 
     /// Flight-recorder event for one LRU eviction: `evicted` lost its
@@ -268,7 +311,10 @@ impl fmt::Debug for CounterTrr {
 
 impl MitigationEngine for CounterTrr {
     fn on_activations(&mut self, bank: Bank, row: PhysRow, count: u64, now: Nanos) {
-        if let Some(evicted) = self.banks[bank.index() as usize].add(row, count) {
+        if count == 0 {
+            return;
+        }
+        if let Some(evicted) = self.table_for_insert(bank).add(row, count) {
             self.evict_ctr.add(1);
             self.trace_eviction(bank, evicted, row, now);
         }
@@ -291,7 +337,7 @@ impl MitigationEngine for CounterTrr {
         // exist — and with table size ≥ 2 one always does), so the
         // remaining activations are pure increments; only the final
         // recency order matters, with `second` activated last.
-        let table = &mut self.banks[bank.index() as usize];
+        let table = self.table_for_insert(bank);
         let mut evicted = [None, None, None, None];
         evicted[0] = table.add(first, 1);
         evicted[1] = table.add(second, 1);
@@ -320,10 +366,12 @@ impl MitigationEngine for CounterTrr {
         self.next_is_tref_a = !tref_a;
         let span = self.config.span;
         let before = out.len();
-        for (idx, table) in self.banks.iter_mut().enumerate() {
+        // A bank with an empty table detects nothing under either type.
+        for &idx in &self.live {
+            let table = &mut self.banks[idx as usize];
             let detected = if tref_a { table.detect_max() } else { table.detect_pointer() };
             if let Some(row) = detected {
-                out.push(TrrDetection { bank: Bank::new(idx as u8), aggressor: row, span });
+                out.push(TrrDetection { bank: Bank::new(idx), aggressor: row, span });
             }
         }
         let detected = (out.len() - before) as u64;
@@ -361,6 +409,7 @@ impl MitigationEngine for CounterTrr {
         for table in &mut self.banks {
             *table = BankTable::with_capacity(capacity);
         }
+        self.live.clear();
         self.ref_count = 0;
         self.next_is_tref_a = true;
     }
@@ -580,137 +629,6 @@ mod tests {
             }
             assert_eq!(batched.table(B0), singles.table(B0), "fill={fill}");
         }
-    }
-
-    /// The pre-struct-of-arrays table (`Option<Entry>` slots, three
-    /// scans per insertion), kept as the reference model [`BankTable`]
-    /// must match operation for operation.
-    mod reference {
-        use dram_sim::PhysRow;
-
-        #[derive(Debug, Clone, Copy)]
-        struct Entry {
-            row: PhysRow,
-            count: u64,
-            last_used: u64,
-        }
-
-        #[derive(Debug, Clone)]
-        pub struct RefTable {
-            slots: Vec<Option<Entry>>,
-            pointer: usize,
-            seq: u64,
-        }
-
-        impl RefTable {
-            pub fn with_capacity(capacity: usize) -> Self {
-                RefTable { slots: vec![None; capacity], pointer: 0, seq: 0 }
-            }
-
-            pub fn add(&mut self, row: PhysRow, count: u64) -> Option<PhysRow> {
-                if count == 0 {
-                    return None;
-                }
-                self.seq += count;
-                let seq = self.seq;
-                if let Some(i) = self.slots.iter().position(|s| s.map(|e| e.row) == Some(row)) {
-                    let entry = self.slots[i].as_mut().expect("found");
-                    entry.count += count;
-                    entry.last_used = seq;
-                    return None;
-                }
-                let slot = match self.slots.iter().position(Option::is_none) {
-                    Some(i) => i,
-                    None => {
-                        self.slots
-                            .iter()
-                            .enumerate()
-                            .min_by_key(|(_, s)| s.map(|e| e.last_used))
-                            .expect("nonempty")
-                            .0
-                    }
-                };
-                let evicted = self.slots[slot].map(|e| e.row);
-                self.slots[slot] = Some(Entry { row, count, last_used: seq });
-                evicted
-            }
-
-            pub fn detect_max(&mut self) -> Option<PhysRow> {
-                let (idx, entry) = self
-                    .slots
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, s)| s.map(|e| (i, e)))
-                    .max_by_key(|(_, e)| e.count)?;
-                if entry.count == 0 {
-                    return None;
-                }
-                self.slots[idx].as_mut().expect("occupied").count = 0;
-                Some(entry.row)
-            }
-
-            pub fn detect_pointer(&mut self) -> Option<PhysRow> {
-                let size = self.slots.len();
-                for probe in 0..size {
-                    let idx = (self.pointer + probe) % size;
-                    if let Some(entry) = &mut self.slots[idx] {
-                        let row = entry.row;
-                        entry.count = 0;
-                        self.pointer = (idx + 1) % size;
-                        return Some(row);
-                    }
-                }
-                None
-            }
-
-            pub fn entries(&self) -> Vec<(PhysRow, u64)> {
-                self.slots.iter().flatten().map(|e| (e.row, e.count)).collect()
-            }
-        }
-    }
-
-    #[test]
-    fn soa_table_matches_the_option_entry_reference() {
-        use dram_sim::rng::SplitMix64;
-        let mut evictions = 0u64;
-        for size in 2..=17usize {
-            for seed in 0..40 {
-                let mut rng = SplitMix64::new(seed * 31 + size as u64);
-                let (mut soa, mut model) =
-                    (BankTable::with_capacity(size), reference::RefTable::with_capacity(size));
-                // Few distinct rows, so hits, misses and evictions all occur.
-                let rows = 2 + rng.next_below(2 * size as u64) as u32;
-                for step in 0..400 {
-                    let row = PhysRow::new(rng.next_below(rows as u64) as u32);
-                    let n = rng.next_below(4) * rng.next_below(60);
-                    let ctx = format!("size {size} seed {seed} step {step}");
-                    match rng.next_below(5) {
-                        0 | 1 => {
-                            let evicted = soa.add(row, n);
-                            evictions += evicted.is_some() as u64;
-                            assert_eq!(evicted, model.add(row, n), "add: {ctx}");
-                        }
-                        2 => {
-                            // `on_interleaved_pair`'s four insertions.
-                            let other = PhysRow::new(row.index() + 1);
-                            for (r, k) in [(row, 1), (other, 1), (row, n), (other, n)] {
-                                assert_eq!(soa.add(r, k), model.add(r, k), "pair: {ctx}");
-                            }
-                        }
-                        3 => assert_eq!(soa.detect_max(), model.detect_max(), "TREF_a: {ctx}"),
-                        _ => {
-                            assert_eq!(
-                                soa.detect_pointer(),
-                                model.detect_pointer(),
-                                "TREF_b: {ctx}"
-                            )
-                        }
-                    }
-                    assert_eq!(soa.entries(), model.entries(), "table: {ctx}");
-                }
-            }
-        }
-        assert!(evictions > 1_000, "the sequences must evict, got {evictions}");
     }
 
     #[test]

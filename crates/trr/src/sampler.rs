@@ -97,6 +97,10 @@ pub struct SamplerTrr {
     name: &'static str,
     /// Sample registers: index 0 when shared, one per bank otherwise.
     registers: Vec<Option<(Bank, PhysRow)>>,
+    /// Whether any register holds a sample. Registers are only ever
+    /// overwritten (cleared only by `reset`), so until the first sample
+    /// no `REF` can detect.
+    held: bool,
     ref_count: u64,
     rng: SplitMix64,
     seed: u64,
@@ -143,6 +147,7 @@ impl SamplerTrr {
             config,
             name,
             registers,
+            held: false,
             ref_count: 0,
             rng: SplitMix64::new(seed),
             seed,
@@ -224,6 +229,7 @@ impl MitigationEngine for SamplerTrr {
         if self.rng.next_f64() >= miss {
             let idx = self.register_index(bank);
             self.registers[idx] = Some((bank, row));
+            self.held = true;
             self.sample_ctr.add(1);
             self.trace_sample(bank, row, now);
         }
@@ -252,6 +258,7 @@ impl MitigationEngine for SamplerTrr {
             let row = if self.rng.next_f64() < 1.0 / (1.0 + q) { second } else { first };
             let idx = self.register_index(bank);
             self.registers[idx] = Some((bank, row));
+            self.held = true;
             self.sample_ctr.add(1);
             self.trace_sample(bank, row, now);
         }
@@ -259,7 +266,7 @@ impl MitigationEngine for SamplerTrr {
 
     fn on_refresh(&mut self, _now: Nanos, out: &mut Vec<TrrDetection>) {
         self.ref_count += 1;
-        if !self.ref_count.is_multiple_of(self.config.trr_ref_interval) {
+        if !self.held || !self.ref_count.is_multiple_of(self.config.trr_ref_interval) {
             return;
         }
         // Observation B5: the register is *not* cleared by the refresh.
@@ -277,7 +284,7 @@ impl MitigationEngine for SamplerTrr {
         // With every register empty no REF can detect (only ACTs sample);
         // otherwise the next TRR-capable REF re-detects the held sample
         // (Observation B5), so the skip stops just before it.
-        let idle = if self.registers.iter().all(Option::is_none) {
+        let idle = if !self.held {
             max
         } else {
             let interval = self.config.trr_ref_interval;
@@ -307,6 +314,7 @@ impl MitigationEngine for SamplerTrr {
         for r in &mut self.registers {
             *r = None;
         }
+        self.held = false;
         self.ref_count = 0;
         self.rng = SplitMix64::new(self.seed);
     }

@@ -88,6 +88,15 @@ struct BankWindow {
     pending: bool,
 }
 
+impl BankWindow {
+    /// Whether a pending `REF` would act on this bank: detect its
+    /// candidate, or reopen its exhausted window. Neither can appear
+    /// without activations.
+    fn live(&self, window: u64) -> bool {
+        self.candidate.is_some() || self.position >= window
+    }
+}
+
 /// Vendor C's window-based TRR engine. See the [module docs](self).
 ///
 /// # Example
@@ -105,6 +114,9 @@ pub struct WindowTrr {
     config: WindowTrrConfig,
     name: &'static str,
     banks: Vec<BankWindow>,
+    /// Indices of the [`BankWindow::live`] banks, ascending: the only
+    /// banks a `REF` can act on beyond arming them.
+    live: Vec<u8>,
     ref_count: u64,
     rng: SplitMix64,
     seed: u64,
@@ -124,7 +136,16 @@ impl WindowTrr {
                 pending: false,
             })
             .collect();
-        WindowTrr { config, name, banks, ref_count: 0, rng, seed, det_ctr: TallyCounter::default() }
+        WindowTrr {
+            config,
+            name,
+            banks,
+            live: Vec::new(),
+            ref_count: 0,
+            rng,
+            seed,
+            det_ctr: TallyCounter::default(),
+        }
     }
 
     /// The C_TRR1 mechanism (modules C0–C8 of Table 1).
@@ -152,20 +173,25 @@ impl WindowTrr {
         self.banks.iter().map(|b| b.candidate).collect()
     }
 
-    /// Observes `count` activations covering window positions
-    /// `[start, start + count)`; captures `row` if the predrawn target
-    /// falls inside and no candidate exists yet.
-    fn observe(&mut self, bank: Bank, row: PhysRow, count: u64) {
+    /// Observes `len` activations covering window positions
+    /// `[start, start + len)`; if the predrawn target falls inside and
+    /// no candidate exists yet, captures `pick(offset of the target)`.
+    fn observe(&mut self, bank: Bank, len: u64, pick: impl FnOnce(u64) -> PhysRow) {
         let cfg_window = self.config.window;
         let w = &mut self.banks[bank.index() as usize];
+        let was_live = w.live(cfg_window);
         let start = w.position;
-        w.position = w.position.saturating_add(count);
+        w.position = w.position.saturating_add(len);
         if w.candidate.is_none()
             && w.target < cfg_window
             && w.target >= start
-            && w.target < start.saturating_add(count)
+            && w.target < start.saturating_add(len)
         {
-            w.candidate = Some(row);
+            w.candidate = Some(pick(w.target - start));
+        }
+        if !was_live && w.live(cfg_window) {
+            let at = self.live.partition_point(|&b| b < bank.index());
+            self.live.insert(at, bank.index());
         }
     }
 }
@@ -193,7 +219,7 @@ impl MitigationEngine for WindowTrr {
         if count == 0 {
             return;
         }
-        self.observe(bank, row, count);
+        self.observe(bank, count, |_| row);
     }
 
     fn on_interleaved_pair(
@@ -210,19 +236,8 @@ impl MitigationEngine for WindowTrr {
         // The alternating sequence occupies 2*pairs positions starting at
         // the current one; if the target lands inside, its parity decides
         // which of the two rows is captured.
-        let cfg_window = self.config.window;
-        let w = &mut self.banks[bank.index() as usize];
-        let start = w.position;
-        let len = 2 * pairs;
-        w.position = w.position.saturating_add(len);
-        if w.candidate.is_none()
-            && w.target < cfg_window
-            && w.target >= start
-            && w.target < start.saturating_add(len)
-        {
-            let offset = w.target - start;
-            w.candidate = Some(if offset.is_multiple_of(2) { first } else { second });
-        }
+        let pick = |offset: u64| if offset.is_multiple_of(2) { first } else { second };
+        self.observe(bank, 2 * pairs, pick);
     }
 
     fn on_refresh(&mut self, _now: Nanos, out: &mut Vec<TrrDetection>) {
@@ -231,32 +246,34 @@ impl MitigationEngine for WindowTrr {
         let span = self.config.span;
         let capture_prob = self.config.capture_prob;
         let window = self.config.window;
-        let before = out.len();
-        for (idx, w) in self.banks.iter_mut().enumerate() {
-            if armed {
+        if armed {
+            for w in &mut self.banks {
                 w.pending = true;
             }
+        }
+        let before = out.len();
+        // Only live banks act; both actions below leave the bank idle.
+        let (banks, rng) = (&mut self.banks, &mut self.rng);
+        self.live.retain(|&idx| {
+            let w = &mut banks[idx as usize];
             if !w.pending {
-                continue;
+                return true;
             }
             match w.candidate {
                 Some(row) => {
-                    out.push(TrrDetection { bank: Bank::new(idx as u8), aggressor: row, span });
+                    out.push(TrrDetection { bank: Bank::new(idx), aggressor: row, span });
                     // The TRR-induced refresh closes this bank's window.
                     w.pending = false;
                     w.candidate = None;
-                    w.position = 0;
-                    w.target = draw_geometric(&mut self.rng, capture_prob);
                 }
-                None if w.position >= window => {
-                    // Exhausted window with no capture: reopen (see the
-                    // module docs for this liberty).
-                    w.position = 0;
-                    w.target = draw_geometric(&mut self.rng, capture_prob);
-                }
-                None => {}
+                // Exhausted window with no capture: reopen (see the
+                // module docs for this liberty).
+                None => debug_assert!(w.position >= window),
             }
-        }
+            w.position = 0;
+            w.target = draw_geometric(rng, capture_prob);
+            false
+        });
         let detected = (out.len() - before) as u64;
         self.det_ctr.add(detected);
     }
@@ -269,14 +286,12 @@ impl MitigationEngine for WindowTrr {
         // skip up to just before the armed REF that would make it so;
         // otherwise skip everything, arming every bank if an armed REF
         // falls inside.
-        let window = self.config.window;
-        let live = |w: &BankWindow| w.candidate.is_some() || w.position >= window;
-        if self.banks.iter().any(|w| w.pending && live(w)) {
+        if self.live.iter().any(|&idx| self.banks[idx as usize].pending) {
             return 0;
         }
         let interval = self.config.trr_ref_interval;
         let to_armed = interval - self.ref_count % interval;
-        let idle = if self.banks.iter().any(live) { (to_armed - 1).min(max) } else { max };
+        let idle = if self.live.is_empty() { max } else { (to_armed - 1).min(max) };
         if idle >= to_armed {
             for w in &mut self.banks {
                 w.pending = true;
@@ -308,6 +323,7 @@ impl MitigationEngine for WindowTrr {
             w.pending = false;
             w.target = draw_geometric(&mut self.rng, capture_prob);
         }
+        self.live.clear();
         self.ref_count = 0;
     }
 
