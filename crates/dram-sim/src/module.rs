@@ -271,14 +271,6 @@ pub struct Module {
     /// row never touched. The hammer/restore hot path answers both
     /// "touched?" and "where?" with this one load — no hashing.
     row_index: Vec<u32>,
-    /// A scrambled `config.mapping` tabulated over the bank's rows at
-    /// construction: `phys_table[l]` is the physical position of logical
-    /// row `l`, and `logical_table[p]` the logical address of physical
-    /// position `p` (8 bytes per row), so a translation is one load
-    /// however long the mapping's arithmetic. Both stay empty for the
-    /// identity, which needs no table.
-    phys_table: Vec<u32>,
-    logical_table: Vec<u32>,
     /// Backing store of every touched row's cold state, in first-touch
     /// order.
     row_states: Vec<RowState>,
@@ -329,13 +321,6 @@ impl Module {
         let engine_inline = engine.detects_inline();
         let ref_window =
             RefWindow::new(config.geometry.rows_per_bank as u64, config.refresh.period_refs as u64);
-        let mapping = &config.mapping;
-        let rows = match mapping {
-            RowMapping::Identity => 0..0,
-            _ => 0..config.geometry.rows_per_bank,
-        };
-        let phys_table = rows.clone().map(|r| mapping.to_phys(RowAddr::new(r)).index()).collect();
-        let logical_table = rows.map(|p| mapping.to_logical(PhysRow::new(p)).index()).collect();
         Module {
             config,
             engine,
@@ -346,8 +331,6 @@ impl Module {
             activations: 0,
             ref_window,
             row_index: vec![u32::MAX; row_slots],
-            phys_table,
-            logical_table,
             row_states: Vec::new(),
             hot_rows: Vec::new(),
             touched,
@@ -433,26 +416,14 @@ impl Module {
         self.ref_count
     }
 
-    /// The physical position selected by a logical row address: one
-    /// table load for a scrambled mapping, the identity otherwise (for a
-    /// row outside the bank, whatever the mapping computes for it).
-    #[inline]
+    /// The physical position selected by a logical row address.
     pub fn phys_of(&self, row: RowAddr) -> PhysRow {
-        match self.phys_table.get(row.index() as usize) {
-            Some(&phys) => PhysRow::new(phys),
-            None => self.config.mapping.to_phys(row),
-        }
+        self.config.mapping.to_phys(row)
     }
 
-    /// The logical address that selects a physical position: one table
-    /// load for a scrambled mapping, the identity otherwise (for a
-    /// position outside the bank, whatever the mapping computes for it).
-    #[inline]
+    /// The logical address that selects a physical position.
     pub fn logical_of(&self, row: PhysRow) -> RowAddr {
-        match self.logical_table.get(row.index() as usize) {
-            Some(&logical) => RowAddr::new(logical),
-            None => self.config.mapping.to_logical(row),
-        }
+        self.config.mapping.to_logical(row)
     }
 
     /// Lets simulated time pass with the device idle (rows decaying, no

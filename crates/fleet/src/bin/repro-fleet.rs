@@ -17,6 +17,10 @@
 //! uninterrupted run for any thread count. `--stop-after-shards N` is
 //! the deterministic kill switch the resume tests and CI use.
 //!
+//! Below `--faults hostile` every module must reverse-engineer: a module
+//! that fails all its seeds is still written (as an `inconclusive` record
+//! with a `re-failed:<cause>` reason), and the sweep then exits 1.
+//!
 //! `summarise` aggregates a merged stream into the Table-1-style fleet
 //! report (population shares, `HC_first` quantiles, recovery totals).
 
@@ -94,6 +98,7 @@ fn main() {
     let outcome = bench.time("fleet_sweep", || run_fleet_or_exit(&config, &opts));
     let elapsed = start.elapsed();
 
+    let mut re_failed = 0;
     let swept: u64 = outcome.shards.iter().filter(|s| !s.skipped).map(|s| s.end - s.start).sum();
     if outcome.skipped_shards > 0 {
         println!("resume: skipped {} completed shards", outcome.skipped_shards);
@@ -121,6 +126,7 @@ fn main() {
             Ok(summary) => {
                 println!();
                 print!("{}", summary.render());
+                re_failed = summary.re_failed;
             }
             Err(e) => eprintln!("warning: could not summarise merged stream: {e}"),
         }
@@ -137,6 +143,13 @@ fn main() {
     }
     if let Err(e) = emit_metrics(&registry, metrics_path.as_deref()) {
         eprintln!("error: writing metrics artifact: {e}");
+        std::process::exit(1);
+    }
+    if re_failed > 0 {
+        eprintln!(
+            "error: reverse engineering failed on {re_failed} modules below hostile severity \
+             (tier_reasons re-failed:<cause> in the merged stream)"
+        );
         std::process::exit(1);
     }
 }

@@ -129,6 +129,10 @@ pub struct FleetRecord {
 /// deterministic.
 pub const RE_ATTEMPTS: u32 = RE_BIN_ATTEMPTS as u32;
 
+/// `tier_reasons` prefix of a module whose reverse engineering failed
+/// every seed below hostile severity; the cause follows it.
+pub const RE_FAILED: &str = "re-failed:";
+
 /// Runs the full pipeline for module `index` and returns its record.
 ///
 /// A module whose reverse engineering exhausts all [`RE_ATTEMPTS`]
@@ -136,9 +140,10 @@ pub const RE_ATTEMPTS: u32 = RE_BIN_ATTEMPTS as u32;
 /// recovery-ladder history and the RE-independent measurements
 /// (`HC_first`, attack columns) — and the sweep continues: one stubborn
 /// module never aborts a shard. Below hostile severity, where every
-/// module is expected to succeed, such a record also names the last
-/// attempt's error in `tier_reasons` as `re-failed:<cause>` (see
-/// [`utrr_core::UtrrError::cause`]).
+/// module must succeed, such a record also names the last attempt's
+/// error in `tier_reasons` as [`RE_FAILED`]`<cause>` (see
+/// [`utrr_core::UtrrError::cause`]), and `repro-fleet` exits non-zero
+/// once it has written the records.
 ///
 /// # Panics
 ///
@@ -230,7 +235,7 @@ pub fn characterize(params: &SweepParams, index: u64) -> FleetRecord {
         write_retries: counter(utrr_core::robust::CTR_WRITE_RETRIES),
         tier: tier.label().to_string(),
         tier_reasons: match failure {
-            Some(e) => format!("re-failed:{}", e.cause()),
+            Some(e) => format!("{RE_FAILED}{}", e.cause()),
             None => tier.reasons_string(),
         },
         vote_widenings: counter(utrr_core::recovery::CTR_VOTE_WIDENINGS),

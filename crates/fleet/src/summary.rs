@@ -14,7 +14,7 @@
 use obs::jsonl::parse_jsonl;
 use obs::metrics::{Histogram, HistogramSnapshot};
 
-use crate::record::FleetRecord;
+use crate::record::{FleetRecord, RE_FAILED};
 
 /// Aggregate over one TRR variant's sub-population.
 #[derive(Debug, Clone)]
@@ -62,6 +62,10 @@ pub struct FleetSummary {
     pub tier_degraded: u64,
     /// Modules whose verdict is `inconclusive`.
     pub tier_inconclusive: u64,
+    /// Inconclusive modules whose reverse engineering failed below
+    /// hostile severity (a [`RE_FAILED`] reason), where every module
+    /// must succeed.
+    pub re_failed: u64,
     /// Degradation reasons tallied fleet-wide, sorted by reason.
     pub degraded_reasons: Vec<(String, u64)>,
     /// Recovery-ladder totals: vote widenings, relocations,
@@ -88,6 +92,7 @@ impl FleetSummary {
             tier_confirmed: 0,
             tier_degraded: 0,
             tier_inconclusive: 0,
+            re_failed: 0,
             degraded_reasons: Vec::new(),
             ladder: [0; 4],
         };
@@ -124,7 +129,10 @@ impl FleetSummary {
                         }
                     }
                 }
-                "inconclusive" => summary.tier_inconclusive += 1,
+                "inconclusive" => {
+                    summary.tier_inconclusive += 1;
+                    summary.re_failed += u64::from(r.tier_reasons.starts_with(RE_FAILED));
+                }
                 // Pre-tier records read as confirmed.
                 _ => summary.tier_confirmed += 1,
             }
@@ -236,6 +244,12 @@ impl FleetSummary {
                     out.push_str(&format!(" {reason}={n}"));
                 }
                 out.push('\n');
+            }
+            if self.re_failed > 0 {
+                out.push_str(&format!(
+                    "reverse engineering failed below hostile: {} modules\n",
+                    self.re_failed
+                ));
             }
         }
         if self.ladder.iter().any(|&n| n > 0) {
@@ -356,24 +370,30 @@ mod tests {
         inconclusive.tier = "inconclusive".into();
         inconclusive.relocations = 3;
         inconclusive.reprofiles = 1;
+        let mut failed = record(3, "C_TRR1", 9_000, false, 3);
+        failed.tier = "inconclusive".into();
+        failed.tier_reasons = format!("{RE_FAILED}not-enough-row-groups");
         let summary = FleetSummary::from_records(&[
             record(0, "A_TRR1", 10_000, true, 0),
             degraded,
             inconclusive,
+            failed,
         ]);
         assert_eq!(
             (summary.tier_confirmed, summary.tier_degraded, summary.tier_inconclusive),
-            (1, 1, 1)
+            (1, 1, 2)
         );
+        assert_eq!(summary.re_failed, 1, "only the re-failed record counts");
         assert_eq!(
             summary.degraded_reasons,
             vec![("act-budget".to_string(), 1), ("scout-shortfall".to_string(), 1)]
         );
         assert_eq!(summary.ladder, [2, 3, 1, 1]);
         let report = summary.render();
-        assert!(report.contains("verdict tiers: 1 confirmed (33.3%), 1 degraded"), "{report}");
+        assert!(report.contains("verdict tiers: 1 confirmed (25.0%), 1 degraded"), "{report}");
         assert!(report.contains("degraded reasons: act-budget=1 scout-shortfall=1"), "{report}");
         assert!(report.contains("recovery ladder: 2 vote widenings, 3 relocations"), "{report}");
+        assert!(report.contains("reverse engineering failed below hostile: 1 modules"), "{report}");
     }
 
     #[test]

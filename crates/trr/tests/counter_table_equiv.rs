@@ -6,7 +6,7 @@
 //! sequences of bursts, interleaved pairs, `REF`s (both `TREF_a` and
 //! `TREF_b`) and resets must give identical detections, evictions (row,
 //! inserted row and order) and `table()` entries, for 1–4 banks and
-//! table sizes 2..=16.
+//! table sizes 2..=17.
 //!
 //! `burst_equiv` and `batch_equiv` cannot catch an LRU slip: both of
 //! their twins run through the same table.
@@ -246,13 +246,14 @@ fn check(table_size: usize, banks: u8, interval: u64, pool: u32, ops: &[Op]) -> 
     evictions.len()
 }
 
-/// `PROPTEST_CASES` when set (CI runs the suite in release with 512),
-/// otherwise few enough cases for a debug build.
+/// `PROPTEST_CASES` when set (CI runs the suite in release with 4096),
+/// otherwise 1280 cases of up to 400 ops: about 256,000 table operations,
+/// still a few seconds in a debug build.
 fn config() -> ProptestConfig {
     if std::env::var_os("PROPTEST_CASES").is_some() {
         ProptestConfig::default()
     } else {
-        ProptestConfig::with_cases(48)
+        ProptestConfig::with_cases(1280)
     }
 }
 
@@ -263,11 +264,11 @@ proptest! {
     /// detection, eviction and table entry.
     #[test]
     fn counter_table_matches_the_linear_reference(
-        table_size in 2usize..=16,
+        table_size in 2usize..=17,
         banks in 1u8..=4,
         interval in 1u64..=9,
         extra in 1u32..=8,
-        ops in prop::collection::vec(op_strategy(), 1..160),
+        ops in prop::collection::vec(op_strategy(), 1..=400),
     ) {
         check(table_size, banks, interval, table_size as u32 + extra, &ops);
     }
