@@ -110,7 +110,8 @@ pub struct ManySided {
 
 impl ManySided {
     /// The 9-sided variant TRRespass found most effective on several
-    /// parts, scaled to the per-interval budget.
+    /// parts, scaled to the per-interval budget. The `craft_attack`
+    /// example runs it as the many-sided baseline.
     pub fn nine_sided() -> Self {
         ManySided { sides: 9, hammers_per_aggressor: 16 }
     }

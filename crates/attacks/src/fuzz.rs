@@ -350,20 +350,6 @@ pub struct FuzzConfig {
     pub eval: EvalConfig,
 }
 
-impl FuzzConfig {
-    /// A small smoke configuration against one engine.
-    pub fn smoke(seed: u64, engine: &str) -> Self {
-        FuzzConfig {
-            seed,
-            rounds: 2,
-            candidates: 8,
-            elites: 2,
-            engines: vec![engine.to_string()],
-            eval: EvalConfig { sample_count: 4, windows: 1, ..EvalConfig::quick(4) },
-        }
-    }
-}
-
 /// A finished fuzz run: every candidate plus the best-per-engine
 /// leaderboard.
 #[derive(Debug, Clone, PartialEq)]
@@ -699,6 +685,18 @@ mod tests {
         FuzzParams::sample(&mut SplitMix64::new(1000 + k))
     }
 
+    /// A small smoke configuration against one engine.
+    fn smoke(seed: u64, engine: &str) -> FuzzConfig {
+        FuzzConfig {
+            seed,
+            rounds: 2,
+            candidates: 8,
+            elites: 2,
+            engines: vec![engine.to_string()],
+            eval: EvalConfig { sample_count: 4, windows: 1, ..EvalConfig::quick(4) },
+        }
+    }
+
     #[test]
     fn sampling_is_deterministic_and_in_range() {
         for seed in 0..64 {
@@ -839,7 +837,7 @@ mod tests {
                 scaled_rows: Some(512),
                 ..EvalConfig::quick(2)
             },
-            ..FuzzConfig::smoke(5, "A_TRR1")
+            ..smoke(5, "A_TRR1")
         };
         let seq = run_fuzz(&config, &par::ParConfig::sequential()).unwrap();
         let par2 = run_fuzz(&config, &par::ParConfig { threads: 2, registry: None }).unwrap();
@@ -855,7 +853,7 @@ mod tests {
     #[test]
     fn run_fuzz_rejects_bad_engine_lists() {
         let pool = par::ParConfig::sequential();
-        let mut config = FuzzConfig::smoke(1, "Z_TRR9");
+        let mut config = smoke(1, "Z_TRR9");
         assert!(run_fuzz(&config, &pool).is_err());
         config.engines.clear();
         assert!(run_fuzz(&config, &pool).is_err());

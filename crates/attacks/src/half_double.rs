@@ -23,27 +23,15 @@ use crate::pattern::{AccessPattern, AggressorLayout, PatternTarget, RowDose};
 use crate::schedulers;
 
 /// The Half-Double pattern: heavy far (distance-2) hammering with a
-/// light near (distance-1) assist.
+/// light near (distance-1) assist. No repro binary runs it; it stays as
+/// the Obs. A2 contrast its unit tests check, and `builder_equiv` pins
+/// its digests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HalfDouble {
     /// Interleaved pairs on the distance-2 rows per interval.
     pub far_pairs: u64,
     /// Interleaved pairs on the distance-1 rows per interval.
     pub near_pairs: u64,
-}
-
-impl HalfDouble {
-    /// The standard configuration: the whole interval on the far rows.
-    /// Direct near-row hammering is left at zero — against trackers with
-    /// a pointer walk (vendor A's TREF_b), hammered near rows enter the
-    /// table and their eventual detection refreshes ±1 of *them*, i.e.
-    /// the victim. The near rows still get activated, by the TRR
-    /// mechanism itself: every detection of a far aggressor refreshes
-    /// (internally activates) the near rows, which is the Half-Double
-    /// amplification loop.
-    pub fn standard() -> Self {
-        HalfDouble { far_pairs: 70, near_pairs: 0 }
-    }
 }
 
 impl AccessPattern for HalfDouble {
@@ -107,9 +95,19 @@ mod tests {
     use trr::{CounterTrr, SamplerTrr};
     use utrr_modules::by_id;
 
+    /// The standard configuration: the whole interval on the far rows.
+    /// Direct near-row hammering is left at zero — against trackers with
+    /// a pointer walk (vendor A's TREF_b), hammered near rows enter the
+    /// table and their eventual detection refreshes ±1 of *them*, i.e.
+    /// the victim. The near rows still get activated, by the TRR
+    /// mechanism itself: every detection of a far aggressor refreshes
+    /// (internally activates) the near rows, which is the Half-Double
+    /// amplification loop.
+    const STANDARD: HalfDouble = HalfDouble { far_pairs: 70, near_pairs: 0 };
+
     fn vulnerable_pct(module: Module) -> f64 {
         let config = EvalConfig { sample_count: 16, windows: 2, ..EvalConfig::quick(16) };
-        sweep_bank_module(module, &HalfDouble::standard(), &config).vulnerable_pct()
+        sweep_bank_module(module, &STANDARD, &config).vulnerable_pct()
     }
 
     #[test]
@@ -149,7 +147,7 @@ mod tests {
 
     #[test]
     fn standard_budget_fits_the_interval() {
-        let p = HalfDouble::standard();
+        let p = STANDARD;
         assert!(2 * p.far_pairs + 2 * p.near_pairs <= 149);
         assert_eq!(p.name(), "half-double");
         assert_eq!(p.hammers_per_aggressor_per_ref(), 70.0);

@@ -318,7 +318,8 @@ fn fig8_point(spec: &ModuleSpec, h: f64, config: &EvalConfig) -> Fig8Point {
 }
 
 /// Sweeps hammers-per-aggressor for one module (Fig. 8's per-module
-/// panel).
+/// panel), sequentially: the oracle `determinism.rs` holds
+/// [`fig8_sweep_par`] to.
 pub fn fig8_sweep(spec: &ModuleSpec, hammer_values: &[f64], config: &EvalConfig) -> Vec<Fig8Point> {
     hammer_values.iter().map(|&h| fig8_point(spec, h, config)).collect()
 }

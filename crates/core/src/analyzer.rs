@@ -2,10 +2,10 @@
 //!
 //! An [`Experiment`] is the Fig. 7 template:
 //!
-//! 1. optionally reset the TRR mechanism's internal state with a
-//!    dummy-row storm (Requirement 4);
+//! 1. reset the TRR mechanism's internal state (Requirement 4): the
+//!    caller runs [`flush_tracker`] before the experiment;
 //! 2. initialize the profiled (victim) rows with their profiling pattern
-//!    and the aggressor rows with a configurable pattern;
+//!    and the aggressor rows with [`AGGRESSOR_PATTERN`];
 //! 3. wait half the victims' retention time;
 //! 4. run one or more *rounds* of {hammer aggressors and dummy rows,
 //!    issue `REF` commands};
@@ -27,6 +27,11 @@ pub const CTR_NOT_REFRESHED: &str = "utrr.outcome.not_refreshed";
 pub const CTR_REGULAR_REFRESH: &str = "utrr.outcome.regular_refresh";
 /// Counter name for victims classified [`VictimOutcome::TrrRefresh`].
 pub const CTR_TRR_REFRESH: &str = "utrr.outcome.trr_refresh";
+
+/// Pattern written into the aggressor rows before hammering ("the
+/// RowHammer vulnerability greatly depends on the data values stored in
+/// an aggressor row"). Dummy rows are left unwritten.
+pub const AGGRESSOR_PATTERN: DataPattern = DataPattern::RowStripe;
 
 /// A TRR Analyzer experiment (the "Experiment Config" box of Fig. 3).
 ///
@@ -50,11 +55,6 @@ pub struct Experiment {
     pub victim_pattern: DataPattern,
     /// Aggressor rows, counts, and hammering mode (Requirement 1).
     pub hammer: HammerSpec,
-    /// Pattern written into the aggressor rows before hammering
-    /// ("the RowHammer vulnerability greatly depends on the data values
-    /// stored in an aggressor row"); `None` leaves them unwritten, which
-    /// is what dummy rows do.
-    pub aggressor_pattern: Option<DataPattern>,
     /// Dummy rows hammered in addition to the aggressors (Requirement 2).
     pub dummies: Vec<RowAddr>,
     /// Hammers per dummy row per round (one count for all dummies, as in
@@ -67,17 +67,12 @@ pub struct Experiment {
     pub refs_per_round: u64,
     /// Number of rounds.
     pub rounds: u32,
-    /// Reset TRR state before the experiment by hammering these rows for
-    /// this many 64 ms refresh periods (Requirement 4); empty = skip.
-    pub reset_dummies: Vec<RowAddr>,
-    /// Refresh periods for the reset storm.
-    pub reset_periods: u32,
 }
 
 impl Experiment {
     /// An experiment template over one profiled row group: victims and
     /// retention from the group, everything else defaulted (no hammers,
-    /// one round, one `REF`, no state reset).
+    /// one round, one `REF`).
     pub fn on_group(bank: Bank, group: &ProfiledRowGroup) -> Self {
         Experiment {
             bank,
@@ -85,14 +80,11 @@ impl Experiment {
             retention: group.retention,
             victim_pattern: group.pattern.clone(),
             hammer: HammerSpec::default(),
-            aggressor_pattern: Some(DataPattern::RowStripe),
             dummies: Vec::new(),
             dummy_hammers: 0,
             dummies_first: false,
             refs_per_round: 1,
             rounds: 1,
-            reset_dummies: Vec::new(),
-            reset_periods: 0,
         }
     }
 
@@ -114,24 +106,14 @@ impl Experiment {
         self.refs_per_round = refs_per_round;
         self
     }
-
-    /// Enables the Requirement-4 TRR-state reset storm before the
-    /// experiment, builder-style.
-    pub fn with_reset(mut self, dummies: Vec<RowAddr>, periods: u32) -> Self {
-        self.reset_dummies = dummies;
-        self.reset_periods = periods;
-        self
-    }
 }
 
-/// Flushes the TRR tracker state (Requirement 4 of §5.1, light-weight
-/// form): activates many distinct far-away dummy rows a handful of times
+/// Flushes the TRR tracker state without a backdoor (Requirement 4 of
+/// §5.1): activates many distinct far-away dummy rows a handful of times
 /// each. This evicts every stale tracker entry near the protected rows
 /// while leaving the dummies with *small* counters, so subsequent
 /// experiments' aggressors immediately dominate any counter-based
-/// detector. The heavyweight multi-period storm
-/// ([`softmc::MemoryController::reset_trr_state`]) stays available for
-/// experiments that also need the refresh machinery exercised.
+/// detector.
 ///
 /// # Errors
 ///
@@ -285,11 +267,6 @@ impl TrrAnalyzer {
         mc: &mut MemoryController,
         exp: &Experiment,
     ) -> Result<ExperimentOutcome, UtrrError> {
-        // ② Optional TRR-state reset storm.
-        if !exp.reset_dummies.is_empty() && exp.reset_periods > 0 {
-            mc.reset_trr_state(exp.bank, &exp.reset_dummies, exp.reset_periods)?;
-        }
-
         // ① Initialize victim and aggressor rows. Verified writes: a
         // dropped or garbled victim init would read as a spurious bit
         // flip at step ⑥ and be misclassified as "not refreshed".
@@ -297,10 +274,8 @@ impl TrrAnalyzer {
         for &victim in &exp.victims {
             crate::robust::write_row_checked(mc, exp.bank, victim, &exp.victim_pattern)?;
         }
-        if let Some(pattern) = &exp.aggressor_pattern {
-            for &(aggressor, _) in &exp.hammer.aggressors {
-                crate::robust::write_row_checked(mc, exp.bank, aggressor, pattern)?;
-            }
+        for &(aggressor, _) in &exp.hammer.aggressors {
+            crate::robust::write_row_checked(mc, exp.bank, aggressor, &AGGRESSOR_PATTERN)?;
         }
 
         // Wait the first half of the retention window (the policy's
@@ -377,7 +352,9 @@ impl TrrAnalyzer {
 
     /// Verifies that `count` hammers per aggressor do **not** cause
     /// RowHammer bit flips on the victims (the paper's §6.1.1 safety
-    /// check), so that a clean victim can only mean "refreshed".
+    /// check), so that a clean victim can only mean "refreshed". The
+    /// pipeline does not call it yet: `reverse_engineer` still takes the
+    /// planted `HC_first` as its trigger count.
     ///
     /// # Errors
     ///
@@ -404,7 +381,8 @@ impl TrrAnalyzer {
     /// Verifies that the experiment's aggressors are physically adjacent
     /// to the victims by hammering them a large number of times with
     /// refresh disabled (§5.3's second method: 300K activations must
-    /// produce RowHammer bit flips).
+    /// produce RowHammer bit flips). Not called yet: it belongs to the
+    /// pipeline's future §5.3 phase, with [`crate::mapping_re`].
     ///
     /// # Errors
     ///
@@ -576,9 +554,7 @@ mod tests {
         let mut mc = MemoryController::new(Module::new(ModuleConfig::small_test(), 59));
         let group = scout_one(&mut mc);
         let exp = Experiment::on_group(BANK, &group)
-            .with_hammer(
-                HammerSpec::double_sided(RowAddr::new(10), 5).with_mode(HammerMode::Cascaded),
-            )
+            .with_hammer(HammerSpec::single_sided(RowAddr::new(10), 5))
             .with_dummies(vec![RowAddr::new(900)], 3)
             .with_refs(7);
         assert_eq!(exp.refs_per_round, 7);

@@ -14,31 +14,17 @@
 //! allocation behaviour does. Pools are per-thread, so the parallel sweep
 //! executor's workers never contend.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 
 /// Upper bound on pooled buffers of each type, so a burst can't pin
 /// unbounded memory: excess recycles are dropped.
 const POOL_CAP: usize = 32;
-
-/// Allocation-reuse counters of one thread's pool (monotone).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ArenaStats {
-    /// Buffers handed out.
-    pub takes: u64,
-    /// Takes served from the pool (no allocation).
-    pub reuses: u64,
-    /// Buffers returned to the pool.
-    pub recycles: u64,
-}
 
 /// A pool of cleared, capacity-retaining scratch vectors.
 #[derive(Debug, Default)]
 pub struct ScratchArena {
     u32s: RefCell<Vec<Vec<u32>>>,
     bools: RefCell<Vec<Vec<bool>>>,
-    takes: Cell<u64>,
-    reuses: Cell<u64>,
-    recycles: Cell<u64>,
 }
 
 impl ScratchArena {
@@ -49,14 +35,7 @@ impl ScratchArena {
 
     /// An empty `Vec<u32>`, reusing pooled capacity when available.
     pub fn take_u32(&self) -> Vec<u32> {
-        self.takes.set(self.takes.get() + 1);
-        match self.u32s.borrow_mut().pop() {
-            Some(v) => {
-                self.reuses.set(self.reuses.get() + 1);
-                v
-            }
-            None => Vec::new(),
-        }
+        self.u32s.borrow_mut().pop().unwrap_or_default()
     }
 
     /// Returns a `Vec<u32>` to the pool for later reuse.
@@ -64,21 +43,13 @@ impl ScratchArena {
         let mut pool = self.u32s.borrow_mut();
         if pool.len() < POOL_CAP {
             v.clear();
-            self.recycles.set(self.recycles.get() + 1);
             pool.push(v);
         }
     }
 
     /// An empty `Vec<bool>`, reusing pooled capacity when available.
     pub fn take_bools(&self) -> Vec<bool> {
-        self.takes.set(self.takes.get() + 1);
-        match self.bools.borrow_mut().pop() {
-            Some(v) => {
-                self.reuses.set(self.reuses.get() + 1);
-                v
-            }
-            None => Vec::new(),
-        }
+        self.bools.borrow_mut().pop().unwrap_or_default()
     }
 
     /// Returns a `Vec<bool>` to the pool for later reuse.
@@ -86,17 +57,7 @@ impl ScratchArena {
         let mut pool = self.bools.borrow_mut();
         if pool.len() < POOL_CAP {
             v.clear();
-            self.recycles.set(self.recycles.get() + 1);
             pool.push(v);
-        }
-    }
-
-    /// A snapshot of this arena's reuse counters.
-    pub fn stats(&self) -> ArenaStats {
-        ArenaStats {
-            takes: self.takes.get(),
-            reuses: self.reuses.get(),
-            recycles: self.recycles.get(),
         }
     }
 }
@@ -130,11 +91,6 @@ pub fn recycle_bools(v: Vec<bool>) {
     with_scratch(|a| a.recycle_bools(v));
 }
 
-/// [`ScratchArena::stats`] of the thread-local arena.
-pub fn thread_stats() -> ArenaStats {
-    with_scratch(ScratchArena::stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,8 +105,7 @@ mod tests {
         let v = arena.take_u32();
         assert!(v.is_empty(), "recycled buffers come back cleared");
         assert_eq!(v.capacity(), cap, "capacity survives the round trip");
-        let s = arena.stats();
-        assert_eq!((s.takes, s.reuses, s.recycles), (2, 1, 1));
+        assert!(arena.u32s.borrow().is_empty(), "the one pooled buffer was reused");
     }
 
     #[test]
@@ -159,7 +114,7 @@ mod tests {
         for _ in 0..2 * POOL_CAP {
             arena.recycle_bools(Vec::with_capacity(8));
         }
-        assert_eq!(arena.stats().recycles as usize, POOL_CAP);
+        assert_eq!(arena.bools.borrow().len(), POOL_CAP);
     }
 
     #[test]
@@ -169,17 +124,14 @@ mod tests {
         let b = arena.take_bools();
         assert_eq!(a.capacity(), 0);
         assert_eq!(b.capacity(), 0);
-        assert_eq!(arena.stats().reuses, 0);
     }
 
     #[test]
     fn thread_local_arena_is_shared_within_a_thread() {
-        let before = thread_stats();
         let mut v = take_bools();
-        v.push(true);
+        v.reserve(64);
+        let cap = v.capacity();
         recycle_bools(v);
-        let after = thread_stats();
-        assert_eq!(after.takes, before.takes + 1);
-        assert_eq!(after.recycles, before.recycles + 1);
+        assert_eq!(take_bools().capacity(), cap, "the recycled buffer comes back");
     }
 }

@@ -1,8 +1,6 @@
-//! RowHammer characterization utilities that accompany the TRR
-//! methodology: measuring `HC_first` (footnote 1 of the paper), the
-//! interleaved-vs-cascaded asymmetry (§5.2), and data-pattern
-//! sensitivity — all with refresh disabled, as the paper's
-//! pre-experiments do.
+//! RowHammer characterization that accompanies the TRR methodology:
+//! measuring `HC_first` (footnote 1 of the paper) with refresh disabled,
+//! as the paper's pre-experiments do.
 
 use dram_sim::{Bank, DataPattern, PhysRow, Topology};
 use softmc::MemoryController;
@@ -92,102 +90,6 @@ pub fn measure_hc_first(
     Ok(hi)
 }
 
-/// The §5.2 hammering-mode comparison: flips on the same victims at the
-/// same per-aggressor count, interleaved vs cascaded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HammerModeComparison {
-    /// Total victim flips under interleaved (alternating) hammering.
-    pub interleaved_flips: u64,
-    /// Total victim flips under cascaded (back-to-back) hammering.
-    pub cascaded_flips: u64,
-}
-
-impl HammerModeComparison {
-    /// The interleaved/cascaded flip ratio (∞-safe: cascaded zero maps
-    /// to the interleaved count).
-    pub fn advantage(&self) -> f64 {
-        if self.cascaded_flips == 0 {
-            self.interleaved_flips as f64
-        } else {
-            self.interleaved_flips as f64 / self.cascaded_flips as f64
-        }
-    }
-}
-
-/// Measures the interleaved-vs-cascaded disturbance asymmetry over
-/// `samples` victims at `count` hammers per aggressor (refresh
-/// disabled). The paper: "interleaved hammering generally causes more
-/// bit flips (up to four orders of magnitude)".
-///
-/// # Errors
-///
-/// Propagates device protocol errors.
-pub fn compare_hammer_modes(
-    mc: &mut MemoryController,
-    bank: Bank,
-    samples: u32,
-    count: u64,
-) -> Result<HammerModeComparison, UtrrError> {
-    let rows = mc.module().geometry().rows_per_bank;
-    let samples = samples.clamp(1, rows / 8);
-    let stride = (rows - 16) / samples;
-    let mut totals = [0u64; 2];
-    for (mode, total) in totals.iter_mut().enumerate() {
-        for i in 0..samples {
-            let v = PhysRow::new(8 + i * stride);
-            let victim = mc.module().logical_of(v);
-            let up = mc.module().logical_of(PhysRow::new(v.index() - 1));
-            let down = mc.module().logical_of(PhysRow::new(v.index() + 1));
-            mc.write_row(bank, victim, DataPattern::RowStripe)?;
-            if mode == 0 {
-                mc.module_mut().hammer_pair(bank, up, down, count)?;
-            } else {
-                mc.module_mut().hammer(bank, up, count)?;
-                mc.module_mut().hammer(bank, down, count)?;
-            }
-            *total += mc.read_row(bank, victim)?.flip_count() as u64;
-        }
-    }
-    Ok(HammerModeComparison { interleaved_flips: totals[0], cascaded_flips: totals[1] })
-}
-
-/// Victim flips per initialization pattern, at a fixed double-sided
-/// hammer count — "the RowHammer vulnerability greatly depends on the
-/// data values stored" (§5.2).
-///
-/// # Errors
-///
-/// Propagates device protocol errors.
-pub fn data_pattern_sensitivity(
-    mc: &mut MemoryController,
-    bank: Bank,
-    samples: u32,
-    count: u64,
-) -> Result<Vec<(DataPattern, u64)>, UtrrError> {
-    let rows = mc.module().geometry().rows_per_bank;
-    let samples = samples.clamp(1, rows / 8);
-    let stride = (rows - 16) / samples;
-    let mut out = Vec::new();
-    for pattern in
-        [DataPattern::Zeros, DataPattern::Ones, DataPattern::Checkerboard, DataPattern::RowStripe]
-    {
-        let mut total = 0u64;
-        for i in 0..samples {
-            let v = PhysRow::new(8 + i * stride);
-            let victim = mc.module().logical_of(v);
-            let up = mc.module().logical_of(PhysRow::new(v.index() - 1));
-            let down = mc.module().logical_of(PhysRow::new(v.index() + 1));
-            mc.write_row(bank, victim, pattern.clone())?;
-            mc.write_row(bank, up, DataPattern::RowStripe)?;
-            mc.write_row(bank, down, DataPattern::RowStripe)?;
-            mc.module_mut().hammer_pair(bank, up, down, count)?;
-            total += mc.read_row(bank, victim)?.flip_count() as u64;
-        }
-        out.push((pattern, total));
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,31 +120,5 @@ mod tests {
         let mut mc = MemoryController::new(Module::new(config, 71));
         let measured = measure_hc_first(&mut mc, BANK, 24, 256).unwrap();
         assert!((900..2_600).contains(&measured), "measured {measured}");
-    }
-
-    #[test]
-    fn interleaved_advantage_is_large() {
-        let mut mc = controller(73);
-        let cmp = compare_hammer_modes(&mut mc, BANK, 16, 2_500).unwrap();
-        assert!(cmp.interleaved_flips > 0);
-        assert!(
-            cmp.advantage() > 3.0,
-            "interleaved must dominate: {cmp:?} (advantage {})",
-            cmp.advantage()
-        );
-    }
-
-    #[test]
-    fn pattern_sensitivity_reports_all_patterns() {
-        let mut mc = controller(79);
-        let table = data_pattern_sensitivity(&mut mc, BANK, 16, 4_000).unwrap();
-        assert_eq!(table.len(), 4);
-        let total: u64 = table.iter().map(|&(_, n)| n).sum();
-        assert!(total > 0, "some pattern must flip: {table:?}");
-        // Solid patterns expose roughly half the hammerable cells each;
-        // both orientations together cover them all.
-        let zeros = table[0].1;
-        let ones = table[1].1;
-        assert!(zeros > 0 && ones > 0);
     }
 }

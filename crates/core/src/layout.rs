@@ -56,11 +56,6 @@ impl RowGroupLayout {
         "RRARR".parse().expect("static layout parses")
     }
 
-    /// A single profiled row immediately below an aggressor: `AR`.
-    pub fn adjacent_pair() -> Self {
-        "AR".parse().expect("static layout parses")
-    }
-
     /// Offsets of retention-profiled rows relative to the group base.
     pub fn profiled(&self) -> &[u32] {
         &self.profiled
@@ -184,6 +179,5 @@ mod tests {
     fn presets_match_expectations() {
         assert_eq!(RowGroupLayout::single_aggressor_pair().to_string(), "RAR");
         assert_eq!(RowGroupLayout::neighbor_probe().to_string(), "RRARR");
-        assert_eq!(RowGroupLayout::adjacent_pair().to_string(), "AR");
     }
 }

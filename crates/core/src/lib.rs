@@ -60,8 +60,8 @@ pub use analyzer::{
     flush_tracker, Experiment, ExperimentOutcome, TrrAnalyzer, VictimOutcome, CTR_NOT_REFRESHED,
     CTR_REGULAR_REFRESH, CTR_TRR_REFRESH,
 };
-pub use arena::{ArenaStats, ScratchArena};
-pub use characterize::{compare_hammer_modes, data_pattern_sensitivity, measure_hc_first};
+pub use arena::ScratchArena;
+pub use characterize::measure_hc_first;
 pub use error::UtrrError;
 pub use layout::RowGroupLayout;
 pub use recovery::{DriftEstimator, PhaseBudget, RecoveryPolicy, VerdictTier};

@@ -11,6 +11,10 @@
 //! neighbours, so ranking by flip count separates them. A candidate
 //! [`RowMapping`] is accepted when it predicts the observed neighbours
 //! for every probe.
+//!
+//! `reverse_engineer` does not run these probes yet (it builds Row Scout
+//! on the device's own mapping); the `reverse_engineer` example does,
+//! and the pipeline's §5.3 phase will.
 
 use dram_sim::{Bank, DataPattern, PhysRow, RowAddr, RowMapping};
 use softmc::MemoryController;
@@ -25,14 +29,6 @@ pub struct AdjacencyObservation {
     /// Flipped logical rows with their flip counts, sorted by flip count
     /// descending.
     pub flipped: Vec<(RowAddr, usize)>,
-}
-
-impl AdjacencyObservation {
-    /// The logical rows most disturbed by the probe — the physical
-    /// distance-1 neighbours (up to two).
-    pub fn nearest(&self) -> Vec<RowAddr> {
-        self.flipped.iter().take(2).map(|&(r, _)| r).collect()
-    }
 }
 
 /// Hammers `probe` with refresh disabled and reports which logical rows
@@ -214,7 +210,8 @@ mod tests {
     fn probe_finds_identity_neighbours() {
         let mut mc = controller_with(RowMapping::Identity, Topology::Linear);
         let obs = probe_adjacency(&mut mc, Bank::new(0), RowAddr::new(100), 8, 80_000).unwrap();
-        let mut nearest = obs.nearest();
+        // The two most disturbed rows are the distance-1 neighbours.
+        let mut nearest: Vec<RowAddr> = obs.flipped.iter().take(2).map(|&(r, _)| r).collect();
         nearest.sort();
         assert_eq!(nearest, vec![RowAddr::new(99), RowAddr::new(101)]);
         // Distance-2 rows flip too, but with fewer flips.

@@ -338,6 +338,8 @@ pub fn discover_counter_capacity(
 /// group's aggressor a *few* times, then the remaining groups' aggressors
 /// many times, every iteration; returns `true` when the low-count,
 /// first-hammered aggressor is never detected (it is always evicted).
+/// `reverse_suite.rs` pins it; [`classify_recover`] does not run it,
+/// since adding it to the profile would change the RE command stream.
 ///
 /// # Errors
 ///
@@ -693,7 +695,8 @@ pub fn discover_act_window(
 /// `pair_groups` are `RAR` groups (at least two; 17+ for an exact
 /// counter-capacity answer), `probe_group` is an `RRARR` group, and
 /// `cross_bank` optionally provides a second-bank `RAR` group for the
-/// shared-sampler test.
+/// shared-sampler test. Kept as the entry point of `reverse_suite.rs`;
+/// the pipeline calls [`classify_recover`].
 ///
 /// # Errors
 ///

@@ -22,11 +22,10 @@
 //! device faults (see the `faults` crate): reads are majority-voted and
 //! writes verified, failed validation checks get a bounded retry, rows
 //! that keep misbehaving land on a quarantine list with a recorded
-//! [`QuarantineReason`], and [`RowScout::scan_report`] returns a partial
-//! [`ScoutReport`] instead of an opaque error when the scan cannot
-//! complete. How much of that runs is the controller's
-//! [`RecoveryPolicy`] (plus the opt-in [`ScoutConfig::vrt_probe`]);
-//! under [`RecoveryPolicy::IDENTITY`] a scan issues exactly the command
+//! [`QuarantineReason`], and the scan assembles a partial
+//! [`ScoutReport`] instead of an opaque error when it cannot complete.
+//! How much of that runs is the controller's [`RecoveryPolicy`]; under
+//! [`RecoveryPolicy::IDENTITY`] a scan issues exactly the command
 //! sequence of the paper's loop.
 
 use std::collections::BTreeMap;
@@ -100,18 +99,11 @@ pub struct ScoutConfig {
     pub pattern: DataPattern,
     /// Optional row-activation budget for the whole scan: once the
     /// module's cumulative ACT count has grown by this much, the scan
-    /// stops early and [`RowScout::scan_report`] reports whatever was
+    /// stops early and the scan reports whatever was
     /// found so far (graceful degradation instead of unbounded retries).
     /// `None` leaves the budget to the controller's
     /// [`RecoveryPolicy::scout_act_budget`].
     pub max_acts: Option<u64>,
-    /// Opt-in extended VRT probe: track bit-level failure signatures
-    /// across validation checks and probe each candidate group at a
-    /// ladder of longer decay horizons, quarantining rows whose
-    /// signature is unstable. Costs extra commands, so it is off by
-    /// default and a plain scan stays command-for-command identical to
-    /// previous releases.
-    pub vrt_probe: bool,
 }
 
 impl ScoutConfig {
@@ -130,7 +122,6 @@ impl ScoutConfig {
             consistency_checks: 100,
             pattern: DataPattern::Ones,
             max_acts: None,
-            vrt_probe: false,
         }
     }
 }
@@ -232,13 +223,6 @@ pub struct ScoutReport {
     pub acts_used: u64,
 }
 
-impl ScoutReport {
-    /// Whether the scan found every requested group.
-    pub fn is_complete(&self) -> bool {
-        self.groups.len() >= self.requested
-    }
-}
-
 /// Mutable bookkeeping threaded through one scan.
 struct ScanState {
     acts_start: u64,
@@ -251,7 +235,7 @@ struct ScanState {
     /// Retries allowed per failed validation check.
     max_retries: u32,
     /// Whether quarantined rows are skipped and failure signatures
-    /// tracked (the policy's scout filter, or the opt-in VRT probe).
+    /// tracked (the policy's scout filter).
     filter: bool,
 }
 
@@ -266,7 +250,7 @@ impl ScanState {
             quarantined: BTreeMap::new(),
             drift,
             max_retries: policy.scout_retries,
-            filter: policy.scout_filter || cfg.vrt_probe,
+            filter: policy.scout_filter,
         }
     }
 
@@ -373,7 +357,7 @@ impl RowScout {
         let cfg = &self.config;
         let policy = RecoveryPolicy::of(mc);
         let mut drift = DriftEstimator::new(policy.scout_margins);
-        let report = self.scan_report_with(mc, &mut drift)?;
+        let report = self.scan_report(mc, &mut drift)?;
         let mut budget_hit = report.budget_exhausted;
         let mut groups = report.groups;
         let span = cfg.layout.span();
@@ -390,7 +374,7 @@ impl RowScout {
             sub_cfg.group_count = cfg.group_count - groups.len();
             mc.recovery_mut().relocations += 1;
             recovery::ladder_event(mc, recovery::CTR_RELOCATIONS, "relocate", cfg.bank, None);
-            let sub = RowScout::new(sub_cfg).scan_report_with(mc, &mut drift)?;
+            let sub = RowScout::new(sub_cfg).scan_report(mc, &mut drift)?;
             budget_hit |= sub.budget_exhausted;
             for group in sub.groups {
                 if !overlaps_any(&groups, &group, span) {
@@ -420,20 +404,15 @@ impl RowScout {
     /// Runs the Fig. 6 loop and returns a [`ScoutReport`]: the groups
     /// that validated plus quarantine diagnostics, retry counts, and
     /// budget state — a partial result where [`RowScout::scan`] would
-    /// return an opaque error.
+    /// return an opaque error. The drift-margin state is the caller's,
+    /// so [`RowScout::scan_recover`] keeps escalated margins across
+    /// relocated windows.
     ///
     /// # Errors
     ///
     /// Device errors are propagated; an incomplete scan is *not* an
     /// error here.
-    pub fn scan_report(&self, mc: &mut MemoryController) -> Result<ScoutReport, UtrrError> {
-        self.scan_report_with(mc, &mut DriftEstimator::new(RecoveryPolicy::of(mc).scout_margins))
-    }
-
-    /// [`RowScout::scan_report`] with caller-owned drift-margin state,
-    /// so [`RowScout::scan_recover`] keeps escalated margins across
-    /// relocated windows.
-    fn scan_report_with(
+    fn scan_report(
         &self,
         mc: &mut MemoryController,
         drift: &mut DriftEstimator,
@@ -671,16 +650,6 @@ impl RowScout {
                 }
             }
         }
-        if cfg.vrt_probe {
-            if let Some((profiled, reason)) = self.probe_vrt_ladder(mc, group)? {
-                return Ok(Some(RowDiagnostics {
-                    row: profiled.row,
-                    phys: profiled.phys,
-                    reason,
-                    retries: retries_spent,
-                }));
-            }
-        }
         Ok(None)
     }
 
@@ -765,68 +734,6 @@ impl RowScout {
         }
         Ok(None)
     }
-
-    /// Extended VRT probe (opt-in via [`ScoutConfig::vrt_probe`]): a
-    /// candidate row can hide a VRT cell whose retention sits entirely
-    /// *above* the bucket — invisible to the consistency checks at `T`.
-    /// Probe a ladder of longer horizons (×1.3 per rung, up to 6.5 T,
-    /// past the ~3× retention swing VRT cells exhibit) and require the
-    /// failure signature at every rung to repeat across trials. Between
-    /// trials, short restore/decay churn cycles give any VRT cell
-    /// plenty of chances to toggle state while being watched.
-    ///
-    /// Each rung runs under both solid data polarities, not just the
-    /// profiling pattern: a cell only leaks when the stored bit equals
-    /// its charged value, so a one-pattern probe is blind to every cell
-    /// of the opposite polarity (the paper profiles with a pattern *and
-    /// its inverse* for exactly this reason, §3.1).
-    fn probe_vrt_ladder(
-        &self,
-        mc: &mut MemoryController,
-        group: &ProfiledRowGroup,
-    ) -> Result<Option<(ProfiledRow, QuarantineReason)>, UtrrError> {
-        let cfg = &self.config;
-        let ceiling = group.retention * 13 / 2;
-        let mut signatures: Vec<Option<Vec<u32>>> = Vec::with_capacity(group.rows.len());
-        for pattern in [DataPattern::Ones, DataPattern::Zeros] {
-            let mut horizon = group.retention * 13 / 10;
-            while horizon <= ceiling {
-                signatures.clear();
-                signatures.resize_with(group.rows.len(), || None);
-                for _trial in 0..4 {
-                    for _churn in 0..8 {
-                        for profiled in &group.rows {
-                            mc.write_row(cfg.bank, profiled.row, pattern.clone())?;
-                        }
-                        mc.wait_no_refresh(Nanos::from_ms(2));
-                    }
-                    for profiled in &group.rows {
-                        mc.write_row(cfg.bank, profiled.row, pattern.clone())?;
-                    }
-                    mc.wait_no_refresh(horizon);
-                    for (i, profiled) in group.rows.iter().enumerate() {
-                        let readout = robust::read_row_voted(mc, cfg.bank, profiled.row)?;
-                        match &signatures[i] {
-                            Some(prev) if prev.as_slice() != readout.flipped_bits() => {
-                                return Ok(Some((*profiled, QuarantineReason::UnstableFlips)));
-                            }
-                            Some(_) => {}
-                            None => {
-                                let mut sig = arena::take_u32();
-                                sig.extend_from_slice(readout.flipped_bits());
-                                signatures[i] = Some(sig);
-                            }
-                        }
-                    }
-                }
-                for sig in signatures.drain(..).flatten() {
-                    arena::recycle_u32(sig);
-                }
-                horizon = horizon * 13 / 10;
-            }
-        }
-        Ok(None)
-    }
 }
 
 #[cfg(test)]
@@ -836,6 +743,11 @@ mod tests {
 
     fn controller(seed: u64) -> MemoryController {
         MemoryController::new(Module::new(ModuleConfig::small_test(), seed))
+    }
+
+    fn report(scout: &RowScout, mc: &mut MemoryController) -> ScoutReport {
+        let mut drift = DriftEstimator::new(RecoveryPolicy::of(mc).scout_margins);
+        scout.scan_report(mc, &mut drift).unwrap()
     }
 
     fn scout(layout: &str, count: usize) -> RowScout {
@@ -941,8 +853,7 @@ mod tests {
         let mut mc = controller(11);
         let groups = scout("RAR", 3).scan(&mut mc).unwrap();
         let mut mc = controller(11);
-        let report = scout("RAR", 3).scan_report(&mut mc).unwrap();
-        assert!(report.is_complete());
+        let report = report(&scout("RAR", 3), &mut mc);
         assert_eq!(report.requested, 3);
         assert_eq!(report.groups, groups);
         assert!(!report.budget_exhausted);
@@ -966,9 +877,9 @@ mod tests {
         let mut cfg =
             ScoutConfig::new(Bank::new(0), 1024, RowGroupLayout::single_aggressor_pair(), 64);
         cfg.max_acts = Some(10_000);
-        let report = RowScout::new(cfg.clone()).scan_report(&mut mc).unwrap();
+        let report = report(&RowScout::new(cfg.clone()), &mut mc);
         assert!(report.budget_exhausted);
-        assert!(!report.is_complete());
+        assert!(report.groups.len() < report.requested);
         // scan() over the same exhausted budget surfaces the classic error.
         let mut mc = controller(11);
         let err = RowScout::new(cfg).scan(&mut mc).unwrap_err();

@@ -47,13 +47,6 @@ impl RefreshSchedule {
         let delta = (self.anchor + self.period - rem) % self.period;
         from + 1 + delta <= to
     }
-
-    /// The first scheduled refresh index strictly greater than `after`.
-    pub fn next_after(&self, after: u64) -> u64 {
-        let rem = (after + 1) % self.period;
-        let delta = (self.anchor + self.period - rem) % self.period;
-        after + 1 + delta
-    }
 }
 
 /// Learns the regular-refresh schedule of every profiled row of `group`
@@ -334,9 +327,8 @@ mod tests {
         assert!(s.covers(3, 13));
         assert!(s.covers(0, 100));
         assert!(!s.covers(4, 4));
-        assert_eq!(s.next_after(3), 13);
-        assert_eq!(s.next_after(12), 13);
-        assert_eq!(s.next_after(13), 23);
+        assert!(!s.covers(13, 22));
+        assert!(s.covers(13, 23));
     }
 
     #[test]

@@ -121,8 +121,7 @@ impl ColAddr {
 /// ```
 /// use dram_sim::ModuleGeometry;
 ///
-/// let g = ModuleGeometry::ddr4_8gbit_x8();
-/// assert_eq!(g.banks, 16);
+/// let g = ModuleGeometry { banks: 16, rows_per_bank: 32 * 1024, row_bytes: 8192 };
 /// assert_eq!(g.row_bits(), 8192 * 8);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -136,16 +135,6 @@ pub struct ModuleGeometry {
 }
 
 impl ModuleGeometry {
-    /// Geometry of an 8 Gbit x8 DDR4 chip: 16 banks of 32K rows.
-    pub const fn ddr4_8gbit_x8() -> Self {
-        ModuleGeometry { banks: 16, rows_per_bank: 32 * 1024, row_bytes: 8192 }
-    }
-
-    /// Geometry of an 8 Gbit x16 DDR4 chip: 8 banks of 64K rows.
-    pub const fn ddr4_8gbit_x16() -> Self {
-        ModuleGeometry { banks: 8, rows_per_bank: 64 * 1024, row_bytes: 8192 }
-    }
-
     /// A deliberately small geometry for fast unit tests.
     pub const fn tiny() -> Self {
         ModuleGeometry { banks: 2, rows_per_bank: 1024, row_bytes: 256 }
@@ -163,11 +152,6 @@ impl ModuleGeometry {
 
     /// Whether a logical row address is in range.
     pub const fn row_in_range(&self, row: RowAddr) -> bool {
-        row.index() < self.rows_per_bank
-    }
-
-    /// Whether a physical row position is in range.
-    pub const fn phys_in_range(&self, row: PhysRow) -> bool {
         row.index() < self.rows_per_bank
     }
 }
@@ -191,8 +175,6 @@ mod tests {
         assert!(!g.bank_in_range(Bank::new(2)));
         assert!(g.row_in_range(RowAddr::new(1023)));
         assert!(!g.row_in_range(RowAddr::new(1024)));
-        assert!(g.phys_in_range(PhysRow::new(0)));
-        assert!(!g.phys_in_range(PhysRow::new(9999)));
     }
 
     #[test]
@@ -200,15 +182,5 @@ mod tests {
         assert_eq!(Bank::new(2).to_string(), "B2");
         assert_eq!(RowAddr::new(7).to_string(), "r7");
         assert_eq!(PhysRow::new(7).to_string(), "p7");
-    }
-
-    #[test]
-    fn standard_geometries_match_table1_organizations() {
-        // Table 1 lists 16-bank x8 modules with 32K rows/bank and 8-bank
-        // x16 modules with 64K rows/bank (§7.3 discussion).
-        let x8 = ModuleGeometry::ddr4_8gbit_x8();
-        assert_eq!((x8.banks, x8.rows_per_bank), (16, 32768));
-        let x16 = ModuleGeometry::ddr4_8gbit_x16();
-        assert_eq!((x16.banks, x16.rows_per_bank), (8, 65536));
     }
 }

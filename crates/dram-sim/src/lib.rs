@@ -57,7 +57,6 @@
 pub mod addr;
 pub mod data;
 pub mod error;
-pub mod fxhash;
 pub mod mapping;
 pub mod metrics;
 pub mod mitigation;
@@ -70,7 +69,6 @@ pub mod time;
 pub use addr::{Bank, ColAddr, ModuleGeometry, PhysRow, RowAddr};
 pub use data::{majority_flips, DataPattern, RowReadout};
 pub use error::DramError;
-pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use mapping::{RowMapping, Topology};
 pub use metrics::DeviceMetrics;
 pub use mitigation::{

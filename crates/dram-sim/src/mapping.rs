@@ -86,7 +86,8 @@ impl RowMapping {
         RowMapping::MsbXor { ctrl_bit, mask }
     }
 
-    /// Wraps a mapping with repair swaps.
+    /// Wraps a mapping with repair swaps. No catalog part has repairs
+    /// yet; the §5.3 mapping probe is tested against them.
     pub fn with_swaps(self, swaps: Vec<(u32, u32)>) -> Self {
         RowMapping::Remapped { base: Box::new(self), swaps }
     }
@@ -171,25 +172,11 @@ pub enum Topology {
 }
 
 impl Topology {
-    /// Physical rows disturbed by one activation of `row`, with their
-    /// relative coupling weight (distance-1 weight is 1.0).
-    /// `radius2_weight` only applies to [`Topology::Linear`].
-    pub fn disturb_targets(
-        self,
-        row: PhysRow,
-        rows_per_bank: u32,
-        radius2_weight: f64,
-    ) -> Vec<(PhysRow, f64)> {
-        let mut targets = Vec::with_capacity(4);
-        self.for_each_disturb_target(row, rows_per_bank, radius2_weight, |victim, w| {
-            targets.push((victim, w));
-        });
-        targets
-    }
-
-    /// Calls `visit` for every row [`Topology::disturb_targets`] lists,
-    /// in the same order. This is the per-`ACT` hot path: the caller
-    /// consumes each target in registers, with no array in between.
+    /// Calls `visit` for every physical row disturbed by one activation
+    /// of `row`, with its relative coupling weight (distance-1 weight is
+    /// 1.0); `radius2_weight` only applies to [`Topology::Linear`]. This
+    /// is the per-`ACT` hot path: the caller consumes each target in
+    /// registers, with no array in between.
     #[inline]
     pub fn for_each_disturb_target(
         self,
@@ -277,6 +264,12 @@ mod tests {
     use super::*;
     use crate::mitigation::NeighborSpan;
 
+    fn disturb_targets(t: Topology, row: PhysRow, rows: u32, w2: f64) -> Vec<(PhysRow, f64)> {
+        let mut targets = Vec::new();
+        t.for_each_disturb_target(row, rows, w2, |victim, w| targets.push((victim, w)));
+        targets
+    }
+
     fn assert_bijection(m: &RowMapping, rows: u32) {
         let mut seen = vec![false; rows as usize];
         for l in 0..rows {
@@ -346,7 +339,7 @@ mod tests {
     #[test]
     fn linear_disturbance_has_blast_radius_two() {
         let t = Topology::Linear;
-        let targets = t.disturb_targets(PhysRow::new(10), 100, 0.25);
+        let targets = disturb_targets(t, PhysRow::new(10), 100, 0.25);
         assert_eq!(
             targets,
             vec![
@@ -361,23 +354,23 @@ mod tests {
     #[test]
     fn linear_disturbance_clips_at_edges() {
         let t = Topology::Linear;
-        let targets = t.disturb_targets(PhysRow::new(0), 100, 0.25);
+        let targets = disturb_targets(t, PhysRow::new(0), 100, 0.25);
         assert_eq!(targets, vec![(PhysRow::new(1), 1.0), (PhysRow::new(2), 0.25)]);
-        let targets = t.disturb_targets(PhysRow::new(99), 100, 0.25);
+        let targets = disturb_targets(t, PhysRow::new(99), 100, 0.25);
         assert_eq!(targets, vec![(PhysRow::new(98), 1.0), (PhysRow::new(97), 0.25)]);
     }
 
     #[test]
     fn zero_radius2_weight_disables_distance_two() {
-        let targets = Topology::Linear.disturb_targets(PhysRow::new(10), 100, 0.0);
+        let targets = disturb_targets(Topology::Linear, PhysRow::new(10), 100, 0.0);
         assert_eq!(targets.len(), 2);
     }
 
     #[test]
     fn paired_topology_only_disturbs_pair() {
         let t = Topology::Paired;
-        assert_eq!(t.disturb_targets(PhysRow::new(10), 100, 0.25), vec![(PhysRow::new(11), 1.0)]);
-        assert_eq!(t.disturb_targets(PhysRow::new(11), 100, 0.25), vec![(PhysRow::new(10), 1.0)]);
+        assert_eq!(disturb_targets(t, PhysRow::new(10), 100, 0.25), vec![(PhysRow::new(11), 1.0)]);
+        assert_eq!(disturb_targets(t, PhysRow::new(11), 100, 0.25), vec![(PhysRow::new(10), 1.0)]);
     }
 
     #[test]

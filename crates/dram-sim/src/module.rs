@@ -406,7 +406,8 @@ impl Module {
         self.activations
     }
 
-    /// Name of the installed mitigation engine.
+    /// Name of the installed mitigation engine. Kept for the engine
+    /// checks of `burst_equiv.rs`, `batch_equiv.rs` and the catalog tests.
     pub fn engine_name(&self) -> &str {
         self.engine.name()
     }
@@ -956,17 +957,11 @@ impl Module {
     }
 
     /// Ground-truth physics of a row — **test/calibration support only**;
-    /// no real-hardware analogue exists and U-TRR never calls this.
+    /// no real-hardware analogue exists and U-TRR never calls this. Kept
+    /// as the weak-row oracle of the softmc and core unit tests.
     pub fn inspect_row(&mut self, bank: Bank, row: RowAddr) -> RowPhysicsView {
         let phys = self.phys_of(row);
         RowPhysicsView::of(&self.row_state(bank, phys).physics)
-    }
-
-    /// Resets the mitigation engine to power-on state — test support; the
-    /// methodology itself resets TRR state by hammering dummy rows
-    /// (Requirement 4 of §5.1).
-    pub fn reset_mitigation(&mut self) {
-        self.engine.reset();
     }
 
     /// The physics-derivation stream of a row. Part of the determinism

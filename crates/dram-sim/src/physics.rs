@@ -128,11 +128,6 @@ impl PhysicsConfig {
         }
     }
 
-    /// A configuration calibrated around a Table-1 `HC_first` value.
-    pub fn with_hc_first(hc_first: u64) -> Self {
-        PhysicsConfig { hc_first: hc_first as f64, ..PhysicsConfig::default_test() }
-    }
-
     /// The disturbance units at which the module's weakest possible row
     /// takes its first flip (double-sided: two units per per-aggressor
     /// hammer).

@@ -33,7 +33,9 @@ impl Nanos {
         Nanos(ns)
     }
 
-    /// Creates a value from microseconds.
+    /// Creates a value from microseconds. Kept for the property suites
+    /// (`refresh_equiv`, `burst_equiv`, `batch_equiv`) and the
+    /// `trace_capture` example, which state their times in µs.
     pub const fn from_us(us: u64) -> Self {
         Nanos(us * 1_000)
     }
@@ -46,16 +48,6 @@ impl Nanos {
     /// Returns the raw nanosecond count.
     pub const fn as_ns(self) -> u64 {
         self.0
-    }
-
-    /// Returns the value in whole microseconds, truncating.
-    pub const fn as_us(self) -> u64 {
-        self.0 / 1_000
-    }
-
-    /// Returns the value in whole milliseconds, truncating.
-    pub const fn as_ms(self) -> u64 {
-        self.0 / 1_000_000
     }
 
     /// Returns the value in fractional milliseconds.
@@ -150,7 +142,8 @@ impl Sum for Nanos {
 ///
 /// let t = Timings::ddr4();
 /// // The paper's footnote-10 arithmetic: hammers that fit between REFs.
-/// assert_eq!(t.max_hammers_per_refi(), 149);
+/// let hammers = (t.t_refi - t.t_rfc).as_ns() / t.t_rc().as_ns();
+/// assert_eq!(hammers, 149);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Timings {
@@ -185,19 +178,6 @@ impl Timings {
     pub const fn t_rc(&self) -> Nanos {
         Nanos::from_ns(self.t_ras.as_ns() + self.t_rp.as_ns())
     }
-
-    /// Maximum number of single-bank hammers that fit between two `REF`
-    /// commands, accounting for the refresh latency itself (footnote 10 of
-    /// the paper: 149 for typical DDR4 timings).
-    pub const fn max_hammers_per_refi(&self) -> u64 {
-        (self.t_refi.as_ns() - self.t_rfc.as_ns()) / self.t_rc().as_ns()
-    }
-
-    /// Number of `REF` commands in one nominal 64 ms refresh period
-    /// (≈ 8192 for DDR4).
-    pub const fn refs_per_64ms(&self) -> u64 {
-        Nanos::from_ms(64).as_ns() / self.t_refi.as_ns()
-    }
 }
 
 impl Default for Timings {
@@ -214,7 +194,6 @@ mod tests {
     fn unit_conversions() {
         assert_eq!(Nanos::from_ms(1), Nanos::from_us(1_000));
         assert_eq!(Nanos::from_us(1), Nanos::from_ns(1_000));
-        assert_eq!(Nanos::from_ms(64).as_ms(), 64);
     }
 
     #[test]
@@ -238,17 +217,8 @@ mod tests {
     }
 
     #[test]
-    fn ddr4_footnote_10_hammer_budget() {
-        let t = Timings::ddr4();
-        // (7800 - 350) / 50 = 149 hammers between two REFs.
-        assert_eq!(t.max_hammers_per_refi(), 149);
-        assert_eq!(t.t_rc().as_ns(), 50);
-    }
-
-    #[test]
-    fn refs_per_period_is_about_8k() {
-        let t = Timings::ddr4();
-        assert_eq!(t.refs_per_64ms(), 8205);
+    fn ddr4_row_cycle() {
+        assert_eq!(Timings::ddr4().t_rc().as_ns(), 50);
     }
 
     #[test]

@@ -74,15 +74,6 @@ impl EccReport {
     pub fn fully_protects(&self) -> bool {
         self.silent == 0
     }
-
-    /// Fraction of words that ended in silent corruption.
-    pub fn silent_fraction(&self) -> f64 {
-        if self.total() == 0 {
-            0.0
-        } else {
-            self.silent as f64 / self.total() as f64
-        }
-    }
 }
 
 /// Draws `k` distinct bit positions in `0..64`.
@@ -222,38 +213,6 @@ pub fn analyze_with_registry(
     report
 }
 
-/// Per-flip-count outcome breakdown for one code — the detailed §7.4
-/// view behind [`analyze`]'s aggregate tallies.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EccBreakdown {
-    /// The code evaluated.
-    pub code: CodeKind,
-    /// `(flips per word, corrected, detected, silent)` rows, ascending.
-    pub rows: Vec<(u32, u64, u64, u64)>,
-}
-
-impl EccBreakdown {
-    /// The smallest flip count at which the code stops fully protecting,
-    /// if any.
-    pub fn first_unprotected_k(&self) -> Option<u32> {
-        self.rows.iter().find(|&&(_, _, _, silent)| silent > 0).map(|&(k, ..)| k)
-    }
-}
-
-/// Like [`analyze`], but keeps the outcome tallies separated by
-/// flips-per-word.
-pub fn analyze_breakdown(code: CodeKind, histogram: &[(u32, u64)], seed: u64) -> EccBreakdown {
-    let rows = histogram
-        .iter()
-        .filter(|&&(k, count)| k > 0 && count > 0)
-        .map(|&(k, count)| {
-            let report = analyze(code, &[(k, count)], seed ^ k as u64);
-            (k, report.corrected, report.detected, report.silent)
-        })
-        .collect();
-    EccBreakdown { code, rows }
-}
-
 /// The minimum number of Reed-Solomon parity symbols (over GF(2^8),
 /// 8-byte datawords) that *guarantees* detection of every word in a
 /// measured flip distribution — the §7.4 cost question: "to detect (and
@@ -332,17 +291,6 @@ mod tests {
     }
 
     #[test]
-    fn breakdown_splits_by_flip_count() {
-        let b = analyze_breakdown(CodeKind::Secded, &[(1, 200), (2, 100), (3, 100)], 9);
-        assert_eq!(b.rows.len(), 3);
-        assert_eq!(b.rows[0], (1, 200, 0, 0));
-        assert_eq!(b.rows[1].2, 100, "doubles all detected");
-        assert_eq!(b.first_unprotected_k(), Some(3));
-        let clean = analyze_breakdown(CodeKind::Secded, &[(1, 50)], 9);
-        assert_eq!(clean.first_unprotected_k(), None);
-    }
-
-    #[test]
     fn parity_search_matches_the_papers_bound() {
         // The paper's worst case: 7 flips per word → 7 parity symbols.
         assert_eq!(rs_parity_needed(&[(1, 10_000), (7, 800)]), Some(7));
@@ -369,7 +317,7 @@ mod tests {
     fn report_accessors() {
         let r = EccReport { code: CodeKind::Secded, corrected: 1, detected: 2, silent: 1 };
         assert_eq!(r.total(), 4);
-        assert_eq!(r.silent_fraction(), 0.25);
+        assert!(!r.fully_protects());
         assert_eq!(CodeKind::ReedSolomon { parity: 7 }.to_string(), "RS(8+7)");
     }
 }

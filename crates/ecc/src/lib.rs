@@ -36,8 +36,7 @@ pub mod rs;
 pub mod secded;
 
 pub use analysis::{
-    analyze, analyze_breakdown, analyze_with_registry, rs_parity_needed, CodeKind, EccBreakdown,
-    EccOutcome, EccReport,
+    analyze, analyze_with_registry, rs_parity_needed, CodeKind, EccOutcome, EccReport,
 };
 pub use chipkill::Chipkill;
 pub use rs::ReedSolomon;

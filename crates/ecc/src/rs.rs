@@ -85,16 +85,6 @@ impl ReedSolomon {
         ReedSolomon::new(GaloisField::gf16(), k, parity)
     }
 
-    /// Data symbols per word.
-    pub fn data_symbols(&self) -> usize {
-        self.k
-    }
-
-    /// Parity symbols per word.
-    pub fn parity_symbols(&self) -> usize {
-        self.parity
-    }
-
     /// Symbol errors the code corrects.
     pub fn correctable(&self) -> usize {
         self.parity / 2

@@ -295,20 +295,6 @@ impl ModuleSpec {
         };
         Module::with_engine(config, self.engine(seed ^ 0x7272), seed)
     }
-
-    /// Like [`ModuleSpec::build_scaled`], but attaches `registry` to the
-    /// built module so its command counters, latency histograms, and TRR
-    /// engine metrics land in a shared run artifact.
-    pub fn build_scaled_with_registry(
-        &self,
-        rows_per_bank: u32,
-        seed: u64,
-        registry: std::sync::Arc<obs::MetricsRegistry>,
-    ) -> Module {
-        let mut module = self.build_scaled(rows_per_bank, seed);
-        module.attach_registry(registry);
-        module
-    }
 }
 
 /// Expands one Table-1 row (which may cover several modules) into
@@ -733,32 +719,9 @@ pub fn by_id(id: &str) -> Option<ModuleSpec> {
     catalog().into_iter().find(|m| m.id == id)
 }
 
-/// All modules of one vendor.
-pub fn by_vendor(vendor: Vendor) -> Vec<ModuleSpec> {
-    catalog().into_iter().filter(|m| m.vendor == vendor).collect()
-}
-
 /// All modules implementing one TRR version (`"A_TRR1"`…`"C_TRR3"`).
 pub fn by_version(version: &str) -> Vec<ModuleSpec> {
     catalog().into_iter().filter(|m| m.trr_version == version).collect()
-}
-
-/// One representative module per distinct TRR version, in catalog order
-/// — what a per-version analysis (like the Table-1 reverse-engineering
-/// columns) iterates over.
-pub fn version_representatives() -> Vec<ModuleSpec> {
-    let mut seen = Vec::new();
-    catalog()
-        .into_iter()
-        .filter(|m| {
-            if seen.contains(&m.trr_version) {
-                false
-            } else {
-                seen.push(m.trr_version);
-                true
-            }
-        })
-        .collect()
 }
 
 /// The three representative modules the paper's Fig. 8 sweeps
@@ -839,11 +802,8 @@ mod tests {
     #[test]
     fn registry_builds_share_one_artifact() {
         let registry = std::sync::Arc::new(obs::MetricsRegistry::new());
-        let mut m = by_id("A5").unwrap().build_scaled_with_registry(
-            1024,
-            3,
-            std::sync::Arc::clone(&registry),
-        );
+        let mut m = by_id("A5").unwrap().build_scaled(1024, 3);
+        m.attach_registry(std::sync::Arc::clone(&registry));
         m.hammer(dram_sim::Bank::new(0), dram_sim::RowAddr::new(10), 50).unwrap();
         m.flush_metrics();
         assert_eq!(registry.counter("dram.cmd.act").get(), 50);
@@ -885,18 +845,10 @@ mod tests {
     }
 
     #[test]
-    fn vendor_and_version_filters() {
-        assert_eq!(by_vendor(Vendor::A).len(), 15);
+    fn version_filter() {
         assert_eq!(by_version("B_TRR2").len(), 4);
         assert_eq!(by_version("C_TRR1").len(), 9);
         assert!(by_version("X_TRR9").is_empty());
-        let reps = version_representatives();
-        assert_eq!(reps.len(), 8);
-        let versions: Vec<&str> = reps.iter().map(|m| m.trr_version).collect();
-        assert_eq!(
-            versions,
-            ["A_TRR1", "A_TRR2", "B_TRR1", "B_TRR2", "B_TRR3", "C_TRR1", "C_TRR2", "C_TRR3"]
-        );
     }
 
     #[test]

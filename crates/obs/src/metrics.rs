@@ -140,12 +140,6 @@ impl Gauge {
         self.cell.store(value, Ordering::Relaxed);
     }
 
-    /// Raises the value to `candidate` if larger.
-    #[inline]
-    pub fn set_max(&self, candidate: u64) {
-        self.cell.fetch_max(candidate, Ordering::Relaxed);
-    }
-
     /// The current value.
     #[inline]
     pub fn get(&self) -> u64 {
@@ -582,14 +576,13 @@ mod tests {
     }
 
     #[test]
-    fn gauge_set_and_max() {
+    fn gauge_set_overwrites() {
         let registry = MetricsRegistry::new();
         let g = registry.gauge("depth");
         g.set(7);
-        g.set_max(3);
         assert_eq!(g.get(), 7);
-        g.set_max(11);
-        assert_eq!(g.get(), 11);
+        g.set(3);
+        assert_eq!(registry.gauge("depth").get(), 3);
     }
 
     #[test]

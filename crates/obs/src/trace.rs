@@ -60,8 +60,6 @@ pub enum TraceKind {
     TrrEvict,
     /// A sampler-style engine sampled an activation.
     TrrSample,
-    /// The controller reset TRR state (reset storm).
-    TrrReset,
     /// The fault injector perturbed a command.
     FaultInjected,
     /// A robustness layer recovered from (or gave up on) a fault.
@@ -88,7 +86,6 @@ impl TraceKind {
             TraceKind::TrrRefresh => "trr_refresh",
             TraceKind::TrrEvict => "trr_evict",
             TraceKind::TrrSample => "trr_sample",
-            TraceKind::TrrReset => "trr_reset",
             TraceKind::FaultInjected => "fault_injected",
             TraceKind::Recovery => "recovery",
             TraceKind::ScoutRetry => "scout_retry",
@@ -108,7 +105,6 @@ impl TraceKind {
             "trr_refresh" => TraceKind::TrrRefresh,
             "trr_evict" => TraceKind::TrrEvict,
             "trr_sample" => TraceKind::TrrSample,
-            "trr_reset" => TraceKind::TrrReset,
             "fault_injected" => TraceKind::FaultInjected,
             "recovery" => TraceKind::Recovery,
             "scout_retry" => TraceKind::ScoutRetry,
@@ -170,11 +166,6 @@ impl TraceFilter {
         TraceFilter { rows: None }
     }
 
-    /// A filter tracking exactly `rows` (physical indices).
-    pub fn for_rows(rows: impl IntoIterator<Item = u32>) -> TraceFilter {
-        TraceFilter { rows: Some(rows.into_iter().collect()) }
-    }
-
     /// Parses a `--trace-rows` spec: `all`, or a comma-separated list
     /// of physical rows and inclusive `A-B` ranges (`"41,100-104"`).
     pub fn parse(spec: &str) -> Result<TraceFilter, String> {
@@ -227,23 +218,6 @@ impl TraceFilter {
                 .is_some(),
         }
     }
-
-    /// Whether any tracked row falls within `RADIUS` of the half-open
-    /// physical row range `[start, end)` — used to pre-gate per-`REF`
-    /// events so untracked refresh sweeps cost nothing.
-    #[inline]
-    pub fn admits_range(&self, start: u32, end: u32) -> bool {
-        if start >= end {
-            return false;
-        }
-        match &self.rows {
-            None => true,
-            Some(rows) => rows
-                .range(start.saturating_sub(Self::RADIUS)..end.saturating_add(Self::RADIUS))
-                .next()
-                .is_some(),
-        }
-    }
 }
 
 #[derive(Debug, Default)]
@@ -273,7 +247,8 @@ impl FlightRecorder {
         }
     }
 
-    /// A recorder with the default capacity, tracking every row.
+    /// A recorder with the default capacity, tracking every row. Kept as
+    /// the recorder of the `trr` property suites and `trace_props.rs`.
     pub fn unfiltered() -> FlightRecorder {
         FlightRecorder::new(DEFAULT_TRACE_CAPACITY, TraceFilter::all())
     }
@@ -349,11 +324,6 @@ impl FlightRecorder {
     /// Whether nothing has been stored.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Oldest-first drop tally (monotonic).
-    pub fn dropped_events(&self) -> u64 {
-        self.inner.lock().unwrap().dropped
     }
 
     /// The ID the next stored event will receive. Capture it as a
@@ -602,18 +572,6 @@ mod tests {
     }
 
     #[test]
-    fn filter_range_gate_matches_row_admission() {
-        let filter = TraceFilter::parse("100").unwrap();
-        assert!(filter.admits_range(98, 99)); // 98 within radius of 100
-        assert!(filter.admits_range(0, 99));
-        assert!(!filter.admits_range(0, 98));
-        assert!(filter.admits_range(102, 200));
-        assert!(!filter.admits_range(103, 200));
-        assert!(!filter.admits_range(50, 50));
-        assert!(TraceFilter::all().admits_range(0, 1));
-    }
-
-    #[test]
     fn ring_drops_oldest_first_and_counts() {
         let recorder = FlightRecorder::new(4, TraceFilter::all());
         for i in 0..10u32 {
@@ -621,7 +579,6 @@ mod tests {
         }
         let (events, dropped) = recorder.snapshot();
         assert_eq!(dropped, 6);
-        assert_eq!(recorder.dropped_events(), 6);
         let rows: Vec<u32> = events.iter().map(|e| e.row.unwrap()).collect();
         assert_eq!(rows, vec![6, 7, 8, 9]);
         let ids: Vec<u64> = events.iter().map(|e| e.id).collect();

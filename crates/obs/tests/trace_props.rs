@@ -5,7 +5,7 @@ use proptest::prelude::*;
 
 use obs::trace::{read_trace_jsonl, write_trace_jsonl, FlightRecorder, TraceFilter, TraceKind};
 
-const KINDS: [TraceKind; 14] = [
+const KINDS: [TraceKind; 13] = [
     TraceKind::Act,
     TraceKind::Ref,
     TraceKind::BitFlip,
@@ -14,7 +14,6 @@ const KINDS: [TraceKind; 14] = [
     TraceKind::TrrRefresh,
     TraceKind::TrrEvict,
     TraceKind::TrrSample,
-    TraceKind::TrrReset,
     TraceKind::FaultInjected,
     TraceKind::Recovery,
     TraceKind::ScoutRetry,
@@ -100,7 +99,7 @@ proptest! {
     }
 
     /// Overflow always evicts the oldest events, the survivors are the
-    /// most recent `capacity` in order, and `dropped_events` counts
+    /// most recent `capacity` in order, and the drop count counts
     /// exactly the evictions, monotonically.
     #[test]
     fn ring_overflow_drops_oldest_first(
@@ -111,7 +110,7 @@ proptest! {
         let mut last_dropped = 0u64;
         for i in 0..total {
             recorder.record(TraceKind::Act, i as u64, 0, Some(i as u32), &[], "");
-            let dropped = recorder.dropped_events();
+            let dropped = recorder.snapshot().1;
             prop_assert!(dropped >= last_dropped, "drop counter went backwards");
             last_dropped = dropped;
         }

@@ -84,7 +84,9 @@ impl ParConfig {
         ParConfig { threads: 1, registry: None }
     }
 
-    /// Unmetered pool with an explicit worker count.
+    /// Unmetered pool with an explicit worker count. Kept for the
+    /// thread-count sweeps of `determinism.rs`, `hostile_resilience.rs`
+    /// and `resume_determinism.rs`.
     pub fn with_threads(threads: usize) -> Self {
         ParConfig { threads, registry: None }
     }

@@ -37,31 +37,14 @@ impl HammerSpec {
         HammerSpec { aggressors: vec![(aggressor, count)], mode: HammerMode::Cascaded }
     }
 
-    /// The classic double-sided pattern around `victim` (Fig. 2b):
-    /// alternating activations of the two logical neighbours. Callers
-    /// that know the physical mapping should pass physical neighbours
-    /// through [`HammerSpec::interleaved_pair`] instead.
-    pub fn double_sided(victim: RowAddr, count_per_aggressor: u64) -> Self {
-        HammerSpec::interleaved_pair(victim.minus(1), victim.plus(1), count_per_aggressor)
-    }
-
-    /// Two aggressors hammered in interleaved mode, `count` times each.
+    /// Two aggressors hammered in interleaved mode, `count` times each:
+    /// around a victim's two physical neighbours, the classic
+    /// double-sided pattern (Fig. 2b).
     pub fn interleaved_pair(first: RowAddr, second: RowAddr, count: u64) -> Self {
         HammerSpec {
             aggressors: vec![(first, count), (second, count)],
             mode: HammerMode::Interleaved,
         }
-    }
-
-    /// Total number of activations the spec performs.
-    pub fn total_hammers(&self) -> u64 {
-        self.aggressors.iter().map(|&(_, n)| n).sum()
-    }
-
-    /// Sets the mode, builder-style.
-    pub fn with_mode(mut self, mode: HammerMode) -> Self {
-        self.mode = mode;
-        self
     }
 }
 
@@ -128,11 +111,6 @@ impl MemoryController {
         MemoryController { module, faults: None, recovery: RecoveryLadder::default() }
     }
 
-    /// A controller with a fault injector installed from the start.
-    pub fn with_faults(module: Module, injector: Box<dyn FaultInjector>) -> Self {
-        MemoryController { module, faults: Some(injector), recovery: RecoveryLadder::default() }
-    }
-
     /// Installs (or, with `None`, removes) the fault injector.
     pub fn set_fault_injector(&mut self, injector: Option<Box<dyn FaultInjector>>) {
         self.faults = injector;
@@ -184,24 +162,9 @@ impl MemoryController {
         &mut self.module
     }
 
-    /// Releases the device.
-    pub fn into_module(self) -> Module {
-        self.module
-    }
-
     /// The metrics registry of the underlying device.
     pub fn registry(&self) -> &std::sync::Arc<obs::MetricsRegistry> {
         self.module.registry()
-    }
-
-    /// Replays a recorded trace onto the underlying device (see
-    /// [`crate::CommandTrace::replay`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates device protocol errors.
-    pub fn replay(&mut self, trace: &crate::CommandTrace) -> Result<(), DramError> {
-        trace.replay(&mut self.module)
     }
 
     /// Current device time.
@@ -232,23 +195,6 @@ impl MemoryController {
         self.module.write_row(bank, row, pattern)
     }
 
-    /// Writes `pattern` into every row in `rows`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates protocol/addressing errors from the device.
-    pub fn write_rows(
-        &mut self,
-        bank: Bank,
-        rows: &[RowAddr],
-        pattern: &DataPattern,
-    ) -> Result<(), DramError> {
-        for &row in rows {
-            self.write_row(bank, row, pattern.clone())?;
-        }
-        Ok(())
-    }
-
     /// Reads a row back (activate, read, precharge).
     ///
     /// # Errors
@@ -263,19 +209,6 @@ impl MemoryController {
         Ok(readout)
     }
 
-    /// Reads every row in `rows`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates protocol/addressing errors from the device.
-    pub fn read_rows(
-        &mut self,
-        bank: Bank,
-        rows: &[RowAddr],
-    ) -> Result<Vec<RowReadout>, DramError> {
-        rows.iter().map(|&row| self.read_row(bank, row)).collect()
-    }
-
     /// Gives an installed fault injector a chance to evolve
     /// environmental conditions (retention drift, VRT bursts) at the
     /// current simulated time. Harnesses that drive the module directly
@@ -288,17 +221,6 @@ impl MemoryController {
     /// Lets time pass with refresh disabled (rows decay).
     pub fn wait_no_refresh(&mut self, duration: Nanos) {
         self.module.advance(duration);
-        self.tick_faults();
-    }
-
-    /// Lets time pass while issuing `REF` at the default rate (one per
-    /// `tREFI`), like a normal system would.
-    pub fn wait_with_refresh(&mut self, duration: Nanos) {
-        let t_refi = self.module.timings().t_refi;
-        let refs = duration.as_ns() / t_refi.as_ns();
-        self.module.refresh_burst_at_refi(refs);
-        let remainder = duration - t_refi * refs;
-        self.module.advance(remainder);
         self.tick_faults();
     }
 
@@ -388,60 +310,16 @@ impl MemoryController {
         }
         out
     }
-
-    /// Resets the TRR mechanism's internal state without any backdoor
-    /// (Requirement 4 of §5.1): issues `REF` at the default rate for
-    /// `periods` nominal 64 ms refresh periods while hammering `dummies`
-    /// between consecutive `REF` commands as much as the timing budget
-    /// allows.
-    ///
-    /// # Errors
-    ///
-    /// Propagates protocol/addressing errors from the device.
-    pub fn reset_trr_state(
-        &mut self,
-        bank: Bank,
-        dummies: &[RowAddr],
-        periods: u32,
-    ) -> Result<(), DramError> {
-        if dummies.is_empty() {
-            return Ok(());
-        }
-        self.module.registry().trace(
-            obs::TraceKind::TrrReset,
-            self.module.now().as_ns(),
-            bank.index() as u32,
-            None,
-            &[("dummies", dummies.len() as u64), ("periods", u64::from(periods))],
-            "reset storm",
-        );
-        let timings = self.module.timings();
-        let refs_per_period = timings.refs_per_64ms();
-        let budget = timings.max_hammers_per_refi();
-        let per_dummy = (budget / dummies.len() as u64).max(1);
-        let idle = timings
-            .t_refi
-            .saturating_sub(timings.t_rfc + timings.t_rc() * (per_dummy * dummies.len() as u64));
-        for _ in 0..periods {
-            for _ in 0..refs_per_period {
-                for &dummy in dummies {
-                    self.module.hammer(bank, dummy, per_dummy)?;
-                }
-                self.module.refresh();
-                self.module.advance(idle);
-            }
-            // One environmental tick per ~64 ms storm period is plenty
-            // of resolution for drift/burst evolution.
-            self.tick_faults();
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dram_sim::ModuleConfig;
+
+    fn double_sided(victim: RowAddr, count: u64) -> HammerSpec {
+        HammerSpec::interleaved_pair(victim.minus(1), victim.plus(1), count)
+    }
 
     fn controller() -> MemoryController {
         MemoryController::new(Module::new(ModuleConfig::small_test(), 3))
@@ -450,14 +328,11 @@ mod tests {
     #[test]
     fn spec_constructors() {
         let s = HammerSpec::single_sided(RowAddr::new(5), 100);
-        assert_eq!(s.total_hammers(), 100);
+        assert_eq!(s.aggressors, vec![(RowAddr::new(5), 100)]);
         assert_eq!(s.mode, HammerMode::Cascaded);
-        let d = HammerSpec::double_sided(RowAddr::new(5), 100);
+        let d = HammerSpec::interleaved_pair(RowAddr::new(4), RowAddr::new(6), 100);
         assert_eq!(d.aggressors, vec![(RowAddr::new(4), 100), (RowAddr::new(6), 100)]);
-        assert_eq!(d.total_hammers(), 200);
         assert_eq!(d.mode, HammerMode::Interleaved);
-        let c = d.with_mode(HammerMode::Cascaded);
-        assert_eq!(c.mode, HammerMode::Cascaded);
     }
 
     #[test]
@@ -466,7 +341,7 @@ mod tests {
         let bank = Bank::new(0);
         let victim = RowAddr::new(200);
         mc.write_row(bank, victim, DataPattern::Ones).unwrap();
-        mc.hammer(bank, &HammerSpec::double_sided(victim, 5_000)).unwrap();
+        mc.hammer(bank, &double_sided(victim, 5_000)).unwrap();
         assert!(!mc.read_row(bank, victim).unwrap().is_clean());
     }
 
@@ -477,7 +352,7 @@ mod tests {
             let bank = Bank::new(0);
             let victim = RowAddr::new(200);
             mc.write_row(bank, victim, DataPattern::Ones).unwrap();
-            let spec = HammerSpec::double_sided(victim, 3_000).with_mode(mode);
+            let spec = HammerSpec { mode, ..double_sided(victim, 3_000) };
             mc.hammer(bank, &spec).unwrap();
             mc.read_row(bank, victim).unwrap().flip_count()
         };
@@ -507,7 +382,7 @@ mod tests {
     }
 
     #[test]
-    fn wait_with_refresh_preserves_data() {
+    fn paced_refresh_preserves_data() {
         let mut mc = controller();
         let bank = Bank::new(0);
         // Find a weak row through the device's introspection.
@@ -520,7 +395,9 @@ mod tests {
             .expect("test module has weak rows");
         for pattern in [DataPattern::Ones, DataPattern::Zeros] {
             mc.write_row(bank, weak, pattern).unwrap();
-            mc.wait_with_refresh(Nanos::from_ms(2_000));
+            // 2 s of REFs at tREFI: every row is refreshed many times.
+            let refs = Nanos::from_ms(2_000).as_ns() / mc.module().timings().t_refi.as_ns();
+            mc.refresh(refs);
             assert!(mc.read_row(bank, weak).unwrap().is_clean(), "refreshed rows must never decay");
         }
     }
@@ -560,21 +437,5 @@ mod tests {
         let mut mc = controller();
         mc.refresh(42);
         assert_eq!(mc.module().ref_count(), 42);
-    }
-
-    #[test]
-    fn reset_trr_storm_runs_within_budget() {
-        let mut mc = controller();
-        let bank = Bank::new(0);
-        let dummies = mc.pick_dummy_rows(&[], 0, 16);
-        let t0 = mc.now();
-        mc.reset_trr_state(bank, &dummies, 1).unwrap();
-        let elapsed = mc.now() - t0;
-        // One nominal refresh period of REFs, paced at tREFI
-        // (8205 × 7.8 µs ≈ 64 ms).
-        assert!(
-            elapsed >= Nanos::from_ms(63) && elapsed < Nanos::from_ms(72),
-            "storm took {elapsed}"
-        );
     }
 }

@@ -53,7 +53,7 @@ pub trait FaultInjector: std::fmt::Debug {
     ) -> WriteFault;
 
     /// Called after simulated time passes in bulk (waits, paced refresh
-    /// bursts, reset storms) so the injector can evolve environmental
+    /// bursts) so the injector can evolve environmental
     /// conditions — retention drift, VRT burst episodes — by mutating
     /// the device directly.
     fn on_tick(&mut self, now: Nanos, module: &mut Module);
@@ -108,8 +108,8 @@ mod tests {
 
     #[test]
     fn read_hook_corrupts_the_readout_not_the_cell() {
-        let module = Module::new(ModuleConfig::small_test(), 3);
-        let mut mc = MemoryController::with_faults(module, Box::new(Scripted::default()));
+        let mut mc = MemoryController::new(Module::new(ModuleConfig::small_test(), 3));
+        mc.set_fault_injector(Some(Box::new(Scripted::default())));
         let bank = Bank::new(0);
         let row = RowAddr::new(10);
         mc.write_row(bank, row, DataPattern::Ones).unwrap();
@@ -137,11 +137,11 @@ mod tests {
 
     #[test]
     fn ticks_fire_on_waits_and_refresh() {
-        let module = Module::new(ModuleConfig::small_test(), 3);
-        let mut mc = MemoryController::with_faults(module, Box::new(Scripted::default()));
+        let mut mc = MemoryController::new(Module::new(ModuleConfig::small_test(), 3));
+        mc.set_fault_injector(Some(Box::new(Scripted::default())));
         mc.wait_no_refresh(Nanos::from_ms(1));
         mc.refresh(4);
-        mc.wait_with_refresh(Nanos::from_ms(1));
+        mc.refresh(128);
         let stats = format!("{mc:?}");
         assert!(stats.contains("ticks: 3"), "one tick per bulk time step: {stats}");
     }

@@ -7,15 +7,16 @@
 //! as the reason commodity CPUs cannot run these experiments. This crate
 //! provides the same contract against a [`dram_sim::Module`]:
 //!
-//! * a [`Program`] of DDR [`Instruction`]s executed back-to-back, the
+//! * a [`CommandTrace`]: one flat list of timed DDR commands that
+//!   serializes to text, parses back and replays onto a module, the
 //!   moral equivalent of a SoftMC program;
 //! * a [`MemoryController`] with higher-level building blocks — paced
 //!   refresh, hammer specifications with interleaved/cascaded modes
-//!   (§5.2), dummy-row selection, and the TRR-state reset storm
-//!   (Requirement 4 of §5.1).
+//!   (§5.2), dummy-row selection and a fault-injection hook.
 //!
-//! Auto-refresh is *off* by default: the whole methodology depends on the
-//! controller deciding exactly when `REF` commands are issued.
+//! There is no auto-refresh: a `REF` is issued only when the caller asks
+//! for one, since the whole methodology depends on deciding exactly when
+//! `REF` commands are issued.
 //!
 //! # Example
 //!
@@ -29,7 +30,7 @@
 //! let victim = RowAddr::new(300);
 //! mc.write_row(bank, victim, DataPattern::Ones)?;
 //!
-//! let spec = HammerSpec::double_sided(victim, 5_000);
+//! let spec = HammerSpec::interleaved_pair(victim.minus(1), victim.plus(1), 5_000);
 //! mc.hammer(bank, &spec)?;
 //!
 //! let readout = mc.read_row(bank, victim)?;
@@ -40,10 +41,8 @@
 
 pub mod controller;
 pub mod faults;
-pub mod program;
 pub mod trace;
 
 pub use controller::{HammerMode, HammerSpec, MemoryController, RecoveryLadder};
 pub use faults::{FaultInjector, WriteFault};
-pub use program::{Instruction, Program, ProgramOutput};
 pub use trace::{CommandTrace, TraceCommand, TraceEntry};

@@ -10,13 +10,14 @@
 //! # Example
 //!
 //! ```
-//! use dram_sim::{Module, ModuleConfig, DataPattern, Bank, RowAddr};
-//! use softmc::trace::CommandTrace;
+//! use dram_sim::{Module, ModuleConfig, Bank, RowAddr};
+//! use softmc::trace::{CommandTrace, TraceCommand};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut trace = CommandTrace::new();
-//! trace.record_hammer(dram_sim::Nanos::ZERO, Bank::new(0), RowAddr::new(5), 100);
-//! trace.record_ref(dram_sim::Nanos::from_us(7));
+//! let hammer = TraceCommand::Hammer { bank: Bank::new(0), row: RowAddr::new(5), count: 100 };
+//! trace.push(dram_sim::Nanos::ZERO, hammer);
+//! trace.push(dram_sim::Nanos::from_us(7), TraceCommand::Ref);
 //!
 //! let text = trace.to_text();
 //! let parsed = CommandTrace::parse(&text)?;
@@ -100,7 +101,8 @@ pub struct TraceEntry {
     pub command: TraceCommand,
 }
 
-/// An ordered list of timestamped DDR commands.
+/// An ordered list of timestamped DDR commands. No repro binary records
+/// one; the `trace_capture` example builds, serializes and replays one.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CommandTrace {
     entries: Vec<TraceEntry>,
@@ -161,53 +163,6 @@ impl CommandTrace {
     /// Appends a raw entry.
     pub fn push(&mut self, at: Nanos, command: TraceCommand) {
         self.entries.push(TraceEntry { at, command });
-    }
-
-    /// Records an `ACT`.
-    pub fn record_act(&mut self, at: Nanos, bank: Bank, row: RowAddr) {
-        self.push(at, TraceCommand::Act { bank, row });
-    }
-
-    /// Records a `PRE`.
-    pub fn record_pre(&mut self, at: Nanos, bank: Bank) {
-        self.push(at, TraceCommand::Pre { bank });
-    }
-
-    /// Records a full-row write.
-    pub fn record_write(&mut self, at: Nanos, bank: Bank, pattern: DataPattern) {
-        self.push(at, TraceCommand::WriteRow { bank, pattern });
-    }
-
-    /// Records a full-row read.
-    pub fn record_read(&mut self, at: Nanos, bank: Bank) {
-        self.push(at, TraceCommand::ReadRow { bank });
-    }
-
-    /// Records a `REF`.
-    pub fn record_ref(&mut self, at: Nanos) {
-        self.push(at, TraceCommand::Ref);
-    }
-
-    /// Records a hammer loop.
-    pub fn record_hammer(&mut self, at: Nanos, bank: Bank, row: RowAddr, count: u64) {
-        self.push(at, TraceCommand::Hammer { bank, row, count });
-    }
-
-    /// Records an interleaved hammer loop.
-    pub fn record_hammer_pair(
-        &mut self,
-        at: Nanos,
-        bank: Bank,
-        first: RowAddr,
-        second: RowAddr,
-        pairs: u64,
-    ) {
-        self.push(at, TraceCommand::HammerPair { bank, first, second, pairs });
-    }
-
-    /// Records idle time.
-    pub fn record_wait(&mut self, at: Nanos, duration: Nanos) {
-        self.push(at, TraceCommand::Wait { duration });
     }
 
     /// Serializes the trace to its line-oriented text form.
@@ -402,18 +357,20 @@ mod tests {
     use dram_sim::ModuleConfig;
 
     fn sample_trace() -> CommandTrace {
+        use TraceCommand::*;
         let mut t = CommandTrace::new();
         let bank = Bank::new(0);
-        t.record_act(Nanos::ZERO, bank, RowAddr::new(5));
-        t.record_write(Nanos::from_ns(35), bank, DataPattern::Ones);
-        t.record_pre(Nanos::from_ns(535), bank);
-        t.record_hammer(Nanos::from_ns(600), bank, RowAddr::new(6), 1_000);
-        t.record_hammer_pair(Nanos::from_us(51), bank, RowAddr::new(4), RowAddr::new(6), 500);
-        t.record_ref(Nanos::from_us(101));
-        t.record_wait(Nanos::from_us(102), Nanos::from_ms(150));
-        t.record_act(Nanos::from_ms(151), bank, RowAddr::new(5));
-        t.record_read(Nanos::from_ms(151) + Nanos::from_ns(35), bank);
-        t.record_pre(Nanos::from_ms(152), bank);
+        let (r4, r5, r6) = (RowAddr::new(4), RowAddr::new(5), RowAddr::new(6));
+        t.push(Nanos::ZERO, Act { bank, row: r5 });
+        t.push(Nanos::from_ns(35), WriteRow { bank, pattern: DataPattern::Ones });
+        t.push(Nanos::from_ns(535), Pre { bank });
+        t.push(Nanos::from_ns(600), Hammer { bank, row: r6, count: 1_000 });
+        t.push(Nanos::from_us(51), HammerPair { bank, first: r4, second: r6, pairs: 500 });
+        t.push(Nanos::from_us(101), Ref);
+        t.push(Nanos::from_us(102), Wait { duration: Nanos::from_ms(150) });
+        t.push(Nanos::from_ms(151), Act { bank, row: r5 });
+        t.push(Nanos::from_ms(151) + Nanos::from_ns(35), ReadRow { bank });
+        t.push(Nanos::from_ms(152), Pre { bank });
         t
     }
 
@@ -430,11 +387,8 @@ mod tests {
     #[test]
     fn custom_pattern_roundtrip() {
         let mut t = CommandTrace::new();
-        t.record_write(
-            Nanos::ZERO,
-            Bank::new(1),
-            DataPattern::Custom(std::sync::Arc::from(&[0xDE, 0xAD][..])),
-        );
+        let pattern = DataPattern::Custom(std::sync::Arc::from(&[0xDE, 0xAD][..]));
+        t.push(Nanos::ZERO, TraceCommand::WriteRow { bank: Bank::new(1), pattern });
         let parsed = CommandTrace::parse(&t.to_text()).unwrap();
         assert_eq!(parsed, t);
         assert!(t.to_text().contains("custom:dead"));
@@ -513,12 +467,25 @@ mod tests {
         assert_eq!(span.sim_end, module.now().as_ns());
     }
 
+    /// A replay stops at the first device error and returns it; the
+    /// executed prefix stays applied, as on real hardware.
     #[test]
     fn replay_rejects_oversized_addresses() {
         let mut t = CommandTrace::new();
-        t.record_act(Nanos::ZERO, Bank::new(50), RowAddr::new(5));
+        t.push(Nanos::ZERO, TraceCommand::Act { bank: Bank::new(50), row: RowAddr::new(5) });
         let mut m = Module::new(ModuleConfig::small_test(), 9);
         assert!(t.replay(&mut m).is_err());
+
+        let bank = Bank::new(0);
+        let mut t = CommandTrace::new();
+        t.push(Nanos::ZERO, TraceCommand::Act { bank, row: RowAddr::new(1) });
+        t.push(Nanos::ZERO, TraceCommand::Act { bank, row: RowAddr::new(2) });
+        t.push(Nanos::ZERO, TraceCommand::Ref);
+        let mut m = Module::new(ModuleConfig::small_test(), 9);
+        let err = t.replay(&mut m).unwrap_err();
+        assert!(matches!(err, DramError::BankAlreadyOpen { .. }));
+        assert_eq!(m.ref_count(), 0, "nothing after the failing command runs");
+        assert!(m.precharge(bank).is_ok(), "the prefix ran: the bank is still open");
     }
 
     #[test]

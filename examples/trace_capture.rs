@@ -9,7 +9,7 @@
 //! ```
 
 use dram_sim::{Bank, DataPattern, Nanos, RowAddr};
-use softmc::trace::CommandTrace;
+use softmc::trace::{CommandTrace, TraceCommand::*};
 use utrr::utrr_modules::by_id;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -23,29 +23,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // followed by 16 dummy-row insertions, closed by the REF.
     let mut trace = CommandTrace::new();
     let mut t = Nanos::ZERO;
-    trace.record_act(t, bank, victim);
-    trace.record_write(t, bank, DataPattern::RowStripe);
-    trace.record_pre(t, bank);
+    trace.push(t, Act { bank, row: victim });
+    trace.push(t, WriteRow { bank, pattern: DataPattern::RowStripe });
+    trace.push(t, Pre { bank });
     t += Nanos::from_us(1);
     let t_refi = Nanos::from_ns(7_800);
     for interval in 0..4_000u64 {
-        trace.record_hammer(t, bank, a0, 24);
-        trace.record_hammer(t + Nanos::from_ns(1_200), bank, a1, 24);
+        trace.push(t, Hammer { bank, row: a0, count: 24 });
+        trace.push(t + Nanos::from_ns(1_200), Hammer { bank, row: a1, count: 24 });
         for d in 0..16u32 {
-            trace.record_hammer(
-                t + Nanos::from_ns(2_400 + d as u64 * 300),
-                bank,
-                RowAddr::new(700 + d * 4),
-                6,
-            );
+            let dummy = Hammer { bank, row: RowAddr::new(700 + d * 4), count: 6 };
+            trace.push(t + Nanos::from_ns(2_400 + d as u64 * 300), dummy);
         }
-        trace.record_ref(t + Nanos::from_ns(7_400));
+        trace.push(t + Nanos::from_ns(7_400), Ref);
         t += t_refi;
         let _ = interval;
     }
-    trace.record_act(t, bank, victim);
-    trace.record_read(t, bank);
-    trace.record_pre(t, bank);
+    trace.push(t, Act { bank, row: victim });
+    trace.push(t, ReadRow { bank });
+    trace.push(t, Pre { bank });
 
     // Serialize → parse → replay on a fresh module.
     let text = trace.to_text();
