@@ -110,7 +110,7 @@ impl VendorBPattern {
     /// The paper's configuration for a module: full-budget aggressor
     /// intervals (≈ 220 hammers per aggressor per 4-REF window on
     /// B_TRR1) and 156 hammers per dummy row in the diversion interval.
-    pub fn for_module(spec: &ModuleSpec) -> Self {
+    pub(crate) fn for_module(spec: &ModuleSpec) -> Self {
         VendorBPattern {
             ratio: spec.trr_to_ref_ratio,
             per_bank_sampler: spec.per_bank_trr,
@@ -122,7 +122,7 @@ impl VendorBPattern {
     /// Scales the aggressor rate for the Fig. 8 sweep. `hammers` is the
     /// average per-aggressor hammer count per REF; the diversion
     /// interval keeps its dummy budget.
-    pub fn with_hammers_per_ref(spec: &ModuleSpec, hammers: f64) -> Self {
+    pub(crate) fn with_hammers_per_ref(spec: &ModuleSpec, hammers: f64) -> Self {
         let ratio = spec.trr_to_ref_ratio;
         let per_interval = (hammers * ratio as f64 / (ratio - 1).max(1) as f64) as u64;
         VendorBPattern {
@@ -197,7 +197,7 @@ pub struct VendorCPattern {
 impl VendorCPattern {
     /// A robust configuration: 320 window-opening dummy activations,
     /// full-budget aggressor hammering afterwards.
-    pub fn for_module(spec: &ModuleSpec) -> Self {
+    pub(crate) fn for_module(spec: &ModuleSpec) -> Self {
         VendorCPattern {
             ratio: spec.trr_to_ref_ratio,
             dummy_acts: 320,
@@ -207,7 +207,7 @@ impl VendorCPattern {
 
     /// Scales the aggressor rate for the Fig. 8 sweep (dummy budget
     /// fixed).
-    pub fn with_hammers_per_ref(spec: &ModuleSpec, hammers: f64) -> Self {
+    pub(crate) fn with_hammers_per_ref(spec: &ModuleSpec, hammers: f64) -> Self {
         let ratio = spec.trr_to_ref_ratio;
         let dummy_intervals = (320.0 / INTERVAL_BUDGET as f64).ceil();
         let hammer_intervals = (ratio as f64 - dummy_intervals).max(1.0);

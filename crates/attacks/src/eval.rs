@@ -168,7 +168,7 @@ impl BankSweep {
 
 /// Runs `pattern` against one victim position for
 /// `windows × period_refs` `REF` intervals and reads the victim back.
-pub fn evaluate_position(
+pub(crate) fn evaluate_position(
     mc: &mut MemoryController,
     pattern: &dyn AccessPattern,
     config: &EvalConfig,

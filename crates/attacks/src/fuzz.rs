@@ -27,28 +27,28 @@ use crate::eval::{sweep_bank, EvalConfig};
 use crate::pattern::{AccessPattern, AggressorLayout, PatternTarget, RowDose, INTERVAL_BUDGET};
 
 /// Schema identifier of the fuzz run artifact.
-pub const FUZZ_SCHEMA: &str = "utrr-fuzz/1";
+pub(crate) const FUZZ_SCHEMA: &str = "utrr-fuzz/1";
 
 /// Candidates evaluated (one per sampled or mutated parameter point).
-pub const CTR_FUZZ_CANDIDATES: &str = "attacks.fuzz.candidates";
+pub(crate) const CTR_FUZZ_CANDIDATES: &str = "attacks.fuzz.candidates";
 /// Candidate × engine sweep evaluations.
 pub const CTR_FUZZ_EVALS: &str = "attacks.fuzz.evals";
 /// Candidate × engine evaluations that induced at least one bit flip.
-pub const CTR_FUZZ_BYPASSES: &str = "attacks.fuzz.bypasses";
+pub(crate) const CTR_FUZZ_BYPASSES: &str = "attacks.fuzz.bypasses";
 /// Candidates produced by mutating an elite (vs fresh samples).
-pub const CTR_FUZZ_MUTATIONS: &str = "attacks.fuzz.mutations";
+pub(crate) const CTR_FUZZ_MUTATIONS: &str = "attacks.fuzz.mutations";
 
 /// Longest pattern repetition period, in `tREFI` intervals (covers the
 /// largest TRR-to-REF ratio in the catalog, 17, with headroom).
-pub const MAX_PERIOD: u64 = 18;
+pub(crate) const MAX_PERIOD: u64 = 18;
 /// Heaviest per-aggressor dose per hammering interval (the pair budget).
-pub const MAX_AGGRESSOR_ACTS: u64 = 74;
+pub(crate) const MAX_AGGRESSOR_ACTS: u64 = 74;
 /// Largest window-opening dummy dose (three full intervals).
-pub const MAX_LEAD_DUMMY_ACTS: u64 = 3 * INTERVAL_BUDGET;
+pub(crate) const MAX_LEAD_DUMMY_ACTS: u64 = 3 * INTERVAL_BUDGET;
 /// Dummy-row pool size (the vendor-A counter table size).
-pub const MAX_TAIL_DUMMY_ROWS: u64 = 16;
+pub(crate) const MAX_TAIL_DUMMY_ROWS: u64 = 16;
 /// Heaviest per-row tail dummy dose.
-pub const MAX_TAIL_DUMMY_ACTS: u64 = 8;
+pub(crate) const MAX_TAIL_DUMMY_ACTS: u64 = 8;
 /// Other-bank diversion dose per dummy row (the §7.1 vendor-B figure).
 const OTHER_BANK_DIVERT_ACTS: u64 = 156;
 
@@ -113,7 +113,7 @@ impl FuzzParams {
 
     /// Returns a mutated copy: one or two axes re-drawn, invariants
     /// restored. Deterministic in `rng`.
-    pub fn mutated(&self, rng: &mut SplitMix64) -> Self {
+    pub(crate) fn mutated(&self, rng: &mut SplitMix64) -> Self {
         let mut p = *self;
         let tweaks = 1 + rng.next_below(2);
         for _ in 0..tweaks {
@@ -142,7 +142,7 @@ impl FuzzParams {
 
     /// Restores cross-field invariants (`phase < period`,
     /// `divert_intervals < period`).
-    pub fn normalised(mut self) -> Self {
+    pub(crate) fn normalised(mut self) -> Self {
         self.period = self.period.max(1);
         self.phase %= self.period;
         self.divert_intervals = self.divert_intervals.min(self.period - 1);
@@ -375,14 +375,14 @@ impl FuzzOutcome {
 /// The representative module spec for a TRR engine version: the
 /// catalog module of that version with the lowest `HC_first` (most
 /// flip-prone, so search signal appears at small sweep sizes).
-pub fn engine_spec(version: &str) -> Option<ModuleSpec> {
+pub(crate) fn engine_spec(version: &str) -> Option<ModuleSpec> {
     by_version(version).into_iter().min_by_key(|s| s.hc_first)
 }
 
 /// The best candidate for an engine: maximum flips, ties broken toward
 /// the earliest (round, index) — so a re-run at another thread count
 /// or a parsed artifact reproduces the same leaderboard.
-pub fn best_for_engine(candidates: &[Candidate], engine: usize) -> Option<&Candidate> {
+pub(crate) fn best_for_engine(candidates: &[Candidate], engine: usize) -> Option<&Candidate> {
     candidates.iter().min_by_key(|c| (std::cmp::Reverse(c.scores[engine].flips), c.round, c.index))
 }
 

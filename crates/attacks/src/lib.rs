@@ -44,4 +44,4 @@ pub mod pattern;
 pub mod schedulers;
 
 pub use eval::{BankSweep, EvalConfig, PositionResult};
-pub use pattern::{AccessPattern, AggressorLayout, PatternTarget, RowDose, INTERVAL_BUDGET};
+pub use pattern::{AccessPattern, AggressorLayout, PatternTarget, RowDose};

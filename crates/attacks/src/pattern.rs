@@ -13,7 +13,7 @@ use dram_sim::{Bank, HammerOp, PhysRow, RowAddr, Topology};
 use softmc::MemoryController;
 
 /// Single-bank activation budget between two `REF`s (footnote 10).
-pub const INTERVAL_BUDGET: u64 = 149;
+pub(crate) const INTERVAL_BUDGET: u64 = 149;
 
 /// One row of the attack layout together with its per-interval
 /// activation dose.
@@ -68,7 +68,7 @@ impl PatternTarget {
     /// victim's physical neighbours under the module's mapping and
     /// topology, same-bank dummies keep a safety distance of 100 rows,
     /// and one dummy row is picked in each of up to four other banks.
-    pub fn for_victim(mc: &MemoryController, bank: Bank, victim_phys: PhysRow) -> Self {
+    pub(crate) fn for_victim(mc: &MemoryController, bank: Bank, victim_phys: PhysRow) -> Self {
         let module = mc.module();
         let geometry = module.geometry();
         let victim = module.logical_of(victim_phys);

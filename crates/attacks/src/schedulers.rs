@@ -45,7 +45,7 @@ fn push_dummies(layout: &AggressorLayout, slots: &mut Vec<HammerOp>) {
 /// (§5.2: "cascaded hammering is more effective at evading the TRR
 /// mechanism" — interleaving two non-resident rows would let each
 /// insertion evict the other from the counter table).
-pub fn cascade(layout: &AggressorLayout, slots: &mut Vec<HammerOp>) {
+pub(crate) fn cascade(layout: &AggressorLayout, slots: &mut Vec<HammerOp>) {
     for a in &layout.aggressors {
         slots.push(HammerOp::Burst { row: a.row, acts: a.acts });
     }
@@ -55,7 +55,7 @@ pub fn cascade(layout: &AggressorLayout, slots: &mut Vec<HammerOp>) {
 /// Pair-interleaved hammering, every interval alike: the aggressors go
 /// through `interleave_aggressors`; dummies and other-bank rows follow
 /// as bursts. The double-sided and Half-Double shape.
-pub fn interleave(layout: &AggressorLayout, slots: &mut Vec<HammerOp>) {
+pub(crate) fn interleave(layout: &AggressorLayout, slots: &mut Vec<HammerOp>) {
     interleave_aggressors(&layout.aggressors, slots);
     push_dummies(layout, slots);
 }
@@ -63,7 +63,7 @@ pub fn interleave(layout: &AggressorLayout, slots: &mut Vec<HammerOp>) {
 /// TRRespass-style round robin: one activation per row per turn, rows in
 /// layout order (aggressors then dummies), until every row has received
 /// its dose — "the many sides aim to overflow the TRR tracker" (§2.4).
-pub fn round_robin(layout: &AggressorLayout, slots: &mut Vec<HammerOp>) {
+pub(crate) fn round_robin(layout: &AggressorLayout, slots: &mut Vec<HammerOp>) {
     let rows = layout.aggressors.iter().chain(&layout.dummies);
     let turns = rows.clone().map(|r| r.acts).max().unwrap_or(0);
     for turn in 0..turns {
@@ -82,7 +82,12 @@ pub fn round_robin(layout: &AggressorLayout, slots: &mut Vec<HammerOp>) {
 /// fires. Same-bank dummies burst in the target bank (the per-bank
 /// sampler of B_TRR3 — footnote 13); other-bank dummies run overlapped
 /// (the chip-wide sampler of B_TRR1/2).
-pub fn ref_sync(ratio: u64, layout: &AggressorLayout, interval: u64, slots: &mut Vec<HammerOp>) {
+pub(crate) fn ref_sync(
+    ratio: u64,
+    layout: &AggressorLayout,
+    interval: u64,
+    slots: &mut Vec<HammerOp>,
+) {
     // The REF ending this interval is TRR-capable iff the engine's
     // post-increment count is a ratio multiple.
     let trr_ref_next = (interval + 1).is_multiple_of(ratio);
@@ -100,7 +105,7 @@ pub fn ref_sync(ratio: u64, layout: &AggressorLayout, interval: u64, slots: &mut
 /// spilling across intervals as needed), then hammer the aggressors
 /// with whatever budget remains ("it is critical to synchronize the
 /// dummy and aggressor row hammers with TRR-enabled REF commands").
-pub fn window_sync(
+pub(crate) fn window_sync(
     ratio: u64,
     dummy_acts: u64,
     layout: &AggressorLayout,

@@ -31,7 +31,7 @@ pub const CTR_TRR_REFRESH: &str = "utrr.outcome.trr_refresh";
 /// Pattern written into the aggressor rows before hammering ("the
 /// RowHammer vulnerability greatly depends on the data values stored in
 /// an aggressor row"). Dummy rows are left unwritten.
-pub const AGGRESSOR_PATTERN: DataPattern = DataPattern::RowStripe;
+pub(crate) const AGGRESSOR_PATTERN: DataPattern = DataPattern::RowStripe;
 
 /// A TRR Analyzer experiment (the "Experiment Config" box of Fig. 3).
 ///
@@ -73,7 +73,7 @@ impl Experiment {
     /// An experiment template over one profiled row group: victims and
     /// retention from the group, everything else defaulted (no hammers,
     /// one round, one `REF`).
-    pub fn on_group(bank: Bank, group: &ProfiledRowGroup) -> Self {
+    pub(crate) fn on_group(bank: Bank, group: &ProfiledRowGroup) -> Self {
         Experiment {
             bank,
             victims: group.victim_rows(),
@@ -89,20 +89,20 @@ impl Experiment {
     }
 
     /// Sets the hammer spec, builder-style.
-    pub fn with_hammer(mut self, hammer: HammerSpec) -> Self {
+    pub(crate) fn with_hammer(mut self, hammer: HammerSpec) -> Self {
         self.hammer = hammer;
         self
     }
 
     /// Sets dummy-row hammering, builder-style.
-    pub fn with_dummies(mut self, dummies: Vec<RowAddr>, hammers: u64) -> Self {
+    pub(crate) fn with_dummies(mut self, dummies: Vec<RowAddr>, hammers: u64) -> Self {
         self.dummies = dummies;
         self.dummy_hammers = hammers;
         self
     }
 
     /// Sets the per-round `REF` count, builder-style.
-    pub fn with_refs(mut self, refs_per_round: u64) -> Self {
+    pub(crate) fn with_refs(mut self, refs_per_round: u64) -> Self {
         self.refs_per_round = refs_per_round;
         self
     }
@@ -118,7 +118,7 @@ impl Experiment {
 /// # Errors
 ///
 /// Propagates device protocol errors.
-pub fn flush_tracker(
+pub(crate) fn flush_tracker(
     mc: &mut MemoryController,
     bank: Bank,
     avoid: &[RowAddr],
@@ -172,7 +172,7 @@ pub struct ExperimentOutcome {
 
 impl ExperimentOutcome {
     /// Whether any victim saw a TRR-induced refresh.
-    pub fn any_trr(&self) -> bool {
+    pub(crate) fn any_trr(&self) -> bool {
         self.victims.contains(&VictimOutcome::TrrRefresh)
     }
 
@@ -209,7 +209,7 @@ impl TrrAnalyzer {
     }
 
     /// Registers the learned regular-refresh schedule of a row.
-    pub fn add_schedule(&mut self, row: RowAddr, schedule: RefreshSchedule) {
+    pub(crate) fn add_schedule(&mut self, row: RowAddr, schedule: RefreshSchedule) {
         self.schedules.insert(row, schedule);
     }
 

@@ -22,7 +22,7 @@ const POOL_CAP: usize = 32;
 
 /// A pool of cleared, capacity-retaining scratch vectors.
 #[derive(Debug, Default)]
-pub struct ScratchArena {
+pub(crate) struct ScratchArena {
     u32s: RefCell<Vec<Vec<u32>>>,
     bools: RefCell<Vec<Vec<bool>>>,
 }
@@ -34,12 +34,12 @@ impl ScratchArena {
     }
 
     /// An empty `Vec<u32>`, reusing pooled capacity when available.
-    pub fn take_u32(&self) -> Vec<u32> {
+    pub(crate) fn take_u32(&self) -> Vec<u32> {
         self.u32s.borrow_mut().pop().unwrap_or_default()
     }
 
     /// Returns a `Vec<u32>` to the pool for later reuse.
-    pub fn recycle_u32(&self, mut v: Vec<u32>) {
+    pub(crate) fn recycle_u32(&self, mut v: Vec<u32>) {
         let mut pool = self.u32s.borrow_mut();
         if pool.len() < POOL_CAP {
             v.clear();
@@ -48,12 +48,12 @@ impl ScratchArena {
     }
 
     /// An empty `Vec<bool>`, reusing pooled capacity when available.
-    pub fn take_bools(&self) -> Vec<bool> {
+    pub(crate) fn take_bools(&self) -> Vec<bool> {
         self.bools.borrow_mut().pop().unwrap_or_default()
     }
 
     /// Returns a `Vec<bool>` to the pool for later reuse.
-    pub fn recycle_bools(&self, mut v: Vec<bool>) {
+    pub(crate) fn recycle_bools(&self, mut v: Vec<bool>) {
         let mut pool = self.bools.borrow_mut();
         if pool.len() < POOL_CAP {
             v.clear();
@@ -67,27 +67,27 @@ thread_local! {
 }
 
 /// Runs `f` with the calling thread's scratch arena.
-pub fn with_scratch<R>(f: impl FnOnce(&ScratchArena) -> R) -> R {
+pub(crate) fn with_scratch<R>(f: impl FnOnce(&ScratchArena) -> R) -> R {
     SCRATCH.with(f)
 }
 
 /// [`ScratchArena::take_u32`] on the thread-local arena.
-pub fn take_u32() -> Vec<u32> {
+pub(crate) fn take_u32() -> Vec<u32> {
     with_scratch(ScratchArena::take_u32)
 }
 
 /// [`ScratchArena::recycle_u32`] on the thread-local arena.
-pub fn recycle_u32(v: Vec<u32>) {
+pub(crate) fn recycle_u32(v: Vec<u32>) {
     with_scratch(|a| a.recycle_u32(v));
 }
 
 /// [`ScratchArena::take_bools`] on the thread-local arena.
-pub fn take_bools() -> Vec<bool> {
+pub(crate) fn take_bools() -> Vec<bool> {
     with_scratch(ScratchArena::take_bools)
 }
 
 /// [`ScratchArena::recycle_bools`] on the thread-local arena.
-pub fn recycle_bools(v: Vec<bool>) {
+pub(crate) fn recycle_bools(v: Vec<bool>) {
     with_scratch(|a| a.recycle_bools(v));
 }
 

@@ -57,18 +57,13 @@ pub mod rowscout;
 pub mod schedule;
 
 pub use analyzer::{
-    flush_tracker, Experiment, ExperimentOutcome, TrrAnalyzer, VictimOutcome, CTR_NOT_REFRESHED,
+    Experiment, ExperimentOutcome, TrrAnalyzer, VictimOutcome, CTR_NOT_REFRESHED,
     CTR_REGULAR_REFRESH, CTR_TRR_REFRESH,
 };
-pub use arena::ScratchArena;
 pub use characterize::measure_hc_first;
 pub use error::UtrrError;
 pub use layout::RowGroupLayout;
-pub use recovery::{DriftEstimator, PhaseBudget, RecoveryPolicy, VerdictTier};
+pub use recovery::{RecoveryPolicy, VerdictTier};
 pub use reverse::{DetectionKind, ReverseOptions, TrrProfile};
-pub use robust::{read_row_voted, write_row_checked};
-pub use rowscout::{
-    ProfiledRow, ProfiledRowGroup, QuarantineReason, RowDiagnostics, RowScout, ScoutConfig,
-    ScoutReport,
-};
+pub use rowscout::{ProfiledRow, ProfiledRowGroup, RowScout, ScoutConfig};
 pub use schedule::{learn_group_schedules, learn_refresh_schedule, RefreshSchedule};

@@ -23,7 +23,7 @@ use crate::error::UtrrError;
 
 /// Observed adjacency for one probe row.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AdjacencyObservation {
+pub(crate) struct AdjacencyObservation {
     /// The hammered logical row.
     pub probe: RowAddr,
     /// Flipped logical rows with their flip counts, sorted by flip count
@@ -37,7 +37,7 @@ pub struct AdjacencyObservation {
 /// # Errors
 ///
 /// Propagates device protocol errors.
-pub fn probe_adjacency(
+pub(crate) fn probe_adjacency(
     mc: &mut MemoryController,
     bank: Bank,
     probe: RowAddr,
@@ -73,7 +73,7 @@ pub fn probe_adjacency(
 /// radius). Requiring containment rather than top-2 equality keeps the
 /// check robust against per-row flip-count variation between distance-1
 /// and distance-2 neighbours.
-pub fn mapping_explains(
+pub(crate) fn mapping_explains(
     mapping: &RowMapping,
     rows_per_bank: u32,
     observation: &AdjacencyObservation,

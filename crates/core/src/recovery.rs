@@ -53,11 +53,11 @@ pub const CTR_BUDGET_TRIPS: &str = "utrr.recovery.budget_trips";
 
 /// Disagreement-rate numerator/denominator that triggers vote widening:
 /// more than 1 disagreement per 8 voted reads.
-pub const VOTE_WIDEN_NUM: u64 = 1;
+pub(crate) const VOTE_WIDEN_NUM: u64 = 1;
 /// See [`VOTE_WIDEN_NUM`].
-pub const VOTE_WIDEN_DEN: u64 = 8;
+pub(crate) const VOTE_WIDEN_DEN: u64 = 8;
 /// Voted reads required in the rate window before widening can trigger.
-pub const VOTE_WINDOW_MIN: u64 = 24;
+pub(crate) const VOTE_WINDOW_MIN: u64 = 24;
 
 /// Per-phase ACT budget of [`RecoveryPolicy::HOSTILE`] on every
 /// `discover_*` phase: far above what any honest phase consumes, so it
@@ -73,7 +73,7 @@ pub const HOSTILE_SCOUT_ACT_BUDGET: u64 = 24_000_000;
 /// each a `(num, den)` multiplier on the retention bucket. A row must
 /// decay within `retention * wait` and stay clean at
 /// `retention * hold`.
-pub type MarginLevel = ((u64, u64), (u64, u64));
+pub(crate) type MarginLevel = ((u64, u64), (u64, u64));
 
 /// Every fault-tolerance setting of one controller's pipeline. Resolved
 /// from the controller by [`RecoveryPolicy::of`]; there is no way to
@@ -131,7 +131,7 @@ pub struct RecoveryPolicy {
 impl RecoveryPolicy {
     /// The fault-free pipeline: no voting, no verification, no retries,
     /// no budgets.
-    pub const IDENTITY: RecoveryPolicy = RecoveryPolicy {
+    pub(crate) const IDENTITY: RecoveryPolicy = RecoveryPolicy {
         vote_width: 1,
         vote_width_max: 1,
         write_attempts: 1,
@@ -153,7 +153,7 @@ impl RecoveryPolicy {
     /// Static self-healing for substrates it absorbs: triple-voted
     /// reads, verified writes, bounded retries and drift-tolerant
     /// margins.
-    pub const MILD: RecoveryPolicy = RecoveryPolicy {
+    pub(crate) const MILD: RecoveryPolicy = RecoveryPolicy {
         vote_width: 3,
         vote_width_max: 3,
         write_attempts: 4,
@@ -169,7 +169,7 @@ impl RecoveryPolicy {
 
     /// [`RecoveryPolicy::MILD`] plus the escalating ladder, ACT budgets
     /// and tiered verdicts.
-    pub const HOSTILE: RecoveryPolicy = RecoveryPolicy {
+    pub(crate) const HOSTILE: RecoveryPolicy = RecoveryPolicy {
         vote_width_max: 7,
         scout_retries: 3,
         scout_margins: &[((21, 20), (1, 2)), ((11, 10), (2, 5)), ((23, 20), (1, 3))],
@@ -267,7 +267,7 @@ impl VerdictTier {
 
     /// Degrades the tier with `reason` (idempotent per reason; an
     /// `Inconclusive` tier stays inconclusive).
-    pub fn degrade(&mut self, reason: &str) {
+    pub(crate) fn degrade(&mut self, reason: &str) {
         match self {
             VerdictTier::Confirmed => {
                 *self = VerdictTier::Degraded { reasons: vec![reason.to_string()] };
@@ -313,7 +313,7 @@ impl VerdictTier {
 /// controller's [`softmc::RecoveryLadder`] via `bump`, and emits a
 /// `recovery` trace event with `detail` so the flight recorder carries
 /// the provenance.
-pub fn ladder_event(
+pub(crate) fn ladder_event(
     mc: &mut MemoryController,
     counter: &'static str,
     detail: &str,
@@ -346,7 +346,7 @@ pub fn vote_width(mc: &MemoryController, policy: &RecoveryPolicy) -> u8 {
 /// Records one voted read's outcome and escalates the vote width when
 /// the disagreement rate over the current window crosses the widening
 /// threshold. A no-op under a policy whose votes never widen.
-pub fn note_vote(
+pub(crate) fn note_vote(
     mc: &mut MemoryController,
     policy: &RecoveryPolicy,
     bank: Bank,
@@ -379,7 +379,7 @@ pub fn note_vote(
 /// latches (like the Row Scout's scan budget): once exhausted, the
 /// phase must close with whatever partial evidence it has.
 #[derive(Debug, Clone, Copy)]
-pub struct PhaseBudget {
+pub(crate) struct PhaseBudget {
     acts_start: u64,
     max_acts: Option<u64>,
     tripped: bool,
@@ -388,7 +388,7 @@ pub struct PhaseBudget {
 impl PhaseBudget {
     /// A breaker allowing `max_acts` activations from now (`None` =
     /// unlimited, the fault-free shape).
-    pub fn begin(mc: &MemoryController, max_acts: Option<u64>) -> PhaseBudget {
+    pub(crate) fn begin(mc: &MemoryController, max_acts: Option<u64>) -> PhaseBudget {
         PhaseBudget { acts_start: mc.module().activations(), max_acts, tripped: false }
     }
 
@@ -408,7 +408,7 @@ impl PhaseBudget {
     }
 
     /// Whether the breaker has tripped.
-    pub fn tripped(&self) -> bool {
+    pub(crate) fn tripped(&self) -> bool {
         self.tripped
     }
 }
@@ -434,7 +434,7 @@ const REPROFILE_AFTER: u32 = 3;
 /// | 1     | 1.10× (11/10)  | 0.40× (2/5)    |
 /// | 2     | 1.15× (23/20)  | 0.33× (1/3)    |
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DriftEstimator {
+pub(crate) struct DriftEstimator {
     levels: &'static [MarginLevel],
     level: u8,
     failures_at_level: u32,
@@ -447,13 +447,8 @@ impl DriftEstimator {
         DriftEstimator { levels, level: 0, failures_at_level: 0 }
     }
 
-    /// The current escalation level.
-    pub fn level(&self) -> u8 {
-        self.level
-    }
-
     /// The validation margins at the current level.
-    pub fn margins(&self) -> MarginLevel {
+    pub(crate) fn margins(&self) -> MarginLevel {
         self.levels[usize::from(self.level)]
     }
 
@@ -461,7 +456,7 @@ impl DriftEstimator {
     /// records the re-profile) when the level's failure budget is
     /// spent and a further level exists. Returns whether an escalation
     /// happened.
-    pub fn note_margin_failure(
+    pub(crate) fn note_margin_failure(
         &mut self,
         mc: &mut MemoryController,
         bank: Bank,
@@ -661,7 +656,7 @@ pub(crate) mod tests {
             }
         }
         assert_eq!(escalations, 2, "two levels, then saturation");
-        assert_eq!(est.level(), 2);
+        assert_eq!(est.level, 2);
         assert_eq!(est.margins(), ((23, 20), (1, 3)));
         assert_eq!(mc.recovery().reprofiles, 2);
         assert_eq!(mc.registry().counter(CTR_REPROFILES).get(), 2);
@@ -671,6 +666,6 @@ pub(crate) mod tests {
         for _ in 0..20 {
             assert!(!est.note_margin_failure(&mut mc, BANK, RowAddr::new(9)));
         }
-        assert_eq!(est.level(), 0);
+        assert_eq!(est.level, 0);
     }
 }

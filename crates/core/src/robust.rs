@@ -24,7 +24,7 @@ pub const CTR_READ_DISAGREEMENTS: &str = "utrr.robust.read_disagreements";
 pub const CTR_WRITE_RETRIES: &str = "utrr.robust.write_retries";
 /// Counter: verified writes that never read back clean within the retry
 /// budget (the row is left for quarantine logic to handle).
-pub const CTR_WRITE_GIVEUPS: &str = "utrr.robust.write_giveups";
+pub(crate) const CTR_WRITE_GIVEUPS: &str = "utrr.robust.write_giveups";
 
 /// Reads `row` with majority-vote redundancy: a bit counts as flipped
 /// only when a strict majority of the samples report it. Reading a row
@@ -43,7 +43,7 @@ pub const CTR_WRITE_GIVEUPS: &str = "utrr.robust.write_giveups";
 /// # Errors
 ///
 /// Propagates device protocol errors.
-pub fn read_row_voted(
+pub(crate) fn read_row_voted(
     mc: &mut MemoryController,
     bank: Bank,
     row: RowAddr,
@@ -83,7 +83,7 @@ pub fn read_row_voted(
 /// # Errors
 ///
 /// Propagates device protocol errors.
-pub fn write_row_checked(
+pub(crate) fn write_row_checked(
     mc: &mut MemoryController,
     bank: Bank,
     row: RowAddr,

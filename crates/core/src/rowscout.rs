@@ -154,7 +154,7 @@ pub struct ProfiledRowGroup {
 
 impl ProfiledRowGroup {
     /// Logical addresses of the profiled rows.
-    pub fn victim_rows(&self) -> Vec<RowAddr> {
+    pub(crate) fn victim_rows(&self) -> Vec<RowAddr> {
         self.rows.iter().map(|r| r.row).collect()
     }
 }
@@ -162,7 +162,7 @@ impl ProfiledRowGroup {
 /// Why Row Scout gave up on a candidate row (mirroring the paper's VRT
 /// filtering, plus the failure modes transient device faults add).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QuarantineReason {
+pub(crate) enum QuarantineReason {
     /// The row read clean after the full retention interval during
     /// validation — its failure vanished, the signature VRT flap.
     VrtFlap,
@@ -191,7 +191,7 @@ impl std::fmt::Display for QuarantineReason {
 
 /// Diagnostics for one quarantined row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RowDiagnostics {
+pub(crate) struct RowDiagnostics {
     /// Logical address of the quarantined row.
     pub row: RowAddr,
     /// Physical position of the quarantined row.
@@ -206,7 +206,7 @@ pub struct RowDiagnostics {
 /// scout had to give up on — a partial result with diagnostics instead
 /// of an opaque error.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScoutReport {
+pub(crate) struct ScoutReport {
     /// Validated groups from the best retention pass (at most
     /// `requested`).
     pub groups: Vec<ProfiledRowGroup>,

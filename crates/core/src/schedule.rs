@@ -105,7 +105,7 @@ pub fn learn_refresh_schedule(
 /// [`UtrrError::ScheduleNotFound`] if no periodic restore is observed
 /// (or verification keeps failing) within the retry budget; device
 /// errors are propagated.
-pub fn learn_row_schedule(
+pub(crate) fn learn_row_schedule(
     mc: &mut MemoryController,
     bank: dram_sim::Bank,
     probe: dram_sim::RowAddr,

@@ -96,24 +96,6 @@ impl fmt::Display for PhysRow {
     }
 }
 
-/// A column (bit-line group) address within a row. Only used by the data
-/// layer to localize bit flips; RowHammer experiments operate on whole
-/// rows.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ColAddr(u32);
-
-impl ColAddr {
-    /// Creates a column address.
-    pub const fn new(col: u32) -> Self {
-        ColAddr(col)
-    }
-
-    /// Returns the raw address.
-    pub const fn index(self) -> u32 {
-        self.0
-    }
-}
-
 /// Static geometry of a simulated module (one rank's worth of banks).
 ///
 /// # Example
@@ -146,12 +128,12 @@ impl ModuleGeometry {
     }
 
     /// Whether a bank index is in range.
-    pub const fn bank_in_range(&self, bank: Bank) -> bool {
+    pub(crate) const fn bank_in_range(&self, bank: Bank) -> bool {
         bank.index() < self.banks
     }
 
     /// Whether a logical row address is in range.
-    pub const fn row_in_range(&self, row: RowAddr) -> bool {
+    pub(crate) const fn row_in_range(&self, row: RowAddr) -> bool {
         row.index() < self.rows_per_bank
     }
 }

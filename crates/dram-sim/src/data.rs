@@ -102,7 +102,7 @@ impl RowData {
     /// Records that `bit` now reads back inverted relative to the
     /// pattern. Idempotent: the physics never un-flips a bit within one
     /// decay window.
-    pub fn set_flipped(&mut self, bit: u32) {
+    pub(crate) fn set_flipped(&mut self, bit: u32) {
         if let Err(pos) = self.flips.binary_search(&bit) {
             self.flips.insert(pos, bit);
         }
@@ -191,7 +191,7 @@ impl RowReadout {
     }
 
     /// Number of 8-byte datawords in the row.
-    pub fn dataword_count(&self) -> u32 {
+    pub(crate) fn dataword_count(&self) -> u32 {
         self.row_bits / 64
     }
 

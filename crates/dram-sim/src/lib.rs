@@ -66,11 +66,10 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use addr::{Bank, ColAddr, ModuleGeometry, PhysRow, RowAddr};
+pub use addr::{Bank, ModuleGeometry, PhysRow, RowAddr};
 pub use data::{majority_flips, DataPattern, RowReadout};
 pub use error::DramError;
 pub use mapping::{RowMapping, Topology};
-pub use metrics::DeviceMetrics;
 pub use mitigation::{
     MitigationEngine, MitigationEngineExt, NeighborSpan, NoMitigation, TrrDetection,
 };

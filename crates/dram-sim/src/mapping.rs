@@ -178,7 +178,7 @@ impl Topology {
     /// is the per-`ACT` hot path: the caller consumes each target in
     /// registers, with no array in between.
     #[inline]
-    pub fn for_each_disturb_target(
+    pub(crate) fn for_each_disturb_target(
         self,
         row: PhysRow,
         rows_per_bank: u32,
@@ -225,7 +225,7 @@ impl Topology {
     /// array (a detection refreshes at most 4 rows) and returns how many
     /// entries are valid, in the same order — every TRR detection a
     /// `REF` acts on resolves its victims through here.
-    pub fn trr_victims_fixed(
+    pub(crate) fn trr_victims_fixed(
         self,
         row: PhysRow,
         rows_per_bank: u32,

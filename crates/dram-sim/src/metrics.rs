@@ -30,7 +30,7 @@ pub const CTR_ROW_READS: &str = "dram.row.reads";
 /// Counter name for full-row writes.
 pub const CTR_ROW_WRITES: &str = "dram.row.writes";
 /// Counter name for rows restored by the regular refresh machinery.
-pub const CTR_REGULAR_ROW_REFRESHES: &str = "dram.rows.regular_refresh";
+pub(crate) const CTR_REGULAR_ROW_REFRESHES: &str = "dram.rows.regular_refresh";
 /// Counter name for rows restored by TRR-induced refreshes.
 pub const CTR_TRR_ROW_REFRESHES: &str = "dram.rows.trr_refresh";
 /// Counter name for TRR detections.
@@ -39,20 +39,20 @@ pub const CTR_TRR_DETECTIONS: &str = "dram.trr.detections";
 pub const CTR_BIT_FLIPS: &str = "dram.bit_flips";
 
 /// Histogram name for per-`ACT` latency, in nanoseconds.
-pub const HIST_ACT_NS: &str = "dram.latency.act_ns";
+pub(crate) const HIST_ACT_NS: &str = "dram.latency.act_ns";
 /// Histogram name for per-`PRE` latency, in nanoseconds.
-pub const HIST_PRE_NS: &str = "dram.latency.pre_ns";
+pub(crate) const HIST_PRE_NS: &str = "dram.latency.pre_ns";
 /// Histogram name for per-`REF` latency, in nanoseconds.
-pub const HIST_REF_NS: &str = "dram.latency.ref_ns";
+pub(crate) const HIST_REF_NS: &str = "dram.latency.ref_ns";
 /// Histogram name for full-row read latency, in nanoseconds.
-pub const HIST_READ_NS: &str = "dram.latency.read_ns";
+pub(crate) const HIST_READ_NS: &str = "dram.latency.read_ns";
 /// Histogram name for full-row write latency, in nanoseconds.
-pub const HIST_WRITE_NS: &str = "dram.latency.write_ns";
+pub(crate) const HIST_WRITE_NS: &str = "dram.latency.write_ns";
 
 /// Event kind emitted when a restore materializes bit flips.
-pub const EVT_BIT_FLIP: &str = "dram.bit_flip";
+pub(crate) const EVT_BIT_FLIP: &str = "dram.bit_flip";
 /// Event kind emitted per TRR detection acted on.
-pub const EVT_TRR_DETECTION: &str = "dram.trr.detection";
+pub(crate) const EVT_TRR_DETECTION: &str = "dram.trr.detection";
 
 /// A device's counts since its last flush, one per `dram.*` counter.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -79,7 +79,7 @@ pub(crate) struct DeviceCounts {
 /// attached, or when the module is dropped. Not `Clone`, so pending
 /// counts have exactly one owner and reach the registry exactly once.
 #[derive(Debug)]
-pub struct DeviceMetrics {
+pub(crate) struct DeviceMetrics {
     registry: Arc<MetricsRegistry>,
     act: Counter,
     pre: Counter,
@@ -198,7 +198,7 @@ impl DeviceMetrics {
 
     /// The classic [`ModuleStats`] view: the registry's counters plus
     /// this device's pending counts.
-    pub fn stats_view(&self) -> ModuleStats {
+    pub(crate) fn stats_view(&self) -> ModuleStats {
         let n = &self.pending;
         ModuleStats {
             activations: self.act.get() + n.act,

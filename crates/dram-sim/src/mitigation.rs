@@ -33,7 +33,7 @@ pub enum NeighborSpan {
 
 impl NeighborSpan {
     /// Number of rows refreshed on each side of the aggressor.
-    pub const fn per_side(self) -> u32 {
+    pub(crate) const fn per_side(self) -> u32 {
         match self {
             NeighborSpan::One => 1,
             NeighborSpan::Two => 2,
@@ -162,10 +162,6 @@ pub trait MitigationEngine: fmt::Debug {
     /// per command into plain integers and pay the registry only here.
     fn flush_metrics(&mut self) {}
 
-    /// Clears all internal state (counter tables, sample registers,
-    /// activation windows) back to power-on.
-    fn reset(&mut self);
-
     /// A short identifier for logs (e.g. `"A_TRR1"`).
     fn name(&self) -> &str;
 }
@@ -221,8 +217,6 @@ impl MitigationEngine for NoMitigation {
         false
     }
 
-    fn reset(&mut self) {}
-
     fn name(&self) -> &str {
         "none"
     }
@@ -247,7 +241,6 @@ mod tests {
         }
         assert!(e.refresh_detections(Nanos::from_us(8)).is_empty());
         assert!(e.inline_detections().is_empty());
-        e.reset();
         assert_eq!(e.name(), "none");
     }
 
@@ -261,9 +254,6 @@ mod tests {
                 self.0.push((row.index(), count));
             }
             fn on_refresh(&mut self, _: Nanos, _: &mut Vec<TrrDetection>) {}
-            fn reset(&mut self) {
-                self.0.clear();
-            }
             fn name(&self) -> &str {
                 "probe"
             }

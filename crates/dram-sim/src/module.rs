@@ -1577,7 +1577,6 @@ mod tests {
         fn flush_metrics(&mut self) {
             self.0.flush();
         }
-        fn reset(&mut self) {}
         fn name(&self) -> &str {
             "probe"
         }

@@ -97,7 +97,7 @@ impl PhysicsConfig {
 
     /// Degrees of heating that halve retention times (the standard DRAM
     /// rule of thumb the retention literature uses).
-    pub const RETENTION_HALVING_C: f64 = 10.0;
+    pub(crate) const RETENTION_HALVING_C: f64 = 10.0;
 
     /// Multiplier applied to every retention time at the configured
     /// temperature: 1.0 at the 85 °C reference, 2× per 10 °C of cooling.
@@ -131,12 +131,12 @@ impl PhysicsConfig {
     /// The disturbance units at which the module's weakest possible row
     /// takes its first flip (double-sided: two units per per-aggressor
     /// hammer).
-    pub fn min_base_threshold(&self) -> f64 {
+    pub(crate) fn min_base_threshold(&self) -> f64 {
         2.0 * self.hc_first
     }
 
     /// Disturbance coupling factor for an aggressor holding `pattern`.
-    pub fn aggressor_coupling(&self, pattern: Option<&DataPattern>) -> f64 {
+    pub(crate) fn aggressor_coupling(&self, pattern: Option<&DataPattern>) -> f64 {
         match pattern {
             Some(DataPattern::Checkerboard) => self.striped_aggressor_coupling,
             // Solid, row-striped, custom, or unwritten rows couple fully.
@@ -224,17 +224,17 @@ impl WeakCells {
     }
 
     /// The value cell `i` leaks from.
-    pub fn charged(&self, i: usize) -> bool {
+    pub(crate) fn charged(&self, i: usize) -> bool {
         self.cells[i].charged
     }
 
     /// Whether cell `i` suffers from VRT.
-    pub fn is_vrt(&self, i: usize) -> bool {
+    pub(crate) fn is_vrt(&self, i: usize) -> bool {
         self.cells[i].vrt_long != Nanos::ZERO
     }
 
     /// The retention of cell `i` currently in effect.
-    pub fn effective_retention(&self, i: usize) -> Nanos {
+    pub(crate) fn effective_retention(&self, i: usize) -> Nanos {
         let cell = &self.cells[i];
         if cell.vrt_in_long {
             cell.vrt_long
@@ -247,7 +247,7 @@ impl WeakCells {
     /// ([`WeakCells::NO_CELLS`] when the row has none): decay windows at
     /// or below this can not have flipped anything, which is what lets a
     /// restore skip the per-cell scan entirely.
-    pub fn min_effective(&self) -> Nanos {
+    pub(crate) fn min_effective(&self) -> Nanos {
         self.min_effective
     }
 
@@ -255,7 +255,7 @@ impl WeakCells {
     /// still leak — those whose stored bit (per `stored_bit`) equals
     /// their charged value — or [`WeakCells::NO_CELLS`] if none can. A
     /// decay window no longer than this flips no weak cell.
-    pub fn min_live(&self, stored_bit: impl Fn(u32) -> bool) -> Nanos {
+    pub(crate) fn min_live(&self, stored_bit: impl Fn(u32) -> bool) -> Nanos {
         (0..self.len())
             .filter(|&i| stored_bit(self.bit(i)) == self.charged(i))
             .map(|i| self.effective_retention(i))
@@ -342,7 +342,7 @@ impl RowPhysics {
 
     /// Number of VRT-afflicted weak cells: the draws one
     /// [`RowPhysics::advance_vrt`] takes from the VRT stream.
-    pub fn vrt_cells(&self) -> u32 {
+    pub(crate) fn vrt_cells(&self) -> u32 {
         (0..self.cells.len()).filter(|&i| self.cells.is_vrt(i)).count() as u32
     }
 
@@ -357,7 +357,7 @@ impl RowPhysics {
     /// the exact draw discipline of every prior release, so seeded
     /// simulations stay bit-for-bit reproducible. Returns whether any
     /// cell switched state.
-    pub fn advance_vrt(&mut self, rng: &mut SplitMix64, switch_prob: f64) -> bool {
+    pub(crate) fn advance_vrt(&mut self, rng: &mut SplitMix64, switch_prob: f64) -> bool {
         let mut toggled = false;
         for i in 0..self.cells.len() {
             if self.cells.is_vrt(i) && rng.next_bool(switch_prob) {
@@ -373,7 +373,7 @@ impl RowPhysics {
 
     /// Number of hammerable cells whose threshold is at or below the
     /// accumulated disturbance `d`.
-    pub fn hammer_flip_count(&self, cfg: &PhysicsConfig, d: f64) -> u32 {
+    pub(crate) fn hammer_flip_count(&self, cfg: &PhysicsConfig, d: f64) -> u32 {
         if d < self.hc_base {
             return 0;
         }
@@ -384,7 +384,7 @@ impl RowPhysics {
 
     /// The bit position and vulnerable-from value of the row's `k`-th
     /// hammerable cell.
-    pub fn hammer_cell(&self, k: u32, row_bits: u32) -> (u32, bool) {
+    pub(crate) fn hammer_cell(&self, k: u32, row_bits: u32) -> (u32, bool) {
         let h = mix(self.cell_seed ^ (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let bit = (h % row_bits as u64) as u32;
         let vulnerable_from = h >> 63 == 1;

@@ -66,7 +66,7 @@ impl SplitMix64 {
     /// # Panics
     ///
     /// Panics if `lo > hi` or either bound is not finite.
-    pub fn next_range_f64(&mut self, lo: f64, hi: f64) -> f64 {
+    pub(crate) fn next_range_f64(&mut self, lo: f64, hi: f64) -> f64 {
         assert!(lo.is_finite() && hi.is_finite() && lo <= hi);
         lo + self.next_f64() * (hi - lo)
     }
@@ -76,7 +76,7 @@ impl SplitMix64 {
     /// # Panics
     ///
     /// Panics if `mean` is not positive.
-    pub fn next_exp(&mut self, mean: f64) -> f64 {
+    pub(crate) fn next_exp(&mut self, mean: f64) -> f64 {
         assert!(mean > 0.0, "exponential mean must be positive");
         // Inverse CDF; 1 - u avoids ln(0).
         -mean * (1.0 - self.next_f64()).ln()
@@ -87,7 +87,7 @@ impl SplitMix64 {
     /// # Panics
     ///
     /// Panics if either bound is not positive or `lo > hi`.
-    pub fn next_log_uniform(&mut self, lo: f64, hi: f64) -> f64 {
+    pub(crate) fn next_log_uniform(&mut self, lo: f64, hi: f64) -> f64 {
         assert!(lo > 0.0 && hi >= lo, "log-uniform bounds must be positive and ordered");
         (self.next_range_f64(lo.ln(), hi.ln())).exp()
     }
@@ -97,7 +97,7 @@ impl SplitMix64 {
 ///
 /// Used to derive independent per-row seeds from `(module_seed, bank, row)`
 /// tuples without keeping any per-row RNG state resident.
-pub fn mix(mut z: u64) -> u64 {
+pub(crate) fn mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)

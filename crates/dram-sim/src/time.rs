@@ -51,7 +51,7 @@ impl Nanos {
     }
 
     /// Returns the value in fractional milliseconds.
-    pub fn as_ms_f64(self) -> f64 {
+    pub(crate) fn as_ms_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
 

@@ -57,11 +57,6 @@ impl MitigationEngine for CountingTrr {
         }
     }
 
-    fn reset(&mut self) {
-        self.acts.clear();
-        self.refs_seen = 0;
-    }
-
     fn name(&self) -> &str {
         "counting-test"
     }

@@ -41,7 +41,7 @@ impl std::fmt::Display for CodeKind {
 
 /// How one dataword fared.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EccOutcome {
+pub(crate) enum EccOutcome {
     /// Decoded to the original data.
     Corrected,
     /// Flagged uncorrectable (a machine-check on real hardware).

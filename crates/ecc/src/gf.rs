@@ -56,7 +56,7 @@ impl GaloisField {
     }
 
     /// GF(2^4) with x^4+x+1 (the Chipkill nibble field).
-    pub fn gf16() -> Self {
+    pub(crate) fn gf16() -> Self {
         GaloisField::new(4, 0x13)
     }
 
@@ -71,7 +71,7 @@ impl GaloisField {
     }
 
     /// α^i.
-    pub fn alpha_pow(&self, i: usize) -> u8 {
+    pub(crate) fn alpha_pow(&self, i: usize) -> u8 {
         self.exp[i % self.q1]
     }
 
@@ -109,7 +109,7 @@ impl GaloisField {
     }
 
     /// Evaluates a polynomial (coefficients lowest-degree first) at `x`.
-    pub fn poly_eval(&self, poly: &[u8], x: u8) -> u8 {
+    pub(crate) fn poly_eval(&self, poly: &[u8], x: u8) -> u8 {
         let mut acc = 0u8;
         for &c in poly.iter().rev() {
             acc = self.mul(acc, x) ^ c;
@@ -118,7 +118,7 @@ impl GaloisField {
     }
 
     /// Multiplies two polynomials (coefficients lowest-degree first).
-    pub fn poly_mul(&self, a: &[u8], b: &[u8]) -> Vec<u8> {
+    pub(crate) fn poly_mul(&self, a: &[u8], b: &[u8]) -> Vec<u8> {
         let mut out = vec![0u8; a.len() + b.len() - 1];
         for (i, &ai) in a.iter().enumerate() {
             if ai == 0 {

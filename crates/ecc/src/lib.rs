@@ -35,9 +35,7 @@ pub mod gf;
 pub mod rs;
 pub mod secded;
 
-pub use analysis::{
-    analyze, analyze_with_registry, rs_parity_needed, CodeKind, EccOutcome, EccReport,
-};
+pub use analysis::{analyze, analyze_with_registry, rs_parity_needed, CodeKind, EccReport};
 pub use chipkill::Chipkill;
 pub use rs::ReedSolomon;
 pub use secded::Secded7264;

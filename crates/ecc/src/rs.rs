@@ -81,7 +81,7 @@ impl ReedSolomon {
     }
 
     /// An RS code over GF(16) (4-bit symbols).
-    pub fn gf16(k: usize, parity: usize) -> Self {
+    pub(crate) fn gf16(k: usize, parity: usize) -> Self {
         ReedSolomon::new(GaloisField::gf16(), k, parity)
     }
 

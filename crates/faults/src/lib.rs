@@ -35,15 +35,15 @@ use softmc::{FaultInjector, MemoryController, WriteFault};
 /// Counter: total faults injected, across all kinds.
 pub const CTR_INJECTED_TOTAL: &str = "faults.injected.total";
 /// Counter: transient read bit-flips injected.
-pub const CTR_READ_FLIPS: &str = "faults.injected.read_flips";
+pub(crate) const CTR_READ_FLIPS: &str = "faults.injected.read_flips";
 /// Counter: stuck reads injected (readout forced clean).
-pub const CTR_STUCK_READS: &str = "faults.injected.stuck_reads";
+pub(crate) const CTR_STUCK_READS: &str = "faults.injected.stuck_reads";
 /// Counter: row writes silently dropped.
-pub const CTR_DROPPED_WRITES: &str = "faults.injected.dropped_writes";
+pub(crate) const CTR_DROPPED_WRITES: &str = "faults.injected.dropped_writes";
 /// Counter: row writes garbled into a different pattern.
-pub const CTR_GARBLED_WRITES: &str = "faults.injected.garbled_writes";
+pub(crate) const CTR_GARBLED_WRITES: &str = "faults.injected.garbled_writes";
 /// Counter: VRT burst episodes started.
-pub const CTR_VRT_BURSTS: &str = "faults.injected.vrt_bursts";
+pub(crate) const CTR_VRT_BURSTS: &str = "faults.injected.vrt_bursts";
 
 /// A named fault intensity, selectable from the command line
 /// (`--faults none|mild|hostile`).
@@ -466,7 +466,7 @@ impl FaultyController {
     }
 
     /// Installs `plan` into an existing controller.
-    pub fn wrap(mut mc: MemoryController, mut plan: FaultPlan) -> Self {
+    pub(crate) fn wrap(mut mc: MemoryController, mut plan: FaultPlan) -> Self {
         plan.attach_metrics(Arc::clone(mc.registry()));
         mc.set_fault_injector(Some(Box::new(plan)));
         FaultyController { inner: mc }

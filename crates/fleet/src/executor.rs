@@ -47,7 +47,7 @@ impl FleetConfig {
     }
 
     /// Modules per shard (the last shard may be short).
-    pub fn shard_size(&self) -> u64 {
+    pub(crate) fn shard_size(&self) -> u64 {
         self.modules.max(1).div_ceil(u64::from(self.effective_shards()))
     }
 
@@ -75,12 +75,12 @@ impl FleetConfig {
     }
 
     /// The manifest meta line (first line of `manifest.jsonl`).
-    pub fn manifest_meta_line(&self) -> String {
+    pub(crate) fn manifest_meta_line(&self) -> String {
         format!("{{\"schema\":\"{}\",{}}}", MANIFEST_SCHEMA, self.meta_fields())
     }
 
     /// The merged-artifact meta line (first line of `fleet.jsonl`).
-    pub fn fleet_meta_line(&self) -> String {
+    pub(crate) fn fleet_meta_line(&self) -> String {
         format!("{{\"schema\":\"{}\",{}}}", FLEET_SCHEMA, self.meta_fields())
     }
 }

@@ -40,9 +40,9 @@ pub use record::FleetRecord;
 pub use summary::FleetSummary;
 
 /// Schema tag of the merged fleet artifact's meta line.
-pub const FLEET_SCHEMA: &str = "utrr-fleet/1";
+pub(crate) const FLEET_SCHEMA: &str = "utrr-fleet/1";
 /// Schema tag of the checkpoint manifest's meta line.
-pub const MANIFEST_SCHEMA: &str = "utrr-fleet-manifest/1";
+pub(crate) const MANIFEST_SCHEMA: &str = "utrr-fleet-manifest/1";
 
 /// FNV-1a 64-bit content hash, rendered as 16 lowercase hex digits.
 /// Stable across platforms and releases — manifest hashes written by one

@@ -131,7 +131,7 @@ pub const RE_ATTEMPTS: u32 = RE_BIN_ATTEMPTS as u32;
 
 /// `tier_reasons` prefix of a module whose reverse engineering failed
 /// every seed below hostile severity; the cause follows it.
-pub const RE_FAILED: &str = "re-failed:";
+pub(crate) const RE_FAILED: &str = "re-failed:";
 
 /// Runs the full pipeline for module `index` and returns its record.
 ///

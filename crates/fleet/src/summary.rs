@@ -75,7 +75,7 @@ pub struct FleetSummary {
 
 impl FleetSummary {
     /// Aggregates in-memory records.
-    pub fn from_records(records: &[FleetRecord]) -> FleetSummary {
+    pub(crate) fn from_records(records: &[FleetRecord]) -> FleetSummary {
         let mut variants: Vec<(String, u64, u64, Histogram, f64)> = Vec::new();
         let mut recovery: Vec<(String, u64)> = Vec::new();
         let mut summary = FleetSummary {

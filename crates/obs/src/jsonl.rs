@@ -23,10 +23,10 @@ use std::io::{self, Write};
 use crate::metrics::{HistogramSnapshot, MetricsRegistry};
 
 /// Artifact schema tag, bumped on incompatible line-shape changes.
-pub const SCHEMA: &str = "utrr-obs/1";
+pub(crate) const SCHEMA: &str = "utrr-obs/1";
 
 /// Serialises the registry's full state as JSONL into `out`.
-pub fn write_jsonl(registry: &MetricsRegistry, out: &mut impl Write) -> io::Result<()> {
+pub(crate) fn write_jsonl(registry: &MetricsRegistry, out: &mut impl Write) -> io::Result<()> {
     let (spans, spans_evicted) = registry.spans_snapshot();
     let (events, events_dropped) = registry.events_snapshot();
 

@@ -40,7 +40,7 @@ pub mod trace;
 
 pub use metrics::{
     bin_index, bin_lower_bound, bin_upper_bound, Counter, EventFields, EventRecord, Gauge,
-    Histogram, HistogramSnapshot, MetricsRegistry, BIN_COUNT, EVENT_FIELDS,
+    Histogram, HistogramSnapshot, MetricsRegistry, BIN_COUNT,
 };
 pub use span::{SpanGuard, SpanRecord};
 pub use trace::{

@@ -35,7 +35,7 @@ pub const BIN_COUNT: usize = 65;
 const EVENT_CAPACITY: usize = 65_536;
 
 /// Most fields one [`EventRecord`] carries; they are stored inline.
-pub const EVENT_FIELDS: usize = 3;
+pub(crate) const EVENT_FIELDS: usize = 3;
 
 /// Writer cells per counter and histogram. Threads beyond this many
 /// share cells (still exact, just contended again).
@@ -539,7 +539,7 @@ impl MetricsRegistry {
     }
 
     /// All gauges, sorted by name.
-    pub fn gauges_snapshot(&self) -> Vec<(String, u64)> {
+    pub(crate) fn gauges_snapshot(&self) -> Vec<(String, u64)> {
         self.gauges.lock().unwrap().iter().map(|(k, v)| (k.clone(), v.get())).collect()
     }
 

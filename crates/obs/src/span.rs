@@ -46,7 +46,7 @@ struct SpanState {
 
 /// The bounded ring of closed spans plus per-thread open-span stacks.
 #[derive(Debug, Default)]
-pub struct SpanCollector {
+pub(crate) struct SpanCollector {
     inner: Mutex<SpanState>,
 }
 

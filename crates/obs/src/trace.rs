@@ -506,7 +506,10 @@ pub fn read_trace_jsonl(text: &str) -> Result<(Vec<TraceEvent>, u64), String> {
 /// Serialises events in Chrome `trace_event` JSON (instant events,
 /// `ts` in microseconds, one `tid` per bank) — loadable directly in
 /// `chrome://tracing` or Perfetto.
-pub fn write_chrome_trace(events: &[TraceEvent], out: &mut impl io::Write) -> io::Result<()> {
+pub(crate) fn write_chrome_trace(
+    events: &[TraceEvent],
+    out: &mut impl io::Write,
+) -> io::Result<()> {
     write!(out, "{{\"displayTimeUnit\":\"ns\",\"traceEvents\":[")?;
     for (i, event) in events.iter().enumerate() {
         if i > 0 {

@@ -38,10 +38,10 @@ use std::time::Instant;
 use obs::MetricsRegistry;
 
 /// Environment variable consulted when no `--threads` flag is given.
-pub const THREADS_ENV: &str = "UTRR_THREADS";
+pub(crate) const THREADS_ENV: &str = "UTRR_THREADS";
 
 /// Number of hardware threads, with a safe floor of 1.
-pub fn available_threads() -> usize {
+pub(crate) fn available_threads() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
@@ -147,7 +147,7 @@ where
 /// - If any task panics, the panic payload with the **lowest task
 ///   index** is re-raised after all workers drain (so the surfaced
 ///   failure is deterministic too).
-pub fn par_map_indexed<T, R, F>(config: &ParConfig, items: &[T], f: F) -> Vec<R>
+pub(crate) fn par_map_indexed<T, R, F>(config: &ParConfig, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,

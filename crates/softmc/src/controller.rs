@@ -36,16 +36,6 @@ impl HammerSpec {
     pub fn single_sided(aggressor: RowAddr, count: u64) -> Self {
         HammerSpec { aggressors: vec![(aggressor, count)], mode: HammerMode::Cascaded }
     }
-
-    /// Two aggressors hammered in interleaved mode, `count` times each:
-    /// around a victim's two physical neighbours, the classic
-    /// double-sided pattern (Fig. 2b).
-    pub fn interleaved_pair(first: RowAddr, second: RowAddr, count: u64) -> Self {
-        HammerSpec {
-            aggressors: vec![(first, count), (second, count)],
-            mode: HammerMode::Interleaved,
-        }
-    }
 }
 
 /// Per-controller adaptive-recovery ladder state.
@@ -318,7 +308,8 @@ mod tests {
     use dram_sim::ModuleConfig;
 
     fn double_sided(victim: RowAddr, count: u64) -> HammerSpec {
-        HammerSpec::interleaved_pair(victim.minus(1), victim.plus(1), count)
+        let aggressors = vec![(victim.minus(1), count), (victim.plus(1), count)];
+        HammerSpec { aggressors, mode: HammerMode::Interleaved }
     }
 
     fn controller() -> MemoryController {
@@ -330,9 +321,6 @@ mod tests {
         let s = HammerSpec::single_sided(RowAddr::new(5), 100);
         assert_eq!(s.aggressors, vec![(RowAddr::new(5), 100)]);
         assert_eq!(s.mode, HammerMode::Cascaded);
-        let d = HammerSpec::interleaved_pair(RowAddr::new(4), RowAddr::new(6), 100);
-        assert_eq!(d.aggressors, vec![(RowAddr::new(4), 100), (RowAddr::new(6), 100)]);
-        assert_eq!(d.mode, HammerMode::Interleaved);
     }
 
     #[test]

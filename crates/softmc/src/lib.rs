@@ -30,7 +30,10 @@
 //! let victim = RowAddr::new(300);
 //! mc.write_row(bank, victim, DataPattern::Ones)?;
 //!
-//! let spec = HammerSpec::interleaved_pair(victim.minus(1), victim.plus(1), 5_000);
+//! // The classic double-sided pattern (Fig. 2b): the victim's two
+//! // neighbours, activated alternately.
+//! let aggressors = vec![(victim.minus(1), 5_000), (victim.plus(1), 5_000)];
+//! let spec = HammerSpec { aggressors, mode: HammerMode::Interleaved };
 //! mc.hammer(bank, &spec)?;
 //!
 //! let readout = mc.read_row(bank, victim)?;

@@ -404,16 +404,6 @@ impl MitigationEngine for CounterTrr {
         false
     }
 
-    fn reset(&mut self) {
-        let capacity = self.config.table_size;
-        for table in &mut self.banks {
-            *table = BankTable::with_capacity(capacity);
-        }
-        self.live.clear();
-        self.ref_count = 0;
-        self.next_is_tref_a = true;
-    }
-
     fn name(&self) -> &str {
         self.name
     }
@@ -580,19 +570,6 @@ mod tests {
     fn span_matches_version() {
         assert_eq!(CounterTrr::a_trr1(1).config().span, NeighborSpan::Two);
         assert_eq!(CounterTrr::a_trr2(1).config().span, NeighborSpan::One);
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let mut e = CounterTrr::a_trr1(1);
-        e.on_activations(B0, PhysRow::new(10), 5_000, T0);
-        for _ in 0..5 {
-            e.refresh_detections(T0);
-        }
-        e.reset();
-        assert!(e.table(B0).is_empty());
-        let hits = drain_refs(&mut e, 18);
-        assert!(hits.is_empty());
     }
 
     #[test]

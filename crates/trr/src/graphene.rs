@@ -217,14 +217,6 @@ impl MitigationEngine for Graphene {
         self.det_ctr.flush();
     }
 
-    fn reset(&mut self) {
-        for table in &mut self.banks {
-            table.reset();
-        }
-        self.ref_count = 0;
-        self.pending.clear();
-    }
-
     fn name(&self) -> &str {
         "Graphene"
     }

@@ -37,7 +37,6 @@ pub struct Para {
     /// Per-activation refresh probability.
     prob: f64,
     rng: SplitMix64,
-    seed: u64,
     pending: Vec<TrrDetection>,
     /// `trr.PARA.detections`.
     det_ctr: TallyCounter,
@@ -55,7 +54,6 @@ impl Para {
         Para {
             prob,
             rng: SplitMix64::new(seed),
-            seed,
             pending: Vec::new(),
             det_ctr: TallyCounter::default(),
         }
@@ -126,11 +124,6 @@ impl MitigationEngine for Para {
         self.det_ctr.flush();
     }
 
-    fn reset(&mut self) {
-        self.rng = SplitMix64::new(self.seed);
-        self.pending.clear();
-    }
-
     fn name(&self) -> &str {
         "PARA"
     }
@@ -182,7 +175,6 @@ mod tests {
     fn refresh_path_is_inert() {
         let mut e = Para::new(0.5, 3);
         assert!(e.refresh_detections(T0).is_empty());
-        e.reset();
         assert_eq!(e.name(), "PARA");
     }
 

@@ -54,7 +54,7 @@ impl SamplerTrrConfig {
     }
 
     /// B_TRR2: shared register, every 9th REF, ±1 victims.
-    pub const fn b_trr2() -> Self {
+    pub(crate) const fn b_trr2() -> Self {
         SamplerTrrConfig { trr_ref_interval: 9, ..SamplerTrrConfig::b_trr1() }
     }
 
@@ -103,7 +103,6 @@ pub struct SamplerTrr {
     held: bool,
     ref_count: u64,
     rng: SplitMix64,
-    seed: u64,
     /// `trr.<name>.detections`.
     det_ctr: TallyCounter,
     /// `trr.<name>.samples` — register overwrites by sampled `ACT`s.
@@ -150,7 +149,6 @@ impl SamplerTrr {
             held: false,
             ref_count: 0,
             rng: SplitMix64::new(seed),
-            seed,
             det_ctr: TallyCounter::default(),
             sample_ctr: TallyCounter::default(),
             registry: None,
@@ -179,7 +177,7 @@ impl SamplerTrr {
     }
 
     /// The B_TRR2 mechanism (modules B9–B12 of Table 1).
-    pub fn b_trr2(banks: u8, seed: u64) -> Self {
+    pub(crate) fn b_trr2(banks: u8, seed: u64) -> Self {
         SamplerTrr::new(SamplerTrrConfig::b_trr2(), "B_TRR2", banks, seed)
     }
 
@@ -308,15 +306,6 @@ impl MitigationEngine for SamplerTrr {
     fn detects_inline(&self) -> bool {
         // Sampler-based TRR only acts on the registers at `REF`.
         false
-    }
-
-    fn reset(&mut self) {
-        for r in &mut self.registers {
-            *r = None;
-        }
-        self.held = false;
-        self.ref_count = 0;
-        self.rng = SplitMix64::new(self.seed);
     }
 
     fn name(&self) -> &str {
@@ -490,16 +479,5 @@ mod tests {
                 assert_eq!(memo.get(q, n).to_bits(), fresh.to_bits(), "q {q} n {n}");
             }
         }
-    }
-
-    #[test]
-    fn reset_restores_power_on_state() {
-        let mut e = SamplerTrr::b_trr1(16, 3);
-        e.on_activations(Bank::new(0), PhysRow::new(9), 5_000, T0);
-        e.refresh_detections(T0);
-        e.reset();
-        assert!(e.sampled()[0].is_none());
-        let det: Vec<_> = (0..8).flat_map(|_| e.refresh_detections(T0)).collect();
-        assert!(det.is_empty());
     }
 }

@@ -65,7 +65,7 @@ impl WindowTrrConfig {
     }
 
     /// C_TRR3: every 8th REF, 1K-activation window.
-    pub const fn c_trr3() -> Self {
+    pub(crate) const fn c_trr3() -> Self {
         WindowTrrConfig {
             trr_ref_interval: 8,
             window: 1_024,
@@ -119,7 +119,6 @@ pub struct WindowTrr {
     live: Vec<u8>,
     ref_count: u64,
     rng: SplitMix64,
-    seed: u64,
     /// `trr.<name>.detections`.
     det_ctr: TallyCounter,
 }
@@ -143,7 +142,6 @@ impl WindowTrr {
             live: Vec::new(),
             ref_count: 0,
             rng,
-            seed,
             det_ctr: TallyCounter::default(),
         }
     }
@@ -159,7 +157,7 @@ impl WindowTrr {
     }
 
     /// The C_TRR3 mechanism (modules C12–C14 of Table 1).
-    pub fn c_trr3(banks: u8, seed: u64) -> Self {
+    pub(crate) fn c_trr3(banks: u8, seed: u64) -> Self {
         WindowTrr::new(WindowTrrConfig::c_trr3(), "C_TRR3", banks, seed)
     }
 
@@ -312,19 +310,6 @@ impl MitigationEngine for WindowTrr {
     fn detects_inline(&self) -> bool {
         // Window-based TRR empties its candidate slots at `REF` only.
         false
-    }
-
-    fn reset(&mut self) {
-        let capture_prob = self.config.capture_prob;
-        self.rng = SplitMix64::new(self.seed);
-        for w in &mut self.banks {
-            w.position = 0;
-            w.candidate = None;
-            w.pending = false;
-            w.target = draw_geometric(&mut self.rng, capture_prob);
-        }
-        self.live.clear();
-        self.ref_count = 0;
     }
 
     fn name(&self) -> &str {
@@ -510,16 +495,5 @@ mod tests {
             }
         }
         assert!(detected, "windows must reopen until a capture succeeds");
-    }
-
-    #[test]
-    fn reset_is_deterministic() {
-        let mut a = WindowTrr::c_trr1(4, 9);
-        a.on_activations(B0, PhysRow::new(3), 2_048, T0);
-        a.refresh_detections(T0);
-        a.reset();
-        let b = WindowTrr::c_trr1(4, 9);
-        assert_eq!(a.candidates(), b.candidates());
-        assert_eq!(a.ref_count, b.ref_count);
     }
 }

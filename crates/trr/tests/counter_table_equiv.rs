@@ -4,7 +4,7 @@
 //! into the first minimum of per-slot activation stamps (empty slots
 //! stamped 0) — which lives on below as the reference model. Random
 //! sequences of bursts, interleaved pairs, `REF`s (both `TREF_a` and
-//! `TREF_b`) and resets must give identical detections, evictions (row,
+//! `TREF_b`) must give identical detections, evictions (row,
 //! inserted row and order) and `table()` entries, for 1–4 banks and
 //! table sizes 2..=17.
 //!
@@ -161,15 +161,6 @@ impl RefEngine {
         }
         out
     }
-
-    fn reset(&mut self) {
-        let capacity = self.config.table_size;
-        for table in &mut self.banks {
-            *table = RefTable::new(capacity);
-        }
-        self.ref_count = 0;
-        self.next_is_tref_a = true;
-    }
 }
 
 /// One step of a random engine trace. Rows are offsets into a pool a
@@ -179,7 +170,6 @@ enum Op {
     Burst(u8, u32, u64),
     Pair(u8, u32, u32, u64),
     Refs(u32),
-    Reset,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -187,7 +177,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0u8..4, 0u32..40, 0u64..=40).prop_map(|(b, r, n)| Op::Burst(b, r, n)),
         (0u8..4, 0u32..40, 1u32..6, 0u64..=40).prop_map(|(b, r, d, n)| Op::Pair(b, r, d, n)),
         (1u32..=12).prop_map(Op::Refs),
-        (0u8..8).prop_map(|k| if k == 0 { Op::Reset } else { Op::Refs(9) }),
+        Just(Op::Refs(9)),
     ]
 }
 
@@ -222,10 +212,6 @@ fn check(table_size: usize, banks: u8, interval: u64, pool: u32, ops: &[Op]) -> 
                     engine.on_refresh(Nanos::ZERO, &mut out);
                     assert_eq!(out, model.refresh(), "detections: {ctx}");
                 }
-            }
-            Op::Reset => {
-                engine.reset();
-                model.reset();
             }
         }
         for b in 0..banks {
