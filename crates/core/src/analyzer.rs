@@ -3,7 +3,7 @@
 //! An [`Experiment`] is the Fig. 7 template:
 //!
 //! 1. reset the TRR mechanism's internal state (Requirement 4): the
-//!    caller runs [`flush_tracker`] before the experiment;
+//!    caller runs `flush_tracker` before the experiment;
 //! 2. initialize the profiled (victim) rows with their profiling pattern
 //!    and the aggressor rows with [`AGGRESSOR_PATTERN`];
 //! 3. wait half the victims' retention time;

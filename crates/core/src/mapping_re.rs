@@ -103,7 +103,9 @@ pub(crate) fn mapping_explains(
 /// come back one-sided or empty; the decision is therefore a vote:
 /// the winning candidate must explain strictly more observations than
 /// every other candidate and at least two of them. Probes with no flips
-/// at all are inconclusive and simply don't vote.
+/// at all are inconclusive and simply don't vote. Only the
+/// `reverse_engineer` example calls it until the pipeline gains its
+/// §5.3 phase.
 ///
 /// # Errors
 ///
@@ -138,7 +140,7 @@ pub fn discover_mapping(
 }
 
 /// The default candidate library: the decoder schemes the simulator (and
-/// real chips studied by prior work) use.
+/// real chips studied by prior work) use. Feeds [`discover_mapping`].
 pub fn candidate_mappings() -> Vec<RowMapping> {
     vec![
         RowMapping::Identity,
@@ -155,7 +157,8 @@ pub fn candidate_mappings() -> Vec<RowMapping> {
 /// (§6.3 Observation 3): hammering a row disturbs exactly one other row,
 /// its pair `R ^ 1`. Probes whose neighbourhood shows no flips at all
 /// (too strong a row) are inconclusive and skipped; returns `None` when
-/// every probe was inconclusive.
+/// every probe was inconclusive. Only the `reverse_engineer` example
+/// calls it until the pipeline gains its §5.3 phase.
 ///
 /// # Errors
 ///
