@@ -14,16 +14,15 @@
 //! * every decision is drawn from the workspace's own SplitMix64 stream,
 //!   so a `(profile, seed)` pair replays the exact same fault sequence
 //!   against the exact same command sequence;
-//! * [`FaultyController`] wraps a [`MemoryController`] with a plan while
-//!   exposing the same interface (via `Deref`), so every caller in
-//!   `core`, `attacks`, and `bench` runs unmodified.
+//! * [`install`] puts a plan into a [`MemoryController`] as its
+//!   [`FaultInjector`], so every caller in `core`, `attacks`, and
+//!   `bench` runs unmodified against the faulty substrate.
 //!
 //! The crate is std-only and depends only on `dram-sim`, `softmc`, and
 //! `obs`. Injected-fault counts are reported as `faults.injected.*`
 //! counters in the standard metrics registry.
 
 use std::fmt;
-use std::ops::{Deref, DerefMut};
 use std::str::FromStr;
 use std::sync::Arc;
 
@@ -273,11 +272,13 @@ impl FaultTally {
 ///
 /// ```
 /// use dram_sim::{Module, ModuleConfig};
-/// use faults::{FaultPlan, FaultProfile, FaultyController};
+/// use faults::{FaultPlan, FaultProfile};
+/// use softmc::MemoryController;
 ///
 /// let plan = FaultPlan::from_profile(FaultProfile::Mild, 42).unwrap();
-/// let mut mc = FaultyController::new(Module::new(ModuleConfig::small_test(), 7), plan);
-/// // `mc` derefs to `MemoryController`; every caller runs unmodified.
+/// let mut mc = MemoryController::new(Module::new(ModuleConfig::small_test(), 7));
+/// mc.set_fault_injector(Some(Box::new(plan)));
+/// // Every caller of `mc` now runs against the faulty substrate.
 /// assert!(mc.fault_severity() > 0);
 /// ```
 pub struct FaultPlan {
@@ -325,11 +326,6 @@ impl FaultPlan {
     /// `faults.injected.*` counters) from now on.
     pub fn attach_metrics(&mut self, registry: Arc<MetricsRegistry>) {
         self.registry = Some(registry);
-    }
-
-    /// The fault configuration in effect.
-    pub fn config(&self) -> &FaultConfig {
-        &self.cfg
     }
 
     /// Running tallies of everything injected so far.
@@ -450,49 +446,6 @@ impl FaultInjector for FaultPlan {
     }
 }
 
-/// A [`MemoryController`] wrapped with a [`FaultPlan`], exposing the
-/// same interface through `Deref`/`DerefMut` so existing experiment
-/// code runs unmodified against the faulty substrate.
-#[derive(Debug)]
-pub struct FaultyController {
-    inner: MemoryController,
-}
-
-impl FaultyController {
-    /// A controller over `module` with `plan` installed. The plan
-    /// reports its metrics into the module's registry.
-    pub fn new(module: Module, plan: FaultPlan) -> Self {
-        FaultyController::wrap(MemoryController::new(module), plan)
-    }
-
-    /// Installs `plan` into an existing controller.
-    pub(crate) fn wrap(mut mc: MemoryController, mut plan: FaultPlan) -> Self {
-        plan.attach_metrics(Arc::clone(mc.registry()));
-        mc.set_fault_injector(Some(Box::new(plan)));
-        FaultyController { inner: mc }
-    }
-
-    /// Removes the injector and releases the plain controller.
-    pub fn into_inner(mut self) -> MemoryController {
-        self.inner.set_fault_injector(None);
-        self.inner
-    }
-}
-
-impl Deref for FaultyController {
-    type Target = MemoryController;
-
-    fn deref(&self) -> &MemoryController {
-        &self.inner
-    }
-}
-
-impl DerefMut for FaultyController {
-    fn deref_mut(&mut self) -> &mut MemoryController {
-        &mut self.inner
-    }
-}
-
 /// Installs the plan for `(profile, seed)` into `mc`, reporting into
 /// the controller's registry. Returns whether an injector was installed
 /// (`false` for [`FaultProfile::None`], which leaves the controller
@@ -517,6 +470,14 @@ mod tests {
 
     fn module() -> Module {
         Module::new(ModuleConfig::small_test(), 11)
+    }
+
+    /// A controller over [`module`] with the plan for `(profile, seed)`
+    /// installed.
+    fn faulty(profile: FaultProfile, seed: u64) -> MemoryController {
+        let mut mc = MemoryController::new(module());
+        assert!(install(&mut mc, profile, seed));
+        mc
     }
 
     #[test]
@@ -560,8 +521,7 @@ mod tests {
     #[test]
     fn fault_sequence_is_deterministic_in_the_seed() {
         let run = |seed: u64| {
-            let plan = FaultPlan::from_profile(FaultProfile::Hostile, seed).unwrap();
-            let mut mc = FaultyController::new(module(), plan);
+            let mut mc = faulty(FaultProfile::Hostile, seed);
             let bank = Bank::new(0);
             let mut flips = Vec::new();
             for r in 0..64 {
@@ -578,10 +538,7 @@ mod tests {
 
     #[test]
     fn hostile_profile_injects_and_counts() {
-        let registry = MetricsRegistry::shared();
-        let mut plan = FaultPlan::from_profile(FaultProfile::Hostile, 3).unwrap();
-        plan.attach_metrics(Arc::clone(&registry));
-        let mut mc = FaultyController::wrap(MemoryController::new(module()), plan);
+        let mut mc = faulty(FaultProfile::Hostile, 3);
         let bank = Bank::new(0);
         for round in 0..200u32 {
             let row = RowAddr::new(round % 256);
@@ -589,17 +546,16 @@ mod tests {
             mc.wait_no_refresh(Nanos::from_ms(2));
             let _ = mc.read_row(bank, row).unwrap();
         }
-        // The wrap() path reports into the module's registry.
+        // `install` reports into the controller's registry.
         let injected = mc.registry().counter(CTR_INJECTED_TOTAL).get();
         assert!(injected > 0, "hostile profile must inject something in 200 rounds");
     }
 
     #[test]
     fn drift_follows_simulated_time() {
-        let plan = FaultPlan::from_profile(FaultProfile::Mild, 9).unwrap();
-        let amplitude = plan.config().drift_amplitude;
-        let period = plan.config().drift_period;
-        let mut mc = FaultyController::new(module(), plan);
+        let FaultConfig { drift_amplitude: amplitude, drift_period: period, .. } =
+            FaultConfig::mild();
+        let mut mc = faulty(FaultProfile::Mild, 9);
         // A quarter period lands on the sine peak.
         mc.wait_no_refresh(period / 4);
         let drift = mc.module().retention_drift();
@@ -614,8 +570,7 @@ mod tests {
 
     #[test]
     fn vrt_bursts_eventually_start_and_stop() {
-        let plan = FaultPlan::from_profile(FaultProfile::Hostile, 17).unwrap();
-        let mut mc = FaultyController::new(module(), plan);
+        let mut mc = faulty(FaultProfile::Hostile, 17);
         let mut saw_burst = false;
         let mut saw_clear_after_burst = false;
         for _ in 0..2_000 {
@@ -635,13 +590,5 @@ mod tests {
         for p in [DataPattern::Zeros, DataPattern::Ones, DataPattern::Checkerboard] {
             assert_ne!(FaultPlan::garble_pattern(&p), p);
         }
-    }
-
-    #[test]
-    fn into_inner_detaches_the_plan() {
-        let plan = FaultPlan::from_profile(FaultProfile::Mild, 1).unwrap();
-        let faulty = FaultyController::new(module(), plan);
-        let mc = faulty.into_inner();
-        assert_eq!(mc.fault_severity(), 0);
     }
 }
