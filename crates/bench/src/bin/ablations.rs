@@ -5,8 +5,7 @@
 //!
 //! Usage: ablations [--rows N] [--samples N] [--threads N]
 //!                  [--faults none|mild|hostile] [--fault-seed N]
-//!                  [--metrics-out PATH] [--trace-out PATH] [--trace-chrome PATH]
-//!                  [--trace-rows SPEC]
+//!                  [--metrics-out PATH] [--trace-out PATH] [--trace-rows SPEC]
 
 use std::sync::Arc;
 

@@ -6,8 +6,7 @@
 //! Usage: repro-fig10 [--rows N] [--samples N] [--windows N]
 //!                    [--modules A5,...] [--ecc] [--threads N]
 //!                    [--faults none|mild|hostile] [--fault-seed N]
-//!                    [--metrics-out PATH] [--trace-out PATH] [--trace-chrome PATH]
-//!                    [--trace-rows SPEC]
+//!                    [--metrics-out PATH] [--trace-out PATH] [--trace-rows SPEC]
 
 use attacks::eval::EvalConfig;
 use ecc::{analyze_with_registry, CodeKind};

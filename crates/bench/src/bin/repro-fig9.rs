@@ -4,8 +4,7 @@
 //!
 //! Usage: repro-fig9 [--rows N] [--samples N] [--windows N] [--modules A5,...]
 //!                   [--threads N] [--faults none|mild|hostile] [--fault-seed N]
-//!                   [--metrics-out PATH] [--trace-out PATH] [--trace-chrome PATH]
-//!                   [--trace-rows SPEC]
+//!                   [--metrics-out PATH] [--trace-out PATH] [--trace-rows SPEC]
 
 use attacks::eval::EvalConfig;
 use faults::FaultProfile;

@@ -5,17 +5,14 @@
 //!
 //! Usage:
 //!   repro-table1 [--rows N] [--samples N] [--windows N] [--modules A5,B0,...]
-//!                [--per-module-re] [--attack-only] [--threads N]
+//!                [--attack-only] [--threads N]
 //!                [--faults none|mild|hostile] [--fault-seed N]
 //!                [--metrics-out PATH] [--bench-out PATH] [--trace-out PATH]
-//!                [--trace-chrome PATH] [--trace-rows SPEC]
+//!                [--trace-rows SPEC]
 //!
-//! By default the reverse-engineering suite runs once per *TRR version*
-//! (modules sharing a version share their engine, so the findings are
-//! identical); `--per-module-re` widens the memoization key to the full
-//! reverse-engineering inputs (geometry, physics, mapping, topology,
-//! refresh schedule, engine), so the suite still only re-runs when the
-//! inputs actually differ.
+//! The reverse-engineering suite runs once per *TRR version* (modules
+//! sharing a version share their engine, so the findings are
+//! identical).
 //!
 //! `--threads N` (or `UTRR_THREADS`) fans the reverse-engineering and
 //! attack phases over a worker pool; results are bit-identical to a
@@ -29,9 +26,8 @@ use attacks::eval::{BankSweep, EvalConfig};
 use faults::FaultProfile;
 use utrr_bench::{
     arg_flag, arg_or, arg_value, attack_columns, detection_label, device_ns_per_act, emit_metrics,
-    emit_trace, fault_args, hc_first, install_trace, metrics_out_path, par_config, re_input_key,
-    retry_seeds, reverse_engineer, run_registry, threads_arg, trace_args, BenchPhases, ReOutcome,
-    RunConfig,
+    emit_trace, fault_args, hc_first, install_trace, metrics_out_path, par_config, retry_seeds,
+    reverse_engineer, run_registry, threads_arg, trace_args, BenchPhases, ReOutcome, RunConfig,
 };
 use utrr_modules::{catalog, ModuleSpec};
 
@@ -48,7 +44,6 @@ fn main() {
     let samples: u32 = arg_or(&args, "--samples", 48);
     let windows: u32 = arg_or(&args, "--windows", 2);
     let filter = arg_value(&args, "--modules");
-    let per_module_re = arg_flag(&args, "--per-module-re");
     let attack_only = arg_flag(&args, "--attack-only");
     let metrics_path = metrics_out_path(&args);
     let bench_path = arg_value(&args, "--bench-out").map(std::path::PathBuf::from);
@@ -88,23 +83,13 @@ fn main() {
     println!("|---|---|---|---|---|---|---|---|");
 
     if !attack_only {
-        // Memoize one reverse-engineering run per distinct key: the TRR
-        // version by default, the full input set with `--per-module-re`
-        // (a module whose mapping/physics/geometry differ still gets its
-        // own run). Distinct keys run in parallel, first-appearance
-        // order, so the printed table is identical for any thread count.
-        let key_of = |spec: &ModuleSpec| -> String {
-            if per_module_re {
-                re_input_key(spec)
-            } else {
-                spec.trr_version.to_string()
-            }
-        };
-        let mut unique: Vec<(String, ModuleSpec)> = Vec::new();
+        // Memoize one reverse-engineering run per TRR version. Distinct
+        // versions run in parallel, first-appearance order, so the
+        // printed table is identical for any thread count.
+        let mut unique: Vec<(&str, ModuleSpec)> = Vec::new();
         for spec in &modules {
-            let key = key_of(spec);
-            if !unique.iter().any(|(k, _)| *k == key) {
-                unique.push((key, spec.clone()));
+            if !unique.iter().any(|(k, _)| *k == spec.trr_version) {
+                unique.push((spec.trr_version, spec.clone()));
             }
         }
         let outcomes: Vec<Option<ReOutcome>> = bench.time("reverse_engineering", || {
@@ -114,14 +99,11 @@ fn main() {
                     .outcome
             })
         });
-        let re_cache: HashMap<&str, &Option<ReOutcome>> = unique
-            .iter()
-            .zip(outcomes.iter())
-            .map(|((key, _), outcome)| (key.as_str(), outcome))
-            .collect();
+        let re_cache: HashMap<&str, &Option<ReOutcome>> =
+            unique.iter().zip(outcomes.iter()).map(|((key, _), outcome)| (*key, outcome)).collect();
         let mut tiers = [0u64; 3];
         for spec in &modules {
-            match re_cache[key_of(spec).as_str()] {
+            match re_cache[spec.trr_version] {
                 Some(outcome) => {
                     // A non-confirmed tier, which only a tiered policy
                     // produces, rides in the match cell.

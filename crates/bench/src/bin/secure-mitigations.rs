@@ -10,8 +10,7 @@
 //! Usage: secure-mitigations [--rows N] [--samples N] [--para-prob P]
 //!                           [--threads N] [--faults none|mild|hostile]
 //!                           [--fault-seed N] [--metrics-out PATH]
-//!                           [--trace-out PATH] [--trace-chrome PATH]
-//!                           [--trace-rows SPEC]
+//!                           [--trace-out PATH] [--trace-rows SPEC]
 
 use attacks::baseline::DoubleSided;
 use attacks::custom;

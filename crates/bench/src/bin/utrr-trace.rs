@@ -5,8 +5,7 @@
 //! detection → targeted REF → flip/no-flip read-back → verdict — by
 //! walking the verdict's evidence links transitively. `chrome` converts
 //! a JSONL trace into Chrome `trace_event` JSON for chrome://tracing or
-//! Perfetto (the repro binaries can also emit that directly via
-//! `--trace-chrome`).
+//! Perfetto.
 //!
 //! Usage:
 //!   utrr-trace explain TRACE.jsonl [--row N] [--limit N]

@@ -347,35 +347,6 @@ pub fn attack_columns_par(
     par::par_map(pool, specs, |spec| attack_columns(spec, config))
 }
 
-/// Everything that determines a reverse-engineering outcome for a spec,
-/// folded into a memoization key: the fields feeding the scaled module
-/// build (geometry, physics, mapping, topology, refresh schedule,
-/// engine) and the `ReverseOptions` inputs. Two specs with equal keys
-/// produce byte-identical [`ReOutcome`]s (modulo `id`), so
-/// `repro-table1` reverse engineers each distinct key once and reuses
-/// the outcome — re-running only when inputs actually differ.
-pub fn re_input_key(spec: &ModuleSpec) -> String {
-    format!(
-        "{:?}|{}|{}|{}|{}|{}|{:?}|{}|{}|{}|{:?}|{}|{:?}|{:?}|{:?}|{:?}",
-        spec.vendor,
-        spec.density_gbit,
-        spec.ranks,
-        spec.banks,
-        spec.pins,
-        spec.hc_first,
-        spec.trr_version,
-        spec.per_bank_trr,
-        spec.trr_to_ref_ratio,
-        spec.neighbors_refreshed,
-        spec.aggressor_capacity,
-        spec.detection,
-        spec.mapping(),
-        spec.topology(),
-        spec.physics(),
-        spec.refresh(),
-    )
-}
-
 /// Compact human-readable label for an inferred detection mechanism —
 /// the form both Table 1 and the fleet records print.
 pub fn detection_label(d: &DetectionKind) -> String {
@@ -472,25 +443,16 @@ pub fn arg_flag(args: &[String], key: &str) -> bool {
 }
 
 /// Flight-recorder arguments shared by every repro binary:
-/// `--trace-out PATH` (JSONL, schema `utrr-trace/1`), `--trace-chrome
-/// PATH` (Chrome `trace_event` JSON for chrome://tracing / Perfetto),
-/// and `--trace-rows SPEC` (`all`, or a comma list of physical rows and
-/// inclusive `A-B` ranges restricting capture to those rows ±2).
+/// `--trace-out PATH` (JSONL, schema `utrr-trace/1`; `utrr-trace chrome`
+/// converts it to Chrome `trace_event` JSON) and `--trace-rows SPEC`
+/// (`all`, or a comma list of physical rows and inclusive `A-B` ranges
+/// restricting capture to those rows ±2).
 #[derive(Debug, Clone)]
 pub struct TraceArgs {
     /// JSONL trace path, when requested.
     pub jsonl_out: Option<std::path::PathBuf>,
-    /// Chrome `trace_event` JSON path, when requested.
-    pub chrome_out: Option<std::path::PathBuf>,
     /// Row filter for captured events.
     pub filter: obs::TraceFilter,
-}
-
-impl TraceArgs {
-    /// Whether any trace output was requested.
-    pub fn enabled(&self) -> bool {
-        self.jsonl_out.is_some() || self.chrome_out.is_some()
-    }
 }
 
 /// Parses the flight-recorder arguments. Exits with status 2 on an
@@ -503,11 +465,7 @@ pub fn trace_args(args: &[String]) -> TraceArgs {
         }),
         None => obs::TraceFilter::all(),
     };
-    TraceArgs {
-        jsonl_out: arg_value(args, "--trace-out").map(std::path::PathBuf::from),
-        chrome_out: arg_value(args, "--trace-chrome").map(std::path::PathBuf::from),
-        filter,
-    }
+    TraceArgs { jsonl_out: arg_value(args, "--trace-out").map(std::path::PathBuf::from), filter }
 }
 
 /// Installs a flight recorder into `registry` when tracing was
@@ -515,7 +473,7 @@ pub fn trace_args(args: &[String]) -> TraceArgs {
 /// — the recorder stays uninstalled and every `trace()` call remains a
 /// single relaxed atomic load, keeping untraced runs byte-identical.
 pub fn install_trace(registry: &std::sync::Arc<obs::MetricsRegistry>, trace: &TraceArgs) {
-    if trace.enabled() {
+    if trace.jsonl_out.is_some() {
         registry.install_recorder(std::sync::Arc::new(obs::FlightRecorder::new(
             obs::DEFAULT_TRACE_CAPACITY,
             trace.filter.clone(),
@@ -523,30 +481,19 @@ pub fn install_trace(registry: &std::sync::Arc<obs::MetricsRegistry>, trace: &Tr
     }
 }
 
-/// End-of-run trace emission: writes the requested JSONL and/or Chrome
-/// artifacts from the installed recorder, logging each path to stderr.
+/// End-of-run trace emission: writes the requested JSONL artifact from
+/// the installed recorder, logging its path to stderr.
 ///
 /// # Errors
 ///
 /// Propagates artifact I/O errors.
 pub fn emit_trace(registry: &obs::MetricsRegistry, trace: &TraceArgs) -> std::io::Result<()> {
-    let Some(recorder) = registry.recorder() else {
+    let (Some(recorder), Some(path)) = (registry.recorder(), &trace.jsonl_out) else {
         return Ok(());
     };
     let (events, dropped) = recorder.snapshot();
-    if let Some(path) = &trace.jsonl_out {
-        obs::trace::write_trace_jsonl_to_path(&events, dropped, path)?;
-        eprintln!(
-            "trace artifact: {} ({} events, {} dropped)",
-            path.display(),
-            events.len(),
-            dropped
-        );
-    }
-    if let Some(path) = &trace.chrome_out {
-        obs::trace::write_chrome_trace_to_path(&events, path)?;
-        eprintln!("chrome trace: {} ({} events)", path.display(), events.len());
-    }
+    obs::trace::write_trace_jsonl_to_path(&events, dropped, path)?;
+    eprintln!("trace artifact: {} ({} events, {} dropped)", path.display(), events.len(), dropped);
     Ok(())
 }
 
@@ -883,7 +830,7 @@ mod tests {
 
         let meta = &records[0];
         assert_eq!(meta.get("type").and_then(|v| v.as_str()), Some("meta"));
-        assert_eq!(meta.get("schema").and_then(|v| v.as_str()), Some("utrr-obs/1"));
+        assert_eq!(meta.get("schema").and_then(|v| v.as_str()), Some("utrr-obs/2"));
 
         let counter_of = |name: &str| {
             records

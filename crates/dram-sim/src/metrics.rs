@@ -49,11 +49,6 @@ pub(crate) const HIST_READ_NS: &str = "dram.latency.read_ns";
 /// Histogram name for full-row write latency, in nanoseconds.
 pub(crate) const HIST_WRITE_NS: &str = "dram.latency.write_ns";
 
-/// Event kind emitted when a restore materializes bit flips.
-pub(crate) const EVT_BIT_FLIP: &str = "dram.bit_flip";
-/// Event kind emitted per TRR detection acted on.
-pub(crate) const EVT_TRR_DETECTION: &str = "dram.trr.detection";
-
 /// A device's counts since its last flush, one per `dram.*` counter.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct DeviceCounts {
@@ -133,17 +128,11 @@ impl DeviceMetrics {
         &self.registry
     }
 
-    /// Whether detail instrumentation (latency histograms, events) is
-    /// being recorded.
+    /// Whether detail instrumentation (latency histograms) is being
+    /// recorded.
     #[inline]
     pub fn detail(&self) -> bool {
         self.registry.detail_enabled()
-    }
-
-    /// Records an event (no-op unless detail is enabled).
-    #[inline]
-    pub fn event(&self, kind: &'static str, t_sim: u64, fields: &[(&'static str, u64)]) {
-        self.registry.event(kind, t_sim, fields);
     }
 
     /// Whether a flight recorder is attached (one relaxed load).

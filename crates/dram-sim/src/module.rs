@@ -30,7 +30,7 @@ use crate::addr::{Bank, ModuleGeometry, PhysRow, RowAddr};
 use crate::data::{DataPattern, RowData, RowReadout};
 use crate::error::DramError;
 use crate::mapping::{RowMapping, Topology};
-use crate::metrics::{DeviceMetrics, EVT_BIT_FLIP, EVT_TRR_DETECTION};
+use crate::metrics::DeviceMetrics;
 use crate::mitigation::{MitigationEngine, NoMitigation, TrrDetection};
 use crate::physics::{window_flips, PhysicsConfig, RowPhysics, RowPhysicsView, WeakCells};
 use crate::rng::SplitMix64;
@@ -880,30 +880,41 @@ impl Module {
         self.engine.on_refresh(self.now, &mut detections);
         self.apply_detections(&detections);
         self.detect_buf = detections;
-        let k = self.ref_count;
+        if self.metrics.tracing() {
+            self.trace_ref(start, end);
+        }
         self.ref_count += 1;
         self.ref_window.step();
         self.metrics.pending.refresh += 1;
-        if self.metrics.tracing() {
-            // Pre-gate on the tracked row set: a full tREFW is ~8k REFs,
-            // and only the handful whose round-robin window sweeps past
-            // a tracked row matter to the causal timeline.
-            let swept = self.metrics.registry().recorder().is_some_and(|recorder| {
-                let filter = recorder.filter();
-                filter.tracks_all() || (start..end).any(|r| filter.admits(Some(r as u32)))
-            });
-            if swept {
-                self.metrics.trace(
-                    TraceKind::Ref,
-                    self.now.as_ns(),
-                    0,
-                    None,
-                    &[("ref_index", k), ("sweep_start", start), ("sweep_rows", end - start)],
-                    "",
-                );
-            }
-        }
         self.now += self.config.timings.t_rfc;
+    }
+
+    /// The `ref` trace event of the `REF` being issued, which swept the
+    /// physical window `start..end`, stamped at the current time. Callers
+    /// check `tracing()` first.
+    #[cold]
+    fn trace_ref(&self, start: u64, end: u64) {
+        // Pre-gate on the tracked row set: a full tREFW is ~8k REFs, and
+        // only the handful whose round-robin window sweeps past a tracked
+        // row matter to the causal timeline.
+        let swept = self.metrics.registry().recorder().is_some_and(|recorder| {
+            let filter = recorder.filter();
+            filter.tracks_all() || (start..end).any(|r| filter.admits(Some(r as u32)))
+        });
+        if swept {
+            self.metrics.trace(
+                TraceKind::Ref,
+                self.now.as_ns(),
+                0,
+                None,
+                &[
+                    ("ref_index", self.ref_count),
+                    ("sweep_start", start),
+                    ("sweep_rows", end - start),
+                ],
+                "",
+            );
+        }
     }
 
     /// Issues `count` `REF` commands paced one per `tREFI` (the idle gap
@@ -913,24 +924,20 @@ impl Module {
     /// The burst runs in segments: the mitigation engine first consumes
     /// the upcoming `REF`s that provably detect nothing
     /// ([`MitigationEngine::skip_idle_refs`]), for which the device only
-    /// sweeps the regular-refresh windows; the next `REF` then runs in
-    /// full. While a flight recorder is attached every `REF` runs in
-    /// full, so the trace keeps its per-`REF` events.
+    /// sweeps the regular-refresh windows and emits their `ref` trace
+    /// events; the next `REF` then runs in full.
     pub fn refresh_burst_at_refi(&mut self, count: u64) {
         if count == 0 {
             return;
         }
         let idle = self.config.timings.t_refi.saturating_sub(self.config.timings.t_rfc);
-        let segmented = !self.metrics.tracing();
         let mut left = count;
         while left > 0 {
-            if segmented {
-                let skipped = self.engine.skip_idle_refs(left).min(left);
-                self.idle_refs(skipped, idle);
-                left -= skipped;
-                if left == 0 {
-                    break;
-                }
+            let skipped = self.engine.skip_idle_refs(left).min(left);
+            self.idle_refs(skipped, idle);
+            left -= skipped;
+            if left == 0 {
+                break;
             }
             self.refresh();
             self.advance(idle);
@@ -939,15 +946,19 @@ impl Module {
     }
 
     /// Runs `refs` `REF`s the engine has already consumed through
-    /// [`MitigationEngine::skip_idle_refs`]: each sweeps its window and
-    /// advances the clock by `tRFC + idle`, with no detection or trace
-    /// work.
+    /// [`MitigationEngine::skip_idle_refs`]: each sweeps its window,
+    /// emits its `ref` trace event and advances the clock by
+    /// `tRFC + idle`, with no detection work.
     fn idle_refs(&mut self, refs: u64, idle: Nanos) {
         let per_ref = self.config.timings.t_rfc + idle;
         let mut restored = 0u64;
+        let tracing = self.metrics.tracing();
         for _ in 0..refs {
             let (start, end) = self.refresh_window();
             restored += self.sweep_window(start, end);
+            if tracing {
+                self.trace_ref(start, end);
+            }
             self.ref_count += 1;
             self.ref_window.step();
             self.now += per_ref;
@@ -1117,15 +1128,6 @@ impl Module {
         hot.disturbance = 0.0;
         if new_flips > 0 {
             self.metrics.pending.bit_flips += new_flips;
-            self.metrics.event(
-                EVT_BIT_FLIP,
-                now.as_ns(),
-                &[
-                    ("bank", bank.index() as u64),
-                    ("row", phys.index() as u64),
-                    ("flips", new_flips),
-                ],
-            );
             self.metrics.trace(
                 TraceKind::BitFlip,
                 now.as_ns(),
@@ -1182,7 +1184,6 @@ impl Module {
             return;
         }
         self.metrics.pending.trr_detections += detections.len() as u64;
-        let detail = self.metrics.detail();
         let tracing = self.metrics.tracing();
         let now = self.now.as_ns();
         let rows_per_bank = self.config.geometry.rows_per_bank;
@@ -1190,13 +1191,6 @@ impl Module {
         for &det in detections {
             let (bank, aggressor) = (det.bank.index(), det.aggressor.index());
             let span = det.span.per_side() as u64;
-            if detail {
-                self.metrics.event(
-                    EVT_TRR_DETECTION,
-                    now,
-                    &[("bank", bank as u64), ("aggressor", aggressor as u64), ("span", span)],
-                );
-            }
             if tracing {
                 self.metrics.trace(
                     TraceKind::TrrDetect,

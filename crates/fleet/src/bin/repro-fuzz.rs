@@ -9,7 +9,7 @@
 //!              [--fleet N] [--fleet-seed S]
 //!              [--faults none|mild|hostile] [--fault-seed N]
 //!              [--metrics-out PATH] [--bench-out PATH]
-//!              [--trace-out PATH] [--trace-chrome PATH]
+//!              [--trace-out PATH]
 //!
 //! Every candidate is a pure function of `(seed, round, slot)`, so
 //! stdout and the `--out` artifact (schema `utrr-fuzz/1`) are

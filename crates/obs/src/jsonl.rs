@@ -4,14 +4,13 @@
 //! Line shapes (`type` field first so artifacts grep and diff well):
 //!
 //! ```text
-//! {"type":"meta","schema":"utrr-obs/1","spans_evicted":0,"events_dropped":0}
+//! {"type":"meta","schema":"utrr-obs/2","spans_evicted":0}
 //! {"type":"counter","name":"dram.cmd.act","value":5000}
 //! {"type":"gauge","name":"scout.groups_live","value":4}
 //! {"type":"histogram","name":"dram.latency.act_ns","count":…,"sum":…,
 //!  "min":…,"max":…,"mean":…,"p50":…,"p90":…,"p99":…,"bins":[[lower,count],…]}
 //! {"type":"span","id":3,"parent":2,"depth":1,"name":"trr_analyzer.round",
 //!  "wall_ns":…,"sim_start_ns":…,"sim_end_ns":…,"fields":{"round":4}}
-//! {"type":"event","t_sim_ns":…,"kind":"dram.bit_flip","fields":{"bank":1,"row":4242}}
 //! ```
 //!
 //! Counters, gauges, and histograms are emitted in name order, so two
@@ -23,17 +22,15 @@ use std::io::{self, Write};
 use crate::metrics::{HistogramSnapshot, MetricsRegistry};
 
 /// Artifact schema tag, bumped on incompatible line-shape changes.
-pub(crate) const SCHEMA: &str = "utrr-obs/1";
+pub(crate) const SCHEMA: &str = "utrr-obs/2";
 
 /// Serialises the registry's full state as JSONL into `out`.
 pub(crate) fn write_jsonl(registry: &MetricsRegistry, out: &mut impl Write) -> io::Result<()> {
     let (spans, spans_evicted) = registry.spans_snapshot();
-    let (events, events_dropped) = registry.events_snapshot();
 
     writeln!(
         out,
-        "{{\"type\":\"meta\",\"schema\":\"{SCHEMA}\",\
-         \"spans_evicted\":{spans_evicted},\"events_dropped\":{events_dropped}}}"
+        "{{\"type\":\"meta\",\"schema\":\"{SCHEMA}\",\"spans_evicted\":{spans_evicted}}}"
     )?;
 
     for (name, value) in registry.counters_snapshot() {
@@ -62,15 +59,6 @@ pub(crate) fn write_jsonl(registry: &MetricsRegistry, out: &mut impl Write) -> i
             span.sim_start,
             span.sim_end,
             fields_object(&span.fields),
-        )?;
-    }
-    for event in &events {
-        writeln!(
-            out,
-            "{{\"type\":\"event\",\"t_sim_ns\":{},\"kind\":{},\"fields\":{}}}",
-            event.t_sim,
-            quote(event.kind),
-            fields_object(&event.fields),
         )?;
     }
     Ok(())
@@ -119,13 +107,13 @@ fn histogram_line(name: &str, snapshot: &HistogramSnapshot) -> String {
     line
 }
 
-fn fields_object(fields: &[(impl AsRef<str>, u64)]) -> String {
+fn fields_object(fields: &[(String, u64)]) -> String {
     let mut object = String::from("{");
     for (i, (key, value)) in fields.iter().enumerate() {
         if i > 0 {
             object.push(',');
         }
-        let _ = write!(object, "{}:{value}", quote(key.as_ref()));
+        let _ = write!(object, "{}:{value}", quote(key));
     }
     object.push('}');
     object
@@ -447,7 +435,6 @@ mod tests {
         for v in [1u64, 2, 3, 100, 1000] {
             h.record(v);
         }
-        registry.event("dram.bit_flip", 77, &[("bank", 1), ("row", 4242)]);
         {
             let outer = registry.span("outer", 10);
             registry.span("inner", 12).finish(20);
@@ -477,10 +464,6 @@ mod tests {
         let inner =
             spans.iter().find(|s| s.get("name").unwrap().as_str() == Some("inner")).unwrap();
         assert!(inner.get("parent").unwrap().as_u64().is_some());
-
-        let event = lines.iter().find(|l| kind(l) == "event").unwrap();
-        assert_eq!(event.get("kind").unwrap().as_str(), Some("dram.bit_flip"));
-        assert_eq!(event.get("fields").unwrap().get("row").unwrap().as_u64(), Some(4242));
     }
 
     #[test]

@@ -5,24 +5,18 @@
 //! into one [`MetricsRegistry`]:
 //!
 //! - **Counters and gauges** ([`Counter`], [`Gauge`]): named atomic
-//!   cells. Handles are `Arc`-backed and lock-free on the hot path;
-//!   the registry lock is taken only at registration time. Counters
-//!   keep one cache-line-padded cell per writer thread, so parallel
-//!   sweeps can share one registry without bouncing lines between
-//!   cores; reads fold the cells exactly.
+//!   cells. Handles are `Arc`-backed and lock-free; the registry lock
+//!   is taken only at registration time. Nothing writes them per
+//!   command: the simulator tallies in plain integers and flushes.
 //! - **Histograms** ([`Histogram`]): log₂-binned distributions with
-//!   count/sum/min/max and quantile estimates accurate to one bin,
-//!   sharded per writer thread like counters.
+//!   count/sum/min/max and quantile estimates accurate to one bin.
 //! - **Spans** ([`SpanGuard`], [`span!`]): hierarchical timed regions
 //!   carrying both wall-clock and simulated-time durations, kept in a
 //!   bounded ring buffer.
-//! - **Events**: rare, high-value moments (a bit flip with its
-//!   bank/row/bit coordinates, a TRR detection) timestamped in
-//!   simulated time.
 //! - **Flight recorder** ([`FlightRecorder`], [`trace`]): an opt-in,
-//!   row-filterable ring of causal trace events with verdict
-//!   provenance, exported as `utrr-trace/1` JSONL or Chrome
-//!   `trace_event` JSON.
+//!   row-filterable ring of causal trace events (bit flips, TRR
+//!   detections, commands) with verdict provenance, exported as
+//!   `utrr-trace/1` JSONL or Chrome `trace_event` JSON.
 //!
 //! [`jsonl::write_jsonl`] serialises all of the above as one JSON
 //! object per line — diffable across runs and parseable without serde
@@ -39,8 +33,8 @@ pub mod span;
 pub mod trace;
 
 pub use metrics::{
-    bin_index, bin_lower_bound, bin_upper_bound, Counter, EventFields, EventRecord, Gauge,
-    Histogram, HistogramSnapshot, MetricsRegistry, BIN_COUNT,
+    bin_index, bin_lower_bound, bin_upper_bound, Counter, Gauge, Histogram, HistogramSnapshot,
+    MetricsRegistry, BIN_COUNT,
 };
 pub use span::{SpanGuard, SpanRecord};
 pub use trace::{

@@ -1,25 +1,17 @@
-//! Named counters, gauges, log₂-binned histograms, and events.
+//! Named counters, gauges and log₂-binned histograms.
 //!
 //! Handles returned by the registry are cheap `Arc` clones, and a write
 //! through one touches only relaxed atomics, never the registry lock.
-//! (The simulator does not write per command: devices and engines tally
-//! into plain integers and flush them, see `dram_sim::metrics`.) Parallel sweeps share one registry across worker
-//! threads, so a single atomic per counter would bounce its cache line
-//! between cores on every command. Instead every [`Counter`] and
-//! [`Histogram`] is a fixed array of `SHARDS` cells, each alone on
-//! its own cache lines, and a writer updates the cell of its thread's
-//! shard (threads take shard indices round-robin on first write).
-//! Readers fold the cells: counter totals, histogram bins, sums and
-//! extremes are exact, so snapshots and artifacts do not depend on how
-//! the writes were spread. The flags every command reads (`detail`,
-//! `tracing`, the event gate's `full`) share one padded block that is
-//! written only when they change; the tally of dropped events is itself
-//! a sharded counter.
+//! Each [`Counter`] is one atomic and each [`Histogram`] one cell of
+//! atomics. Nothing writes them per command: devices and engines tally
+//! into plain integers and flush them (see `dram_sim::metrics`), so
+//! worker threads sharing one run registry write it too rarely to
+//! contend (docs/perf.md, "Registry traffic"). The two flags every
+//! command reads (`detail`, `tracing`) sit alone on their cache lines
+//! and are written only when they change.
 
-use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::ops::Deref;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::span::{SpanCollector, SpanGuard, SpanRecord};
@@ -30,45 +22,11 @@ use crate::trace::{FlightRecorder, TraceKind};
 /// range.
 pub const BIN_COUNT: usize = 65;
 
-/// Cap on buffered [`EventRecord`]s; later events are counted as
-/// dropped rather than stored.
-const EVENT_CAPACITY: usize = 65_536;
-
-/// Most fields one [`EventRecord`] carries; they are stored inline.
-pub(crate) const EVENT_FIELDS: usize = 3;
-
-/// Writer cells per counter and histogram. Threads beyond this many
-/// share cells (still exact, just contended again).
-const SHARDS: usize = 8;
-
 /// A value alone on its cache lines. 128 bytes rather than 64 because
 /// x86's adjacent-line prefetcher pulls 64-byte lines in pairs.
 #[derive(Debug, Default)]
 #[repr(align(128))]
 struct Padded<T>(T);
-
-static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    static SHARD: Cell<usize> = const { Cell::new(usize::MAX) };
-}
-
-/// This thread's cell index, assigned round-robin on first use, so
-/// the workers of one pool (spawned back to back) land on distinct
-/// cells.
-#[inline]
-fn shard() -> usize {
-    SHARD.with(|cell| {
-        let shard = cell.get();
-        if shard < SHARDS {
-            shard
-        } else {
-            let shard = NEXT_SHARD.fetch_add(1, Ordering::Relaxed) % SHARDS;
-            cell.set(shard);
-            shard
-        }
-    })
-}
 
 /// The bin a value falls into (log₂ binning).
 #[inline]
@@ -105,7 +63,7 @@ pub fn bin_upper_bound(bin: usize) -> u64 {
 /// A monotonically increasing named count.
 #[derive(Debug, Clone, Default)]
 pub struct Counter {
-    cells: Arc<[Padded<AtomicU64>; SHARDS]>,
+    cell: Arc<AtomicU64>,
 }
 
 impl Counter {
@@ -118,12 +76,12 @@ impl Counter {
     /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        self.cells[shard()].0.fetch_add(n, Ordering::Relaxed);
+        self.cell.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// The current count, summed over all cells.
+    /// The current count.
     pub fn get(&self) -> u64 {
-        self.cells.iter().fold(0, |total, cell| total.wrapping_add(cell.0.load(Ordering::Relaxed)))
+        self.cell.load(Ordering::Relaxed)
     }
 }
 
@@ -147,7 +105,7 @@ impl Gauge {
     }
 }
 
-/// One writer cell of a [`Histogram`]. The total count is derivable
+/// The atomics behind a [`Histogram`]. The total count is derivable
 /// from the bins (each record lands in exactly one), so it is not
 /// stored.
 #[derive(Debug)]
@@ -172,7 +130,7 @@ impl Default for HistogramCell {
 /// A named log₂-binned value distribution.
 #[derive(Debug, Clone, Default)]
 pub struct Histogram {
-    cells: Arc<[Padded<HistogramCell>; SHARDS]>,
+    cell: Arc<HistogramCell>,
 }
 
 impl Histogram {
@@ -182,20 +140,17 @@ impl Histogram {
         self.record_n(value, 1);
     }
 
-    /// Records `n` observations of the same value in O(1) — used by the
-    /// simulator's batched command paths so a 5 000-activation hammer
-    /// costs one update, not 5 000.
+    /// Records `n` observations of the same value in O(1) — used by
+    /// device flushes, which record each latency once with the number
+    /// of commands that took it.
     #[inline]
     pub fn record_n(&self, value: u64, n: u64) {
         if n == 0 {
             return;
         }
-        // The device hot paths record one histogram observation per
-        // command, so every atomic here is paid millions of times per
-        // run. Min/max stabilize after the first few observations — a
-        // relaxed load screens out the RMW in the overwhelmingly common
-        // no-change case. Net: two RMWs per record.
-        let cell = &self.cells[shard()].0;
+        // Min/max stabilize after the first few observations — a relaxed
+        // load screens out the RMW in the common no-change case.
+        let cell = &self.cell;
         cell.bins[bin_index(value)].fetch_add(n, Ordering::Relaxed);
         cell.sum.fetch_add(value.wrapping_mul(n), Ordering::Relaxed);
         if cell.min.load(Ordering::Relaxed) > value {
@@ -206,20 +161,17 @@ impl Histogram {
         }
     }
 
-    /// A point-in-time copy of the distribution, folded over all cells.
+    /// A point-in-time copy of the distribution.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        self.cells.iter().fold(HistogramSnapshot::default(), |total, cell| {
-            let cell = &cell.0;
-            let bins: [u64; BIN_COUNT] =
-                std::array::from_fn(|b| cell.bins[b].load(Ordering::Relaxed));
-            total.merge(&HistogramSnapshot {
-                count: bins.iter().sum(),
-                bins,
-                sum: cell.sum.load(Ordering::Relaxed),
-                min: cell.min.load(Ordering::Relaxed),
-                max: cell.max.load(Ordering::Relaxed),
-            })
-        })
+        let cell = &self.cell;
+        let bins: [u64; BIN_COUNT] = std::array::from_fn(|b| cell.bins[b].load(Ordering::Relaxed));
+        HistogramSnapshot {
+            count: bins.iter().sum(),
+            bins,
+            sum: cell.sum.load(Ordering::Relaxed),
+            min: cell.min.load(Ordering::Relaxed),
+            max: cell.max.load(Ordering::Relaxed),
+        }
     }
 }
 
@@ -298,61 +250,14 @@ impl HistogramSnapshot {
     }
 }
 
-/// A rare, high-value moment: a bit flip, a TRR detection. Timestamped
-/// in simulated nanoseconds with integer coordinate fields. Stored
-/// inline — no heap allocation per event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EventRecord {
-    /// Simulated time of the event, in nanoseconds.
-    pub t_sim: u64,
-    /// Event kind, dotted-path style (`"dram.bit_flip"`).
-    pub kind: &'static str,
-    /// Coordinates and attributes (`("bank", 1), ("row", 4242)`, …).
-    pub fields: EventFields,
-}
-
-/// Up to [`EVENT_FIELDS`] `(name, value)` pairs stored inline; derefs
-/// to the slice of the pairs actually set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EventFields {
-    len: u8,
-    slots: [(&'static str, u64); EVENT_FIELDS],
-}
-
-impl EventFields {
-    /// # Panics
-    ///
-    /// Panics if given more than [`EVENT_FIELDS`] fields.
-    fn new(fields: &[(&'static str, u64)]) -> Self {
-        assert!(fields.len() <= EVENT_FIELDS, "an event carries at most {EVENT_FIELDS} fields");
-        let mut slots = [("", 0); EVENT_FIELDS];
-        slots[..fields.len()].copy_from_slice(fields);
-        EventFields { len: fields.len() as u8, slots }
-    }
-}
-
-impl Deref for EventFields {
-    type Target = [(&'static str, u64)];
-
-    fn deref(&self) -> &Self::Target {
-        &self.slots[..usize::from(self.len)]
-    }
-}
-
 /// The flags every command reads, alone on their cache lines and
 /// written only when they change.
 #[derive(Debug, Default)]
 struct HotFlags {
-    /// Detail instrumentation (histograms, events) is on.
+    /// Detail instrumentation (latency histograms) is on.
     detail: AtomicBool,
     /// A flight recorder is installed.
     tracing: AtomicBool,
-    /// Relaxed mirror of the event buffer's fill level, maintained
-    /// under the buffer lock. Lets `event()` skip the mutex entirely
-    /// once the buffer is full — a long run emits far more events than
-    /// the capacity holds, and the overflow path must not serialize
-    /// worker threads.
-    events_full: AtomicBool,
 }
 
 /// The central sink all layers report into.
@@ -367,9 +272,6 @@ pub struct MetricsRegistry {
     counters: Mutex<BTreeMap<String, Counter>>,
     gauges: Mutex<BTreeMap<String, Gauge>>,
     histograms: Mutex<BTreeMap<String, Histogram>>,
-    events: Mutex<Vec<EventRecord>>,
-    /// Events not stored because the buffer was full.
-    events_dropped: Counter,
     spans: SpanCollector,
     recorder: OnceLock<Arc<FlightRecorder>>,
 }
@@ -398,11 +300,9 @@ impl MetricsRegistry {
         Arc::new(registry)
     }
 
-    /// Whether detail instrumentation (histograms, events) should be
-    /// recorded. Counters and spans are always live. Writers consult
-    /// this flag before histogram or event work: the simulator once per
-    /// device flush for its latency histograms, and per event for the
-    /// rare events it emits.
+    /// Whether detail instrumentation (latency histograms) should be
+    /// recorded. Counters and spans are always live. The simulator reads
+    /// this flag once per device flush.
     #[inline]
     pub fn detail_enabled(&self) -> bool {
         self.flags.0.detail.load(Ordering::Relaxed)
@@ -428,35 +328,6 @@ impl MetricsRegistry {
     /// The histogram registered under `name` (see [`Self::counter`]).
     pub fn histogram(&self, name: &str) -> Histogram {
         resolve(&self.histograms, name)
-    }
-
-    /// Records an event if detail is enabled and the buffer has room;
-    /// overflow is tallied, not stored.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a stored event has more than [`EVENT_FIELDS`] fields.
-    pub fn event(&self, kind: &'static str, t_sim: u64, fields: &[(&'static str, u64)]) {
-        if !self.detail_enabled() {
-            return;
-        }
-        // Once the buffer has filled, every further event is a drop —
-        // tally it on the sharded counter instead of serializing the
-        // worker threads on the buffer mutex.
-        if self.flags.0.events_full.load(Ordering::Relaxed) {
-            self.events_dropped.inc();
-            return;
-        }
-        let mut events = self.events.lock().unwrap();
-        if events.len() >= EVENT_CAPACITY {
-            self.flags.0.events_full.store(true, Ordering::Relaxed);
-            self.events_dropped.inc();
-            return;
-        }
-        events.push(EventRecord { t_sim, kind, fields: EventFields::new(fields) });
-        if events.len() >= EVENT_CAPACITY {
-            self.flags.0.events_full.store(true, Ordering::Relaxed);
-        }
     }
 
     /// Installs a flight recorder and arms the tracing fast-gate.
@@ -548,11 +419,6 @@ impl MetricsRegistry {
         self.histograms.lock().unwrap().iter().map(|(k, v)| (k.clone(), v.snapshot())).collect()
     }
 
-    /// Buffered events in arrival order, plus how many overflowed.
-    pub fn events_snapshot(&self) -> (Vec<EventRecord>, u64) {
-        (self.events.lock().unwrap().clone(), self.events_dropped.get())
-    }
-
     /// Closed spans in completion order, plus how many the ring
     /// evicted.
     pub fn spans_snapshot(&self) -> (Vec<SpanRecord>, u64) {
@@ -583,28 +449,6 @@ mod tests {
         assert_eq!(g.get(), 7);
         g.set(3);
         assert_eq!(registry.gauge("depth").get(), 3);
-    }
-
-    #[test]
-    fn events_respect_detail_flag() {
-        let registry = MetricsRegistry::new();
-        registry.event("dram.bit_flip", 10, &[("bank", 1)]);
-        assert_eq!(registry.events_snapshot().0.len(), 0);
-        registry.set_detail(true);
-        registry.event("dram.bit_flip", 10, &[("bank", 1), ("row", 42)]);
-        let (events, dropped) = registry.events_snapshot();
-        assert_eq!(dropped, 0);
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].kind, "dram.bit_flip");
-        assert_eq!(events[0].fields[1], ("row", 42));
-    }
-
-    #[test]
-    #[should_panic(expected = "at most 3 fields")]
-    fn events_reject_more_inline_fields_than_they_hold() {
-        let registry = MetricsRegistry::new();
-        registry.set_detail(true);
-        registry.event("dram.bit_flip", 0, &[("a", 1), ("b", 2), ("c", 3), ("d", 4)]);
     }
 
     #[test]
@@ -677,41 +521,9 @@ mod tests {
         assert_eq!(recorder.len(), 2);
     }
 
-    /// The byte range `[start, end)` a value occupies.
-    fn bytes<T>(value: &T) -> (usize, usize) {
-        let start = value as *const T as usize;
-        (start, start + std::mem::size_of::<T>())
-    }
-
-    #[test]
-    fn shard_cells_and_hot_flags_sit_on_separate_cache_lines() {
-        let counter = Counter::default();
-        let histogram = Histogram::default();
-        let counter_cells: Vec<_> = counter.cells.iter().map(|c| bytes(&c.0)).collect();
-        let histogram_cells: Vec<_> = histogram.cells.iter().map(|c| bytes(&c.0)).collect();
-        for cells in [counter_cells, histogram_cells] {
-            for pair in cells.windows(2) {
-                let ((_, end), (next, _)) = (pair[0], pair[1]);
-                assert!(next >= end + 64, "cells closer than 64 bytes: {pair:?}");
-            }
-        }
-        let registry = MetricsRegistry::new();
-        let (start, end) = bytes(&registry.flags.0);
-        let flag_lines = start / 64..=(end - 1) / 64;
-        for cell in registry.events_dropped.cells.iter() {
-            let (start, end) = bytes(&cell.0);
-            assert!(
-                !flag_lines.contains(&(start / 64)) && !flag_lines.contains(&((end - 1) / 64)),
-                "the hot flags share a line with the `dropped` tally"
-            );
-        }
-    }
-
     #[test]
     fn counters_are_safe_under_parallel_writers() {
-        // More writers than cells, so some cells also take concurrent
-        // writers.
-        const THREADS: u64 = SHARDS as u64 + 2;
+        const THREADS: u64 = 10;
         let values = |t: u64| (0..5_000u64).map(move |i| (i * 7_919 + t * 104_729) % 200_003);
         let registry = MetricsRegistry::new();
         let barrier = std::sync::Barrier::new(THREADS as usize);
@@ -737,7 +549,6 @@ mod tests {
         }
         let counter = registry.counter("shared");
         assert_eq!(counter.get(), total);
-        assert!(counter.cells.iter().filter(|c| c.0.load(Ordering::Relaxed) > 0).count() > 1);
         let (shared, single) = (registry.histogram("h").snapshot(), reference.snapshot());
         assert_eq!(shared.bins, single.bins);
         assert_eq!(

@@ -19,7 +19,6 @@ pub fn render_summary(registry: &MetricsRegistry) -> String {
         .filter(|(_, snapshot)| snapshot.count > 0)
         .collect();
     let (spans, evicted) = registry.spans_snapshot();
-    let (events, dropped) = registry.events_snapshot();
 
     if counters.is_empty() && gauges.is_empty() && histograms.is_empty() && spans.is_empty() {
         return "metrics: (none recorded)\n".to_string();
@@ -167,19 +166,6 @@ pub fn render_summary(registry: &MetricsRegistry) -> String {
         }
     }
 
-    if !events.is_empty() || dropped > 0 {
-        let mut by_kind: BTreeMap<&str, u64> = BTreeMap::new();
-        for event in &events {
-            *by_kind.entry(event.kind).or_default() += 1;
-        }
-        let _ = writeln!(out, "events");
-        for (kind, count) in &by_kind {
-            let _ = writeln!(out, "  {kind:<name_width$} {count:>14}");
-        }
-        if dropped > 0 {
-            let _ = writeln!(out, "  (buffer dropped {dropped} events)");
-        }
-    }
     out
 }
 
@@ -264,19 +250,8 @@ mod tests {
         registry.gauge("live").set(2);
         registry.histogram("lat").record(100);
         registry.span("pass", 0).finish(1_000_000);
-        registry.event("dram.bit_flip", 5, &[("row", 1)]);
         let summary = render_summary(&registry);
-        for needle in [
-            "counters",
-            "dram.cmd.act",
-            "gauges",
-            "histograms",
-            "lat",
-            "spans",
-            "pass",
-            "events",
-            "dram.bit_flip",
-        ] {
+        for needle in ["counters", "dram.cmd.act", "gauges", "histograms", "lat", "spans", "pass"] {
             assert!(summary.contains(needle), "missing {needle} in:\n{summary}");
         }
     }

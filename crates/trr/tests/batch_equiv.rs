@@ -2,11 +2,13 @@
 //! observationally identical to issuing the same ops one call at a time
 //! (`hammer`, `hammer_pair`, and a one-op batch for other-bank ops) —
 //! same row data, `ModuleStats`, registry counters and histograms,
-//! clock, activation count, event log and the detections of the next 64
-//! `REF`s — for every shipped engine. The op lists include zero doses,
-//! pairs whose two rows coincide, other-bank ops and out-of-range
-//! addresses: on an error the batch must have run (and counted) exactly
-//! the ops before it, like the one-call loop that stops there.
+//! clock, activation count and flight-recorder trace (every op's `act`
+//! event, bit flip and TRR detection, in order, through the detections
+//! of the next 64 `REF`s) — for every shipped engine. The op lists
+//! include zero doses, pairs whose two rows coincide, other-bank ops and
+//! out-of-range addresses: on an error the batch must have run (and
+//! counted) exactly the ops before it, like the one-call loop that stops
+//! there.
 
 use std::sync::Arc;
 
@@ -15,7 +17,7 @@ use dram_sim::{
     Bank, DataPattern, DramError, HammerOp, MitigationEngine, Module, ModuleConfig, ModuleStats,
     Nanos, NoMitigation, RowAddr,
 };
-use obs::{EventRecord, FlightRecorder, HistogramSnapshot, MetricsRegistry, TraceEvent};
+use obs::{FlightRecorder, HistogramSnapshot, MetricsRegistry, TraceEvent, TraceKind};
 use proptest::prelude::*;
 use trr::{Graphene, GrapheneConfig, Para};
 
@@ -108,8 +110,7 @@ struct Outcome {
     counters: Vec<(String, u64)>,
     histograms: Vec<(String, HistogramSnapshot)>,
     now: Nanos,
-    events: (Vec<EventRecord>, u64),
-    trace: Vec<TraceEvent>,
+    trace: (Vec<TraceEvent>, u64),
     readouts: Vec<Vec<u32>>,
 }
 
@@ -140,16 +141,16 @@ fn one_call_per_op(m: &mut Module, bank: Bank, ops: &[HammerOp]) -> Result<(), D
     Ok(())
 }
 
-/// Runs `steps` on a fresh module; `batched` selects whether each batch
-/// goes through one `hammer_batch` or one call per op.
-fn run(engine_name: &str, seed: u64, steps: &[Step], batched: bool, traced: bool) -> Outcome {
+/// Runs `steps` on a fresh module with a flight recorder attached;
+/// `batched` selects whether each batch goes through one `hammer_batch`
+/// or one call per op.
+fn run(engine_name: &str, seed: u64, steps: &[Step], batched: bool) -> Outcome {
     let config = ModuleConfig::small_test();
     let banks = config.geometry.banks;
     let registry = MetricsRegistry::shared();
     registry.set_detail(true);
-    if traced {
-        registry.install_recorder(Arc::new(FlightRecorder::unfiltered()));
-    }
+    let recorder = Arc::new(FlightRecorder::unfiltered());
+    registry.install_recorder(Arc::clone(&recorder));
     let mut m = Module::with_engine(config, engine(engine_name, banks, seed), seed);
     m.attach_registry(Arc::clone(&registry));
     let mut results = Vec::new();
@@ -169,7 +170,7 @@ fn run(engine_name: &str, seed: u64, steps: &[Step], batched: bool, traced: bool
     m.flush_metrics();
     let (counters, histograms) = (registry.counters_snapshot(), registry.histograms_snapshot());
     let now = m.now();
-    // The next 64 REFs: their detections land in the event log.
+    // The next 64 REFs: their detections land in the trace.
     for _ in 0..64 {
         m.refresh();
     }
@@ -180,7 +181,6 @@ fn run(engine_name: &str, seed: u64, steps: &[Step], batched: bool, traced: bool
                 .push(m.read_row(Bank::new(b), RowAddr::new(r)).unwrap().flipped_bits().to_vec());
         }
     }
-    let trace = registry.recorder().map(|rec| rec.snapshot().0).unwrap_or_default();
     Outcome {
         results,
         stats,
@@ -188,8 +188,7 @@ fn run(engine_name: &str, seed: u64, steps: &[Step], batched: bool, traced: bool
         counters,
         histograms,
         now,
-        events: registry.events_snapshot(),
-        trace,
+        trace: recorder.snapshot(),
         readouts,
     }
 }
@@ -216,8 +215,8 @@ proptest! {
         steps in prop::collection::vec(step(), 1..20),
     ) {
         let name = ENGINES[engine_idx];
-        let batched = run(name, seed, &steps, true, false);
-        let single = run(name, seed, &steps, false, false);
+        let batched = run(name, seed, &steps, true);
+        let single = run(name, seed, &steps, false);
         prop_assert_eq!(batched, single, "engine {} seed {}", name, seed);
     }
 }
@@ -254,29 +253,18 @@ fn fixed_trace() -> Vec<Step> {
     steps
 }
 
-/// Every engine on the fixed trace.
+/// Every engine on the fixed trace. Every op keeps its own `act`
+/// event, in order, so the batched trace equals the one-call trace.
 #[test]
 fn every_engine_matches_on_a_fixed_trace() {
     let steps = fixed_trace();
     for name in ENGINES {
-        let batched = run(name, 3, &steps, true, false);
+        let batched = run(name, 3, &steps, true);
         assert_eq!(batched.results.iter().filter(|r| r.is_err()).count(), 5, "{name}");
         assert!(batched.stats.activations > 50_000, "{name}: the trace hammers");
         batched.assert_counted(name);
-        assert_eq!(batched, run(name, 3, &steps, false, false), "{name}");
-    }
-}
-
-/// With a flight recorder attached every op keeps its own `Act` event,
-/// in order, so the batched trace equals the one-call trace.
-#[test]
-fn traced_batch_keeps_per_op_events() {
-    let steps = fixed_trace();
-    for name in ["A_TRR1", "B_TRR1", "Graphene"] {
-        let batched = run(name, 3, &steps, true, true);
-        let acts = batched.trace.iter().filter(|e| e.kind == obs::TraceKind::Act).count();
-        assert!(acts > 1_000, "{name}: one Act event per op, got {acts}");
-        batched.assert_counted(name);
-        assert_eq!(batched, run(name, 3, &steps, false, true), "{name}");
+        let acts = batched.trace.0.iter().filter(|e| e.kind == TraceKind::Act).count();
+        assert!(acts > 1_000, "{name}: one act event per op, got {acts}");
+        assert_eq!(batched, run(name, 3, &steps, false), "{name}");
     }
 }

@@ -3,9 +3,10 @@
 //! skip the `REF`s that provably detect nothing) must be observationally
 //! identical to `n` × (`refresh()` + `advance(tREFI − tRFC)`) — same row
 //! data, `ModuleStats`, registry counters and histograms, clock, `REF`
-//! count, event log (bit flips and TRR detections, in order) and the
-//! detections of the next 64 `REF`s — for every shipped engine, across
-//! randomized write / hammer / pair / advance / burst traces.
+//! count and flight-recorder trace (every `REF`, bit flip and TRR
+//! detection, in order, through the detections of the next 64 `REF`s)
+//! — for every shipped engine, across randomized write / hammer / pair
+//! / advance / burst traces.
 
 use std::sync::Arc;
 
@@ -14,7 +15,7 @@ use dram_sim::{
     Bank, DataPattern, MitigationEngine, Module, ModuleConfig, ModuleStats, Nanos, NoMitigation,
     RowAddr,
 };
-use obs::{EventRecord, FlightRecorder, HistogramSnapshot, MetricsRegistry, TraceEvent};
+use obs::{FlightRecorder, HistogramSnapshot, MetricsRegistry, TraceEvent, TraceKind};
 use proptest::prelude::*;
 use trr::{Graphene, GrapheneConfig, Para};
 
@@ -76,8 +77,7 @@ struct Outcome {
     histograms: Vec<(String, HistogramSnapshot)>,
     now: Nanos,
     ref_count: u64,
-    events: (Vec<EventRecord>, u64),
-    trace: Vec<TraceEvent>,
+    trace: (Vec<TraceEvent>, u64),
     readouts: Vec<Vec<u32>>,
 }
 
@@ -96,24 +96,17 @@ impl Outcome {
     }
 }
 
-/// Runs `ops` on a fresh module; `segmented` selects whether bursts go
-/// through `refresh_burst_at_refi` or the per-`REF` twin.
-fn run(
-    engine_name: &str,
-    period: u32,
-    seed: u64,
-    ops: &[Op],
-    segmented: bool,
-    traced: bool,
-) -> Outcome {
+/// Runs `ops` on a fresh module with a flight recorder attached;
+/// `segmented` selects whether bursts go through `refresh_burst_at_refi`
+/// or the per-`REF` twin.
+fn run(engine_name: &str, period: u32, seed: u64, ops: &[Op], segmented: bool) -> Outcome {
     let mut config = ModuleConfig::small_test();
     config.refresh.period_refs = period;
     let banks = config.geometry.banks;
     let registry = MetricsRegistry::shared();
     registry.set_detail(true);
-    if traced {
-        registry.install_recorder(Arc::new(FlightRecorder::unfiltered()));
-    }
+    let recorder = Arc::new(FlightRecorder::unfiltered());
+    registry.install_recorder(Arc::clone(&recorder));
     let mut m = Module::with_engine(config, engine(engine_name, banks, seed), seed);
     m.attach_registry(Arc::clone(&registry));
     let idle = m.timings().t_refi - m.timings().t_rfc;
@@ -141,7 +134,7 @@ fn run(
     m.flush_metrics();
     let (counters, histograms) = (registry.counters_snapshot(), registry.histograms_snapshot());
     let (now, ref_count) = (m.now(), m.ref_count());
-    // The next 64 REFs: their detections land in the event log.
+    // The next 64 REFs: their detections land in the trace.
     for _ in 0..64 {
         m.refresh();
     }
@@ -154,17 +147,7 @@ fn run(
                 .push(m.read_row(Bank::new(b), RowAddr::new(r)).unwrap().flipped_bits().to_vec());
         }
     }
-    let trace = registry.recorder().map(|rec| rec.snapshot().0).unwrap_or_default();
-    Outcome {
-        stats,
-        counters,
-        histograms,
-        now,
-        ref_count,
-        events: registry.events_snapshot(),
-        trace,
-        readouts,
-    }
+    Outcome { stats, counters, histograms, now, ref_count, trace: recorder.snapshot(), readouts }
 }
 
 /// `PROPTEST_CASES` when set (CI runs the suite in release with 512),
@@ -190,14 +173,14 @@ proptest! {
         ops in prop::collection::vec(op_strategy(), 1..24),
     ) {
         let (name, period) = (ENGINES[engine_idx], PERIODS[period_idx]);
-        let segmented = run(name, period, seed, &ops, true, false);
-        let per_ref = run(name, period, seed, &ops, false, false);
+        let segmented = run(name, period, seed, &ops, true);
+        let per_ref = run(name, period, seed, &ops, false);
         prop_assert_eq!(segmented, per_ref, "engine {} period {} seed {}", name, period, seed);
     }
 }
 
 /// A fixed trace long enough for every engine to detect, decay and
-/// skip; shared by the exhaustive per-engine check and the traced run.
+/// skip.
 fn fixed_trace() -> Vec<Op> {
     let mut ops = Vec::new();
     for round in 0..6u32 {
@@ -215,30 +198,20 @@ fn fixed_trace() -> Vec<Op> {
     ops
 }
 
-/// Every engine at every period, on the fixed trace.
+/// Every engine at every period, on the fixed trace. The skipped
+/// `REF`s keep their trace events: one `ref` event per `REF`.
 #[test]
 fn every_engine_matches_on_a_fixed_trace() {
     let ops = fixed_trace();
     for name in ENGINES {
         for period in PERIODS {
-            let segmented = run(name, period, 3, &ops, true, false);
+            let segmented = run(name, period, 3, &ops, true);
             assert!(segmented.stats.refreshes > 10_000, "{name}: the trace bursts");
             segmented.assert_counted(name);
-            assert_eq!(segmented, run(name, period, 3, &ops, false, false), "{name} at {period}");
+            let (events, dropped) = &segmented.trace;
+            let refs = events.iter().filter(|e| e.kind == TraceKind::Ref).count() as u64;
+            assert_eq!((refs, *dropped), (segmented.ref_count + 64, 0), "{name} at {period}");
+            assert_eq!(segmented, run(name, period, 3, &ops, false), "{name} at {period}");
         }
-    }
-}
-
-/// With a flight recorder attached the burst runs every `REF` in full,
-/// so the trace keeps its per-`REF` events and matches the loop's.
-#[test]
-fn traced_burst_keeps_per_ref_events() {
-    let ops = fixed_trace();
-    for name in ["A_TRR1", "C_TRR2"] {
-        let segmented = run(name, 1_024, 3, &ops, true, true);
-        let refs = segmented.trace.iter().filter(|e| e.kind == obs::TraceKind::Ref).count();
-        assert!(refs as u64 >= segmented.ref_count, "{name}: one Ref event per REF, got {refs}");
-        segmented.assert_counted(name);
-        assert_eq!(segmented, run(name, 1_024, 3, &ops, false, true), "{name}");
     }
 }
