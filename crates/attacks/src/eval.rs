@@ -178,12 +178,11 @@ pub(crate) fn evaluate_position(
     if target.aggressors.is_empty() {
         return PositionResult { victim: victim_phys, flips: 0, dataword_hist: Vec::new() };
     }
-    // Initialize the victim with the evaluation pattern and the
-    // pattern's declared aggressor rows with the coupling-maximizing
-    // row stripe.
+    // Initialize the victim with the evaluation pattern and its
+    // adjacent aggressors with the coupling-maximizing row stripe.
     mc.write_row(config.bank, target.victim, config.victim_pattern.clone())
         .expect("victim address is in range");
-    for aggressor in pattern.init_rows(&target) {
+    for &aggressor in &target.aggressors {
         mc.write_row(config.bank, aggressor, DataPattern::RowStripe)
             .expect("aggressor address is in range");
     }

@@ -7,9 +7,6 @@
 //! * [`custom`] — the §7.1 patterns crafted from the U-TRR findings:
 //!   counter-table eviction (vendor A), sampler stealing (vendor B), and
 //!   window exhaustion (vendor C);
-//! * [`half_double`] — the distance-2 technique from the paper's related
-//!   work, which turns a ±1-refreshing TRR into the attacker's
-//!   accomplice and which vendor A's ±2 span (Observation A2) blocks;
 //! * [`eval`] — runs a pattern over sampled victim positions of a bank
 //!   for a number of refresh windows and reports the §7.2–§7.4 metrics
 //!   (bit flips per row, % vulnerable rows, flips per 8-byte dataword).
@@ -39,7 +36,6 @@ pub mod baseline;
 pub mod custom;
 pub mod eval;
 pub mod fuzz;
-pub mod half_double;
 pub mod pattern;
 pub mod schedulers;
 

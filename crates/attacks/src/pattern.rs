@@ -105,8 +105,8 @@ impl PatternTarget {
 /// One RowHammer access pattern: which rows it hammers, how many times,
 /// and when relative to the TRR-capable `REF`.
 ///
-/// Every attack — the baselines, the §7.1 customs, Half-Double and the
-/// fuzzer's candidates — implements this trait directly; the shared
+/// Every attack — the baselines, the §7.1 customs and the fuzzer's
+/// candidates — implements this trait directly; the shared
 /// timing shapes live in [`crate::schedulers`].
 ///
 /// Implementations must stay within one bank's activation budget per
@@ -120,17 +120,6 @@ pub trait AccessPattern {
     /// Average hammers issued to a single aggressor row between two
     /// `REF`s — the x-axis of the paper's Fig. 8.
     fn hammers_per_aggressor_per_ref(&self) -> f64;
-
-    /// Rows the evaluation harness should initialize with the
-    /// coupling-maximizing pattern before the run — by default the
-    /// victim-adjacent aggressors. Patterns whose true aggressors sit
-    /// elsewhere (Half-Double's distance-2 rows) override this: even a
-    /// single stray activation of a non-aggressor row plants it in
-    /// persistent trackers (Observation A7), whose pointer walk would
-    /// then refresh the victim as that row's neighbour.
-    fn init_rows(&self, target: &PatternTarget) -> Vec<RowAddr> {
-        target.aggressors.clone()
-    }
 
     /// The rows this pattern drives for `target` and their
     /// per-interval doses — resolved once per victim position.
@@ -154,7 +143,7 @@ mod tests {
     fn zero_dose_ops_are_device_noops() {
         let mut mc = MemoryController::new(Module::new(ModuleConfig::small_test(), 3));
         let (now, refs) = (mc.now(), mc.module().ref_count());
-        let acts_before = mc.module().stats().activations;
+        let acts_before = mc.module().activations();
         let ops = [
             HammerOp::Burst { row: RowAddr::new(10), acts: 0 },
             HammerOp::Pair { first: RowAddr::new(10), second: RowAddr::new(12), pairs: 0 },
@@ -162,7 +151,7 @@ mod tests {
         ];
         mc.module_mut().hammer_batch(Bank::new(0), &ops).unwrap();
         assert_eq!((mc.now(), mc.module().ref_count()), (now, refs));
-        assert_eq!(mc.module().stats().activations, acts_before);
+        assert_eq!(mc.module().activations(), acts_before);
     }
 
     #[test]

@@ -17,8 +17,7 @@ use crate::pattern::{AggressorLayout, RowDose, INTERVAL_BUDGET};
 /// paired into alternating [`HammerOp::Pair`]s (the dose of the pair's
 /// first row sets the pair count); a trailing unpaired aggressor gets a
 /// back-to-back [`HammerOp::Burst`]. With the usual one- or two-aggressor
-/// targets this reproduces `hammer` / `hammer_pair` exactly; Half-Double
-/// hands it two pairs (far then near).
+/// targets this reproduces `hammer` / `hammer_pair` exactly.
 fn interleave_aggressors(aggressors: &[RowDose], slots: &mut Vec<HammerOp>) {
     for chunk in aggressors.chunks(2) {
         match *chunk {
@@ -54,7 +53,7 @@ pub(crate) fn cascade(layout: &AggressorLayout, slots: &mut Vec<HammerOp>) {
 
 /// Pair-interleaved hammering, every interval alike: the aggressors go
 /// through `interleave_aggressors`; dummies and other-bank rows follow
-/// as bursts. The double-sided and Half-Double shape.
+/// as bursts. The double-sided shape.
 pub(crate) fn interleave(layout: &AggressorLayout, slots: &mut Vec<HammerOp>) {
     interleave_aggressors(&layout.aggressors, slots);
     push_dummies(layout, slots);

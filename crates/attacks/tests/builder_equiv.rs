@@ -20,7 +20,6 @@ use attacks::baseline::{DoubleSided, ManySided, SingleSided};
 use attacks::custom::{VendorAPattern, VendorBPattern, VendorCPattern};
 use attacks::eval::{sweep_bank_module, EvalConfig};
 use attacks::fuzz::{FuzzParams, FuzzPattern};
-use attacks::half_double::HalfDouble;
 use attacks::AccessPattern;
 use dram_sim::rng::SplitMix64;
 use dram_sim::{Bank, Module, ModuleConfig};
@@ -179,13 +178,6 @@ fn vendor_c_matches_golden() {
         }
     }
     assert_grid(grid);
-}
-
-#[test]
-fn half_double_matches_golden() {
-    assert_grid(span(1, 75).into_iter().flat_map(|far_pairs| {
-        span(0, 10).into_iter().map(move |near_pairs| HalfDouble { far_pairs, near_pairs })
-    }));
 }
 
 #[test]

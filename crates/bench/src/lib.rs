@@ -413,8 +413,8 @@ pub fn metrics_out_path(args: &[String]) -> Option<std::path::PathBuf> {
         .map(std::path::PathBuf::from)
 }
 
-/// A shared run registry (detail instrumentation enabled): attach it to
-/// every module a binary builds so the whole run lands in one artifact.
+/// A shared run registry: attach it to every module a binary builds so
+/// the whole run lands in one artifact.
 pub fn run_registry() -> std::sync::Arc<obs::MetricsRegistry> {
     obs::MetricsRegistry::shared()
 }
@@ -819,8 +819,10 @@ mod tests {
         let spec = by_id("A5").unwrap();
         let config =
             EvalConfig { registry: Some(std::sync::Arc::clone(&registry)), ..EvalConfig::quick(4) };
-        let sweep = attack_columns(&spec, &config);
-        assert!(sweep.vulnerable_pct() > 0.0);
+        // Through the metered pool, as the binaries run it: the pool's
+        // `par.*` histograms are the artifact's histogram lines.
+        let sweeps = attack_columns_par(&[spec], &config, &par_config(1, &registry));
+        assert!(sweeps[0].vulnerable_pct() > 0.0);
 
         let path = std::env::temp_dir().join(format!("utrr-artifact-{}.jsonl", std::process::id()));
         emit_metrics(&registry, Some(&path)).expect("artifact writes");

@@ -130,6 +130,7 @@ fn record(
 mod tests {
     use super::*;
     use crate::recovery::tests::{controller_at, Scripted};
+    use dram_sim::metrics::{CTR_ROW_READS, CTR_ROW_WRITES};
     use dram_sim::Nanos;
 
     const BANK: Bank = Bank::new(0);
@@ -147,17 +148,18 @@ mod tests {
         {
             let mut mc = controller_at(severity, 7);
             let row = RowAddr::new(5);
-            let stats = |mc: &MemoryController| {
-                let s = mc.module().stats();
-                (s.row_writes, s.row_reads)
+            let stats = |mc: &mut MemoryController| {
+                mc.module_mut().flush_metrics();
+                let registry = mc.registry();
+                (registry.counter(CTR_ROW_WRITES).get(), registry.counter(CTR_ROW_READS).get())
             };
-            let before = stats(&mc);
+            let before = stats(&mut mc);
             assert!(write_row_checked(&mut mc, BANK, row, &DataPattern::Ones).unwrap());
-            let after = stats(&mc);
+            let after = stats(&mut mc);
             assert_eq!((after.0 - before.0, after.1 - before.1), write_cmds, "{severity}");
             let readout = read_row_voted(&mut mc, BANK, row).unwrap();
             assert!(readout.is_clean());
-            assert_eq!(stats(&mc).1 - after.1, read_cmds, "{severity}");
+            assert_eq!(stats(&mut mc).1 - after.1, read_cmds, "{severity}");
             assert_eq!(mc.registry().counter(CTR_VOTED_READS).get(), voted, "{severity}");
         }
     }

@@ -63,17 +63,13 @@ pub mod mitigation;
 pub mod module;
 pub mod physics;
 pub mod rng;
-pub mod stats;
 pub mod time;
 
 pub use addr::{Bank, ModuleGeometry, PhysRow, RowAddr};
 pub use data::{majority_flips, DataPattern, RowReadout};
 pub use error::DramError;
 pub use mapping::{RowMapping, Topology};
-pub use mitigation::{
-    MitigationEngine, MitigationEngineExt, NeighborSpan, NoMitigation, TrrDetection,
-};
+pub use mitigation::{MitigationEngine, NeighborSpan, NoMitigation, TrrDetection};
 pub use module::{HammerOp, Module, ModuleConfig, RefreshConfig};
 pub use physics::PhysicsConfig;
-pub use stats::ModuleStats;
 pub use time::{Nanos, Timings};

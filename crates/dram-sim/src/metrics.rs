@@ -1,23 +1,18 @@
 //! The device's bridge into the workspace [`obs`] instrumentation layer.
 //!
 //! Every [`crate::Module`] owns a [`DeviceMetrics`]: pre-resolved counter
-//! and histogram handles into a [`MetricsRegistry`] plus a plain-`u64`
-//! tally of everything counted since the last flush. The per-command hot
-//! path only bumps the tally — no atomics, no name lookups, no locks —
-//! and [`crate::Module::flush_metrics`] pushes it into the registry with
-//! one counter add and one histogram record per value. Every latency a
-//! device records is a timing constant of its configuration, so a count
-//! per histogram and value is exact. Modules start with a private
-//! registry (keeping unit tests isolated); callers that want one
-//! artifact per run attach a shared registry via
-//! [`crate::Module::attach_registry`].
+//! handles into a [`MetricsRegistry`] plus a plain-`u64` tally of
+//! everything counted since the last flush. The per-command hot path
+//! only bumps the tally — no atomics, no name lookups, no locks — and
+//! [`crate::Module::flush_metrics`] pushes it into the registry with one
+//! add per counter. Those counters are the one place a device's counts
+//! are read. Modules start with a private registry (keeping unit tests
+//! isolated); callers that want one artifact per run attach a shared
+//! registry via [`crate::Module::attach_registry`].
 
 use std::sync::Arc;
 
-use obs::{Counter, Histogram, MetricsRegistry, TraceKind};
-
-use crate::stats::ModuleStats;
-use crate::time::{Nanos, Timings};
+use obs::{Counter, MetricsRegistry, TraceKind};
 
 /// Counter name for row activations (`ACT`), batched hammers included.
 pub const CTR_ACT: &str = "dram.cmd.act";
@@ -30,7 +25,7 @@ pub const CTR_ROW_READS: &str = "dram.row.reads";
 /// Counter name for full-row writes.
 pub const CTR_ROW_WRITES: &str = "dram.row.writes";
 /// Counter name for rows restored by the regular refresh machinery.
-pub(crate) const CTR_REGULAR_ROW_REFRESHES: &str = "dram.rows.regular_refresh";
+pub const CTR_REGULAR_ROW_REFRESHES: &str = "dram.rows.regular_refresh";
 /// Counter name for rows restored by TRR-induced refreshes.
 pub const CTR_TRR_ROW_REFRESHES: &str = "dram.rows.trr_refresh";
 /// Counter name for TRR detections.
@@ -38,24 +33,10 @@ pub const CTR_TRR_DETECTIONS: &str = "dram.trr.detections";
 /// Counter name for materialized bit flips.
 pub const CTR_BIT_FLIPS: &str = "dram.bit_flips";
 
-/// Histogram name for per-`ACT` latency, in nanoseconds.
-pub(crate) const HIST_ACT_NS: &str = "dram.latency.act_ns";
-/// Histogram name for per-`PRE` latency, in nanoseconds.
-pub(crate) const HIST_PRE_NS: &str = "dram.latency.pre_ns";
-/// Histogram name for per-`REF` latency, in nanoseconds.
-pub(crate) const HIST_REF_NS: &str = "dram.latency.ref_ns";
-/// Histogram name for full-row read latency, in nanoseconds.
-pub(crate) const HIST_READ_NS: &str = "dram.latency.read_ns";
-/// Histogram name for full-row write latency, in nanoseconds.
-pub(crate) const HIST_WRITE_NS: &str = "dram.latency.write_ns";
-
 /// A device's counts since its last flush, one per `dram.*` counter.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct DeviceCounts {
     pub act: u64,
-    /// The part of `act` issued as single `ACT` commands (latency
-    /// `tRAS`); the rest are hammer activations (latency `tRC`).
-    pub single_act: u64,
     pub pre: u64,
     pub refresh: u64,
     pub row_reads: u64,
@@ -85,11 +66,6 @@ pub(crate) struct DeviceMetrics {
     trr_row_refreshes: Counter,
     trr_detections: Counter,
     bit_flips: Counter,
-    act_ns: Histogram,
-    pre_ns: Histogram,
-    ref_ns: Histogram,
-    read_ns: Histogram,
-    write_ns: Histogram,
     /// Counts since the last [`DeviceMetrics::flush`].
     pub(crate) pending: DeviceCounts,
 }
@@ -107,17 +83,12 @@ impl DeviceMetrics {
             trr_row_refreshes: registry.counter(CTR_TRR_ROW_REFRESHES),
             trr_detections: registry.counter(CTR_TRR_DETECTIONS),
             bit_flips: registry.counter(CTR_BIT_FLIPS),
-            act_ns: registry.histogram(HIST_ACT_NS),
-            pre_ns: registry.histogram(HIST_PRE_NS),
-            ref_ns: registry.histogram(HIST_REF_NS),
-            read_ns: registry.histogram(HIST_READ_NS),
-            write_ns: registry.histogram(HIST_WRITE_NS),
             registry,
             pending: DeviceCounts::default(),
         }
     }
 
-    /// A private per-device registry (detail off): the default for
+    /// A private per-device registry: the default for
     /// modules constructed without an explicit registry.
     pub fn private() -> Self {
         DeviceMetrics::new(Arc::new(MetricsRegistry::new()))
@@ -126,13 +97,6 @@ impl DeviceMetrics {
     /// The backing registry.
     pub fn registry(&self) -> &Arc<MetricsRegistry> {
         &self.registry
-    }
-
-    /// Whether detail instrumentation (latency histograms) is being
-    /// recorded.
-    #[inline]
-    pub fn detail(&self) -> bool {
-        self.registry.detail_enabled()
     }
 
     /// Whether a flight recorder is attached (one relaxed load).
@@ -156,11 +120,9 @@ impl DeviceMetrics {
         self.registry.trace(kind, t_sim, bank, row, fields, detail)
     }
 
-    /// Pushes the pending counts into the registry — one add per
-    /// counter and, if detail is on, one record per latency histogram
-    /// and value — and zeroes them. `timings` are the device's; a row
-    /// read or write takes `row_io`.
-    pub(crate) fn flush(&mut self, timings: &Timings, row_io: Nanos) {
+    /// Pushes the pending counts into the registry, one add per counter,
+    /// and zeroes them.
+    pub(crate) fn flush(&mut self) {
         let n = std::mem::take(&mut self.pending);
         for (counter, count) in [
             (&self.act, n.act),
@@ -174,30 +136,6 @@ impl DeviceMetrics {
             (&self.bit_flips, n.bit_flips),
         ] {
             counter.add(count);
-        }
-        if self.detail() {
-            self.act_ns.record_n(timings.t_ras.as_ns(), n.single_act);
-            self.act_ns.record_n(timings.t_rc().as_ns(), n.act - n.single_act);
-            self.pre_ns.record_n(timings.t_rp.as_ns(), n.pre);
-            self.ref_ns.record_n(timings.t_rfc.as_ns(), n.refresh);
-            self.read_ns.record_n(row_io.as_ns(), n.row_reads);
-            self.write_ns.record_n(row_io.as_ns(), n.row_writes);
-        }
-    }
-
-    /// The classic [`ModuleStats`] view: the registry's counters plus
-    /// this device's pending counts.
-    pub(crate) fn stats_view(&self) -> ModuleStats {
-        let n = &self.pending;
-        ModuleStats {
-            activations: self.act.get() + n.act,
-            refreshes: self.refresh.get() + n.refresh,
-            regular_row_refreshes: self.regular_row_refreshes.get() + n.regular_row_refreshes,
-            trr_row_refreshes: self.trr_row_refreshes.get() + n.trr_row_refreshes,
-            trr_detections: self.trr_detections.get() + n.trr_detections,
-            row_reads: self.row_reads.get() + n.row_reads,
-            row_writes: self.row_writes.get() + n.row_writes,
-            bit_flips: self.bit_flips.get() + n.bit_flips,
         }
     }
 }
@@ -240,21 +178,18 @@ impl TallyCounter {
 mod tests {
     use super::*;
 
-    const ROW_IO: Nanos = Nanos::from_ns(500);
-
     #[test]
-    fn stats_view_adds_pending_counts_until_a_flush_moves_them() {
+    fn flush_moves_pending_counts_once() {
         let registry = Arc::new(MetricsRegistry::new());
         let mut metrics = DeviceMetrics::new(Arc::clone(&registry));
         metrics.pending.act = 11;
         metrics.pending.bit_flips = 3;
-        let stats = metrics.stats_view();
-        assert_eq!((stats.activations, stats.bit_flips, stats.refreshes), (11, 3, 0));
         assert_eq!(registry.counter(CTR_ACT).get(), 0);
-        metrics.flush(&Timings::ddr4(), ROW_IO);
-        metrics.flush(&Timings::ddr4(), ROW_IO);
-        assert_eq!(metrics.stats_view(), stats);
+        metrics.flush();
+        metrics.flush();
+        assert_eq!(metrics.pending, DeviceCounts::default());
         assert_eq!(registry.counter(CTR_ACT).get(), 11);
+        assert_eq!(registry.counter(CTR_BIT_FLIPS).get(), 3);
     }
 
     #[test]
@@ -264,10 +199,9 @@ mod tests {
         let mut b = DeviceMetrics::new(Arc::clone(&registry));
         a.pending.act = 2;
         b.pending.act = 3;
-        a.flush(&Timings::ddr4(), ROW_IO);
-        b.flush(&Timings::ddr4(), ROW_IO);
-        assert_eq!(a.stats_view().activations, 5);
-        assert_eq!(b.stats_view().activations, 5);
+        a.flush();
+        b.flush();
+        assert_eq!(registry.counter(CTR_ACT).get(), 5);
     }
 
     #[test]

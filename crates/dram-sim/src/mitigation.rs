@@ -105,8 +105,7 @@ pub trait MitigationEngine: fmt::Debug {
     /// The device hands every engine the same reusable buffer (cleared
     /// before the call), so the refresh hot loop performs no per-`REF`
     /// heap allocation. Engines must only *append*; anything already in
-    /// `out` belongs to the caller. Tests that want an owned `Vec` use
-    /// [`MitigationEngineExt::refresh_detections`].
+    /// `out` belongs to the caller.
     fn on_refresh(&mut self, now: Nanos, out: &mut Vec<TrrDetection>);
 
     /// Consumes up to `max` upcoming `REF`s that provably append no
@@ -166,40 +165,19 @@ pub trait MitigationEngine: fmt::Debug {
     fn name(&self) -> &str;
 }
 
-/// Owned-`Vec` adaptors over the buffer-filling [`MitigationEngine`]
-/// hooks, for tests, benches, and call sites outside the refresh hot
-/// loop. Blanket-implemented for every engine (including trait
-/// objects).
-pub trait MitigationEngineExt: MitigationEngine {
-    /// [`MitigationEngine::on_refresh`] into a freshly allocated `Vec`.
-    fn refresh_detections(&mut self, now: Nanos) -> Vec<TrrDetection> {
-        let mut out = Vec::new();
-        self.on_refresh(now, &mut out);
-        out
-    }
-
-    /// [`MitigationEngine::take_inline_detections`] into a freshly
-    /// allocated `Vec`.
-    fn inline_detections(&mut self) -> Vec<TrrDetection> {
-        let mut out = Vec::new();
-        self.take_inline_detections(&mut out);
-        out
-    }
-}
-
-impl<E: MitigationEngine + ?Sized> MitigationEngineExt for E {}
-
 /// The null mitigation: a chip without TRR. Useful as a baseline and for
 /// testing the pure retention/RowHammer physics.
 ///
 /// # Example
 ///
 /// ```
-/// use dram_sim::{MitigationEngine, MitigationEngineExt, NoMitigation, Bank, PhysRow, Nanos};
+/// use dram_sim::{MitigationEngine, NoMitigation, Bank, PhysRow, Nanos};
 ///
 /// let mut none = NoMitigation;
 /// none.on_activations(Bank::new(0), PhysRow::new(1), 1000, Nanos::ZERO);
-/// assert!(none.refresh_detections(Nanos::ZERO).is_empty());
+/// let mut detections = Vec::new();
+/// none.on_refresh(Nanos::ZERO, &mut detections);
+/// assert!(detections.is_empty());
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NoMitigation;
@@ -239,8 +217,10 @@ mod tests {
         for i in 0..100 {
             e.on_activations(Bank::new(0), PhysRow::new(i), 10_000, Nanos::ZERO);
         }
-        assert!(e.refresh_detections(Nanos::from_us(8)).is_empty());
-        assert!(e.inline_detections().is_empty());
+        let mut out = Vec::new();
+        e.on_refresh(Nanos::from_us(8), &mut out);
+        e.take_inline_detections(&mut out);
+        assert!(out.is_empty());
         assert_eq!(e.name(), "none");
     }
 

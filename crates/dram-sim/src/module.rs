@@ -34,7 +34,6 @@ use crate::metrics::DeviceMetrics;
 use crate::mitigation::{MitigationEngine, NoMitigation, TrrDetection};
 use crate::physics::{window_flips, PhysicsConfig, RowPhysics, RowPhysicsView, WeakCells};
 use crate::rng::SplitMix64;
-use crate::stats::ModuleStats;
 use crate::time::{Nanos, Timings};
 use obs::TraceKind;
 
@@ -350,20 +349,19 @@ impl Module {
     ///
     /// A live device does not write its counts into the registry per
     /// command: they reach it at [`Module::flush_metrics`], at the next
-    /// `attach_registry`, or when the module is dropped. Read a shared
-    /// registry after its modules are gone (or flushed); [`Module::stats`]
-    /// already includes the pending counts.
+    /// `attach_registry`, or when the module is dropped. Read a
+    /// registry after its modules are gone (or flushed).
     pub fn attach_registry(&mut self, registry: Arc<MetricsRegistry>) {
         self.flush_metrics();
         self.metrics = DeviceMetrics::new(registry);
         self.engine.attach_metrics(self.metrics.registry());
     }
 
-    /// Pushes this device's pending `dram.*` counts and latency
-    /// histograms, and its engine's `trr.<name>.*` counts, into the
-    /// attached registry. Runs on drop; flushing twice adds nothing.
+    /// Pushes this device's pending `dram.*` counts, and its engine's
+    /// `trr.<name>.*` counts, into the attached registry. Runs on drop;
+    /// flushing twice adds nothing.
     pub fn flush_metrics(&mut self) {
-        self.metrics.flush(&self.config.timings, ROW_IO);
+        self.metrics.flush();
         self.engine.flush_metrics();
     }
 
@@ -392,16 +390,9 @@ impl Module {
         self.config.timings
     }
 
-    /// Cumulative statistics: the metrics registry's `dram.*` counters
-    /// plus this device's counts not yet flushed into them.
-    pub fn stats(&self) -> ModuleStats {
-        self.metrics.stats_view()
-    }
-
-    /// Activations this device has executed. Unlike
-    /// [`ModuleStats::activations`], which reads the registry's
-    /// `dram.cmd.act`, this excludes every other device sharing the
-    /// registry, so it is the same whatever runs alongside.
+    /// Activations this device has executed. Unlike the registry's
+    /// `dram.cmd.act`, which sums every device sharing the registry and
+    /// is current only after a flush, this is live and this device's own.
     pub fn activations(&self) -> u64 {
         self.activations
     }
@@ -490,7 +481,6 @@ impl Module {
         b.last_act = Some(phys);
         self.activations += 1;
         self.metrics.pending.act += 1;
-        self.metrics.pending.single_act += 1;
         self.metrics.trace(
             TraceKind::Act,
             self.now.as_ns(),
@@ -1276,9 +1266,16 @@ fn drifted(elapsed: Nanos, drift: f64) -> Nanos {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::{CTR_ACT, CTR_REF, CTR_REGULAR_ROW_REFRESHES, CTR_ROW_WRITES};
 
     fn module() -> Module {
         Module::new(ModuleConfig::small_test(), 7)
+    }
+
+    /// `m`'s registry counter `name`, after flushing `m` into it.
+    fn flushed(m: &mut Module, name: &str) -> u64 {
+        m.flush_metrics();
+        m.registry().counter(name).get()
     }
 
     /// Finds a row whose weakest cell fails between `lo` and `hi`, with
@@ -1443,16 +1440,17 @@ mod tests {
         let mut m = module();
         let b = Bank::new(0);
         let rows = m.geometry().rows_per_bank;
-        // Touch every row so restores are observable through stats.
+        // Touch every row so restores are observable through the counter.
         for r in 0..rows {
             m.write_row(b, RowAddr::new(r), DataPattern::Ones).unwrap();
         }
-        let before = m.stats().regular_row_refreshes;
+        let before = flushed(&mut m, CTR_REGULAR_ROW_REFRESHES);
         let period = m.config().refresh.period_refs as u64;
         for _ in 0..period {
             m.refresh();
         }
-        let per_bank = m.stats().regular_row_refreshes - before; // bank 0 only touched
+        // Bank 0 only touched.
+        let per_bank = flushed(&mut m, CTR_REGULAR_ROW_REFRESHES) - before;
         assert_eq!(per_bank, rows as u64, "each touched row restored exactly once");
     }
 
@@ -1473,9 +1471,9 @@ mod tests {
         for _ in 0..covering_ref {
             m.refresh();
         }
-        let before = m.stats().regular_row_refreshes;
+        let before = flushed(&mut m, CTR_REGULAR_ROW_REFRESHES);
         m.refresh();
-        assert!(m.stats().regular_row_refreshes > before);
+        assert!(flushed(&mut m, CTR_REGULAR_ROW_REFRESHES) > before);
         let _ = ret;
     }
 
@@ -1543,17 +1541,16 @@ mod tests {
     }
 
     #[test]
-    fn stats_accumulate() {
+    fn counts_accumulate() {
         let mut m = module();
         let b = Bank::new(0);
         m.write_row(b, RowAddr::new(1), DataPattern::Ones).unwrap();
         m.hammer(b, RowAddr::new(2), 10).unwrap();
         m.refresh();
-        let s = m.stats();
-        assert_eq!(s.row_writes, 1);
-        assert_eq!(s.activations, 11);
-        assert_eq!(s.refreshes, 1);
-        assert_eq!(m.ref_count(), 1);
+        assert_eq!(flushed(&mut m, CTR_ROW_WRITES), 1);
+        assert_eq!(flushed(&mut m, CTR_ACT), 11);
+        assert_eq!(flushed(&mut m, CTR_REF), 1);
+        assert_eq!((m.activations(), m.ref_count()), (11, 1));
     }
 
     /// An engine counting its activation hooks into `trr.probe.batches`.
@@ -1578,45 +1575,36 @@ mod tests {
 
     #[test]
     fn counts_reach_the_registry_once_at_flush_attach_or_drop() {
-        use crate::metrics::{CTR_ACT, CTR_REF, HIST_ACT_NS, HIST_REF_NS};
-        let (old, new) = (MetricsRegistry::shared(), Arc::new(MetricsRegistry::new()));
+        let (old, new) = (MetricsRegistry::shared(), MetricsRegistry::shared());
         let engine = Box::new(BatchCounter::default());
         let mut m = Module::with_engine(ModuleConfig::small_test(), engine, 7);
         m.attach_registry(Arc::clone(&old));
-        let (b, t) = (Bank::new(0), m.timings());
+        let b = Bank::new(0);
         m.hammer(b, RowAddr::new(2), 10).unwrap();
         m.activate(b, RowAddr::new(5)).unwrap();
         m.precharge(b).unwrap();
         m.refresh();
-        // Pending counts show in `stats` at once, in the registry only
+        // The device's own count is live; the registry sees it only
         // after a flush, and a second flush adds nothing.
-        assert_eq!((m.stats().activations, m.stats().refreshes), (11, 1));
+        assert_eq!((m.activations(), m.ref_count()), (11, 1));
         assert_eq!(old.counter(CTR_ACT).get(), 0);
         m.flush_metrics();
         m.flush_metrics();
         assert_eq!((old.counter(CTR_ACT).get(), old.counter(CTR_REF).get()), (11, 1));
         assert_eq!(old.counter("trr.probe.batches").get(), 2);
-        let act = old.histogram(HIST_ACT_NS).snapshot();
-        assert_eq!((act.count, act.sum), (11, 10 * t.t_rc().as_ns() + t.t_ras.as_ns()));
-        assert_eq!((act.min, act.max), (t.t_ras.as_ns(), t.t_rc().as_ns()));
-        assert_eq!(old.histogram(HIST_REF_NS).snapshot().count, 1);
-        assert_eq!(m.stats().activations, 11);
         // Attaching flushes into the old registry.
         m.hammer(b, RowAddr::new(2), 4).unwrap();
         m.attach_registry(Arc::clone(&new));
         assert_eq!(old.counter(CTR_ACT).get(), 15);
         assert_eq!(old.counter("trr.probe.batches").get(), 3);
-        assert_eq!(m.stats().activations, 0);
-        // Dropping flushes; a detail-off registry gets counters but no
-        // latency bins.
+        assert_eq!(new.counter(CTR_ACT).get(), 0);
+        // Dropping flushes into the attached registry only.
         m.hammer(b, RowAddr::new(2), 6).unwrap();
         m.refresh();
         assert_eq!(new.counter(CTR_ACT).get(), 0);
         drop(m);
         assert_eq!((new.counter(CTR_ACT).get(), new.counter(CTR_REF).get()), (6, 1));
         assert_eq!(new.counter("trr.probe.batches").get(), 1);
-        assert_eq!(new.histogram(HIST_ACT_NS).snapshot().count, 0);
-        assert_eq!(new.histogram(HIST_REF_NS).snapshot().count, 0);
         assert_eq!(old.counter(CTR_ACT).get(), 15);
     }
 

@@ -1,6 +1,7 @@
 //! Property tests on the device's core invariants: mapping bijectivity,
 //! batched-hammer equivalence, refresh coverage, and flip monotonicity.
 
+use dram_sim::metrics::CTR_REGULAR_ROW_REFRESHES;
 use dram_sim::{Bank, DataPattern, Module, ModuleConfig, PhysRow, RowAddr, RowMapping, Topology};
 use proptest::prelude::*;
 
@@ -92,13 +93,17 @@ proptest! {
         for r in 0..64 {
             m.write_row(bank, RowAddr::new(r), DataPattern::Ones).unwrap();
         }
-        let before = m.stats().regular_row_refreshes;
+        let restored = |m: &mut Module| {
+            m.flush_metrics();
+            m.registry().counter(CTR_REGULAR_ROW_REFRESHES).get()
+        };
+        let before = restored(&mut m);
         for _ in 0..period {
             m.refresh();
         }
         // 64 written rows plus the two disturbance-tracked neighbours of
         // the last written row (rows 64 and 65) carry state.
-        prop_assert_eq!(m.stats().regular_row_refreshes - before, 66);
+        prop_assert_eq!(restored(&mut m) - before, 66);
     }
 
     /// Paired topology never lets disturbance cross a pair boundary.

@@ -12,6 +12,7 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
+use dram_sim::metrics::CTR_REGULAR_ROW_REFRESHES;
 use dram_sim::{
     Bank, DataPattern, MitigationEngine, Module, ModuleConfig, Nanos, PhysRow, RowAddr,
     TrrDetection,
@@ -83,8 +84,9 @@ fn op_strategy(rows: u32) -> impl Strategy<Value = Op> {
 }
 
 /// Final observable state of one trace run: per-row readouts of every
-/// written row, the per-REF detection log, device stats, and the clock.
-type TraceOutcome = (Vec<(u32, Vec<u32>)>, Vec<(u64, TrrDetection)>, dram_sim::ModuleStats, Nanos);
+/// written row, the per-REF detection log, the registry's counters after
+/// a flush, and the clock.
+type TraceOutcome = (Vec<(u32, Vec<u32>)>, Vec<(u64, TrrDetection)>, Vec<(String, u64)>, Nanos);
 
 /// Runs `ops` against a fresh module; `event_driven` selects which
 /// refresh implementation services the Refresh steps.
@@ -121,10 +123,11 @@ fn run_trace(seed: u64, ops: &[Op], event_driven: bool) -> TraceOutcome {
     for &r in &written {
         readouts.push((r, m.read_row(bank, RowAddr::new(r)).unwrap().flipped_bits().to_vec()));
     }
-    let stats = m.stats();
+    m.flush_metrics();
+    let counters = m.registry().counters_snapshot();
     let now = m.now();
     let log = log.lock().unwrap().clone();
-    (readouts, log, stats, now)
+    (readouts, log, counters, now)
 }
 
 proptest! {
@@ -138,11 +141,11 @@ proptest! {
         seed in 0u64..300,
         ops in prop::collection::vec(op_strategy(512), 1..40),
     ) {
-        let (fast_rows, fast_log, fast_stats, fast_now) = run_trace(seed, &ops, true);
-        let (ref_rows, ref_log, ref_stats, ref_now) = run_trace(seed, &ops, false);
+        let (fast_rows, fast_log, fast_counters, fast_now) = run_trace(seed, &ops, true);
+        let (ref_rows, ref_log, ref_counters, ref_now) = run_trace(seed, &ops, false);
         prop_assert_eq!(fast_rows, ref_rows, "row data diverged");
         prop_assert_eq!(fast_log, ref_log, "TRR detections diverged");
-        prop_assert_eq!(fast_stats, ref_stats, "device stats diverged");
+        prop_assert_eq!(fast_counters, ref_counters, "device counters diverged");
         prop_assert_eq!(fast_now, ref_now, "sim clocks diverged");
     }
 }
@@ -158,7 +161,11 @@ fn full_period_restore_counts_match() {
         for r in [0u32, 17, 300, 511] {
             m.write_row(bank, RowAddr::new(r), DataPattern::Ones).unwrap();
         }
-        let before = m.stats().regular_row_refreshes;
+        let restored = |m: &mut Module| {
+            m.flush_metrics();
+            m.registry().counter(CTR_REGULAR_ROW_REFRESHES).get()
+        };
+        let before = restored(&mut m);
         for _ in 0..m.config().refresh.period_refs {
             if event_driven {
                 m.refresh();
@@ -166,7 +173,7 @@ fn full_period_restore_counts_match() {
                 m.refresh_naive();
             }
         }
-        m.stats().regular_row_refreshes - before
+        restored(&mut m) - before
     };
     let fast = count(true);
     let naive = count(false);

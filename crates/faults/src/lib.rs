@@ -237,33 +237,6 @@ impl FaultConfig {
     }
 }
 
-/// Running tallies of injected faults, mirrored into `faults.injected.*`
-/// counters when a registry is attached.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultTally {
-    /// Corrupted reads (each may carry several flipped bits).
-    pub read_flips: u64,
-    /// Stuck reads.
-    pub stuck_reads: u64,
-    /// Dropped writes.
-    pub dropped_writes: u64,
-    /// Garbled writes.
-    pub garbled_writes: u64,
-    /// VRT burst episodes started.
-    pub vrt_bursts: u64,
-}
-
-impl FaultTally {
-    /// Total injected faults across all kinds.
-    pub fn total(&self) -> u64 {
-        self.read_flips
-            + self.stuck_reads
-            + self.dropped_writes
-            + self.garbled_writes
-            + self.vrt_bursts
-    }
-}
-
 /// A deterministic schedule of injectable faults, implementing
 /// [`FaultInjector`] for installation into a
 /// [`MemoryController`].
@@ -286,7 +259,6 @@ pub struct FaultPlan {
     rng: SplitMix64,
     /// End of the VRT burst episode currently in effect, if any.
     burst_until: Option<Nanos>,
-    tally: FaultTally,
     registry: Option<Arc<MetricsRegistry>>,
 }
 
@@ -294,7 +266,6 @@ impl fmt::Debug for FaultPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("FaultPlan")
             .field("cfg", &self.cfg)
-            .field("tally", &self.tally)
             .field("burst_until", &self.burst_until)
             .finish_non_exhaustive()
     }
@@ -303,13 +274,7 @@ impl fmt::Debug for FaultPlan {
 impl FaultPlan {
     /// A plan drawing from the SplitMix64 stream seeded with `seed`.
     pub fn new(cfg: FaultConfig, seed: u64) -> Self {
-        FaultPlan {
-            cfg,
-            rng: SplitMix64::new(seed),
-            burst_until: None,
-            tally: FaultTally::default(),
-            registry: None,
-        }
+        FaultPlan { cfg, rng: SplitMix64::new(seed), burst_until: None, registry: None }
     }
 
     /// The plan for a named profile.
@@ -326,11 +291,6 @@ impl FaultPlan {
     /// `faults.injected.*` counters) from now on.
     pub fn attach_metrics(&mut self, registry: Arc<MetricsRegistry>) {
         self.registry = Some(registry);
-    }
-
-    /// Running tallies of everything injected so far.
-    pub fn tally(&self) -> FaultTally {
-        self.tally
     }
 
     fn bump(&mut self, name: &str) {
@@ -378,7 +338,6 @@ impl FaultInjector for FaultPlan {
     fn on_read(&mut self, bank: Bank, row: RowAddr, readout: &mut RowReadout, now: Nanos) {
         if self.rng.next_bool(self.cfg.stuck_read_prob) {
             readout.clear_flips();
-            self.tally.stuck_reads += 1;
             self.bump(CTR_STUCK_READS);
             self.trace_injected("stuck_read", bank, Some(row), now);
             return;
@@ -389,7 +348,6 @@ impl FaultInjector for FaultPlan {
                 let bit = self.rng.next_below(u64::from(readout.row_bits().max(1))) as u32;
                 readout.inject_flip(bit);
             }
-            self.tally.read_flips += 1;
             self.bump(CTR_READ_FLIPS);
             self.trace_injected("read_flip", bank, Some(row), now);
         }
@@ -403,13 +361,11 @@ impl FaultInjector for FaultPlan {
         now: Nanos,
     ) -> WriteFault {
         if self.rng.next_bool(self.cfg.dropped_write_prob) {
-            self.tally.dropped_writes += 1;
             self.bump(CTR_DROPPED_WRITES);
             self.trace_injected("dropped_write", bank, Some(row), now);
             return WriteFault::Dropped;
         }
         if self.rng.next_bool(self.cfg.garbled_write_prob) {
-            self.tally.garbled_writes += 1;
             self.bump(CTR_GARBLED_WRITES);
             self.trace_injected("garbled_write", bank, Some(row), now);
             return WriteFault::Garbled(Self::garble_pattern(pattern));
@@ -437,7 +393,6 @@ impl FaultInjector for FaultPlan {
                 if self.rng.next_bool(self.cfg.vrt_burst_prob) {
                     self.burst_until = Some(now + self.cfg.vrt_burst_duration);
                     module.set_vrt_switch_override(Some(self.cfg.vrt_burst_switch_prob));
-                    self.tally.vrt_bursts += 1;
                     self.bump(CTR_VRT_BURSTS);
                     self.trace_injected("vrt_burst", Bank::new(0), None, now);
                 }
@@ -547,8 +502,18 @@ mod tests {
             let _ = mc.read_row(bank, row).unwrap();
         }
         // `install` reports into the controller's registry.
-        let injected = mc.registry().counter(CTR_INJECTED_TOTAL).get();
+        let registry = mc.registry();
+        let injected = registry.counter(CTR_INJECTED_TOTAL).get();
         assert!(injected > 0, "hostile profile must inject something in 200 rounds");
+        let per_kind = [
+            CTR_READ_FLIPS,
+            CTR_STUCK_READS,
+            CTR_DROPPED_WRITES,
+            CTR_GARBLED_WRITES,
+            CTR_VRT_BURSTS,
+        ]
+        .map(|name| registry.counter(name).get());
+        assert_eq!(injected, per_kind.iter().sum::<u64>(), "total is the sum of {per_kind:?}");
     }
 
     #[test]

@@ -6,14 +6,13 @@
 //! ```text
 //! {"type":"meta","schema":"utrr-obs/2","spans_evicted":0}
 //! {"type":"counter","name":"dram.cmd.act","value":5000}
-//! {"type":"gauge","name":"scout.groups_live","value":4}
-//! {"type":"histogram","name":"dram.latency.act_ns","count":…,"sum":…,
+//! {"type":"histogram","name":"par.task_ns","count":…,"sum":…,
 //!  "min":…,"max":…,"mean":…,"p50":…,"p90":…,"p99":…,"bins":[[lower,count],…]}
 //! {"type":"span","id":3,"parent":2,"depth":1,"name":"trr_analyzer.round",
 //!  "wall_ns":…,"sim_start_ns":…,"sim_end_ns":…,"fields":{"round":4}}
 //! ```
 //!
-//! Counters, gauges, and histograms are emitted in name order, so two
+//! Counters and histograms are emitted in name order, so two
 //! runs of the same workload produce line-diffable artifacts.
 
 use std::fmt::Write as _;
@@ -35,9 +34,6 @@ pub(crate) fn write_jsonl(registry: &MetricsRegistry, out: &mut impl Write) -> i
 
     for (name, value) in registry.counters_snapshot() {
         writeln!(out, "{{\"type\":\"counter\",\"name\":{},\"value\":{value}}}", quote(&name))?;
-    }
-    for (name, value) in registry.gauges_snapshot() {
-        writeln!(out, "{{\"type\":\"gauge\",\"name\":{},\"value\":{value}}}", quote(&name))?;
     }
     for (name, snapshot) in registry.histograms_snapshot() {
         writeln!(out, "{}", histogram_line(&name, &snapshot))?;
@@ -428,9 +424,7 @@ mod tests {
     #[test]
     fn parser_round_trips_writer_output() {
         let registry = Arc::new(MetricsRegistry::new());
-        registry.set_detail(true);
         registry.counter("dram.cmd.act").add(5000);
-        registry.gauge("depth").set(3);
         let h = registry.histogram("lat");
         for v in [1u64, 2, 3, 100, 1000] {
             h.record(v);

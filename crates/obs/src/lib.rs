@@ -4,10 +4,10 @@
 //! controller, the methodology passes, and the bench binaries — reports
 //! into one [`MetricsRegistry`]:
 //!
-//! - **Counters and gauges** ([`Counter`], [`Gauge`]): named atomic
-//!   cells. Handles are `Arc`-backed and lock-free; the registry lock
-//!   is taken only at registration time. Nothing writes them per
-//!   command: the simulator tallies in plain integers and flushes.
+//! - **Counters** ([`Counter`]): named atomic counts. Handles are
+//!   `Arc`-backed and lock-free; the registry lock is taken only at
+//!   registration time. Nothing writes them per command: the simulator
+//!   tallies in plain integers and flushes.
 //! - **Histograms** ([`Histogram`]): log₂-binned distributions with
 //!   count/sum/min/max and quantile estimates accurate to one bin.
 //! - **Spans** ([`SpanGuard`], [`span!`]): hierarchical timed regions
@@ -33,7 +33,7 @@ pub mod span;
 pub mod trace;
 
 pub use metrics::{
-    bin_index, bin_lower_bound, bin_upper_bound, Counter, Gauge, Histogram, HistogramSnapshot,
+    bin_index, bin_lower_bound, bin_upper_bound, Counter, Histogram, HistogramSnapshot,
     MetricsRegistry, BIN_COUNT,
 };
 pub use span::{SpanGuard, SpanRecord};

@@ -1,4 +1,4 @@
-//! Named counters, gauges and log₂-binned histograms.
+//! Named counters and log₂-binned histograms.
 //!
 //! Handles returned by the registry are cheap `Arc` clones, and a write
 //! through one touches only relaxed atomics, never the registry lock.
@@ -6,9 +6,9 @@
 //! atomics. Nothing writes them per command: devices and engines tally
 //! into plain integers and flush them (see `dram_sim::metrics`), so
 //! worker threads sharing one run registry write it too rarely to
-//! contend (docs/perf.md, "Registry traffic"). The two flags every
-//! command reads (`detail`, `tracing`) sit alone on their cache lines
-//! and are written only when they change.
+//! contend (docs/perf.md, "Registry traffic"). The one flag every
+//! command reads (`tracing`) sits alone on its cache lines and is
+//! written once, when a flight recorder is installed.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -85,26 +85,6 @@ impl Counter {
     }
 }
 
-/// A named last-written value.
-#[derive(Debug, Clone, Default)]
-pub struct Gauge {
-    cell: Arc<AtomicU64>,
-}
-
-impl Gauge {
-    /// Overwrites the value.
-    #[inline]
-    pub fn set(&self, value: u64) {
-        self.cell.store(value, Ordering::Relaxed);
-    }
-
-    /// The current value.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.cell.load(Ordering::Relaxed)
-    }
-}
-
 /// The atomics behind a [`Histogram`]. The total count is derivable
 /// from the bins (each record lands in exactly one), so it is not
 /// stored.
@@ -137,22 +117,11 @@ impl Histogram {
     /// Records one observation.
     #[inline]
     pub fn record(&self, value: u64) {
-        self.record_n(value, 1);
-    }
-
-    /// Records `n` observations of the same value in O(1) — used by
-    /// device flushes, which record each latency once with the number
-    /// of commands that took it.
-    #[inline]
-    pub fn record_n(&self, value: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
         // Min/max stabilize after the first few observations — a relaxed
         // load screens out the RMW in the common no-change case.
         let cell = &self.cell;
-        cell.bins[bin_index(value)].fetch_add(n, Ordering::Relaxed);
-        cell.sum.fetch_add(value.wrapping_mul(n), Ordering::Relaxed);
+        cell.bins[bin_index(value)].fetch_add(1, Ordering::Relaxed);
+        cell.sum.fetch_add(value, Ordering::Relaxed);
         if cell.min.load(Ordering::Relaxed) > value {
             cell.min.fetch_min(value, Ordering::Relaxed);
         }
@@ -250,16 +219,6 @@ impl HistogramSnapshot {
     }
 }
 
-/// The flags every command reads, alone on their cache lines and
-/// written only when they change.
-#[derive(Debug, Default)]
-struct HotFlags {
-    /// Detail instrumentation (latency histograms) is on.
-    detail: AtomicBool,
-    /// A flight recorder is installed.
-    tracing: AtomicBool,
-}
-
 /// The central sink all layers report into.
 ///
 /// Construction is cheap; the simulator gives every `Module` a private
@@ -268,9 +227,9 @@ struct HotFlags {
 /// across modules, controllers, and methodology passes.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    flags: Padded<HotFlags>,
+    /// A flight recorder is installed: the flag every command reads.
+    tracing: Padded<AtomicBool>,
     counters: Mutex<BTreeMap<String, Counter>>,
-    gauges: Mutex<BTreeMap<String, Gauge>>,
     histograms: Mutex<BTreeMap<String, Histogram>>,
     spans: SpanCollector,
     recorder: OnceLock<Arc<FlightRecorder>>,
@@ -287,30 +246,14 @@ fn resolve<T: Clone + Default>(map: &Mutex<BTreeMap<String, T>>, name: &str) -> 
 }
 
 impl MetricsRegistry {
-    /// An empty registry with detail recording **off**.
+    /// An empty registry.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// An empty shared registry with detail recording **on** — the
-    /// constructor run artifacts use.
+    /// An empty registry behind an `Arc`, ready to share across a run.
     pub fn shared() -> Arc<Self> {
-        let registry = Self::new();
-        registry.set_detail(true);
-        Arc::new(registry)
-    }
-
-    /// Whether detail instrumentation (latency histograms) should be
-    /// recorded. Counters and spans are always live. The simulator reads
-    /// this flag once per device flush.
-    #[inline]
-    pub fn detail_enabled(&self) -> bool {
-        self.flags.0.detail.load(Ordering::Relaxed)
-    }
-
-    /// Turns detail instrumentation on or off.
-    pub fn set_detail(&self, enabled: bool) {
-        self.flags.0.detail.store(enabled, Ordering::Relaxed);
+        Arc::new(Self::new())
     }
 
     /// The counter registered under `name`, creating it at zero on
@@ -318,11 +261,6 @@ impl MetricsRegistry {
     /// re-looking it up in a loop.
     pub fn counter(&self, name: &str) -> Counter {
         resolve(&self.counters, name)
-    }
-
-    /// The gauge registered under `name` (see [`Self::counter`]).
-    pub fn gauge(&self, name: &str) -> Gauge {
-        resolve(&self.gauges, name)
     }
 
     /// The histogram registered under `name` (see [`Self::counter`]).
@@ -336,7 +274,7 @@ impl MetricsRegistry {
     pub fn install_recorder(&self, recorder: Arc<FlightRecorder>) -> bool {
         let installed = self.recorder.set(recorder).is_ok();
         if installed {
-            self.flags.0.tracing.store(true, Ordering::Relaxed);
+            self.tracing.0.store(true, Ordering::Relaxed);
         }
         installed
     }
@@ -346,7 +284,7 @@ impl MetricsRegistry {
     /// tracing-off is a no-op.
     #[inline]
     pub fn tracing_enabled(&self) -> bool {
-        self.flags.0.tracing.load(Ordering::Relaxed)
+        self.tracing.0.load(Ordering::Relaxed)
     }
 
     /// The installed flight recorder, if any.
@@ -409,11 +347,6 @@ impl MetricsRegistry {
         self.counters.lock().unwrap().iter().map(|(k, v)| (k.clone(), v.get())).collect()
     }
 
-    /// All gauges, sorted by name.
-    pub(crate) fn gauges_snapshot(&self) -> Vec<(String, u64)> {
-        self.gauges.lock().unwrap().iter().map(|(k, v)| (k.clone(), v.get())).collect()
-    }
-
     /// All histograms, sorted by name.
     pub fn histograms_snapshot(&self) -> Vec<(String, HistogramSnapshot)> {
         self.histograms.lock().unwrap().iter().map(|(k, v)| (k.clone(), v.snapshot())).collect()
@@ -439,16 +372,6 @@ mod tests {
         b.inc();
         assert_eq!(registry.counter("x").get(), 4);
         assert_eq!(registry.counters_snapshot(), vec![("x".to_string(), 4)]);
-    }
-
-    #[test]
-    fn gauge_set_overwrites() {
-        let registry = MetricsRegistry::new();
-        let g = registry.gauge("depth");
-        g.set(7);
-        assert_eq!(g.get(), 7);
-        g.set(3);
-        assert_eq!(registry.gauge("depth").get(), 3);
     }
 
     #[test]
@@ -536,7 +459,7 @@ mod tests {
                     barrier.wait();
                     for v in values(t) {
                         counter.add(v);
-                        histogram.record_n(v, 1 + v % 3);
+                        histogram.record(v);
                     }
                 });
             }
@@ -545,7 +468,7 @@ mod tests {
         let mut total = 0u64;
         for v in (0..THREADS).flat_map(values) {
             total += v;
-            reference.record_n(v, 1 + v % 3);
+            reference.record(v);
         }
         let counter = registry.counter("shared");
         assert_eq!(counter.get(), total);

@@ -12,7 +12,6 @@ use crate::metrics::MetricsRegistry;
 pub fn render_summary(registry: &MetricsRegistry) -> String {
     let mut out = String::new();
     let counters = registry.counters_snapshot();
-    let gauges = registry.gauges_snapshot();
     let histograms: Vec<_> = registry
         .histograms_snapshot()
         .into_iter()
@@ -20,14 +19,13 @@ pub fn render_summary(registry: &MetricsRegistry) -> String {
         .collect();
     let (spans, evicted) = registry.spans_snapshot();
 
-    if counters.is_empty() && gauges.is_empty() && histograms.is_empty() && spans.is_empty() {
+    if counters.is_empty() && histograms.is_empty() && spans.is_empty() {
         return "metrics: (none recorded)\n".to_string();
     }
 
     let name_width = counters
         .iter()
         .map(|(name, _)| name.len())
-        .chain(gauges.iter().map(|(name, _)| name.len()))
         .chain(histograms.iter().map(|(name, _)| name.len()))
         .max()
         .unwrap_or(0)
@@ -36,12 +34,6 @@ pub fn render_summary(registry: &MetricsRegistry) -> String {
     if !counters.is_empty() {
         let _ = writeln!(out, "counters");
         for (name, value) in &counters {
-            let _ = writeln!(out, "  {name:<name_width$} {value:>14}");
-        }
-    }
-    if !gauges.is_empty() {
-        let _ = writeln!(out, "gauges");
-        for (name, value) in &gauges {
             let _ = writeln!(out, "  {name:<name_width$} {value:>14}");
         }
     }
@@ -245,13 +237,11 @@ mod tests {
     #[test]
     fn summary_lists_every_section() {
         let registry = Arc::new(MetricsRegistry::new());
-        registry.set_detail(true);
         registry.counter("dram.cmd.act").add(9);
-        registry.gauge("live").set(2);
         registry.histogram("lat").record(100);
         registry.span("pass", 0).finish(1_000_000);
         let summary = render_summary(&registry);
-        for needle in ["counters", "dram.cmd.act", "gauges", "histograms", "lat", "spans", "pass"] {
+        for needle in ["counters", "dram.cmd.act", "histograms", "lat", "spans", "pass"] {
             assert!(summary.contains(needle), "missing {needle} in:\n{summary}");
         }
     }

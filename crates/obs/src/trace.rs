@@ -18,13 +18,14 @@
 //!
 //! A [`TraceFilter`] keeps full-bank sweeps cheap: row-addressed events
 //! are only stored when the row lies within [`TraceFilter::RADIUS`] of
-//! a tracked row, while row-less events (verdicts, resets) always pass.
-//! On overflow the ring drops its **oldest** events and counts them in
-//! a monotonic `dropped_events` tally.
+//! a tracked row, while row-less events (`REF`s, injected faults,
+//! verdicts) always pass. On overflow the ring drops its **oldest**
+//! events; [`FlightRecorder::snapshot`] returns how many beside the
+//! events it kept.
 //!
 //! Two exporters are provided: [`write_trace_jsonl`] (schema
 //! [`TRACE_SCHEMA`], parse-back via [`read_trace_jsonl`]) and
-//! [`write_chrome_trace`], whose output loads directly into
+//! [`write_chrome_trace_to_path`], whose output loads directly into
 //! `chrome://tracing` or Perfetto.
 
 use std::collections::{BTreeSet, VecDeque};

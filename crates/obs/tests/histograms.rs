@@ -37,21 +37,6 @@ fn every_value_lands_in_its_bin() {
 }
 
 #[test]
-fn record_n_matches_repeated_record() {
-    let batched = Histogram::default();
-    let looped = Histogram::default();
-    batched.record_n(500, 1000);
-    batched.record_n(7, 3);
-    for _ in 0..1000 {
-        looped.record(500);
-    }
-    for _ in 0..3 {
-        looped.record(7);
-    }
-    assert_eq!(batched.snapshot(), looped.snapshot());
-}
-
-#[test]
 fn merge_equals_recording_into_one() {
     let a = Histogram::default();
     let b = Histogram::default();

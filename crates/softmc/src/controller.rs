@@ -365,7 +365,7 @@ mod tests {
         };
         mc.hammer(bank, &spec).unwrap();
         assert!(!mc.read_row(bank, victim).unwrap().is_clean());
-        let acts = mc.module().stats().activations;
+        let acts = mc.module().activations();
         assert_eq!(acts, 6_000 + 2 /* write + read activate */);
     }
 

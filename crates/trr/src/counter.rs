@@ -202,12 +202,15 @@ impl BankTable {
 /// # Example
 ///
 /// ```
-/// use dram_sim::{MitigationEngine, MitigationEngineExt, Bank, PhysRow, Nanos};
+/// use dram_sim::{MitigationEngine, Bank, PhysRow, Nanos};
 /// use trr::CounterTrr;
 ///
 /// let mut e = CounterTrr::a_trr2(2);
 /// e.on_activations(Bank::new(1), PhysRow::new(7), 1_000, Nanos::ZERO);
-/// let detections: Vec<_> = (0..9).flat_map(|_| e.refresh_detections(Nanos::ZERO)).collect();
+/// let mut detections = Vec::new();
+/// for _ in 0..9 {
+///     e.on_refresh(Nanos::ZERO, &mut detections);
+/// }
 /// assert_eq!(detections.len(), 1);
 /// assert_eq!(detections[0].bank, Bank::new(1));
 /// ```
@@ -412,7 +415,7 @@ impl MitigationEngine for CounterTrr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dram_sim::MitigationEngineExt;
+    use crate::detections_over;
 
     const B0: Bank = Bank::new(0);
     const T0: Nanos = Nanos::ZERO;
@@ -420,7 +423,7 @@ mod tests {
     fn drain_refs(e: &mut CounterTrr, refs: u64) -> Vec<(u64, TrrDetection)> {
         let mut out = Vec::new();
         for i in 0..refs {
-            for d in e.refresh_detections(T0) {
+            for d in detections_over(e, 1) {
                 out.push((i + 1, d));
             }
         }
@@ -456,7 +459,7 @@ mod tests {
         let mut e = CounterTrr::a_trr1(1);
         assert_eq!(e.skip_idle_refs(100), 8);
         assert_eq!(e.skip_idle_refs(100), 0);
-        assert!(e.refresh_detections(T0).is_empty());
+        assert!(detections_over(&mut e, 1).is_empty());
         assert_eq!(e.skip_idle_refs(3), 3);
     }
 
@@ -493,7 +496,7 @@ mod tests {
             for _ in 0..9 {
                 e.on_activations(B0, r0, 2_000, T0);
                 e.on_activations(B0, r1, 3_000, T0);
-                for d in e.refresh_detections(T0) {
+                for d in detections_over(&mut e, 1) {
                     caught.push(d.aggressor);
                 }
             }
@@ -561,7 +564,7 @@ mod tests {
         let mut e = CounterTrr::a_trr1(2);
         e.on_activations(Bank::new(0), PhysRow::new(1), 1_000, T0);
         e.on_activations(Bank::new(1), PhysRow::new(2), 1_000, T0);
-        let hits: Vec<TrrDetection> = (0..9).flat_map(|_| e.refresh_detections(T0)).collect();
+        let hits: Vec<TrrDetection> = detections_over(&mut e, 9);
         assert_eq!(hits.len(), 2, "one detection per bank on a TRR REF");
         assert_ne!(hits[0].bank, hits[1].bank);
     }
@@ -655,7 +658,7 @@ mod tests {
             for d in 0..dummies {
                 e.on_activations(B0, PhysRow::new(1_000 + d * 4), dummy_hammers, T0);
             }
-            for det in e.refresh_detections(T0) {
+            for det in detections_over(&mut e, 1) {
                 total_detections += 1;
                 if det.aggressor == a0 || det.aggressor == a1 {
                     aggressor_detections += 1;

@@ -111,12 +111,14 @@ impl BankTable {
 /// # Example
 ///
 /// ```
-/// use dram_sim::{MitigationEngine, MitigationEngineExt, Bank, PhysRow, Nanos};
+/// use dram_sim::{MitigationEngine, Bank, PhysRow, Nanos};
 /// use trr::{Graphene, GrapheneConfig};
 ///
 /// let mut e = Graphene::new(GrapheneConfig::for_hc_first(10_000), 1);
 /// e.on_activations(Bank::new(0), PhysRow::new(5), 2_500, Nanos::ZERO);
-/// assert_eq!(e.inline_detections().len(), 1); // threshold crossed
+/// let mut detections = Vec::new();
+/// e.take_inline_detections(&mut detections);
+/// assert_eq!(detections.len(), 1); // threshold crossed
 /// ```
 pub struct Graphene {
     config: GrapheneConfig,
@@ -225,7 +227,6 @@ impl MitigationEngine for Graphene {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dram_sim::MitigationEngineExt;
 
     const B0: Bank = Bank::new(0);
     const T0: Nanos = Nanos::ZERO;
@@ -236,62 +237,60 @@ mod tests {
 
     #[test]
     fn threshold_crossing_fires_immediately() {
-        let mut e = Graphene::new(config(), 1);
+        let (mut e, mut det) = (Graphene::new(config(), 1), Vec::new());
         e.on_activations(B0, PhysRow::new(5), 99, T0);
-        assert!(e.inline_detections().is_empty());
+        e.take_inline_detections(&mut det);
+        assert!(det.is_empty());
         e.on_activations(B0, PhysRow::new(5), 1, T0);
-        let det = e.inline_detections();
+        e.take_inline_detections(&mut det);
         assert_eq!(det.len(), 1);
         assert_eq!(det[0].aggressor, PhysRow::new(5));
     }
 
     #[test]
     fn every_threshold_multiple_fires() {
-        let mut e = Graphene::new(config(), 1);
-        let mut detections = 0;
+        let (mut e, mut det) = (Graphene::new(config(), 1), Vec::new());
         for _ in 0..10 {
             e.on_activations(B0, PhysRow::new(5), 100, T0);
-            detections += e.inline_detections().len();
+            e.take_inline_detections(&mut det);
         }
-        assert_eq!(detections, 10);
+        assert_eq!(det.len(), 10);
     }
 
     #[test]
     fn no_row_exceeds_threshold_plus_spill_without_detection() {
         // The Misra-Gries guarantee: hammer many distinct rows; any row
         // that accumulates threshold activations while tracked fires.
-        let mut e = Graphene::new(config(), 1);
-        let mut fired = false;
+        let (mut e, mut det) = (Graphene::new(config(), 1), Vec::new());
         // 20 rows against an 8-entry table, each hammered in small bursts.
-        for round in 0..50 {
+        for _ in 0..50 {
             for r in 0..20u32 {
                 e.on_activations(B0, PhysRow::new(r), 10, T0);
-                if !e.inline_detections().is_empty() {
-                    fired = true;
-                }
+                e.take_inline_detections(&mut det);
             }
-            let _ = round;
         }
-        assert!(fired, "sustained pressure must trigger refreshes");
+        assert!(!det.is_empty(), "sustained pressure must trigger refreshes");
     }
 
     #[test]
     fn window_reset_clears_counters() {
-        let mut e = Graphene::new(config(), 1);
+        let (mut e, mut det) = (Graphene::new(config(), 1), Vec::new());
         e.on_activations(B0, PhysRow::new(5), 99, T0);
         for _ in 0..1_024 {
-            e.refresh_detections(T0);
+            e.on_refresh(T0, &mut det);
         }
         e.on_activations(B0, PhysRow::new(5), 99, T0);
-        assert!(e.inline_detections().is_empty(), "counters were reset at the window");
+        e.take_inline_detections(&mut det);
+        assert!(det.is_empty(), "counters were reset at the window");
     }
 
     #[test]
     fn per_bank_tables() {
-        let mut e = Graphene::new(config(), 2);
+        let (mut e, mut det) = (Graphene::new(config(), 2), Vec::new());
         e.on_activations(Bank::new(0), PhysRow::new(5), 99, T0);
         e.on_activations(Bank::new(1), PhysRow::new(5), 1, T0);
-        assert!(e.inline_detections().is_empty(), "banks do not share counters");
+        e.take_inline_detections(&mut det);
+        assert!(det.is_empty(), "banks do not share counters");
     }
 
     #[test]

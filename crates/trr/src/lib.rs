@@ -34,15 +34,18 @@
 //! # Example
 //!
 //! ```
-//! use dram_sim::{MitigationEngine, MitigationEngineExt, Bank, PhysRow, Nanos};
+//! use dram_sim::{MitigationEngine, Bank, PhysRow, Nanos};
 //! use trr::CounterTrr;
 //!
 //! let mut engine = CounterTrr::a_trr1(1);
 //! // Hammer one row far more than everything else…
 //! engine.on_activations(Bank::new(0), PhysRow::new(100), 5_000, Nanos::ZERO);
 //! // …and the 9th REF detects it.
-//! let det = (0..9).flat_map(|_| engine.refresh_detections(Nanos::ZERO)).next().unwrap();
-//! assert_eq!(det.aggressor, PhysRow::new(100));
+//! let mut det = Vec::new();
+//! for _ in 0..9 {
+//!     engine.on_refresh(Nanos::ZERO, &mut det);
+//! }
+//! assert_eq!(det[0].aggressor, PhysRow::new(100));
 //! ```
 
 pub mod counter;
@@ -84,12 +87,29 @@ pub fn engine_for_version(
     }
 }
 
+/// The detections `refs` consecutive `REF`s at time zero append, in
+/// order: how the engines' unit tests read
+/// [`dram_sim::MitigationEngine::on_refresh`].
+#[cfg(test)]
+pub(crate) fn detections_over<E: dram_sim::MitigationEngine + ?Sized>(
+    engine: &mut E,
+    refs: usize,
+) -> Vec<dram_sim::TrrDetection> {
+    let mut out = Vec::new();
+    for _ in 0..refs {
+        engine.on_refresh(dram_sim::Nanos::ZERO, &mut out);
+    }
+    out
+}
+
 /// Checker for the [`dram_sim::MitigationEngine::skip_idle_refs`]
 /// contract, shared by the engines' unit tests.
 #[cfg(test)]
 pub(crate) mod skip_contract {
     use dram_sim::rng::SplitMix64;
-    use dram_sim::{Bank, MitigationEngine, MitigationEngineExt, Nanos, PhysRow, TrrDetection};
+    use dram_sim::{Bank, MitigationEngine, Nanos, PhysRow, TrrDetection};
+
+    use crate::detections_over;
 
     /// Builds two engines with `make`, drives both through the same
     /// random activation history (REFs interleaved, seeded by `seed`),
@@ -119,10 +139,7 @@ pub(crate) mod skip_contract {
                 }
                 _ => {
                     for _ in 0..rng.next_below(20) {
-                        assert_eq!(
-                            a.refresh_detections(Nanos::ZERO),
-                            b.refresh_detections(Nanos::ZERO)
-                        );
+                        assert_eq!(detections_over(&mut a, 1), detections_over(&mut b, 1));
                     }
                 }
             }
@@ -130,11 +147,11 @@ pub(crate) mod skip_contract {
         let skipped = a.skip_idle_refs(k);
         assert!(skipped <= k, "skipped {skipped} of at most {k} REFs");
         for i in 0..skipped {
-            let detected = b.refresh_detections(Nanos::ZERO);
+            let detected = detections_over(&mut b, 1);
             assert!(detected.is_empty(), "skipped REF {i} of {skipped} detects {detected:?}");
         }
         let stream = |e: &mut E| -> Vec<Vec<TrrDetection>> {
-            (0..64).map(|_| e.refresh_detections(Nanos::ZERO)).collect()
+            (0..64).map(|_| detections_over(e, 1)).collect()
         };
         assert_eq!(stream(&mut a), stream(&mut b), "detections diverge after the skip");
         skipped

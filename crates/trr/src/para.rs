@@ -25,13 +25,15 @@ use dram_sim::{Bank, MitigationEngine, Nanos, NeighborSpan, PhysRow, TrrDetectio
 /// # Example
 ///
 /// ```
-/// use dram_sim::{MitigationEngine, MitigationEngineExt, Bank, PhysRow, Nanos};
+/// use dram_sim::{MitigationEngine, Bank, PhysRow, Nanos};
 /// use trr::Para;
 ///
 /// let mut e = Para::new(0.01, 7);
 /// e.on_activations(Bank::new(0), PhysRow::new(5), 10_000, Nanos::ZERO);
 /// // With p = 1% over 10K activations, a refresh is all but certain.
-/// assert!(!e.inline_detections().is_empty());
+/// let mut detections = Vec::new();
+/// e.take_inline_detections(&mut detections);
+/// assert!(!detections.is_empty());
 /// ```
 pub struct Para {
     /// Per-activation refresh probability.
@@ -132,20 +134,19 @@ impl MitigationEngine for Para {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dram_sim::MitigationEngineExt;
+    use crate::detections_over;
 
     const B0: Bank = Bank::new(0);
     const T0: Nanos = Nanos::ZERO;
 
     #[test]
     fn sampling_rate_matches_probability() {
-        let mut e = Para::new(0.002, 3);
-        let mut hits = 0;
+        let (mut e, mut hits) = (Para::new(0.002, 3), Vec::new());
         for i in 0..20_000u32 {
             e.on_activations(B0, PhysRow::new(i % 64), 1, T0);
-            hits += e.inline_detections().len();
+            e.take_inline_detections(&mut hits);
         }
-        let rate = hits as f64 / 20_000.0;
+        let rate = hits.len() as f64 / 20_000.0;
         assert!((rate - 0.002).abs() < 0.001, "observed {rate}");
     }
 
@@ -153,9 +154,10 @@ mod tests {
     fn batches_detect_with_the_closed_form_probability() {
         let mut misses = 0;
         for seed in 0..200 {
-            let mut e = Para::new(0.001, seed);
+            let (mut e, mut det) = (Para::new(0.001, seed), Vec::new());
             e.on_activations(B0, PhysRow::new(1), 10_000, T0);
-            if e.inline_detections().is_empty() {
+            e.take_inline_detections(&mut det);
+            if det.is_empty() {
                 misses += 1;
             }
         }
@@ -165,16 +167,17 @@ mod tests {
 
     #[test]
     fn detections_are_drained_once() {
-        let mut e = Para::new(1.0, 3);
+        let (mut e, mut det) = (Para::new(1.0, 3), Vec::new());
         e.on_activations(B0, PhysRow::new(1), 1, T0);
-        assert_eq!(e.inline_detections().len(), 1);
-        assert!(e.inline_detections().is_empty());
+        e.take_inline_detections(&mut det);
+        e.take_inline_detections(&mut det);
+        assert_eq!(det.len(), 1);
     }
 
     #[test]
     fn refresh_path_is_inert() {
         let mut e = Para::new(0.5, 3);
-        assert!(e.refresh_detections(T0).is_empty());
+        assert!(detections_over(&mut e, 1).is_empty());
         assert_eq!(e.name(), "PARA");
     }
 

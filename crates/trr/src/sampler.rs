@@ -84,12 +84,15 @@ impl SamplerTrrConfig {
 /// # Example
 ///
 /// ```
-/// use dram_sim::{MitigationEngine, MitigationEngineExt, Bank, PhysRow, Nanos};
+/// use dram_sim::{MitigationEngine, Bank, PhysRow, Nanos};
 /// use trr::SamplerTrr;
 ///
 /// let mut e = SamplerTrr::b_trr1(16, 7);
 /// e.on_activations(Bank::new(3), PhysRow::new(42), 2_000, Nanos::ZERO);
-/// let det: Vec<_> = (0..4).flat_map(|_| e.refresh_detections(Nanos::ZERO)).collect();
+/// let mut det = Vec::new();
+/// for _ in 0..4 {
+///     e.on_refresh(Nanos::ZERO, &mut det);
+/// }
 /// assert_eq!(det[0].aggressor, PhysRow::new(42));
 /// ```
 pub struct SamplerTrr {
@@ -316,7 +319,7 @@ impl MitigationEngine for SamplerTrr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dram_sim::MitigationEngineExt;
+    use crate::detections_over;
 
     const T0: Nanos = Nanos::ZERO;
 
@@ -370,7 +373,7 @@ mod tests {
         // REF 1_000 was the last one; 1_004 is TRR-capable.
         assert_eq!(e.skip_idle_refs(1_000), 3);
         assert_eq!(e.skip_idle_refs(1_000), 0);
-        let det = e.refresh_detections(T0);
+        let det = detections_over(&mut e, 1);
         assert_eq!(det.len(), 1, "the held sample is detected at the TRR-capable REF");
         assert_eq!(e.skip_idle_refs(2), 2);
     }
@@ -380,7 +383,7 @@ mod tests {
         let mut e = SamplerTrr::b_trr1(16, 3);
         e.on_activations(Bank::new(0), PhysRow::new(9), 2_000, T0);
         for i in 1..=12u64 {
-            let det = e.refresh_detections(T0);
+            let det = detections_over(&mut e, 1);
             assert_eq!(!det.is_empty(), i % 4 == 0, "REF {i}");
         }
     }
@@ -389,8 +392,8 @@ mod tests {
     fn register_not_cleared_by_trr_refresh() {
         let mut e = SamplerTrr::b_trr1(16, 3);
         e.on_activations(Bank::new(0), PhysRow::new(9), 2_000, T0);
-        let first: Vec<_> = (0..4).flat_map(|_| e.refresh_detections(T0)).collect();
-        let second: Vec<_> = (0..4).flat_map(|_| e.refresh_detections(T0)).collect();
+        let first: Vec<_> = detections_over(&mut e, 4);
+        let second: Vec<_> = detections_over(&mut e, 4);
         assert_eq!(first, second, "Obs B5: same row keeps being detected");
     }
 
@@ -399,7 +402,7 @@ mod tests {
         let mut e = SamplerTrr::b_trr1(16, 3);
         e.on_activations(Bank::new(0), PhysRow::new(9), 5_000, T0);
         e.on_activations(Bank::new(0), PhysRow::new(11), 3_000, T0);
-        let det: Vec<_> = (0..4).flat_map(|_| e.refresh_detections(T0)).collect();
+        let det: Vec<_> = detections_over(&mut e, 4);
         assert_eq!(det.len(), 1, "sampling capacity is one row (Obs B4)");
         assert_eq!(det[0].aggressor, PhysRow::new(11), "last sampled row wins");
     }
@@ -409,7 +412,7 @@ mod tests {
         let mut e = SamplerTrr::b_trr1(16, 3);
         e.on_activations(Bank::new(0), PhysRow::new(9), 5_000, T0);
         e.on_activations(Bank::new(7), PhysRow::new(500), 5_000, T0);
-        let det: Vec<_> = (0..4).flat_map(|_| e.refresh_detections(T0)).collect();
+        let det: Vec<_> = detections_over(&mut e, 4);
         assert_eq!(det.len(), 1);
         assert_eq!(det[0].bank, Bank::new(7), "Obs B4: one register shared across banks");
     }
@@ -419,7 +422,7 @@ mod tests {
         let mut e = SamplerTrr::b_trr3(16, 3);
         e.on_activations(Bank::new(0), PhysRow::new(9), 5_000, T0);
         e.on_activations(Bank::new(7), PhysRow::new(500), 5_000, T0);
-        let det: Vec<_> = (0..2).flat_map(|_| e.refresh_detections(T0)).collect();
+        let det: Vec<_> = detections_over(&mut e, 2);
         assert_eq!(det.len(), 2, "B_TRR3 samples independently per bank");
     }
 

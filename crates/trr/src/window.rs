@@ -102,12 +102,15 @@ impl BankWindow {
 /// # Example
 ///
 /// ```
-/// use dram_sim::{MitigationEngine, MitigationEngineExt, Bank, PhysRow, Nanos};
+/// use dram_sim::{MitigationEngine, Bank, PhysRow, Nanos};
 /// use trr::WindowTrr;
 ///
 /// let mut e = WindowTrr::c_trr2(8, 11);
 /// e.on_activations(Bank::new(0), PhysRow::new(77), 2_048, Nanos::ZERO);
-/// let det: Vec<_> = (0..9).flat_map(|_| e.refresh_detections(Nanos::ZERO)).collect();
+/// let mut det = Vec::new();
+/// for _ in 0..9 {
+///     e.on_refresh(Nanos::ZERO, &mut det);
+/// }
 /// assert_eq!(det[0].aggressor, PhysRow::new(77));
 /// ```
 pub struct WindowTrr {
@@ -320,7 +323,7 @@ impl MitigationEngine for WindowTrr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dram_sim::MitigationEngineExt;
+    use crate::detections_over;
 
     const B0: Bank = Bank::new(0);
     const T0: Nanos = Nanos::ZERO;
@@ -347,14 +350,14 @@ mod tests {
         let mut b = WindowTrr::c_trr1(2, 5);
         for e in [&mut a, &mut b] {
             for _ in 0..5 {
-                assert!(e.refresh_detections(T0).is_empty());
+                assert!(detections_over(e, 1).is_empty());
             }
         }
         // No candidate and no exhausted window: the skip runs past the
         // armed 17th REF, which leaves every bank pending.
         assert_eq!(a.skip_idle_refs(40), 40);
         for _ in 0..40 {
-            assert!(b.refresh_detections(T0).is_empty());
+            assert!(detections_over(&mut b, 1).is_empty());
         }
         assert!(a.banks.iter().all(|w| w.pending));
         // Pending banks fire at the very next REF once a capture exists
@@ -363,9 +366,9 @@ mod tests {
             e.on_activations(B0, PhysRow::new(3), 2_048, T0);
         }
         assert_eq!(a.skip_idle_refs(40), 0);
-        let det = a.refresh_detections(T0);
+        let det = detections_over(&mut a, 1);
         assert_eq!(det.len(), 1);
-        assert_eq!(det, b.refresh_detections(T0));
+        assert_eq!(det, detections_over(&mut b, 1));
     }
 
     #[test]
@@ -373,7 +376,7 @@ mod tests {
         let mut e = WindowTrr::c_trr2(1, 5);
         e.on_activations(B0, PhysRow::new(3), 2_048, T0);
         assert_eq!(e.skip_idle_refs(100), 8, "REF 9 is armed and the candidate is captured");
-        assert_eq!(e.refresh_detections(T0).len(), 1);
+        assert_eq!(detections_over(&mut e, 1).len(), 1);
         // The detection closed the window: nothing live, skip everything.
         assert_eq!(e.skip_idle_refs(100), 100);
     }
@@ -383,7 +386,7 @@ mod tests {
         let mut e = WindowTrr::c_trr1(1, 5);
         e.on_activations(B0, PhysRow::new(3), 2_048, T0);
         for i in 1..=17u64 {
-            let det = e.refresh_detections(T0);
+            let det = detections_over(&mut e, 1);
             assert_eq!(!det.is_empty(), i % 17 == 0, "REF {i}");
         }
     }
@@ -393,12 +396,12 @@ mod tests {
         let mut e = WindowTrr::c_trr1(1, 5);
         // Arm the TRR slot with no activations at all.
         for _ in 0..17 {
-            assert!(e.refresh_detections(T0).is_empty());
+            assert!(detections_over(&mut e, 1).is_empty());
         }
         // Now activate enough to guarantee a capture: the next REF fires
         // immediately even though it is not the 17th.
         e.on_activations(B0, PhysRow::new(3), 2_048, T0);
-        let det = e.refresh_detections(T0);
+        let det = detections_over(&mut e, 1);
         assert_eq!(det.len(), 1, "deferred TRR fires at the next REF (Obs C1)");
         assert_eq!(det[0].aggressor, PhysRow::new(3));
     }
@@ -438,11 +441,11 @@ mod tests {
     fn window_resets_after_trr_refresh() {
         let mut e = WindowTrr::c_trr1(1, 5);
         e.on_activations(B0, PhysRow::new(3), 2_048, T0);
-        let det: Vec<_> = (0..17).flat_map(|_| e.refresh_detections(T0)).collect();
+        let det: Vec<_> = detections_over(&mut e, 17);
         assert_eq!(det.len(), 1);
         // A fresh window: a new early row becomes the likely candidate.
         e.on_activations(B0, PhysRow::new(44), 2_048, T0);
-        let det: Vec<_> = (0..17).flat_map(|_| e.refresh_detections(T0)).collect();
+        let det: Vec<_> = detections_over(&mut e, 17);
         assert_eq!(det.len(), 1);
         assert_eq!(det[0].aggressor, PhysRow::new(44));
     }
@@ -452,7 +455,7 @@ mod tests {
         let mut e = WindowTrr::c_trr2(2, 5);
         e.on_activations(Bank::new(0), PhysRow::new(3), 2_048, T0);
         e.on_activations(Bank::new(1), PhysRow::new(7), 2_048, T0);
-        let det: Vec<_> = (0..9).flat_map(|_| e.refresh_detections(T0)).collect();
+        let det: Vec<_> = detections_over(&mut e, 9);
         assert_eq!(det.len(), 2);
         let rows: Vec<u32> = det.iter().map(|d| d.aggressor.index()).collect();
         assert!(rows.contains(&3) && rows.contains(&7));
@@ -489,7 +492,7 @@ mod tests {
         let mut detected = false;
         for _ in 0..20_000 {
             e.on_activations(B0, PhysRow::new(9), 4, T0);
-            if !e.refresh_detections(T0).is_empty() {
+            if !detections_over(&mut e, 1).is_empty() {
                 detected = true;
                 break;
             }

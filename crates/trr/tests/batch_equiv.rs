@@ -1,8 +1,7 @@
 //! Equivalence property: one `Module::hammer_batch(bank, ops)` must be
 //! observationally identical to issuing the same ops one call at a time
 //! (`hammer`, `hammer_pair`, and a one-op batch for other-bank ops) —
-//! same row data, `ModuleStats`, registry counters and histograms,
-//! clock, activation count and flight-recorder trace (every op's `act`
+//! same row data, registry counters, clock, activation count and flight-recorder trace (every op's `act`
 //! event, bit flip and TRR detection, in order, through the detections
 //! of the next 64 `REF`s) — for every shipped engine. The op lists
 //! include zero doses, pairs whose two rows coincide, other-bank ops and
@@ -14,10 +13,10 @@ use std::sync::Arc;
 
 use dram_sim::metrics::{CTR_ACT, CTR_REF};
 use dram_sim::{
-    Bank, DataPattern, DramError, HammerOp, MitigationEngine, Module, ModuleConfig, ModuleStats,
-    Nanos, NoMitigation, RowAddr,
+    Bank, DataPattern, DramError, HammerOp, MitigationEngine, Module, ModuleConfig, Nanos,
+    NoMitigation, RowAddr,
 };
-use obs::{FlightRecorder, HistogramSnapshot, MetricsRegistry, TraceEvent, TraceKind};
+use obs::{FlightRecorder, MetricsRegistry, TraceEvent, TraceKind};
 use proptest::prelude::*;
 use trr::{Graphene, GrapheneConfig, Para};
 
@@ -105,10 +104,8 @@ fn step() -> impl Strategy<Value = Step> {
 #[derive(Debug, PartialEq)]
 struct Outcome {
     results: Vec<Result<(), DramError>>,
-    stats: ModuleStats,
     activations: u64,
     counters: Vec<(String, u64)>,
-    histograms: Vec<(String, HistogramSnapshot)>,
     now: Nanos,
     trace: (Vec<TraceEvent>, u64),
     readouts: Vec<Vec<u32>>,
@@ -148,7 +145,6 @@ fn run(engine_name: &str, seed: u64, steps: &[Step], batched: bool) -> Outcome {
     let config = ModuleConfig::small_test();
     let banks = config.geometry.banks;
     let registry = MetricsRegistry::shared();
-    registry.set_detail(true);
     let recorder = Arc::new(FlightRecorder::unfiltered());
     registry.install_recorder(Arc::clone(&recorder));
     let mut m = Module::with_engine(config, engine(engine_name, banks, seed), seed);
@@ -166,9 +162,9 @@ fn run(engine_name: &str, seed: u64, steps: &[Step], batched: bool) -> Outcome {
             &Step::Advance(us) => m.advance(Nanos::from_us(us)),
         }
     }
-    let (stats, activations) = (m.stats(), m.activations());
+    let activations = m.activations();
     m.flush_metrics();
-    let (counters, histograms) = (registry.counters_snapshot(), registry.histograms_snapshot());
+    let counters = registry.counters_snapshot();
     let now = m.now();
     // The next 64 REFs: their detections land in the trace.
     for _ in 0..64 {
@@ -181,16 +177,7 @@ fn run(engine_name: &str, seed: u64, steps: &[Step], batched: bool) -> Outcome {
                 .push(m.read_row(Bank::new(b), RowAddr::new(r)).unwrap().flipped_bits().to_vec());
         }
     }
-    Outcome {
-        results,
-        stats,
-        activations,
-        counters,
-        histograms,
-        now,
-        trace: recorder.snapshot(),
-        readouts,
-    }
+    Outcome { results, activations, counters, now, trace: recorder.snapshot(), readouts }
 }
 
 /// `PROPTEST_CASES` when set (CI runs the suite in release with 512),
@@ -261,7 +248,7 @@ fn every_engine_matches_on_a_fixed_trace() {
     for name in ENGINES {
         let batched = run(name, 3, &steps, true);
         assert_eq!(batched.results.iter().filter(|r| r.is_err()).count(), 5, "{name}");
-        assert!(batched.stats.activations > 50_000, "{name}: the trace hammers");
+        assert!(batched.counter(CTR_ACT) > 50_000, "{name}: the trace hammers");
         batched.assert_counted(name);
         let acts = batched.trace.0.iter().filter(|e| e.kind == TraceKind::Act).count();
         assert!(acts > 1_000, "{name}: one act event per op, got {acts}");

@@ -2,8 +2,8 @@
 //! (`Module::refresh_burst_at_refi(n)`, which lets the mitigation engine
 //! skip the `REF`s that provably detect nothing) must be observationally
 //! identical to `n` × (`refresh()` + `advance(tREFI − tRFC)`) — same row
-//! data, `ModuleStats`, registry counters and histograms, clock, `REF`
-//! count and flight-recorder trace (every `REF`, bit flip and TRR
+//! data, registry counters, clock, `REF` count and flight-recorder
+//! trace (every `REF`, bit flip and TRR
 //! detection, in order, through the detections of the next 64 `REF`s)
 //! — for every shipped engine, across randomized write / hammer / pair
 //! / advance / burst traces.
@@ -12,10 +12,9 @@ use std::sync::Arc;
 
 use dram_sim::metrics::{CTR_ACT, CTR_REF};
 use dram_sim::{
-    Bank, DataPattern, MitigationEngine, Module, ModuleConfig, ModuleStats, Nanos, NoMitigation,
-    RowAddr,
+    Bank, DataPattern, MitigationEngine, Module, ModuleConfig, Nanos, NoMitigation, RowAddr,
 };
-use obs::{FlightRecorder, HistogramSnapshot, MetricsRegistry, TraceEvent, TraceKind};
+use obs::{FlightRecorder, MetricsRegistry, TraceEvent, TraceKind};
 use proptest::prelude::*;
 use trr::{Graphene, GrapheneConfig, Para};
 
@@ -72,9 +71,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 /// Everything a run exposes.
 #[derive(Debug, PartialEq)]
 struct Outcome {
-    stats: ModuleStats,
     counters: Vec<(String, u64)>,
-    histograms: Vec<(String, HistogramSnapshot)>,
     now: Nanos,
     ref_count: u64,
     trace: (Vec<TraceEvent>, u64),
@@ -104,7 +101,6 @@ fn run(engine_name: &str, period: u32, seed: u64, ops: &[Op], segmented: bool) -
     config.refresh.period_refs = period;
     let banks = config.geometry.banks;
     let registry = MetricsRegistry::shared();
-    registry.set_detail(true);
     let recorder = Arc::new(FlightRecorder::unfiltered());
     registry.install_recorder(Arc::clone(&recorder));
     let mut m = Module::with_engine(config, engine(engine_name, banks, seed), seed);
@@ -130,9 +126,8 @@ fn run(engine_name: &str, period: u32, seed: u64, ops: &[Op], segmented: bool) -
             }
         }
     }
-    let stats = m.stats();
     m.flush_metrics();
-    let (counters, histograms) = (registry.counters_snapshot(), registry.histograms_snapshot());
+    let counters = registry.counters_snapshot();
     let (now, ref_count) = (m.now(), m.ref_count());
     // The next 64 REFs: their detections land in the trace.
     for _ in 0..64 {
@@ -147,7 +142,7 @@ fn run(engine_name: &str, period: u32, seed: u64, ops: &[Op], segmented: bool) -
                 .push(m.read_row(Bank::new(b), RowAddr::new(r)).unwrap().flipped_bits().to_vec());
         }
     }
-    Outcome { stats, counters, histograms, now, ref_count, trace: recorder.snapshot(), readouts }
+    Outcome { counters, now, ref_count, trace: recorder.snapshot(), readouts }
 }
 
 /// `PROPTEST_CASES` when set (CI runs the suite in release with 512),
@@ -206,7 +201,7 @@ fn every_engine_matches_on_a_fixed_trace() {
     for name in ENGINES {
         for period in PERIODS {
             let segmented = run(name, period, 3, &ops, true);
-            assert!(segmented.stats.refreshes > 10_000, "{name}: the trace bursts");
+            assert!(segmented.counter(CTR_REF) > 10_000, "{name}: the trace bursts");
             segmented.assert_counted(name);
             let (events, dropped) = &segmented.trace;
             let refs = events.iter().filter(|e| e.kind == TraceKind::Ref).count() as u64;

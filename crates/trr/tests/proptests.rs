@@ -4,7 +4,7 @@
 //! engines, under arbitrary interleavings of rows, counts, and
 //! refreshes.
 
-use dram_sim::{Bank, MitigationEngine, MitigationEngineExt, Nanos, PhysRow};
+use dram_sim::{Bank, MitigationEngine, Nanos, PhysRow};
 use proptest::prelude::*;
 use trr::{CounterTrr, CounterTrrConfig, WindowTrr, WindowTrrConfig};
 
@@ -29,6 +29,7 @@ fn step_strategy() -> impl Strategy<Value = Step> {
 
 fn drive(engine: &mut dyn MitigationEngine, steps: &[Step], batched: bool) -> Vec<(u8, u32)> {
     let mut detections = Vec::new();
+    let mut refreshed = Vec::new();
     for step in steps {
         match *step {
             Step::Act { bank, row, count } => {
@@ -57,9 +58,9 @@ fn drive(engine: &mut dyn MitigationEngine, steps: &[Step], batched: bool) -> Ve
                 }
             }
             Step::Refresh => {
-                for d in engine.refresh_detections(T0) {
-                    detections.push((d.bank.index(), d.aggressor.index()));
-                }
+                engine.on_refresh(T0, &mut refreshed);
+                detections
+                    .extend(refreshed.drain(..).map(|d| (d.bank.index(), d.aggressor.index())));
             }
         }
     }
