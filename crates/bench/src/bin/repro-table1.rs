@@ -5,14 +5,16 @@
 //!
 //! Usage:
 //!   repro-table1 [--rows N] [--samples N] [--windows N] [--modules A5,B0,...]
-//!                [--attack-only] [--threads N]
-//!                [--faults none|mild|hostile] [--fault-seed N]
+//!                [--threads N] [--faults none|mild|hostile] [--fault-seed N]
 //!                [--metrics-out PATH] [--bench-out PATH] [--trace-out PATH]
 //!                [--trace-rows SPEC]
 //!
-//! The reverse-engineering suite runs once per *TRR version* (modules
-//! sharing a version share their engine, so the findings are
-//! identical).
+//! Every module is reverse engineered on its own, so each row of the
+//! table is its own measurement. A module whose reverse engineering
+//! fails on every seed prints an `inconclusive` row and the run goes
+//! on. Below `--faults hostile` that row names the cause
+//! (`inconclusive [re-failed:<cause>]`) and the binary exits 1 after
+//! all output, as `repro-fleet` does.
 //!
 //! `--threads N` (or `UTRR_THREADS`) fans the reverse-engineering and
 //! attack phases over a worker pool; results are bit-identical to a
@@ -20,14 +22,13 @@
 //! `BENCH_sweep.json` baseline artifact recording wall-clock per phase
 //! plus a per-command device cost micro-benchmark.
 
-use std::collections::HashMap;
-
 use attacks::eval::{BankSweep, EvalConfig};
 use faults::FaultProfile;
 use utrr_bench::{
-    arg_flag, arg_or, arg_value, attack_columns, detection_label, device_ns_per_act, emit_metrics,
+    arg_or, arg_value, attack_columns, detection_label, device_ns_per_act, emit_metrics,
     emit_trace, fault_args, hc_first, install_trace, metrics_out_path, par_config, retry_seeds,
-    reverse_engineer, run_registry, threads_arg, trace_args, BenchPhases, ReOutcome, RunConfig,
+    reverse_engineer, run_registry, threads_arg, trace_args, BenchPhases, ReOutcome, Retried,
+    RunConfig, RE_FAILED,
 };
 use utrr_modules::{catalog, ModuleSpec};
 
@@ -44,7 +45,6 @@ fn main() {
     let samples: u32 = arg_or(&args, "--samples", 48);
     let windows: u32 = arg_or(&args, "--windows", 2);
     let filter = arg_value(&args, "--modules");
-    let attack_only = arg_flag(&args, "--attack-only");
     let metrics_path = metrics_out_path(&args);
     let bench_path = arg_value(&args, "--bench-out").map(std::path::PathBuf::from);
     let (fault_profile, fault_seed) = fault_args(&args);
@@ -82,85 +82,72 @@ fn main() {
     );
     println!("|---|---|---|---|---|---|---|---|");
 
-    if !attack_only {
-        // Memoize one reverse-engineering run per TRR version. Distinct
-        // versions run in parallel, first-appearance order, so the
-        // printed table is identical for any thread count.
-        let mut unique: Vec<(&str, ModuleSpec)> = Vec::new();
-        for spec in &modules {
-            if !unique.iter().any(|(k, _)| *k == spec.trr_version) {
-                unique.push((spec.trr_version, spec.clone()));
-            }
-        }
-        let outcomes: Vec<Option<ReOutcome>> = bench.time("reverse_engineering", || {
-            par::par_map(&pool, &unique, |(_, spec)| {
-                retry_seeds(&run_config, |k| 7 + 97 * k, |c| reverse_engineer(spec, c))
-                    .unwrap_or_else(|e| panic!("reverse-engineering {}: {e}", spec.id))
-                    .outcome
-            })
-        });
-        let re_cache: HashMap<&str, &Option<ReOutcome>> =
-            unique.iter().zip(outcomes.iter()).map(|((key, _), outcome)| (*key, outcome)).collect();
-        let mut tiers = [0u64; 3];
-        for spec in &modules {
-            match re_cache[spec.trr_version] {
-                Some(outcome) => {
-                    // A non-confirmed tier, which only a tiered policy
-                    // produces, rides in the match cell.
-                    tiers[usize::try_from(outcome.tier.code()).expect("code fits")] += 1;
-                    let mut verdict =
-                        if outcome.matches.all() { "✓" } else { "partial" }.to_string();
-                    if !outcome.tier.is_confirmed() {
-                        verdict = format!(
-                            "{verdict} [{}: {}]",
-                            outcome.tier.label(),
-                            outcome.tier.reasons_string()
-                        );
-                    }
-                    println!(
-                        "| {} | {} | {} ({}) | {} ({}) | {} ({}) | {} ({}) | {} ({}) | {} |",
-                        spec.id,
-                        spec.trr_version,
-                        outcome.profile.trr_ref_ratio,
-                        spec.trr_to_ref_ratio,
-                        outcome.profile.neighbors_refreshed,
-                        spec.neighbors_refreshed,
-                        detection_label(&outcome.profile.detection),
-                        spec.detection,
-                        outcome.profile.per_bank,
-                        spec.per_bank_trr,
-                        outcome.refresh_period,
-                        spec.refresh().period_refs,
-                        verdict,
+    let outcomes: Vec<Retried<ReOutcome>> = bench.time("reverse_engineering", || {
+        par::par_map(&pool, &modules, |spec| {
+            retry_seeds(&run_config, |k| 7 + 97 * k, |c| reverse_engineer(spec, c))
+        })
+    });
+    let mut tiers = [0u64; 3];
+    for (spec, re) in modules.iter().zip(&outcomes) {
+        match &re.outcome {
+            Some(outcome) => {
+                // A non-confirmed tier, which only a tiered policy
+                // produces, rides in the match cell.
+                tiers[usize::try_from(outcome.tier.code()).expect("code fits")] += 1;
+                let mut verdict = if outcome.matches.all() { "✓" } else { "partial" }.to_string();
+                if !outcome.tier.is_confirmed() {
+                    verdict = format!(
+                        "{verdict} [{}: {}]",
+                        outcome.tier.label(),
+                        outcome.tier.reasons_string()
                     );
                 }
-                // Only reachable under a tiered policy: the retry
-                // ladder is exhausted, the module is recorded
-                // inconclusive, and the run continues with the ground
-                // truth alone.
-                None => {
-                    tiers[2] += 1;
-                    println!(
-                        "| {} | {} | – ({}) | – ({}) | – ({}) | – ({}) | – ({}) | inconclusive |",
-                        spec.id,
-                        spec.trr_version,
-                        spec.trr_to_ref_ratio,
-                        spec.neighbors_refreshed,
-                        spec.detection,
-                        spec.per_bank_trr,
-                        spec.refresh().period_refs,
-                    );
-                }
+                println!(
+                    "| {} | {} | {} ({}) | {} ({}) | {} ({}) | {} ({}) | {} ({}) | {} |",
+                    spec.id,
+                    spec.trr_version,
+                    outcome.profile.trr_ref_ratio,
+                    spec.trr_to_ref_ratio,
+                    outcome.profile.neighbors_refreshed,
+                    spec.neighbors_refreshed,
+                    detection_label(&outcome.profile.detection),
+                    spec.detection,
+                    outcome.profile.per_bank,
+                    spec.per_bank_trr,
+                    outcome.refresh_period,
+                    spec.refresh().period_refs,
+                    verdict,
+                );
+            }
+            // Every seed failed: the module is inconclusive and the run
+            // continues with the ground truth alone. Below a tiered
+            // policy the cause is named and the run exits 1 at the end.
+            None => {
+                tiers[2] += 1;
+                let verdict = match &re.failure {
+                    Some(e) => format!("inconclusive [{RE_FAILED}{}]", e.cause()),
+                    None => "inconclusive".to_string(),
+                };
+                println!(
+                    "| {} | {} | – ({}) | – ({}) | – ({}) | – ({}) | – ({}) | {verdict} |",
+                    spec.id,
+                    spec.trr_version,
+                    spec.trr_to_ref_ratio,
+                    spec.neighbors_refreshed,
+                    spec.detection,
+                    spec.per_bank_trr,
+                    spec.refresh().period_refs,
+                );
             }
         }
+    }
+    println!();
+    if run_config.policy().tiered {
+        println!(
+            "verdict tiers: {} confirmed, {} degraded, {} inconclusive",
+            tiers[0], tiers[1], tiers[2]
+        );
         println!();
-        if run_config.policy().tiered {
-            println!(
-                "verdict tiers: {} confirmed, {} degraded, {} inconclusive",
-                tiers[0], tiers[1], tiers[2]
-            );
-            println!();
-        }
     }
 
     println!("## Attack columns (custom §7.1 pattern per vendor)");
@@ -216,4 +203,12 @@ fn main() {
     }
     emit_trace(&registry, &trace).expect("trace artifact is writable");
     emit_metrics(&registry, metrics_path.as_deref()).expect("metrics artifact is writable");
+    let re_failed = outcomes.iter().filter(|re| re.failure.is_some()).count();
+    if re_failed > 0 {
+        eprintln!(
+            "error: reverse engineering failed on {re_failed} modules below hostile severity \
+             (rows marked {RE_FAILED}<cause>)"
+        );
+        std::process::exit(1);
+    }
 }

@@ -219,15 +219,22 @@ pub const RE_BIN_ATTEMPTS: u64 = 4;
 /// Counter: failed attempts [`retry_seeds`] followed with another seed.
 pub const CTR_RE_RETRIES: &str = "utrr.fleet.re_retries";
 
+/// Marks a [`Retried::failure`] as `re-failed:<cause>` ([`UtrrError::cause`])
+/// in `repro-table1`'s Match cell and a fleet record's `tier_reasons`.
+pub const RE_FAILED: &str = "re-failed:";
+
 /// What [`retry_seeds`] got.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Retried<T> {
     /// The first successful result; `None` when every attempt failed
-    /// under a [`RecoveryPolicy::tiered`] policy (the module is
-    /// inconclusive).
+    /// (the module is inconclusive).
     pub outcome: Option<T>,
     /// Attempts made, 1 to [`RE_BIN_ATTEMPTS`].
     pub attempts: u32,
+    /// The last error when every attempt failed and the run's policy is
+    /// not [`RecoveryPolicy::tiered`]: below hostile faults every module
+    /// must succeed, so the caller reports it and fails the run.
+    pub failure: Option<UtrrError>,
 }
 
 /// The seed-retry loop: runs `run` on `config` with the experiment seed
@@ -236,25 +243,20 @@ pub struct Retried<T> {
 /// [`obs::TraceKind::ReRetry`] event (`attempt`, `seed`, the error) in
 /// the registry's flight recorder; each one retried adds one to
 /// [`CTR_RE_RETRIES`].
-///
-/// # Errors
-///
-/// The last error when every attempt fails, unless the run's
-/// [`RunConfig::policy`] is [`RecoveryPolicy::tiered`] (hostile
-/// faults): then the result has no outcome and the module is
-/// inconclusive.
 pub fn retry_seeds<T>(
     config: &RunConfig,
     attempt_seed: impl Fn(u64) -> u64,
     mut run: impl FnMut(&RunConfig) -> Result<T, UtrrError>,
-) -> Result<Retried<T>, UtrrError> {
+) -> Retried<T> {
     let mut attempt_config = config.clone();
     let mut attempt = 0;
     loop {
         attempt_config.seed = attempt_seed(attempt);
         attempt += 1;
         let error = match run(&attempt_config) {
-            Ok(outcome) => return Ok(Retried { outcome: Some(outcome), attempts: attempt as u32 }),
+            Ok(outcome) => {
+                return Retried { outcome: Some(outcome), attempts: attempt as u32, failure: None }
+            }
             Err(error) => error,
         };
         let exhausted = attempt == RE_BIN_ATTEMPTS;
@@ -272,11 +274,8 @@ pub fn retry_seeds<T>(
             }
         }
         if exhausted {
-            return if config.policy().tiered {
-                Ok(Retried { outcome: None, attempts: attempt as u32 })
-            } else {
-                Err(error)
-            };
+            let failure = (!config.policy().tiered).then_some(error);
+            return Retried { outcome: None, attempts: attempt as u32, failure };
         }
     }
 }
@@ -748,7 +747,7 @@ mod tests {
     fn fake_run(
         profile: FaultProfile,
         ok_seed: Option<u64>,
-    ) -> (Result<Retried<u64>, UtrrError>, Vec<u64>, u64, Vec<RetryEvent>) {
+    ) -> (Retried<u64>, Vec<u64>, u64, Vec<RetryEvent>) {
         let registry = run_registry();
         registry.install_recorder(Arc::new(obs::FlightRecorder::unfiltered()));
         let config = RunConfig {
@@ -781,13 +780,13 @@ mod tests {
     #[test]
     fn retry_loop_stops_at_the_first_success() {
         let (result, tried, retries, events) = fake_run(FaultProfile::None, Some(30));
-        assert_eq!(result, Ok(Retried { outcome: Some(30), attempts: 3 }));
+        assert_eq!(result, Retried { outcome: Some(30), attempts: 3, failure: None });
         assert_eq!(tried, [10, 20, 30], "seeds in the given order, none after the success");
         assert_eq!(retries, 2, "one per retried failure");
         assert_eq!(events, [event(1, 10), event(2, 20)]);
 
         let (result, _, retries, events) = fake_run(FaultProfile::None, Some(10));
-        assert_eq!(result, Ok(Retried { outcome: Some(10), attempts: 1 }));
+        assert_eq!(result, Retried { outcome: Some(10), attempts: 1, failure: None });
         assert_eq!((retries, events.len()), (0, 0));
     }
 
@@ -795,13 +794,15 @@ mod tests {
     fn retry_loop_exhaustion_depends_on_the_fault_profile() {
         let all_failed = [event(1, 10), event(2, 20), event(3, 30), event(4, 40)];
         let (result, tried, retries, events) = fake_run(FaultProfile::Hostile, None);
-        assert_eq!(result, Ok(Retried { outcome: None, attempts: 4 }), "inconclusive");
+        let inconclusive = Retried { outcome: None, attempts: 4, failure: None };
+        assert_eq!(result, inconclusive, "inconclusive, with no failure to report");
         assert_eq!(tried, [10, 20, 30, 40]);
         assert_eq!(retries, 3, "the last failure is not retried");
         assert_eq!(events, all_failed, "one event per failed attempt");
         for profile in [FaultProfile::None, FaultProfile::Mild] {
             let (result, _, retries, events) = fake_run(profile, None);
-            assert_eq!(result, Err(UtrrError::HammerCountUnsafe { count: 40 }), "the last cause");
+            let failure = Some(UtrrError::HammerCountUnsafe { count: 40 });
+            assert_eq!(result, Retried { outcome: None, attempts: 4, failure }, "the last cause");
             assert_eq!((retries, events), (3, all_failed.to_vec()));
         }
     }

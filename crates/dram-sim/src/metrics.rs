@@ -33,10 +33,10 @@ pub const CTR_TRR_DETECTIONS: &str = "dram.trr.detections";
 /// Counter name for materialized bit flips.
 pub const CTR_BIT_FLIPS: &str = "dram.bit_flips";
 
-/// A device's counts since its last flush, one per `dram.*` counter.
+/// A device's counts since its last flush, one per `dram.*` counter
+/// but `dram.cmd.act` (see [`DeviceMetrics::flush`]).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct DeviceCounts {
-    pub act: u64,
     pub pre: u64,
     pub refresh: u64,
     pub row_reads: u64,
@@ -68,11 +68,14 @@ pub(crate) struct DeviceMetrics {
     bit_flips: Counter,
     /// Counts since the last [`DeviceMetrics::flush`].
     pub(crate) pending: DeviceCounts,
+    /// [`crate::Module::activations`] at the last flush.
+    flushed_acts: u64,
 }
 
 impl DeviceMetrics {
-    /// Resolves all handles against `registry`.
-    pub fn new(registry: Arc<MetricsRegistry>) -> Self {
+    /// Resolves all handles against `registry`, whose `dram.cmd.act`
+    /// gets the device's activations after the first `activations`.
+    pub fn new(registry: Arc<MetricsRegistry>, activations: u64) -> Self {
         DeviceMetrics {
             act: registry.counter(CTR_ACT),
             pre: registry.counter(CTR_PRE),
@@ -85,13 +88,8 @@ impl DeviceMetrics {
             bit_flips: registry.counter(CTR_BIT_FLIPS),
             registry,
             pending: DeviceCounts::default(),
+            flushed_acts: activations,
         }
-    }
-
-    /// A private per-device registry: the default for
-    /// modules constructed without an explicit registry.
-    pub fn private() -> Self {
-        DeviceMetrics::new(Arc::new(MetricsRegistry::new()))
     }
 
     /// The backing registry.
@@ -121,11 +119,13 @@ impl DeviceMetrics {
     }
 
     /// Pushes the pending counts into the registry, one add per counter,
-    /// and zeroes them.
-    pub(crate) fn flush(&mut self) {
+    /// and zeroes them; `dram.cmd.act` gets the growth of the device's
+    /// lifetime tally `activations` since the last flush.
+    pub(crate) fn flush(&mut self, activations: u64) {
         let n = std::mem::take(&mut self.pending);
+        let acts = activations - std::mem::replace(&mut self.flushed_acts, activations);
         for (counter, count) in [
-            (&self.act, n.act),
+            (&self.act, acts),
             (&self.pre, n.pre),
             (&self.refresh, n.refresh),
             (&self.row_reads, n.row_reads),
@@ -181,26 +181,23 @@ mod tests {
     #[test]
     fn flush_moves_pending_counts_once() {
         let registry = Arc::new(MetricsRegistry::new());
-        let mut metrics = DeviceMetrics::new(Arc::clone(&registry));
-        metrics.pending.act = 11;
+        let mut metrics = DeviceMetrics::new(Arc::clone(&registry), 5);
         metrics.pending.bit_flips = 3;
         assert_eq!(registry.counter(CTR_ACT).get(), 0);
-        metrics.flush();
-        metrics.flush();
+        metrics.flush(16);
+        metrics.flush(16);
         assert_eq!(metrics.pending, DeviceCounts::default());
-        assert_eq!(registry.counter(CTR_ACT).get(), 11);
+        assert_eq!(registry.counter(CTR_ACT).get(), 11, "activations after the first 5");
         assert_eq!(registry.counter(CTR_BIT_FLIPS).get(), 3);
     }
 
     #[test]
     fn two_devices_can_share_one_registry() {
         let registry = Arc::new(MetricsRegistry::new());
-        let mut a = DeviceMetrics::new(Arc::clone(&registry));
-        let mut b = DeviceMetrics::new(Arc::clone(&registry));
-        a.pending.act = 2;
-        b.pending.act = 3;
-        a.flush();
-        b.flush();
+        let mut a = DeviceMetrics::new(Arc::clone(&registry), 0);
+        let mut b = DeviceMetrics::new(Arc::clone(&registry), 0);
+        a.flush(2);
+        b.flush(3);
         assert_eq!(registry.counter(CTR_ACT).get(), 5);
     }
 

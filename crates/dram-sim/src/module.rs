@@ -314,7 +314,8 @@ impl Module {
         let row_slots = config.geometry.banks as usize * config.geometry.rows_per_bank as usize;
         let bank_words = (config.geometry.banks as usize).div_ceil(64).max(1);
         let touched = vec![0u64; config.geometry.rows_per_bank as usize * bank_words];
-        let metrics = DeviceMetrics::private();
+        // A private registry until the caller attaches a shared one.
+        let metrics = DeviceMetrics::new(Arc::new(MetricsRegistry::new()), 0);
         let mut engine = engine;
         engine.attach_metrics(metrics.registry());
         let engine_inline = engine.detects_inline();
@@ -353,7 +354,7 @@ impl Module {
     /// registry after its modules are gone (or flushed).
     pub fn attach_registry(&mut self, registry: Arc<MetricsRegistry>) {
         self.flush_metrics();
-        self.metrics = DeviceMetrics::new(registry);
+        self.metrics = DeviceMetrics::new(registry, self.activations);
         self.engine.attach_metrics(self.metrics.registry());
     }
 
@@ -361,7 +362,7 @@ impl Module {
     /// `trr.<name>.*` counts, into the attached registry. Runs on drop;
     /// flushing twice adds nothing.
     pub fn flush_metrics(&mut self) {
-        self.metrics.flush();
+        self.metrics.flush(self.activations);
         self.engine.flush_metrics();
     }
 
@@ -480,7 +481,6 @@ impl Module {
         b.open = Some((row, phys));
         b.last_act = Some(phys);
         self.activations += 1;
-        self.metrics.pending.act += 1;
         self.metrics.trace(
             TraceKind::Act,
             self.now.as_ns(),
@@ -641,7 +641,6 @@ impl Module {
             }
         }
         self.activations += acts;
-        self.metrics.pending.act += acts;
         result
     }
 

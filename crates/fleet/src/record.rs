@@ -23,8 +23,8 @@ use obs::jsonl::JsonValue;
 use obs::MetricsRegistry;
 pub use utrr_bench::CTR_RE_RETRIES;
 use utrr_bench::{
-    attack_columns, detection_label, hc_first, retry_seeds, reverse_engineer, Retried, RunConfig,
-    RE_BIN_ATTEMPTS,
+    attack_columns, detection_label, hc_first, retry_seeds, reverse_engineer, RunConfig,
+    RE_BIN_ATTEMPTS, RE_FAILED,
 };
 use utrr_core::recovery::VerdictTier;
 
@@ -129,10 +129,6 @@ pub struct FleetRecord {
 /// deterministic.
 pub const RE_ATTEMPTS: u32 = RE_BIN_ATTEMPTS as u32;
 
-/// `tier_reasons` prefix of a module whose reverse engineering failed
-/// every seed below hostile severity; the cause follows it.
-pub(crate) const RE_FAILED: &str = "re-failed:";
-
 /// Runs the full pipeline for module `index` and returns its record.
 ///
 /// A module whose reverse engineering exhausts all [`RE_ATTEMPTS`]
@@ -152,8 +148,7 @@ pub fn characterize(params: &SweepParams, index: u64) -> FleetRecord {
     let synth = synth_spec(params.fleet_seed, index, params.base_rows);
     let spec = &synth.spec;
     // A private registry per module: its counters are exactly this
-    // module's pipeline traffic, nothing else's. The record reads only
-    // counters, so detail (histograms, events) stays off.
+    // module's pipeline traffic, nothing else's.
     let registry = Arc::new(MetricsRegistry::new());
     let fault_seed = derive_seed(synth.seed ^ params.fault_seed, 5);
 
@@ -166,14 +161,11 @@ pub fn characterize(params: &SweepParams, index: u64) -> FleetRecord {
     };
     // Streams 2..5 feed the first attempt's phases; retries move to a
     // disjoint stream block (16, 32, …) per attempt.
-    let (re, failure) = match retry_seeds(
+    let re = retry_seeds(
         &config,
         |k| derive_seed(synth.seed, 2 + 16 * k),
         |c| reverse_engineer(spec, c),
-    ) {
-        Ok(re) => (re, None),
-        Err(e) => (Retried { outcome: None, attempts: RE_ATTEMPTS }, Some(e)),
-    };
+    );
     let hc_config = RunConfig { seed: derive_seed(synth.seed, 3), ..config };
     let hc = hc_first(spec, &hc_config, params.hc_samples)
         .expect("characterization runs on an in-range bank");
@@ -234,7 +226,7 @@ pub fn characterize(params: &SweepParams, index: u64) -> FleetRecord {
         read_disagreements: counter(utrr_core::robust::CTR_READ_DISAGREEMENTS),
         write_retries: counter(utrr_core::robust::CTR_WRITE_RETRIES),
         tier: tier.label().to_string(),
-        tier_reasons: match failure {
+        tier_reasons: match &re.failure {
             Some(e) => format!("{RE_FAILED}{}", e.cause()),
             None => tier.reasons_string(),
         },

@@ -13,8 +13,9 @@
 
 use obs::jsonl::parse_jsonl;
 use obs::metrics::{Histogram, HistogramSnapshot};
+use utrr_bench::RE_FAILED;
 
-use crate::record::{FleetRecord, RE_FAILED};
+use crate::record::FleetRecord;
 
 /// Aggregate over one TRR variant's sub-population.
 #[derive(Debug, Clone)]
