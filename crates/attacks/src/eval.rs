@@ -81,11 +81,6 @@ impl EvalConfig {
             fault_seed: 0,
         }
     }
-
-    /// A full-fidelity configuration at the module's Table-1 geometry.
-    pub fn full(sample_count: u32) -> Self {
-        EvalConfig { scaled_rows: None, ..EvalConfig::quick(sample_count) }
-    }
 }
 
 /// Outcome for one victim position.

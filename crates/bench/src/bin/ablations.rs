@@ -7,35 +7,12 @@
 //!                  [--faults none|mild|hostile] [--fault-seed N]
 //!                  [--metrics-out PATH] [--trace-out PATH] [--trace-rows SPEC]
 
-use std::sync::Arc;
-
 use attacks::baseline::DoubleSided;
 use attacks::custom::VendorAPattern;
-use attacks::eval::{sweep_bank_module, EvalConfig};
+use attacks::eval::sweep_bank_module;
 use dram_sim::{Bank, DataPattern, Module, RowAddr};
-use faults::FaultProfile;
-use obs::MetricsRegistry;
-use utrr_bench::{
-    arg_or, emit_metrics, emit_trace, fault_args, install_trace, metrics_out_path, par_config,
-    run_registry, threads_arg, trace_args,
-};
+use utrr_bench::{arg_or, Run};
 use utrr_modules::by_id;
-
-fn config(
-    samples: u32,
-    rows: u32,
-    registry: &Arc<MetricsRegistry>,
-    faults: (FaultProfile, u64),
-) -> EvalConfig {
-    EvalConfig {
-        sample_count: samples,
-        scaled_rows: Some(rows),
-        registry: Some(Arc::clone(registry)),
-        fault_profile: faults.0,
-        fault_seed: faults.1,
-        ..EvalConfig::quick(samples)
-    }
-}
 
 /// Ablation 1 — same-row discount: without it, cascaded hammering is as
 /// disruptive as interleaved, erasing the §5.2 asymmetry.
@@ -106,16 +83,9 @@ fn ablate_blast_radius(spec: &utrr_modules::ModuleSpec, rows: u32) {
 
 /// Ablation 3 — dummy-row pressure in the vendor-A pattern: the attack
 /// collapses without enough dummy insertions to flush the 16-entry LRU.
-fn ablate_dummy_pressure(
-    spec: &utrr_modules::ModuleSpec,
-    samples: u32,
-    rows: u32,
-    registry: &Arc<MetricsRegistry>,
-    pool: &par::ParConfig,
-    faults: (FaultProfile, u64),
-) {
+fn ablate_dummy_pressure(spec: &utrr_modules::ModuleSpec, samples: u32, rows: u32, run: &Run) {
     println!("## Ablation: dummy-row pressure in the vendor-A custom pattern (Fig. 8 trade-off)");
-    let cfg = config(samples, rows, registry, faults);
+    let cfg = run.eval_config(rows, samples, 2);
     let variants = [
         ("paper optimum (24 hammers + 16 dummies)", VendorAPattern::paper_optimum()),
         (
@@ -130,7 +100,7 @@ fn ablate_dummy_pressure(
     ];
     // Each variant sweeps its own freshly built module — one pool task
     // per variant, printed in declaration order.
-    let sweeps = par::par_map(pool, &variants, |(_, pattern)| {
+    let sweeps = par::par_map(&run.pool, &variants, |(_, pattern)| {
         sweep_bank_module(spec.build_scaled(rows, 5), pattern, &cfg)
     });
     for ((label, _), sweep) in variants.iter().zip(&sweeps) {
@@ -147,21 +117,14 @@ fn ablate_dummy_pressure(
 
 /// Ablation 4 — the baseline contrast: TRR stops double-sided hammering
 /// entirely; removing TRR restores it.
-fn ablate_trr_presence(
-    spec: &utrr_modules::ModuleSpec,
-    samples: u32,
-    rows: u32,
-    registry: &Arc<MetricsRegistry>,
-    pool: &par::ParConfig,
-    faults: (FaultProfile, u64),
-) {
+fn ablate_trr_presence(spec: &utrr_modules::ModuleSpec, samples: u32, rows: u32, run: &Run) {
     println!("## Ablation: TRR presence (footnote 18 baseline contrast)");
-    let cfg = config(samples, rows, registry, faults);
+    let cfg = run.eval_config(rows, samples, 2);
     let pattern = DoubleSided::max_rate();
     // Both arms build their own module inside the task (the engine is
     // not Send), so the two sweeps run concurrently.
     let arms = [true, false];
-    let sweeps = par::par_map(pool, &arms, |&trr| {
+    let sweeps = par::par_map(&run.pool, &arms, |&trr| {
         if trr {
             sweep_bank_module(spec.build_scaled(rows, 5), &pattern, &cfg)
         } else {
@@ -183,23 +146,15 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let rows: u32 = arg_or(&args, "--rows", 2_048);
     let samples: u32 = arg_or(&args, "--samples", 24);
-    let metrics_path = metrics_out_path(&args);
-    let faults = fault_args(&args);
-    let trace = trace_args(&args);
-    let registry = run_registry();
-    install_trace(&registry, &trace);
-    let pool = par_config(threads_arg(&args), &registry);
+    let run = Run::from_args(&args);
     let spec = by_id("A5").expect("catalog contains A5");
     println!("# Simulator design-choice ablations (module A5 unless noted)");
-    if faults.0 != FaultProfile::None {
-        println!("# fault injection: {} profile, seed {}", faults.0, faults.1);
-    }
+    run.fault_banner();
     println!();
     ablate_same_row_discount(&spec, rows);
     ablate_blast_radius(&spec, rows);
-    ablate_dummy_pressure(&spec, samples, rows, &registry, &pool, faults);
-    ablate_trr_presence(&spec, samples, rows, &registry, &pool, faults);
+    ablate_dummy_pressure(&spec, samples, rows, &run);
+    ablate_trr_presence(&spec, samples, rows, &run);
 
-    emit_trace(&registry, &trace).expect("trace artifact is writable");
-    emit_metrics(&registry, metrics_path.as_deref()).expect("metrics artifact is writable");
+    run.finish();
 }

@@ -8,57 +8,29 @@
 //!                    [--faults none|mild|hostile] [--fault-seed N]
 //!                    [--metrics-out PATH] [--trace-out PATH] [--trace-rows SPEC]
 
-use attacks::eval::EvalConfig;
 use ecc::{analyze_with_registry, CodeKind};
-use faults::FaultProfile;
-use utrr_bench::{
-    arg_flag, arg_or, arg_value, attack_columns_par, emit_metrics, emit_trace, fault_args,
-    install_trace, metrics_out_path, par_config, run_registry, threads_arg, trace_args,
-};
-use utrr_modules::{catalog, ModuleSpec};
+use utrr_bench::{arg_flag, arg_or, attack_columns_par, catalog_modules, Run};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let rows: u32 = arg_or(&args, "--rows", 2_048);
     let samples: u32 = arg_or(&args, "--samples", 48);
     let windows: u32 = arg_or(&args, "--windows", 2);
-    let filter = arg_value(&args, "--modules");
     let run_ecc = arg_flag(&args, "--ecc");
-    let metrics_path = metrics_out_path(&args);
-    let (fault_profile, fault_seed) = fault_args(&args);
-    let trace = trace_args(&args);
-    let registry = run_registry();
-    install_trace(&registry, &trace);
-    let pool = par_config(threads_arg(&args), &registry);
-    let config = EvalConfig {
-        sample_count: samples,
-        windows,
-        scaled_rows: Some(rows),
-        registry: Some(std::sync::Arc::clone(&registry)),
-        fault_profile,
-        fault_seed,
-        ..EvalConfig::quick(samples)
-    };
+    let run = Run::from_args(&args);
+    let config = run.eval_config(rows, samples, windows);
 
     println!("# Fig. 10 reproduction — 8-byte datawords by bit-flip count");
     println!(
         "# ({samples} sampled victim rows per bank, {rows} rows/bank, {windows} refresh windows)"
     );
-    if fault_profile != FaultProfile::None {
-        println!("# fault injection: {fault_profile} profile, seed {fault_seed}");
-    }
+    run.fault_banner();
     println!();
 
-    let modules: Vec<ModuleSpec> = catalog()
-        .into_iter()
-        .filter(|spec| match &filter {
-            Some(list) => list.split(',').any(|id| id == spec.id),
-            None => true,
-        })
-        .collect();
+    let modules = catalog_modules(&args);
     // One worker-pool task per module; histograms (and the sequential
     // ECC analysis below) print in catalog order.
-    let sweeps = attack_columns_par(&modules, &config, &pool);
+    let sweeps = attack_columns_par(&modules, &config, &run.pool);
 
     let mut global_max_flips_per_word = 0u32;
     for (spec, sweep) in modules.iter().zip(&sweeps) {
@@ -79,7 +51,7 @@ fn main() {
                 CodeKind::ReedSolomon { parity: 2 },
                 CodeKind::ReedSolomon { parity: 7 },
             ] {
-                let report = analyze_with_registry(code, &hist, 17, &registry);
+                let report = analyze_with_registry(code, &hist, 17, &run.registry);
                 println!(
                     "          {:<14} corrected {:>8}  detected {:>8}  SILENT {:>6}  {}",
                     code.to_string(),
@@ -106,6 +78,5 @@ fn main() {
         println!("# only the 7-parity Reed-Solomon code protects every measured distribution.");
     }
 
-    emit_trace(&registry, &trace).expect("trace artifact is writable");
-    emit_metrics(&registry, metrics_path.as_deref()).expect("metrics artifact is writable");
+    run.finish();
 }

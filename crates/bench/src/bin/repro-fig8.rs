@@ -9,12 +9,7 @@
 //!                   [--faults none|mild|hostile] [--fault-seed N]
 //!                   [--metrics-out PATH] [--trace-out PATH] [--trace-rows SPEC]
 
-use attacks::eval::EvalConfig;
-use faults::FaultProfile;
-use utrr_bench::{
-    arg_or, boxplot_line, emit_metrics, emit_trace, fault_args, fig8_sweep_par, install_trace,
-    metrics_out_path, par_config, run_registry, threads_arg, trace_args,
-};
+use utrr_bench::{arg_or, boxplot_line, fig8_sweep_par, Run};
 use utrr_modules::fig8_modules;
 
 fn main() {
@@ -22,27 +17,12 @@ fn main() {
     let rows: u32 = arg_or(&args, "--rows", 2_048);
     let samples: u32 = arg_or(&args, "--samples", 32);
     let windows: u32 = arg_or(&args, "--windows", 2);
-    let metrics_path = metrics_out_path(&args);
-    let (fault_profile, fault_seed) = fault_args(&args);
-    let trace = trace_args(&args);
-    let registry = run_registry();
-    install_trace(&registry, &trace);
-    let pool = par_config(threads_arg(&args), &registry);
-    let config = EvalConfig {
-        sample_count: samples,
-        windows,
-        scaled_rows: Some(rows),
-        registry: Some(std::sync::Arc::clone(&registry)),
-        fault_profile,
-        fault_seed,
-        ..EvalConfig::quick(samples)
-    };
+    let run = Run::from_args(&args);
+    let config = run.eval_config(rows, samples, windows);
 
     println!("# Fig. 8 reproduction — flips per row vs hammers per aggressor per REF");
     println!("# ({samples} victim rows per point, {rows} rows/bank, {windows} refresh windows)");
-    if fault_profile != FaultProfile::None {
-        println!("# fault injection: {fault_profile} profile, seed {fault_seed}");
-    }
+    run.fault_banner();
 
     for spec in fig8_modules() {
         // Sweep the same region the paper shows: a handful of points
@@ -53,7 +33,7 @@ fn main() {
         };
         println!();
         println!("## Module {} ({})", spec.id, spec.trr_version);
-        let points = fig8_sweep_par(&spec, &hammer_values, &config, &pool);
+        let points = fig8_sweep_par(&spec, &hammer_values, &config, &run.pool);
         let max_flips = points.iter().map(|p| p.quartiles.4).max().unwrap_or(1).max(1);
         println!("  hammers/aggr/REF   min   q1  med   q3  max   0 {:>38} {max_flips}", "flips →");
         for p in &points {
@@ -76,6 +56,5 @@ fn main() {
         );
     }
 
-    emit_trace(&registry, &trace).expect("trace artifact is writable");
-    emit_metrics(&registry, metrics_path.as_deref()).expect("metrics artifact is writable");
+    run.finish();
 }

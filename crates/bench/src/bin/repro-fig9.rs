@@ -6,53 +6,25 @@
 //!                   [--threads N] [--faults none|mild|hostile] [--fault-seed N]
 //!                   [--metrics-out PATH] [--trace-out PATH] [--trace-rows SPEC]
 
-use attacks::eval::EvalConfig;
-use faults::FaultProfile;
-use utrr_bench::{
-    arg_or, arg_value, attack_columns_par, emit_metrics, emit_trace, fault_args, install_trace,
-    metrics_out_path, par_config, run_registry, threads_arg, trace_args,
-};
-use utrr_modules::{catalog, ModuleSpec};
+use utrr_bench::{arg_or, attack_columns_par, catalog_modules, Run};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let rows: u32 = arg_or(&args, "--rows", 2_048);
     let samples: u32 = arg_or(&args, "--samples", 48);
     let windows: u32 = arg_or(&args, "--windows", 2);
-    let filter = arg_value(&args, "--modules");
-    let metrics_path = metrics_out_path(&args);
-    let (fault_profile, fault_seed) = fault_args(&args);
-    let trace = trace_args(&args);
-    let registry = run_registry();
-    install_trace(&registry, &trace);
-    let pool = par_config(threads_arg(&args), &registry);
-    let config = EvalConfig {
-        sample_count: samples,
-        windows,
-        scaled_rows: Some(rows),
-        registry: Some(std::sync::Arc::clone(&registry)),
-        fault_profile,
-        fault_seed,
-        ..EvalConfig::quick(samples)
-    };
+    let run = Run::from_args(&args);
+    let config = run.eval_config(rows, samples, windows);
 
     println!("# Fig. 9 reproduction — % vulnerable DRAM rows per module");
     println!("# ({samples} sampled victim positions per bank, {rows} rows/bank, {windows} refresh windows)");
-    if fault_profile != FaultProfile::None {
-        println!("# fault injection: {fault_profile} profile, seed {fault_seed}");
-    }
+    run.fault_banner();
     println!();
     println!("  module  version    measured   paper        0%        50%       100%");
 
-    let modules: Vec<ModuleSpec> = catalog()
-        .into_iter()
-        .filter(|spec| match &filter {
-            Some(list) => list.split(',').any(|id| id == spec.id),
-            None => true,
-        })
-        .collect();
+    let modules = catalog_modules(&args);
     // One worker-pool task per module; rows print in catalog order.
-    let sweeps = attack_columns_par(&modules, &config, &pool);
+    let sweeps = attack_columns_par(&modules, &config, &run.pool);
 
     let mut fully_vulnerable = 0u32;
     let mut total = 0u32;
@@ -78,6 +50,5 @@ fn main() {
         "# {fully_vulnerable}/{total} modules above 99% (paper: 21 of 45 above 99.9%); every module shows bit flips"
     );
 
-    emit_trace(&registry, &trace).expect("trace artifact is writable");
-    emit_metrics(&registry, metrics_path.as_deref()).expect("metrics artifact is writable");
+    run.finish();
 }

@@ -22,15 +22,12 @@
 //! `BENCH_sweep.json` baseline artifact recording wall-clock per phase
 //! plus a per-command device cost micro-benchmark.
 
-use attacks::eval::{BankSweep, EvalConfig};
-use faults::FaultProfile;
+use attacks::eval::BankSweep;
 use utrr_bench::{
-    arg_or, arg_value, attack_columns, detection_label, device_ns_per_act, emit_metrics,
-    emit_trace, fault_args, hc_first, install_trace, metrics_out_path, par_config, retry_seeds,
-    reverse_engineer, run_registry, threads_arg, trace_args, BenchPhases, ReOutcome, Retried,
-    RunConfig, RE_FAILED,
+    arg_or, arg_value, attack_columns, catalog_modules, detection_label, device_ns_per_act,
+    exit_on_write_error, hc_first, retry_seeds, reverse_engineer, BenchPhases, ReOutcome, Retried,
+    Run, RunConfig, RE_FAILED,
 };
-use utrr_modules::{catalog, ModuleSpec};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -44,36 +41,20 @@ fn main() {
     };
     let samples: u32 = arg_or(&args, "--samples", 48);
     let windows: u32 = arg_or(&args, "--windows", 2);
-    let filter = arg_value(&args, "--modules");
-    let metrics_path = metrics_out_path(&args);
     let bench_path = arg_value(&args, "--bench-out").map(std::path::PathBuf::from);
-    let (fault_profile, fault_seed) = fault_args(&args);
-    let trace = trace_args(&args);
-    let threads = threads_arg(&args);
-    let registry = run_registry();
-    install_trace(&registry, &trace);
-    let pool = par_config(threads, &registry);
+    let run = Run::from_args(&args);
     let run_config = RunConfig {
         rows,
         seed: 7,
-        fault_profile,
-        fault_seed,
-        registry: Some(std::sync::Arc::clone(&registry)),
+        fault_profile: run.fault_profile,
+        fault_seed: run.fault_seed,
+        registry: Some(std::sync::Arc::clone(&run.registry)),
     };
-    let mut bench = BenchPhases::new(threads);
-
-    let modules: Vec<ModuleSpec> = catalog()
-        .into_iter()
-        .filter(|m| match &filter {
-            Some(list) => list.split(',').any(|id| id == m.id),
-            None => true,
-        })
-        .collect();
+    let mut bench = BenchPhases::new(run.pool.threads);
+    let modules = catalog_modules(&args);
 
     println!("# Table 1 reproduction — {} modules, {rows} rows/bank (scaled), {samples} victim samples, {windows} refresh windows", modules.len());
-    if fault_profile != FaultProfile::None {
-        println!("# fault injection: {fault_profile} profile, seed {fault_seed}");
-    }
+    run.fault_banner();
     println!();
     println!("## Reverse-engineering columns (U-TRR findings vs planted ground truth)");
     println!();
@@ -83,7 +64,7 @@ fn main() {
     println!("|---|---|---|---|---|---|---|---|");
 
     let outcomes: Vec<Retried<ReOutcome>> = bench.time("reverse_engineering", || {
-        par::par_map(&pool, &modules, |spec| {
+        par::par_map(&run.pool, &modules, |spec| {
             retry_seeds(&run_config, |k| 7 + 97 * k, |c| reverse_engineer(spec, c))
         })
     });
@@ -156,20 +137,12 @@ fn main() {
         "| Module | HC_first measured (Table 1) | % vulnerable (paper) | max flips/row/hammer (paper) | max flips/word |"
     );
     println!("|---|---|---|---|---|");
-    let config = EvalConfig {
-        sample_count: samples,
-        windows,
-        scaled_rows: Some(rows),
-        registry: Some(std::sync::Arc::clone(&registry)),
-        fault_profile,
-        fault_seed,
-        ..EvalConfig::quick(samples)
-    };
+    let config = run.eval_config(rows, samples, windows);
     // One task per module: each measures HC_first and runs the attack
     // sweep on its own freshly built module, then the rows are printed
     // in catalog order.
     let results: Vec<(u64, BankSweep)> = bench.time("attack_columns", || {
-        par::par_map(&pool, &modules, |spec| {
+        par::par_map(&run.pool, &modules, |spec| {
             let hc_config = RunConfig { rows: rows.min(2_048), seed: 11, ..run_config.clone() };
             let hc =
                 hc_first(spec, &hc_config, 48).expect("characterization runs on an in-range bank");
@@ -198,11 +171,10 @@ fn main() {
         bench.scalar("device_ns_per_act", ns_per_act);
         bench.scalar("refs_per_sec", utrr_bench::refs_per_sec());
         bench.scalar("weak_scan_ns_per_row", utrr_bench::weak_scan_ns_per_row());
-        bench.write(path).expect("bench artifact is writable");
+        exit_on_write_error(path, bench.write(path));
         eprintln!("bench artifact: {}", path.display());
     }
-    emit_trace(&registry, &trace).expect("trace artifact is writable");
-    emit_metrics(&registry, metrics_path.as_deref()).expect("metrics artifact is writable");
+    run.finish();
     let re_failed = outcomes.iter().filter(|re| re.failure.is_some()).count();
     if re_failed > 0 {
         eprintln!(

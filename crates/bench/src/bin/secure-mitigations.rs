@@ -16,12 +16,8 @@ use attacks::baseline::DoubleSided;
 use attacks::custom;
 use attacks::eval::{sweep_bank_module, BankSweep, EvalConfig};
 use dram_sim::{MitigationEngine, Module};
-use faults::FaultProfile;
 use trr::{Graphene, GrapheneConfig, Para};
-use utrr_bench::{
-    arg_or, emit_metrics, emit_trace, fault_args, install_trace, metrics_out_path, par_config,
-    run_registry, threads_arg, trace_args,
-};
+use utrr_bench::{arg_or, Run};
 use utrr_modules::{by_id, ModuleSpec};
 
 fn build_with(spec: &ModuleSpec, rows: u32, engine: Box<dyn MitigationEngine>) -> Module {
@@ -64,26 +60,12 @@ fn main() {
     let rows: u32 = arg_or(&args, "--rows", 2_048);
     let samples: u32 = arg_or(&args, "--samples", 24);
     let para_prob: f64 = arg_or(&args, "--para-prob", 0.001);
-    let metrics_path = metrics_out_path(&args);
-    let (fault_profile, fault_seed) = fault_args(&args);
-    let trace = trace_args(&args);
-    let registry = run_registry();
-    install_trace(&registry, &trace);
-    let pool = par_config(threads_arg(&args), &registry);
-    let config = EvalConfig {
-        sample_count: samples,
-        scaled_rows: Some(rows),
-        registry: Some(std::sync::Arc::clone(&registry)),
-        fault_profile,
-        fault_seed,
-        ..EvalConfig::quick(samples)
-    };
+    let run = Run::from_args(&args);
+    let config = run.eval_config(rows, samples, 2);
 
     println!("# Secure-mitigation evaluation — custom patterns vs PARA/Graphene");
     println!("# ({samples} victim samples, {rows} rows/bank, PARA p = {para_prob})");
-    if fault_profile != FaultProfile::None {
-        println!("# fault injection: {fault_profile} profile, seed {fault_seed}");
-    }
+    run.fault_banner();
     println!();
     println!(
         "{:<8} {:<18} {:<22} {:>11} {:>14}",
@@ -100,7 +82,7 @@ fn main() {
             }
         }
     }
-    let results = par::par_map(&pool, &cells, |cell| run_cell(cell, rows, para_prob, &config));
+    let results = par::par_map(&run.pool, &cells, |cell| run_cell(cell, rows, para_prob, &config));
 
     let mut last_id = "";
     for (cell, (name, sweep)) in cells.iter().zip(&results) {
@@ -121,6 +103,5 @@ fn main() {
     println!("# Expected shape: the custom patterns defeat the vendor TRR but neither");
     println!("# PARA (nothing to divert) nor Graphene (deterministic counter bound).");
 
-    emit_trace(&registry, &trace).expect("trace artifact is writable");
-    emit_metrics(&registry, metrics_path.as_deref()).expect("metrics artifact is writable");
+    run.finish();
 }

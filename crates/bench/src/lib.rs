@@ -1,7 +1,7 @@
 //! Shared machinery for the table/figure reproduction binaries: the
 //! library entry points of the §6 pipeline ([`reverse_engineer`],
 //! [`hc_first`] and the seed-retry loop [`retry_seeds`]), the attack
-//! columns, and the binaries' CLI helpers.
+//! columns, and the binaries' run harness [`Run`] and CLI helpers.
 //!
 //! The binaries regenerate every evaluation artifact of the paper:
 //!
@@ -13,6 +13,7 @@
 //! | `repro-fig10` | Fig. 10 — flips-per-8-byte-dataword histograms (+ §7.4 ECC verdicts) |
 //! | `ablations`   | DESIGN.md §6 — outcome sensitivity to simulator design choices |
 
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use attacks::custom;
@@ -386,12 +387,9 @@ pub fn arg_value(args: &[String], key: &str) -> Option<String> {
 
 /// The value of `--key` parsed as a `T`, or `default` when the flag is
 /// absent. Exits with status 2 (`error: --key: invalid value '<v>'`)
-/// when the value does not parse, as [`fault_args`] does for `--faults`.
+/// when the value does not parse.
 pub fn arg_or<T: std::str::FromStr>(args: &[String], key: &str, default: T) -> T {
-    parse_arg(args, key, default).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    })
+    parse_arg(args, key, default).unwrap_or_else(|e| usage_error(&e))
 }
 
 /// [`arg_or`] with the parse failure returned as its message.
@@ -402,38 +400,10 @@ fn parse_arg<T: std::str::FromStr>(args: &[String], key: &str, default: T) -> Re
     }
 }
 
-/// The metrics artifact path for a run: the `--metrics-out <path>`
-/// argument, with the `UTRR_METRICS_OUT` environment variable as
-/// fallback. `None` disables the artifact (the summary table is still
-/// printed).
-pub fn metrics_out_path(args: &[String]) -> Option<std::path::PathBuf> {
-    arg_value(args, "--metrics-out")
-        .or_else(|| std::env::var("UTRR_METRICS_OUT").ok())
-        .map(std::path::PathBuf::from)
-}
-
-/// A shared run registry: attach it to every module a binary builds so
-/// the whole run lands in one artifact.
-pub fn run_registry() -> std::sync::Arc<obs::MetricsRegistry> {
-    obs::MetricsRegistry::shared()
-}
-
-/// End-of-run metrics emission: writes the JSONL artifact when a path is
-/// configured and prints the human-readable summary table to stderr.
-///
-/// # Errors
-///
-/// Propagates artifact I/O errors.
-pub fn emit_metrics(
-    registry: &obs::MetricsRegistry,
-    path: Option<&std::path::Path>,
-) -> std::io::Result<()> {
-    if let Some(path) = path {
-        obs::jsonl::write_jsonl_to_path(registry, path)?;
-        eprintln!("metrics artifact: {}", path.display());
-    }
-    eprint!("{}", obs::report::render_summary(registry));
-    Ok(())
+/// Exits with status 2 and `error: <message>` on stderr.
+fn usage_error(message: &str) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(2);
 }
 
 /// Whether a bare `--flag` is present.
@@ -441,94 +411,162 @@ pub fn arg_flag(args: &[String], key: &str) -> bool {
     args.iter().any(|a| a == key)
 }
 
-/// Flight-recorder arguments shared by every repro binary:
-/// `--trace-out PATH` (JSONL, schema `utrr-trace/1`; `utrr-trace chrome`
-/// converts it to Chrome `trace_event` JSON) and `--trace-rows SPEC`
-/// (`all`, or a comma list of physical rows and inclusive `A-B` ranges
-/// restricting capture to those rows ±2).
-#[derive(Debug, Clone)]
-pub struct TraceArgs {
-    /// JSONL trace path, when requested.
-    pub jsonl_out: Option<std::path::PathBuf>,
-    /// Row filter for captured events.
-    pub filter: obs::TraceFilter,
+/// The catalog modules a `--modules A5,B8,...` list names, in catalog
+/// order; the whole catalog when the flag is absent.
+pub fn catalog_modules(args: &[String]) -> Vec<ModuleSpec> {
+    let filter = arg_value(args, "--modules");
+    utrr_modules::catalog()
+        .into_iter()
+        .filter(|spec| match &filter {
+            Some(list) => list.split(',').any(|id| id == spec.id),
+            None => true,
+        })
+        .collect()
 }
 
-/// Parses the flight-recorder arguments. Exits with status 2 on an
-/// unparsable `--trace-rows` spec.
-pub fn trace_args(args: &[String]) -> TraceArgs {
-    let filter = match arg_value(args, "--trace-rows") {
-        Some(spec) => obs::TraceFilter::parse(&spec).unwrap_or_else(|e| {
-            eprintln!("error: --trace-rows: {e}");
-            std::process::exit(2);
-        }),
-        None => obs::TraceFilter::all(),
-    };
-    TraceArgs { jsonl_out: arg_value(args, "--trace-out").map(std::path::PathBuf::from), filter }
-}
-
-/// Installs a flight recorder into `registry` when tracing was
-/// requested. With no trace output configured this does nothing at all
-/// — the recorder stays uninstalled and every `trace()` call remains a
-/// single relaxed atomic load, keeping untraced runs byte-identical.
-pub fn install_trace(registry: &std::sync::Arc<obs::MetricsRegistry>, trace: &TraceArgs) {
-    if trace.jsonl_out.is_some() {
-        registry.install_recorder(std::sync::Arc::new(obs::FlightRecorder::new(
-            obs::DEFAULT_TRACE_CAPACITY,
-            trace.filter.clone(),
-        )));
-    }
-}
-
-/// End-of-run trace emission: writes the requested JSONL artifact from
-/// the installed recorder, logging its path to stderr.
-///
-/// # Errors
-///
-/// Propagates artifact I/O errors.
-pub fn emit_trace(registry: &obs::MetricsRegistry, trace: &TraceArgs) -> std::io::Result<()> {
-    let (Some(recorder), Some(path)) = (registry.recorder(), &trace.jsonl_out) else {
-        return Ok(());
-    };
-    let (events, dropped) = recorder.snapshot();
-    obs::trace::write_trace_jsonl_to_path(&events, dropped, path)?;
-    eprintln!("trace artifact: {} ({} events, {} dropped)", path.display(), events.len(), dropped);
-    Ok(())
-}
-
-/// Fault-injection arguments for a run: `--faults none|mild|hostile`
-/// (default `none`, the strict no-op path) and `--fault-seed N` (default
-/// 1). Shared by every repro binary. Exits with status 2 on an
-/// unrecognised profile name or an unparsable seed.
-pub fn fault_args(args: &[String]) -> (FaultProfile, u64) {
-    let profile = match arg_value(args, "--faults") {
-        Some(name) => name.parse().unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }),
-        None => FaultProfile::None,
-    };
-    let seed = arg_or(args, "--fault-seed", 1);
-    (profile, seed)
-}
-
-/// Worker count for a run: the `--threads <n>` argument, with the
-/// `UTRR_THREADS` environment variable as fallback and the machine's
-/// available parallelism as default (`--threads 0` also falls back).
-/// Shared by every repro binary. Exits with status 2 on an unparsable
-/// count.
-pub fn threads_arg(args: &[String]) -> usize {
-    par::resolve_threads(Some(arg_or(args, "--threads", 0)))
+/// A shared run registry: attach it to every module a binary builds so
+/// the whole run lands in one artifact.
+pub fn run_registry() -> Arc<obs::MetricsRegistry> {
+    obs::MetricsRegistry::shared()
 }
 
 /// The worker-pool configuration for a run: `threads` workers with
 /// per-worker metrics (task counts, queue-wait and task-latency
 /// histograms, worker spans) landing in the run `registry`.
-pub fn par_config(
-    threads: usize,
-    registry: &std::sync::Arc<obs::MetricsRegistry>,
-) -> par::ParConfig {
-    par::ParConfig::metered(threads, std::sync::Arc::clone(registry))
+pub fn par_config(threads: usize, registry: &Arc<obs::MetricsRegistry>) -> par::ParConfig {
+    par::ParConfig::metered(threads, Arc::clone(registry))
+}
+
+/// The run harness of every repro binary, built once from its argv.
+/// It owns the flags all of them share:
+///
+/// - `--faults none|mild|hostile` (default `none`, the strict no-op
+///   path) and `--fault-seed N` (default 1);
+/// - `--threads N`, with `UTRR_THREADS` as fallback and the machine's
+///   available parallelism as default (`--threads 0` also falls back);
+/// - `--metrics-out PATH`, the JSONL run artifact (schema `utrr-obs/2`);
+/// - `--trace-out PATH` (JSONL, schema `utrr-trace/1`; `utrr-trace
+///   chrome` converts it to Chrome `trace_event` JSON) and
+///   `--trace-rows SPEC` (`all`, or a comma list of physical rows and
+///   inclusive `A-B` ranges restricting capture to those rows ±2), on
+///   every binary built with [`Run::from_args`].
+///
+/// A malformed value exits with status 2 and names its flag. The run
+/// registry, its flight recorder (installed only under `--trace-out`)
+/// and the metered worker pool are built here; [`Run::finish`] writes
+/// the artifacts.
+#[derive(Debug)]
+pub struct Run {
+    /// Fault profile of every module the run builds.
+    pub fault_profile: FaultProfile,
+    /// Seed of the fault plans.
+    pub fault_seed: u64,
+    /// The registry every module and the pool report into.
+    pub registry: Arc<obs::MetricsRegistry>,
+    /// The metered worker pool; its `threads` is the run's worker count.
+    pub pool: par::ParConfig,
+    metrics_out: Option<PathBuf>,
+    trace_out: Option<PathBuf>,
+}
+
+impl Run {
+    /// The harness of a binary that takes every shared flag.
+    pub fn from_args(args: &[String]) -> Run {
+        Run::parse(args, true)
+    }
+
+    /// The harness of `repro-fleet`, which takes no trace flags: its
+    /// modules run on private registries, so a trace would be empty.
+    pub fn untraced(args: &[String]) -> Run {
+        Run::parse(args, false)
+    }
+
+    fn parse(args: &[String], traced: bool) -> Run {
+        let fault_profile = match arg_value(args, "--faults") {
+            Some(name) => name.parse().unwrap_or_else(|e| usage_error(&format!("--faults: {e}"))),
+            None => FaultProfile::None,
+        };
+        let fault_seed = arg_or(args, "--fault-seed", 1);
+        let trace_flag = |key| if traced { arg_value(args, key) } else { None };
+        let trace_out = trace_flag("--trace-out").map(PathBuf::from);
+        let filter = match trace_flag("--trace-rows") {
+            Some(spec) => obs::TraceFilter::parse(&spec)
+                .unwrap_or_else(|e| usage_error(&format!("--trace-rows: {e}"))),
+            None => obs::TraceFilter::all(),
+        };
+        let threads = par::resolve_threads(Some(arg_or(args, "--threads", 0)));
+        let registry = run_registry();
+        // Untraced, the recorder stays uninstalled and every `trace()`
+        // call is a single relaxed atomic load.
+        if trace_out.is_some() {
+            registry.install_recorder(Arc::new(obs::FlightRecorder::new(
+                obs::DEFAULT_TRACE_CAPACITY,
+                filter,
+            )));
+        }
+        Run {
+            fault_profile,
+            fault_seed,
+            pool: par_config(threads, &registry),
+            registry,
+            metrics_out: arg_value(args, "--metrics-out").map(PathBuf::from),
+            trace_out,
+        }
+    }
+
+    /// The attack-evaluation config of this run: `samples` victim
+    /// positions over `windows` refresh windows on `rows` scaled rows,
+    /// reporting into the run registry under the run's faults.
+    pub fn eval_config(&self, rows: u32, samples: u32, windows: u32) -> EvalConfig {
+        EvalConfig {
+            windows,
+            scaled_rows: Some(rows),
+            registry: Some(Arc::clone(&self.registry)),
+            fault_profile: self.fault_profile,
+            fault_seed: self.fault_seed,
+            ..EvalConfig::quick(samples)
+        }
+    }
+
+    /// Prints the `# fault injection:` header line, unless the run is
+    /// fault-free.
+    pub fn fault_banner(&self) {
+        if self.fault_profile != FaultProfile::None {
+            println!("# fault injection: {} profile, seed {}", self.fault_profile, self.fault_seed);
+        }
+    }
+
+    /// The end of a run: writes the trace artifact, then the metrics
+    /// artifact, logging each path to stderr, and prints the metrics
+    /// summary table to stderr. A failed write exits 1 (see
+    /// [`exit_on_write_error`]).
+    pub fn finish(self) {
+        if let (Some(recorder), Some(path)) = (self.registry.recorder(), &self.trace_out) {
+            let (events, dropped) = recorder.snapshot();
+            let written = obs::trace::write_trace_jsonl_to_path(&events, dropped, path);
+            exit_on_write_error(path, written);
+            eprintln!(
+                "trace artifact: {} ({} events, {} dropped)",
+                path.display(),
+                events.len(),
+                dropped
+            );
+        }
+        if let Some(path) = &self.metrics_out {
+            exit_on_write_error(path, obs::jsonl::write_jsonl_to_path(&self.registry, path));
+            eprintln!("metrics artifact: {}", path.display());
+        }
+        eprint!("{}", obs::report::render_summary(&self.registry));
+    }
+}
+
+/// The one policy for a repro binary's artifact writes: on a failed
+/// write, exit 1 with `error: writing <path>: <e>` on stderr.
+pub fn exit_on_write_error(path: &Path, result: std::io::Result<()>) {
+    if let Err(e) = result {
+        eprintln!("error: writing {}: {e}", path.display());
+        std::process::exit(1);
+    }
 }
 
 /// Wall-clock per phase of a benchmark run, serialised to the
@@ -606,7 +644,7 @@ impl BenchPhases {
     /// # Errors
     ///
     /// Propagates the I/O error if the file cannot be written.
-    pub fn write(&self, path: &std::path::Path) -> std::io::Result<()> {
+    pub fn write(&self, path: &Path) -> std::io::Result<()> {
         std::fs::write(path, self.to_json())
     }
 }
@@ -687,10 +725,10 @@ mod tests {
 
     #[test]
     fn arg_parsing() {
-        let args: Vec<String> = ["--rows", "512", "--full"].iter().map(|s| s.to_string()).collect();
+        let args: Vec<String> = ["--rows", "512", "--ecc"].iter().map(|s| s.to_string()).collect();
         assert_eq!(arg_value(&args, "--rows").as_deref(), Some("512"));
         assert_eq!(arg_value(&args, "--samples"), None);
-        assert!(arg_flag(&args, "--full"));
+        assert!(arg_flag(&args, "--ecc"));
         assert!(!arg_flag(&args, "--quick"));
     }
 
@@ -816,17 +854,19 @@ mod tests {
 
     #[test]
     fn metrics_artifact_round_trips() {
-        let registry = run_registry();
+        let path = std::env::temp_dir().join(format!("utrr-artifact-{}.jsonl", std::process::id()));
+        let args: Vec<String> = ["--threads", "1", "--metrics-out", path.to_str().unwrap()]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let run = Run::from_args(&args);
         let spec = by_id("A5").unwrap();
-        let config =
-            EvalConfig { registry: Some(std::sync::Arc::clone(&registry)), ..EvalConfig::quick(4) };
         // Through the metered pool, as the binaries run it: the pool's
         // `par.*` histograms are the artifact's histogram lines.
-        let sweeps = attack_columns_par(&[spec], &config, &par_config(1, &registry));
+        let sweeps = attack_columns_par(&[spec], &run.eval_config(2_048, 4, 2), &run.pool);
         assert!(sweeps[0].vulnerable_pct() > 0.0);
 
-        let path = std::env::temp_dir().join(format!("utrr-artifact-{}.jsonl", std::process::id()));
-        emit_metrics(&registry, Some(&path)).expect("artifact writes");
+        run.finish();
         let text = std::fs::read_to_string(&path).expect("artifact readable");
         let _ = std::fs::remove_file(&path);
         let records = obs::jsonl::parse_jsonl(&text).expect("every line parses");

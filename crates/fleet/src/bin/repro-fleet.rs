@@ -24,11 +24,7 @@
 //! `summarise` aggregates a merged stream into the Table-1-style fleet
 //! report (population shares, `HC_first` quantiles, recovery totals).
 
-use faults::FaultProfile;
-use utrr_bench::{
-    arg_flag, arg_or, arg_value, emit_metrics, fault_args, metrics_out_path, par_config,
-    run_registry, threads_arg, BenchPhases,
-};
+use utrr_bench::{arg_flag, arg_or, arg_value, exit_on_write_error, BenchPhases, Run};
 use utrr_fleet::record::SweepParams;
 use utrr_fleet::{FleetConfig, FleetSummary, RunOptions};
 
@@ -57,12 +53,9 @@ fn main() {
     let resume = arg_flag(&args, "--resume");
     let stop_after_shards =
         arg_value(&args, "--stop-after-shards").map(|_| arg_or(&args, "--stop-after-shards", 0));
-    let (fault_profile, fault_seed) = fault_args(&args);
-    let metrics_path = metrics_out_path(&args);
     let bench_path = arg_value(&args, "--bench-out").map(std::path::PathBuf::from);
-    let threads = threads_arg(&args);
-    let registry = run_registry();
-    let mut bench = BenchPhases::new(threads);
+    let run = Run::untraced(&args);
+    let mut bench = BenchPhases::new(run.pool.threads);
 
     let config = FleetConfig {
         modules,
@@ -72,27 +65,26 @@ fn main() {
             base_rows: rows,
             hc_samples,
             attack_samples,
-            fault_profile,
-            fault_seed,
+            fault_profile: run.fault_profile,
+            fault_seed: run.fault_seed,
         },
     };
     let opts = RunOptions {
         out_dir: out_dir.clone().into(),
         resume,
         stop_after_shards,
-        pool: par_config(threads, &registry),
-        registry: Some(std::sync::Arc::clone(&registry)),
+        pool: run.pool.clone(),
+        registry: Some(std::sync::Arc::clone(&run.registry)),
         progress: true,
     };
 
     println!(
         "# fleet sweep — {modules} modules, {} shards, seed {seed}, {rows} rows/bank, \
-         {threads} threads",
-        config.effective_shards()
+         {} threads",
+        config.effective_shards(),
+        run.pool.threads
     );
-    if fault_profile != FaultProfile::None {
-        println!("# fault injection: {fault_profile} profile, seed {fault_seed}");
-    }
+    run.fault_banner();
 
     let start = std::time::Instant::now();
     let outcome = bench.time("fleet_sweep", || run_fleet_or_exit(&config, &opts));
@@ -133,18 +125,10 @@ fn main() {
     }
 
     if let Some(path) = &bench_path {
-        match bench.write(path) {
-            Ok(()) => eprintln!("bench artifact: {}", path.display()),
-            Err(e) => {
-                eprintln!("error: writing {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
+        exit_on_write_error(path, bench.write(path));
+        eprintln!("bench artifact: {}", path.display());
     }
-    if let Err(e) = emit_metrics(&registry, metrics_path.as_deref()) {
-        eprintln!("error: writing metrics artifact: {e}");
-        std::process::exit(1);
-    }
+    run.finish();
     if re_failed > 0 {
         eprintln!(
             "error: reverse engineering failed on {re_failed} modules below hostile severity \

@@ -22,12 +22,9 @@
 //! that a bypass found against the catalog representative generalises
 //! across per-die variation.
 
-use attacks::eval::{sweep_bank, EvalConfig};
+use attacks::eval::sweep_bank;
 use attacks::fuzz::{render_fuzz_jsonl, run_fuzz, FuzzConfig, FuzzPattern};
-use utrr_bench::{
-    arg_or, arg_value, emit_metrics, emit_trace, fault_args, install_trace, metrics_out_path,
-    par_config, run_registry, threads_arg, trace_args, BenchPhases,
-};
+use utrr_bench::{arg_or, arg_value, exit_on_write_error, BenchPhases, Run};
 use utrr_fleet::synth_spec;
 
 fn main() {
@@ -49,15 +46,9 @@ fn main() {
     let out_path = arg_value(&args, "--out").map(std::path::PathBuf::from);
     let fleet: u64 = arg_or(&args, "--fleet", 0);
     let fleet_seed: u64 = arg_or(&args, "--fleet-seed", 1);
-    let (fault_profile, fault_seed) = fault_args(&args);
-    let metrics_path = metrics_out_path(&args);
     let bench_path = arg_value(&args, "--bench-out").map(std::path::PathBuf::from);
-    let trace = trace_args(&args);
-    let threads = threads_arg(&args);
-    let registry = run_registry();
-    install_trace(&registry, &trace);
-    let pool = par_config(threads, &registry);
-    let mut bench = BenchPhases::new(threads);
+    let run = Run::from_args(&args);
+    let mut bench = BenchPhases::new(run.pool.threads);
 
     let config = FuzzConfig {
         seed,
@@ -65,15 +56,7 @@ fn main() {
         candidates,
         elites,
         engines,
-        eval: EvalConfig {
-            sample_count: samples,
-            windows,
-            scaled_rows: Some(rows),
-            registry: Some(std::sync::Arc::clone(&registry)),
-            fault_profile,
-            fault_seed,
-            ..EvalConfig::quick(samples)
-        },
+        eval: run.eval_config(rows, samples, windows),
     };
 
     println!(
@@ -83,12 +66,13 @@ fn main() {
         config.engines.join(","),
     );
     println!(
-        "# eval: {rows} rows/bank, {samples} positions, {windows} windows, faults {fault_profile}"
+        "# eval: {rows} rows/bank, {samples} positions, {windows} windows, faults {}",
+        run.fault_profile
     );
 
     let start = std::time::Instant::now();
     let outcome = bench.time("fuzz_sweep", || {
-        run_fuzz(&config, &pool).unwrap_or_else(|e| {
+        run_fuzz(&config, &run.pool).unwrap_or_else(|e| {
             eprintln!("error: {e}");
             std::process::exit(2);
         })
@@ -132,7 +116,7 @@ fn main() {
                 let params = leader.params;
                 let eval = config.eval.clone();
                 let indices: Vec<u64> = (0..fleet).collect();
-                let flips: Vec<u64> = par::par_map(&pool, &indices, |&i| {
+                let flips: Vec<u64> = par::par_map(&run.pool, &indices, |&i| {
                     let synth = synth_spec(fleet_seed, i, rows.max(2_048));
                     let sweep = sweep_bank(&synth.spec, &FuzzPattern { params }, &eval);
                     sweep.results.iter().map(|r| u64::from(r.flips)).sum()
@@ -149,29 +133,12 @@ fn main() {
 
     if let Some(path) = &out_path {
         let artifact = render_fuzz_jsonl(&config, &outcome);
-        match std::fs::write(path, &artifact) {
-            Ok(()) => eprintln!("fuzz artifact: {}", path.display()),
-            Err(e) => {
-                eprintln!("error: writing {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
+        exit_on_write_error(path, std::fs::write(path, &artifact));
+        eprintln!("fuzz artifact: {}", path.display());
     }
     if let Some(path) = &bench_path {
-        match bench.write(path) {
-            Ok(()) => eprintln!("bench artifact: {}", path.display()),
-            Err(e) => {
-                eprintln!("error: writing {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
+        exit_on_write_error(path, bench.write(path));
+        eprintln!("bench artifact: {}", path.display());
     }
-    if let Err(e) = emit_trace(&registry, &trace) {
-        eprintln!("error: writing trace artifact: {e}");
-        std::process::exit(1);
-    }
-    if let Err(e) = emit_metrics(&registry, metrics_path.as_deref()) {
-        eprintln!("error: writing metrics artifact: {e}");
-        std::process::exit(1);
-    }
+    run.finish();
 }

@@ -1,26 +1,41 @@
-//! Malformed numeric flags are errors, not silent defaults: the fleet
-//! binaries exit with status 2 and name the flag and the bad value
-//! before doing any work.
+//! The fleet binaries keep the repro binaries' shared CLI contract
+//! (`crates/bench/tests/contract/mod.rs`): malformed numeric flags are
+//! errors, not silent defaults, and exit 2 naming the flag and the bad
+//! value before doing any work; an unwritable `--metrics-out` exits 1
+//! after all output. `repro-fleet` takes no trace flags.
 
-use std::process::Command;
+#[path = "../../bench/tests/contract/mod.rs"]
+mod contract;
 
-fn assert_rejected(exe: &str, flag: &str, value: &str) {
-    let out = Command::new(exe).args([flag, value]).output().expect("binary runs");
-    assert_eq!(out.status.code(), Some(2), "{flag} {value} must exit 2");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains(&format!("error: {flag}: invalid value '{value}'")),
-        "stderr must name the flag and value, got: {stderr}"
-    );
-    assert!(out.stdout.is_empty(), "no work may start before the error");
-}
+use contract::{assert_rejected, assert_shared_flags_rejected, assert_unwritable_metrics_exit_1};
 
 #[test]
 fn repro_fleet_rejects_a_malformed_module_count() {
-    assert_rejected(env!("CARGO_BIN_EXE_repro-fleet"), "--modules", "3x");
+    let stderr = assert_rejected(env!("CARGO_BIN_EXE_repro-fleet"), "--modules", "3x");
+    assert!(stderr.contains("error: --modules: invalid value '3x'"), "{stderr}");
 }
 
 #[test]
 fn repro_fuzz_rejects_a_malformed_seed() {
-    assert_rejected(env!("CARGO_BIN_EXE_repro-fuzz"), "--seed", "0x1");
+    let stderr = assert_rejected(env!("CARGO_BIN_EXE_repro-fuzz"), "--seed", "0x1");
+    assert!(stderr.contains("error: --seed: invalid value '0x1'"), "{stderr}");
+}
+
+#[test]
+fn repro_fleet_keeps_the_cli_contract() {
+    let exe = env!("CARGO_BIN_EXE_repro-fleet");
+    assert_shared_flags_rejected(exe, false);
+    let out = std::env::temp_dir().join(format!("utrr-fleet-cli-{}", std::process::id()));
+    let out_arg = out.to_str().expect("temp path is utf-8");
+    let recipe = ["--modules", "1", "--shards", "1", "--samples", "1", "--out", out_arg];
+    assert_unwritable_metrics_exit_1(exe, &recipe);
+    let _ = std::fs::remove_dir_all(&out);
+}
+
+#[test]
+fn repro_fuzz_keeps_the_cli_contract() {
+    let exe = env!("CARGO_BIN_EXE_repro-fuzz");
+    assert_shared_flags_rejected(exe, true);
+    let recipe = ["--rounds", "1", "--candidates", "2", "--engines", "A_TRR1", "--samples", "2"];
+    assert_unwritable_metrics_exit_1(exe, &recipe);
 }
