@@ -144,9 +144,9 @@ fn ablate_trr_presence(spec: &utrr_modules::ModuleSpec, samples: u32, rows: u32,
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let run = Run::from_args(&args, &["--rows", "--samples"]);
     let rows: u32 = arg_or(&args, "--rows", 2_048);
     let samples: u32 = arg_or(&args, "--samples", 24);
-    let run = Run::from_args(&args);
     let spec = by_id("A5").expect("catalog contains A5");
     println!("# Simulator design-choice ablations (module A5 unless noted)");
     run.fault_banner();

@@ -14,10 +14,10 @@ use utrr_modules::fig8_modules;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let run = Run::from_args(&args, &["--rows", "--samples", "--windows"]);
     let rows: u32 = arg_or(&args, "--rows", 2_048);
     let samples: u32 = arg_or(&args, "--samples", 32);
     let windows: u32 = arg_or(&args, "--windows", 2);
-    let run = Run::from_args(&args);
     let config = run.eval_config(rows, samples, windows);
 
     println!("# Fig. 8 reproduction — flips per row vs hammers per aggressor per REF");

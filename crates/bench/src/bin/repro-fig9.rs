@@ -10,10 +10,10 @@ use utrr_bench::{arg_or, attack_columns_par, catalog_modules, Run};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let run = Run::from_args(&args, &["--rows", "--samples", "--windows", "--modules"]);
     let rows: u32 = arg_or(&args, "--rows", 2_048);
     let samples: u32 = arg_or(&args, "--samples", 48);
     let windows: u32 = arg_or(&args, "--windows", 2);
-    let run = Run::from_args(&args);
     let config = run.eval_config(rows, samples, windows);
 
     println!("# Fig. 9 reproduction — % vulnerable DRAM rows per module");

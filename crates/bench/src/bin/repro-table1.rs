@@ -31,6 +31,8 @@ use utrr_bench::{
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let run =
+        Run::from_args(&args, &["--rows", "--samples", "--windows", "--modules", "--bench-out"]);
     let rows: u32 = arg_or(&args, "--rows", 2_048);
     // Row Scout needs space for 18 pair groups plus the neighbour probe.
     let rows = if rows < 1_024 {
@@ -42,7 +44,6 @@ fn main() {
     let samples: u32 = arg_or(&args, "--samples", 48);
     let windows: u32 = arg_or(&args, "--windows", 2);
     let bench_path = arg_value(&args, "--bench-out").map(std::path::PathBuf::from);
-    let run = Run::from_args(&args);
     let run_config = RunConfig {
         rows,
         seed: 7,

@@ -57,10 +57,10 @@ fn run_cell(cell: &Cell, rows: u32, para_prob: f64, config: &EvalConfig) -> (Str
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let run = Run::from_args(&args, &["--rows", "--samples", "--para-prob"]);
     let rows: u32 = arg_or(&args, "--rows", 2_048);
     let samples: u32 = arg_or(&args, "--samples", 24);
     let para_prob: f64 = arg_or(&args, "--para-prob", 0.001);
-    let run = Run::from_args(&args);
     let config = run.eval_config(rows, samples, 2);
 
     println!("# Secure-mitigation evaluation — custom patterns vs PARA/Graphene");

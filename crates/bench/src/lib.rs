@@ -437,6 +437,12 @@ pub fn par_config(threads: usize, registry: &Arc<obs::MetricsRegistry>) -> par::
     par::ParConfig::metered(threads, Arc::clone(registry))
 }
 
+/// The flags [`Run`] reads on every binary.
+const SHARED_FLAGS: [&str; 4] = ["--faults", "--fault-seed", "--threads", "--metrics-out"];
+
+/// The flags [`Run`] reads on a binary built with [`Run::from_args`].
+const TRACE_FLAGS: [&str; 2] = ["--trace-out", "--trace-rows"];
+
 /// The run harness of every repro binary, built once from its argv.
 /// It owns the flags all of them share:
 ///
@@ -451,10 +457,12 @@ pub fn par_config(threads: usize, registry: &Arc<obs::MetricsRegistry>) -> par::
 ///   inclusive `A-B` ranges restricting capture to those rows ±2), on
 ///   every binary built with [`Run::from_args`].
 ///
-/// A malformed value exits with status 2 and names its flag. The run
-/// registry, its flight recorder (installed only under `--trace-out`)
-/// and the metered worker pool are built here; [`Run::finish`] writes
-/// the artifacts.
+/// Each binary hands over the flags it reads itself. Any other `--flag`
+/// exits with status 2 (`error: unknown flag '<flag>'`), so a misspelt
+/// flag cannot silently run the defaults; a malformed value exits 2
+/// too and names its flag. The run registry, its flight recorder
+/// (installed only under `--trace-out`) and the metered worker pool are
+/// built here; [`Run::finish`] writes the artifacts.
 #[derive(Debug)]
 pub struct Run {
     /// Fault profile of every module the run builds.
@@ -470,18 +478,27 @@ pub struct Run {
 }
 
 impl Run {
-    /// The harness of a binary that takes every shared flag.
-    pub fn from_args(args: &[String]) -> Run {
-        Run::parse(args, true)
+    /// The harness of a binary that takes every shared flag and reads
+    /// `own_flags` itself.
+    pub fn from_args(args: &[String], own_flags: &[&str]) -> Run {
+        Run::parse(args, own_flags, true)
     }
 
     /// The harness of `repro-fleet`, which takes no trace flags: its
     /// modules run on private registries, so a trace would be empty.
-    pub fn untraced(args: &[String]) -> Run {
-        Run::parse(args, false)
+    pub fn untraced(args: &[String], own_flags: &[&str]) -> Run {
+        Run::parse(args, own_flags, false)
     }
 
-    fn parse(args: &[String], traced: bool) -> Run {
+    fn parse(args: &[String], own_flags: &[&str], traced: bool) -> Run {
+        let known = |flag: &str| {
+            own_flags.contains(&flag)
+                || SHARED_FLAGS.contains(&flag)
+                || (traced && TRACE_FLAGS.contains(&flag))
+        };
+        if let Some(flag) = args.iter().find(|a| a.starts_with("--") && !known(a)) {
+            usage_error(&format!("unknown flag '{flag}'"));
+        }
         let fault_profile = match arg_value(args, "--faults") {
             Some(name) => name.parse().unwrap_or_else(|e| usage_error(&format!("--faults: {e}"))),
             None => FaultProfile::None,
@@ -859,7 +876,7 @@ mod tests {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let run = Run::from_args(&args);
+        let run = Run::from_args(&args, &[]);
         let spec = by_id("A5").unwrap();
         // Through the metered pool, as the binaries run it: the pool's
         // `par.*` histograms are the artifact's histogram lines.

@@ -26,7 +26,8 @@ pub fn assert_rejected(exe: &str, flag: &str, value: &str) -> String {
 }
 
 /// A malformed value of each shared flag is rejected; `traced` binaries
-/// also reject a malformed `--trace-rows`.
+/// also reject a malformed `--trace-rows`. A flag the binary does not
+/// read, here the misspelt `--module A5`, is rejected too.
 pub fn assert_shared_flags_rejected(exe: &str, traced: bool) {
     assert_rejected(exe, "--threads", "2x");
     assert_rejected(exe, "--fault-seed", "0x1");
@@ -34,6 +35,17 @@ pub fn assert_shared_flags_rejected(exe: &str, traced: bool) {
     if traced {
         assert_rejected(exe, "--trace-rows", "7-x");
     }
+    assert_unknown_flag_rejected(exe, "--module");
+}
+
+/// `exe flag A5` exits 2 with `error: unknown flag '<flag>'` and prints
+/// nothing to stdout: an unread flag never runs the defaults.
+pub fn assert_unknown_flag_rejected(exe: &str, flag: &str) {
+    let out = run(exe, &[flag, "A5"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{exe} {flag} must exit 2: {stderr}");
+    assert!(stderr.contains(&format!("error: unknown flag '{flag}'")), "{exe}: {stderr}");
+    assert!(out.stdout.is_empty(), "{exe} {flag}: no work may start before the error");
 }
 
 /// `recipe` with `--metrics-out` under a missing directory prints the

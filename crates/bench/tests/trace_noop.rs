@@ -80,6 +80,8 @@ fn assert_trace_is_stdout_noop(tag: &str, exe: &str, base: &[&str]) {
 }
 
 const QUICK: &[&str] = &["--rows", "2048", "--samples", "2", "--windows", "1", "--modules", "A5"];
+/// `repro-fig8` sweeps its three fixed modules and takes no `--modules`.
+const QUICK_FIG8: &[&str] = &["--rows", "2048", "--samples", "2", "--windows", "1"];
 const QUICK_NO_MODULES: &[&str] = &["--rows", "2048", "--samples", "2"];
 
 #[test]
@@ -89,7 +91,7 @@ fn repro_fig9_trace_is_stdout_noop() {
 
 #[test]
 fn repro_fig8_trace_is_stdout_noop() {
-    assert_trace_is_stdout_noop("fig8", env!("CARGO_BIN_EXE_repro-fig8"), QUICK);
+    assert_trace_is_stdout_noop("fig8", env!("CARGO_BIN_EXE_repro-fig8"), QUICK_FIG8);
 }
 
 #[test]

@@ -6,7 +6,7 @@ use dram_sim::{Bank, DataPattern, PhysRow, Topology};
 use softmc::MemoryController;
 
 use crate::error::UtrrError;
-use crate::recovery::{self, RecoveryPolicy};
+use crate::recovery::{self, RecoveryCounter, RecoveryPolicy};
 
 /// How aggressors are arranged for an `HC_first` measurement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,7 +73,7 @@ pub fn measure_hc_first(
     while !flips_at(mc, hi)? {
         if let Some(cap) = cap.filter(|&cap| hi >= cap) {
             mc.recovery_mut().budget_trips += 1;
-            recovery::ladder_event(mc, recovery::CTR_BUDGET_TRIPS, "hc_cap", bank, None);
+            recovery::record(mc, RecoveryCounter::BudgetTrips, "hc_cap", bank, None, &[]);
             return Ok(cap);
         }
         hi *= 2;

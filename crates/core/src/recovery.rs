@@ -51,6 +51,52 @@ pub const CTR_REPROFILES: &str = "utrr.recovery.reprofiles";
 /// Counter: phases closed early by an ACT-budget circuit breaker.
 pub const CTR_BUDGET_TRIPS: &str = "utrr.recovery.budget_trips";
 
+/// A counter the recovery layer bumps, one per kind of event. Each has
+/// its own handle slot on the controller
+/// ([`MemoryController::counter`]), so a bump is one atomic add rather
+/// than a name lookup under the registry lock.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum RecoveryCounter {
+    /// [`crate::robust::CTR_VOTED_READS`].
+    VotedReads,
+    /// [`crate::robust::CTR_READ_DISAGREEMENTS`].
+    ReadDisagreements,
+    /// [`crate::robust::CTR_WRITE_RETRIES`].
+    WriteRetries,
+    /// [`crate::robust::CTR_WRITE_GIVEUPS`].
+    WriteGiveups,
+    /// [`CTR_VOTE_WIDENINGS`].
+    VoteWidenings,
+    /// [`CTR_RELOCATIONS`].
+    Relocations,
+    /// [`CTR_REPROFILES`].
+    Reprofiles,
+    /// [`CTR_BUDGET_TRIPS`].
+    BudgetTrips,
+}
+
+impl RecoveryCounter {
+    /// The registry name.
+    fn name(self) -> &'static str {
+        use crate::robust;
+        match self {
+            RecoveryCounter::VotedReads => robust::CTR_VOTED_READS,
+            RecoveryCounter::ReadDisagreements => robust::CTR_READ_DISAGREEMENTS,
+            RecoveryCounter::WriteRetries => robust::CTR_WRITE_RETRIES,
+            RecoveryCounter::WriteGiveups => robust::CTR_WRITE_GIVEUPS,
+            RecoveryCounter::VoteWidenings => CTR_VOTE_WIDENINGS,
+            RecoveryCounter::Relocations => CTR_RELOCATIONS,
+            RecoveryCounter::Reprofiles => CTR_REPROFILES,
+            RecoveryCounter::BudgetTrips => CTR_BUDGET_TRIPS,
+        }
+    }
+
+    /// Adds one to the counter in `mc`'s registry.
+    pub(crate) fn inc(self, mc: &mut MemoryController) {
+        mc.counter(self as usize, self.name()).inc();
+    }
+}
+
 /// Disagreement-rate numerator/denominator that triggers vote widening:
 /// more than 1 disagreement per 8 voted reads.
 pub(crate) const VOTE_WIDEN_NUM: u64 = 1;
@@ -309,28 +355,22 @@ impl VerdictTier {
     }
 }
 
-/// Records one ladder event: bumps `counter`, adds it to the
-/// controller's [`softmc::RecoveryLadder`] via `bump`, and emits a
-/// `recovery` trace event with `detail` so the flight recorder carries
-/// the provenance.
-pub(crate) fn ladder_event(
+/// Records one recovery event: bumps `counter` and emits a `recovery`
+/// trace event on `row` with `detail` and `fields`, so the flight
+/// recorder carries the provenance. Ladder steps also add themselves to
+/// the controller's [`softmc::RecoveryLadder`] (their callers do that).
+pub(crate) fn record(
     mc: &mut MemoryController,
-    counter: &'static str,
+    counter: RecoveryCounter,
     detail: &str,
     bank: Bank,
     row: Option<RowAddr>,
+    fields: &[(&str, u64)],
 ) {
-    let registry = std::sync::Arc::clone(mc.registry());
-    registry.counter(counter).inc();
+    counter.inc(mc);
     let phys = row.map(|r| mc.module().phys_of(r).index());
-    registry.trace(
-        obs::TraceKind::Recovery,
-        mc.now().as_ns(),
-        u32::from(bank.index()),
-        phys,
-        &[],
-        detail,
-    );
+    let (t, bank) = (mc.now().as_ns(), u32::from(bank.index()));
+    mc.registry().trace(obs::TraceKind::Recovery, t, bank, phys, fields, detail);
 }
 
 /// The majority-vote width currently in effect on this controller
@@ -369,7 +409,7 @@ pub(crate) fn note_vote(
     ladder.vote_width = width + 2;
     ladder.vote_widenings += 1;
     ladder.reset_vote_window();
-    ladder_event(mc, CTR_VOTE_WIDENINGS, "vote_widen", bank, Some(row));
+    record(mc, RecoveryCounter::VoteWidenings, "vote_widen", bank, Some(row), &[]);
 }
 
 /// An ACT-budget circuit breaker for one pipeline phase.
@@ -402,7 +442,7 @@ impl PhaseBudget {
         if mc.module().activations() - self.acts_start >= max {
             self.tripped = true;
             mc.recovery_mut().budget_trips += 1;
-            ladder_event(mc, CTR_BUDGET_TRIPS, "budget_trip", bank, None);
+            record(mc, RecoveryCounter::BudgetTrips, "budget_trip", bank, None, &[]);
         }
         self.tripped
     }
@@ -472,7 +512,7 @@ impl DriftEstimator {
         self.level += 1;
         self.failures_at_level = 0;
         mc.recovery_mut().reprofiles += 1;
-        ladder_event(mc, CTR_REPROFILES, "reprofile", bank, Some(row));
+        record(mc, RecoveryCounter::Reprofiles, "reprofile", bank, Some(row), &[]);
         true
     }
 }

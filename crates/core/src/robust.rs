@@ -14,7 +14,7 @@ use dram_sim::{majority_flips, Bank, DataPattern, RowAddr, RowReadout};
 use softmc::MemoryController;
 
 use crate::error::UtrrError;
-use crate::recovery::{self, RecoveryPolicy};
+use crate::recovery::{self, RecoveryCounter, RecoveryPolicy};
 
 /// Counter: majority-voted reads performed (fault-aware mode only).
 pub const CTR_VOTED_READS: &str = "utrr.robust.voted_reads";
@@ -40,6 +40,11 @@ pub(crate) const CTR_WRITE_GIVEUPS: &str = "utrr.robust.write_giveups";
 /// shows triple redundancy is no longer enough (see
 /// [`recovery::note_vote`]).
 ///
+/// Each sample is compared with the first as it arrives
+/// ([`RowReadout::same_flips`]), so a unanimous vote keeps no sample
+/// but the first; the samples after the first dissent are kept for the
+/// majority.
+///
 /// # Errors
 ///
 /// Propagates device protocol errors.
@@ -50,24 +55,35 @@ pub(crate) fn read_row_voted(
 ) -> Result<RowReadout, UtrrError> {
     let policy = RecoveryPolicy::of(mc);
     let width = recovery::vote_width(mc, &policy);
+    let first = mc.read_row(bank, row)?;
     if width == 1 {
-        return Ok(mc.read_row(bank, row)?);
+        return Ok(first);
     }
-    let mut samples = Vec::with_capacity(usize::from(width));
-    for _ in 0..width {
-        samples.push(mc.read_row(bank, row)?);
+    // Samples 1..`agreed` equal the first; `rest` holds every sample
+    // from the first dissent on, in read order.
+    let mut agreed = 1;
+    let mut rest = Vec::new();
+    for _ in 1..width {
+        let sample = mc.read_row(bank, row)?;
+        if rest.is_empty() && sample.same_flips(&first) {
+            agreed += 1;
+        } else {
+            rest.push(sample);
+        }
     }
-    mc.registry().counter(CTR_VOTED_READS).inc();
-    let unanimous = samples.windows(2).all(|pair| pair[0].flipped_bits() == pair[1].flipped_bits());
+    RecoveryCounter::VotedReads.inc(mc);
+    let unanimous = rest.is_empty();
     recovery::note_vote(mc, &policy, bank, row, !unanimous);
     if unanimous {
-        return Ok(samples.swap_remove(0));
+        return Ok(first);
     }
-    let width = ("width", u64::from(width));
-    record(mc, CTR_READ_DISAGREEMENTS, bank, row, width, "read_disagreement");
-    let flips: Vec<&[u32]> = samples.iter().map(RowReadout::flipped_bits).collect();
+    let field = ("width", u64::from(width));
+    let disagreements = RecoveryCounter::ReadDisagreements;
+    recovery::record(mc, disagreements, "read_disagreement", bank, Some(row), &[field]);
+    let mut flips = vec![first.flipped_bits(); agreed];
+    flips.extend(rest.iter().map(RowReadout::flipped_bits));
     let majority = majority_flips(&flips);
-    Ok(samples.swap_remove(0).with_flips(majority))
+    Ok(first.with_flips(majority))
 }
 
 /// Writes `pattern` into `row` and, when the policy allows more than
@@ -103,33 +119,21 @@ pub(crate) fn write_row_checked(
         }
         if attempt < attempts {
             let field = ("attempt", u64::from(attempt));
-            record(mc, CTR_WRITE_RETRIES, bank, row, field, "write_retry");
+            let retries = RecoveryCounter::WriteRetries;
+            recovery::record(mc, retries, "write_retry", bank, Some(row), &[field]);
         }
     }
-    record(mc, CTR_WRITE_GIVEUPS, bank, row, ("attempts", u64::from(attempts)), "write_giveup");
+    let field = ("attempts", u64::from(attempts));
+    let giveups = RecoveryCounter::WriteGiveups;
+    recovery::record(mc, giveups, "write_giveup", bank, Some(row), &[field]);
     Ok(false)
-}
-
-/// Bumps `counter` and emits a `recovery` trace event on `row` carrying
-/// `field`.
-fn record(
-    mc: &MemoryController,
-    counter: &str,
-    bank: Bank,
-    row: RowAddr,
-    field: (&str, u64),
-    detail: &str,
-) {
-    mc.registry().counter(counter).inc();
-    let phys = mc.module().phys_of(row).index();
-    let (t, bank) = (mc.now().as_ns(), u32::from(bank.index()));
-    mc.registry().trace(obs::TraceKind::Recovery, t, bank, Some(phys), &[field], detail);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::recovery::tests::{controller_at, Scripted};
+    use crate::recovery::VOTE_WINDOW_MIN;
     use dram_sim::metrics::{CTR_ROW_READS, CTR_ROW_WRITES};
     use dram_sim::Nanos;
 
@@ -176,18 +180,176 @@ mod tests {
         assert_eq!(mc.registry().counter(CTR_READ_DISAGREEMENTS).get(), 1);
     }
 
-    #[test]
-    fn checked_write_retries_through_dropped_writes() {
+    /// The voted read before samples were compared on arrival: every
+    /// sample kept, unanimity decided by `windows(2)` and `==`, and each
+    /// counter looked up by name. The reference model of
+    /// [`voted_read_matches_its_reference_model`].
+    fn read_row_voted_reference(
+        mc: &mut MemoryController,
+        bank: Bank,
+        row: RowAddr,
+    ) -> Result<RowReadout, UtrrError> {
+        let policy = RecoveryPolicy::of(mc);
+        let width = recovery::vote_width(mc, &policy);
+        if width == 1 {
+            return Ok(mc.read_row(bank, row)?);
+        }
+        let mut samples = Vec::with_capacity(usize::from(width));
+        for _ in 0..width {
+            samples.push(mc.read_row(bank, row)?);
+        }
+        mc.registry().counter(CTR_VOTED_READS).inc();
+        let unanimous =
+            samples.windows(2).all(|pair| pair[0].flipped_bits() == pair[1].flipped_bits());
+        recovery::note_vote(mc, &policy, bank, row, !unanimous);
+        if unanimous {
+            return Ok(samples.swap_remove(0));
+        }
+        mc.registry().counter(CTR_READ_DISAGREEMENTS).inc();
+        let phys = mc.module().phys_of(row).index();
+        let (t, bank) = (mc.now().as_ns(), u32::from(bank.index()));
+        let (kind, fields) = (obs::TraceKind::Recovery, [("width", u64::from(width))]);
+        mc.registry().trace(kind, t, bank, Some(phys), &fields, "read_disagreement");
+        let flips: Vec<&[u32]> = samples.iter().map(RowReadout::flipped_bits).collect();
+        let majority = majority_flips(&flips);
+        Ok(samples.swap_remove(0).with_flips(majority))
+    }
+
+    /// Flips `bit` in each read whose index (0-based) is set in `reads`,
+    /// and reports `severity`.
+    #[derive(Debug)]
+    struct Dissent {
+        reads: u32,
+        bit: u32,
+        severity: u8,
+        seen: u32,
+    }
+
+    impl softmc::FaultInjector for Dissent {
+        fn on_read(&mut self, _: Bank, _: RowAddr, readout: &mut RowReadout, _: Nanos) {
+            if self.reads >> self.seen & 1 == 1 {
+                readout.inject_flip(self.bit);
+            }
+            self.seen += 1;
+        }
+
+        fn on_write(
+            &mut self,
+            _: Bank,
+            _: RowAddr,
+            _: &DataPattern,
+            _: Nanos,
+        ) -> softmc::WriteFault {
+            softmc::WriteFault::None
+        }
+
+        fn on_tick(&mut self, _: Nanos, _: &mut dram_sim::Module) {}
+
+        fn severity(&self) -> u8 {
+            self.severity
+        }
+    }
+
+    /// One voted-read scenario.
+    #[derive(Debug, Clone, Copy)]
+    struct Vote {
+        severity: u8,
+        /// The vote width (all mild votes are 3 wide).
+        width: u8,
+        /// Whether the row has decayed, so every sample reads flips.
+        decayed: bool,
+        /// The samples (bit `i` = sample `i`) that read one extra flip.
+        dissent: u32,
+        /// Whether the ladder's window stands one disagreeing vote short
+        /// of widening.
+        on_the_brink: bool,
+    }
+
+    type Observed = (RowReadout, Vec<(String, u64)>, Vec<obs::TraceEvent>, softmc::RecoveryLadder);
+
+    /// Runs `vote` on a fresh traced controller through `read` and
+    /// returns the readout, the counters, the trace and the ladder.
+    fn observe(
+        vote: Vote,
+        read: fn(&mut MemoryController, Bank, RowAddr) -> Result<RowReadout, UtrrError>,
+    ) -> Observed {
         let mut mc = controller();
-        // A dropped re-write is only observable when the stale contents
-        // are dirty, so pick a row guaranteed to decay within the wait.
-        let row = (0..256u32)
+        mc.registry().install_recorder(std::sync::Arc::new(obs::FlightRecorder::unfiltered()));
+        let row = decaying_row(&mut mc);
+        mc.write_row(BANK, row, DataPattern::Zeros).unwrap();
+        if vote.decayed {
+            mc.wait_no_refresh(Nanos::from_ms(2_000));
+        }
+        let dissent = Dissent { reads: vote.dissent, bit: 3, severity: vote.severity, seen: 0 };
+        mc.set_fault_injector(Some(Box::new(dissent)));
+        let ladder = mc.recovery_mut();
+        if vote.severity > 1 {
+            ladder.vote_width = vote.width;
+        }
+        if vote.on_the_brink {
+            ladder.voted_reads = VOTE_WINDOW_MIN - 1;
+            ladder.disagreements = VOTE_WINDOW_MIN - 1;
+        }
+        let readout = read(&mut mc, BANK, row).unwrap();
+        mc.module_mut().flush_metrics();
+        let counters = mc.registry().counters_snapshot();
+        let (events, _) = mc.registry().recorder().unwrap().snapshot();
+        (readout, counters, events, *mc.recovery())
+    }
+
+    #[test]
+    fn voted_read_matches_its_reference_model() {
+        let mut votes = vec![];
+        for (severity, width) in [(1, 3), (2, 3), (2, 5), (2, 7)] {
+            let minority = u32::from(width / 2);
+            let last = |n: u32| ((1 << n) - 1) << (u32::from(width) - n);
+            // Only a hostile ladder can stand on the brink of widening.
+            let brinks: &[bool] = if severity > 1 { &[false, true] } else { &[false] };
+            for decayed in [false, true] {
+                // No dissent; one sample (first, second or last); the
+                // largest minority and the smallest majority of the last
+                // samples.
+                for dissent in [0, 1, 2, last(1), last(minority), last(minority + 1)] {
+                    for &on_the_brink in brinks {
+                        votes.push(Vote { severity, width, decayed, dissent, on_the_brink });
+                    }
+                }
+            }
+        }
+        for vote in votes {
+            let got = observe(vote, read_row_voted);
+            assert_eq!(got, observe(vote, read_row_voted_reference), "{vote:?}");
+            // The scenario holds: a majority decides the flips, a dissent
+            // disagrees, and a vote on the brink below width 7 widens.
+            let (readout, counters, ..) = got;
+            let count = |name| counters.iter().find(|(n, _)| n == name).map_or(0, |(_, v)| *v);
+            let outvoted = vote.dissent.count_ones() <= u32::from(vote.width / 2);
+            assert_eq!(readout.is_clean(), !vote.decayed && outvoted, "{vote:?}");
+            let disagreed = u64::from(vote.dissent != 0);
+            assert_eq!(count(CTR_READ_DISAGREEMENTS), disagreed, "{vote:?}");
+            let widens = u64::from(vote.on_the_brink && vote.width < 7);
+            assert_eq!(count(recovery::CTR_VOTE_WIDENINGS), widens, "{vote:?}");
+        }
+    }
+
+    /// A row of [`controller`]'s module with a non-VRT weak cell that
+    /// decays within 1.5 s.
+    fn decaying_row(mc: &mut MemoryController) -> RowAddr {
+        (0..256u32)
             .map(RowAddr::new)
             .find(|&r| {
                 let view = mc.module_mut().inspect_row(BANK, r);
                 view.weak_cells.iter().any(|&(_, ret, vrt)| !vrt && ret < Nanos::from_ms(1_500))
             })
-            .expect("small_test banks have fast-decaying rows");
+            .expect("small_test banks have fast-decaying rows")
+    }
+
+    #[test]
+    fn checked_write_retries_through_dropped_writes() {
+        let mut mc = controller();
+        // A dropped re-write is only observable when the stale contents
+        // are dirty, so pick a row guaranteed to decay within the wait.
+        let row = decaying_row(&mut mc);
         mc.write_row(BANK, row, DataPattern::Zeros).unwrap();
         // Decay the row so a dropped re-write is observable as dirt.
         mc.wait_no_refresh(Nanos::from_ms(2_000));

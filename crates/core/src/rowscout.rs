@@ -36,7 +36,7 @@ use softmc::MemoryController;
 use crate::arena;
 use crate::error::UtrrError;
 use crate::layout::RowGroupLayout;
-use crate::recovery::{self, DriftEstimator, RecoveryPolicy, VerdictTier};
+use crate::recovery::{self, DriftEstimator, RecoveryCounter, RecoveryPolicy, VerdictTier};
 use crate::robust;
 
 /// Counter: validation checks retried by the scout (fault-aware mode).
@@ -373,7 +373,7 @@ impl RowScout {
             sub_cfg.row_start = cfg.row_start + (seed % u64::from(slack)) as u32;
             sub_cfg.group_count = cfg.group_count - groups.len();
             mc.recovery_mut().relocations += 1;
-            recovery::ladder_event(mc, recovery::CTR_RELOCATIONS, "relocate", cfg.bank, None);
+            recovery::record(mc, RecoveryCounter::Relocations, "relocate", cfg.bank, None, &[]);
             let sub = RowScout::new(sub_cfg).scan_report(mc, &mut drift)?;
             budget_hit |= sub.budget_exhausted;
             for group in sub.groups {

@@ -17,7 +17,7 @@
 use softmc::MemoryController;
 
 use crate::error::UtrrError;
-use crate::recovery::RecoveryPolicy;
+use crate::recovery::{self, RecoveryCounter, RecoveryPolicy};
 use crate::robust;
 use crate::rowscout::ProfiledRowGroup;
 
@@ -140,13 +140,8 @@ pub(crate) fn learn_row_schedule(
         let timing = if policy.reprofile_schedule {
             let estimate = reprofile_retention(mc, bank, probe, pattern, retention)?;
             mc.recovery_mut().reprofiles += 1;
-            crate::recovery::ladder_event(
-                mc,
-                crate::recovery::CTR_REPROFILES,
-                "schedule_reprofile",
-                bank,
-                Some(probe),
-            );
+            let reprofiles = RecoveryCounter::Reprofiles;
+            recovery::record(mc, reprofiles, "schedule_reprofile", bank, Some(probe), &[]);
             (estimate * 62 / 100, estimate * 58 / 100)
         } else {
             (retention / 2, retention / 2 + retention / 25)

@@ -28,21 +28,59 @@ use std::sync::Arc;
 
 use dram_sim::rng::SplitMix64;
 use dram_sim::{Bank, DataPattern, Module, Nanos, RowAddr, RowReadout};
-use obs::MetricsRegistry;
+use obs::{CounterSlot, MetricsRegistry};
 use softmc::{FaultInjector, MemoryController, WriteFault};
 
 /// Counter: total faults injected, across all kinds.
 pub const CTR_INJECTED_TOTAL: &str = "faults.injected.total";
-/// Counter: transient read bit-flips injected.
-pub(crate) const CTR_READ_FLIPS: &str = "faults.injected.read_flips";
-/// Counter: stuck reads injected (readout forced clean).
-pub(crate) const CTR_STUCK_READS: &str = "faults.injected.stuck_reads";
-/// Counter: row writes silently dropped.
-pub(crate) const CTR_DROPPED_WRITES: &str = "faults.injected.dropped_writes";
-/// Counter: row writes garbled into a different pattern.
-pub(crate) const CTR_GARBLED_WRITES: &str = "faults.injected.garbled_writes";
-/// Counter: VRT burst episodes started.
-pub(crate) const CTR_VRT_BURSTS: &str = "faults.injected.vrt_bursts";
+
+/// One kind of injected fault, with its `faults.injected.*` counter.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Injected {
+    /// A transient read bit-flip.
+    ReadFlip,
+    /// A stuck read (readout forced clean).
+    StuckRead,
+    /// A row write silently dropped.
+    DroppedWrite,
+    /// A row write garbled into a different pattern.
+    GarbledWrite,
+    /// A VRT burst episode started.
+    VrtBurst,
+}
+
+impl Injected {
+    /// Every kind, in [`FaultPlan`]'s counter-slot order.
+    const ALL: [Injected; 5] = [
+        Injected::ReadFlip,
+        Injected::StuckRead,
+        Injected::DroppedWrite,
+        Injected::GarbledWrite,
+        Injected::VrtBurst,
+    ];
+
+    /// The kind's counter.
+    fn counter(self) -> &'static str {
+        match self {
+            Injected::ReadFlip => "faults.injected.read_flips",
+            Injected::StuckRead => "faults.injected.stuck_reads",
+            Injected::DroppedWrite => "faults.injected.dropped_writes",
+            Injected::GarbledWrite => "faults.injected.garbled_writes",
+            Injected::VrtBurst => "faults.injected.vrt_bursts",
+        }
+    }
+
+    /// The kind's label in `fault_injected` trace events.
+    fn label(self) -> &'static str {
+        match self {
+            Injected::ReadFlip => "read_flip",
+            Injected::StuckRead => "stuck_read",
+            Injected::DroppedWrite => "dropped_write",
+            Injected::GarbledWrite => "garbled_write",
+            Injected::VrtBurst => "vrt_burst",
+        }
+    }
+}
 
 /// A named fault intensity, selectable from the command line
 /// (`--faults none|mild|hostile`).
@@ -260,6 +298,10 @@ pub struct FaultPlan {
     /// End of the VRT burst episode currently in effect, if any.
     burst_until: Option<Nanos>,
     registry: Option<Arc<MetricsRegistry>>,
+    /// Handles of the per-kind counters, in [`Injected::ALL`] order.
+    injected: [CounterSlot; Injected::ALL.len()],
+    /// Handle of [`CTR_INJECTED_TOTAL`].
+    total: CounterSlot,
 }
 
 impl fmt::Debug for FaultPlan {
@@ -274,7 +316,14 @@ impl fmt::Debug for FaultPlan {
 impl FaultPlan {
     /// A plan drawing from the SplitMix64 stream seeded with `seed`.
     pub fn new(cfg: FaultConfig, seed: u64) -> Self {
-        FaultPlan { cfg, rng: SplitMix64::new(seed), burst_until: None, registry: None }
+        FaultPlan {
+            cfg,
+            rng: SplitMix64::new(seed),
+            burst_until: None,
+            registry: None,
+            injected: Default::default(),
+            total: CounterSlot::default(),
+        }
     }
 
     /// The plan for a named profile.
@@ -288,41 +337,25 @@ impl FaultPlan {
     }
 
     /// Reports injected-fault counts into `registry` (as
-    /// `faults.injected.*` counters) from now on.
+    /// `faults.injected.*` counters) from now on. Each counter is looked
+    /// up once, when its first fault is injected; a kind that never
+    /// fires registers no counter.
     pub fn attach_metrics(&mut self, registry: Arc<MetricsRegistry>) {
         self.registry = Some(registry);
     }
 
-    fn bump(&mut self, name: &str) {
-        if let Some(registry) = &self.registry {
-            registry.counter(name).inc();
-            registry.counter(CTR_INJECTED_TOTAL).inc();
-        }
-    }
-
-    /// Flight-recorder event for one injected fault. The row is logical
-    /// (the injector sits on the command interface, before the device's
-    /// physical remap), so it rides in `fields` rather than the
-    /// physical-row coordinate.
-    fn trace_injected(&self, kind: &str, bank: Bank, row: Option<RowAddr>, now: Nanos) {
-        if let Some(registry) = &self.registry {
-            let mut fields: [(&str, u64); 1] = [("logical_row", 0)];
-            let fields = match row {
-                Some(row) => {
-                    fields[0].1 = u64::from(row.index());
-                    &fields[..]
-                }
-                None => &fields[..0],
-            };
-            registry.trace(
-                obs::TraceKind::FaultInjected,
-                now.as_ns(),
-                u32::from(bank.index()),
-                None,
-                fields,
-                kind,
-            );
-        }
+    /// Counts one injected fault of `kind` and records its
+    /// flight-recorder event. The row is logical (the injector sits on
+    /// the command interface, before the device's physical remap), so
+    /// it rides in `fields` rather than the physical-row coordinate.
+    fn injected(&mut self, kind: Injected, bank: Bank, row: Option<RowAddr>, now: Nanos) {
+        let Some(registry) = &self.registry else { return };
+        self.injected[kind as usize].get(registry, kind.counter()).inc();
+        self.total.get(registry, CTR_INJECTED_TOTAL).inc();
+        let logical_row = row.map(|row| ("logical_row", u64::from(row.index())));
+        let fields = logical_row.as_slice();
+        let (t, bank) = (now.as_ns(), u32::from(bank.index()));
+        registry.trace(obs::TraceKind::FaultInjected, t, bank, None, fields, kind.label());
     }
 
     /// A pattern observably different from `requested` for garbling.
@@ -338,8 +371,7 @@ impl FaultInjector for FaultPlan {
     fn on_read(&mut self, bank: Bank, row: RowAddr, readout: &mut RowReadout, now: Nanos) {
         if self.rng.next_bool(self.cfg.stuck_read_prob) {
             readout.clear_flips();
-            self.bump(CTR_STUCK_READS);
-            self.trace_injected("stuck_read", bank, Some(row), now);
+            self.injected(Injected::StuckRead, bank, Some(row), now);
             return;
         }
         if self.rng.next_bool(self.cfg.read_flip_prob) {
@@ -348,8 +380,7 @@ impl FaultInjector for FaultPlan {
                 let bit = self.rng.next_below(u64::from(readout.row_bits().max(1))) as u32;
                 readout.inject_flip(bit);
             }
-            self.bump(CTR_READ_FLIPS);
-            self.trace_injected("read_flip", bank, Some(row), now);
+            self.injected(Injected::ReadFlip, bank, Some(row), now);
         }
     }
 
@@ -361,13 +392,11 @@ impl FaultInjector for FaultPlan {
         now: Nanos,
     ) -> WriteFault {
         if self.rng.next_bool(self.cfg.dropped_write_prob) {
-            self.bump(CTR_DROPPED_WRITES);
-            self.trace_injected("dropped_write", bank, Some(row), now);
+            self.injected(Injected::DroppedWrite, bank, Some(row), now);
             return WriteFault::Dropped;
         }
         if self.rng.next_bool(self.cfg.garbled_write_prob) {
-            self.bump(CTR_GARBLED_WRITES);
-            self.trace_injected("garbled_write", bank, Some(row), now);
+            self.injected(Injected::GarbledWrite, bank, Some(row), now);
             return WriteFault::Garbled(Self::garble_pattern(pattern));
         }
         WriteFault::None
@@ -393,8 +422,7 @@ impl FaultInjector for FaultPlan {
                 if self.rng.next_bool(self.cfg.vrt_burst_prob) {
                     self.burst_until = Some(now + self.cfg.vrt_burst_duration);
                     module.set_vrt_switch_override(Some(self.cfg.vrt_burst_switch_prob));
-                    self.bump(CTR_VRT_BURSTS);
-                    self.trace_injected("vrt_burst", Bank::new(0), None, now);
+                    self.injected(Injected::VrtBurst, Bank::new(0), None, now);
                 }
             }
         }
@@ -505,15 +533,42 @@ mod tests {
         let registry = mc.registry();
         let injected = registry.counter(CTR_INJECTED_TOTAL).get();
         assert!(injected > 0, "hostile profile must inject something in 200 rounds");
-        let per_kind = [
-            CTR_READ_FLIPS,
-            CTR_STUCK_READS,
-            CTR_DROPPED_WRITES,
-            CTR_GARBLED_WRITES,
-            CTR_VRT_BURSTS,
-        ]
-        .map(|name| registry.counter(name).get());
+        let per_kind = Injected::ALL.map(|kind| registry.counter(kind.counter()).get());
         assert_eq!(injected, per_kind.iter().sum::<u64>(), "total is the sum of {per_kind:?}");
+    }
+
+    #[test]
+    fn kept_handles_match_the_registry_and_the_trace() {
+        let registry = MetricsRegistry::shared();
+        registry.install_recorder(Arc::new(obs::FlightRecorder::unfiltered()));
+        let mut plan = FaultPlan::from_profile(FaultProfile::Hostile, 3).unwrap();
+        plan.attach_metrics(Arc::clone(&registry));
+        let mut module = module();
+        let bank = Bank::new(0);
+        for round in 0..2_000u32 {
+            let (row, now) = (RowAddr::new(round % 256), Nanos::from_ms(u64::from(round)));
+            if plan.on_write(bank, row, &DataPattern::Ones, now) == WriteFault::None {
+                module.write_row(bank, row, DataPattern::Ones).unwrap();
+            }
+            let mut readout = module.read_row(bank, row).unwrap();
+            plan.on_read(bank, row, &mut readout, now);
+            plan.on_tick(now, &mut module);
+        }
+        let (events, _) = registry.recorder().unwrap().snapshot();
+        let mut total = 0;
+        for kind in Injected::ALL {
+            let kept = plan.injected[kind as usize].get(&registry, kind.counter()).get();
+            let traced = events.iter().filter(|e| e.detail == kind.label()).count() as u64;
+            assert!(traced > 0, "{kind:?} never fired");
+            assert_eq!(
+                (kept, registry.counter(kind.counter()).get()),
+                (traced, traced),
+                "{kind:?}"
+            );
+            total += kept;
+        }
+        assert_eq!(plan.total.get(&registry, CTR_INJECTED_TOTAL).get(), total);
+        assert_eq!(registry.counter(CTR_INJECTED_TOTAL).get(), total);
     }
 
     #[test]

@@ -34,6 +34,21 @@ fn main() {
         summarise(&args);
         return;
     }
+    let run = Run::untraced(
+        &args,
+        &[
+            "--modules",
+            "--shards",
+            "--seed",
+            "--rows",
+            "--hc-samples",
+            "--samples",
+            "--out",
+            "--resume",
+            "--stop-after-shards",
+            "--bench-out",
+        ],
+    );
 
     let modules: u64 = arg_or(&args, "--modules", 64);
     let shards: u32 = arg_or(&args, "--shards", 8);
@@ -54,7 +69,6 @@ fn main() {
     let stop_after_shards =
         arg_value(&args, "--stop-after-shards").map(|_| arg_or(&args, "--stop-after-shards", 0));
     let bench_path = arg_value(&args, "--bench-out").map(std::path::PathBuf::from);
-    let run = Run::untraced(&args);
     let mut bench = BenchPhases::new(run.pool.threads);
 
     let config = FleetConfig {

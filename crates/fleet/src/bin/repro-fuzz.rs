@@ -29,6 +29,23 @@ use utrr_fleet::synth_spec;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let run = Run::from_args(
+        &args,
+        &[
+            "--seed",
+            "--rounds",
+            "--candidates",
+            "--elites",
+            "--engines",
+            "--rows",
+            "--samples",
+            "--windows",
+            "--out",
+            "--fleet",
+            "--fleet-seed",
+            "--bench-out",
+        ],
+    );
     let seed: u64 = arg_or(&args, "--seed", 1);
     let rounds: u32 = arg_or(&args, "--rounds", 3);
     let candidates: u32 = arg_or(&args, "--candidates", 24);
@@ -47,7 +64,6 @@ fn main() {
     let fleet: u64 = arg_or(&args, "--fleet", 0);
     let fleet_seed: u64 = arg_or(&args, "--fleet-seed", 1);
     let bench_path = arg_value(&args, "--bench-out").map(std::path::PathBuf::from);
-    let run = Run::from_args(&args);
     let mut bench = BenchPhases::new(run.pool.threads);
 
     let config = FuzzConfig {

@@ -2,12 +2,16 @@
 //! (`crates/bench/tests/contract/mod.rs`): malformed numeric flags are
 //! errors, not silent defaults, and exit 2 naming the flag and the bad
 //! value before doing any work; an unwritable `--metrics-out` exits 1
-//! after all output. `repro-fleet` takes no trace flags.
+//! after all output. A flag a binary does not read exits 2 as well;
+//! `repro-fleet` takes no trace flags, so `--trace-out` is one.
 
 #[path = "../../bench/tests/contract/mod.rs"]
 mod contract;
 
-use contract::{assert_rejected, assert_shared_flags_rejected, assert_unwritable_metrics_exit_1};
+use contract::{
+    assert_rejected, assert_shared_flags_rejected, assert_unknown_flag_rejected,
+    assert_unwritable_metrics_exit_1,
+};
 
 #[test]
 fn repro_fleet_rejects_a_malformed_module_count() {
@@ -25,6 +29,7 @@ fn repro_fuzz_rejects_a_malformed_seed() {
 fn repro_fleet_keeps_the_cli_contract() {
     let exe = env!("CARGO_BIN_EXE_repro-fleet");
     assert_shared_flags_rejected(exe, false);
+    assert_unknown_flag_rejected(exe, "--trace-out");
     let out = std::env::temp_dir().join(format!("utrr-fleet-cli-{}", std::process::id()));
     let out_arg = out.to_str().expect("temp path is utf-8");
     let recipe = ["--modules", "1", "--shards", "1", "--samples", "1", "--out", out_arg];

@@ -33,8 +33,8 @@ pub mod span;
 pub mod trace;
 
 pub use metrics::{
-    bin_index, bin_lower_bound, bin_upper_bound, Counter, Histogram, HistogramSnapshot,
-    MetricsRegistry, BIN_COUNT,
+    bin_index, bin_lower_bound, bin_upper_bound, Counter, CounterSlot, Histogram,
+    HistogramSnapshot, MetricsRegistry, BIN_COUNT,
 };
 pub use span::{SpanGuard, SpanRecord};
 pub use trace::{

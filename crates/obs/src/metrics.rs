@@ -85,6 +85,30 @@ impl Counter {
     }
 }
 
+/// A [`Counter`] handle a hot path resolves once instead of looking
+/// its name up, under the registry lock, on every event.
+///
+/// [`CounterSlot::get`] resolves the name on first use and keeps the
+/// handle together with the registry it came from; handed another
+/// registry, it resolves again, so it never counts into a registry its
+/// owner has stopped reporting to. Until the first `get` the name is
+/// not registered at all, so a slot that never fires adds no
+/// zero-valued counter to a run's artifacts.
+#[derive(Debug, Clone, Default)]
+pub struct CounterSlot(Option<(Arc<MetricsRegistry>, Counter)>);
+
+impl CounterSlot {
+    /// The counter `name` of `registry`. A slot serves one name: pass
+    /// the same `name` on every call.
+    #[inline]
+    pub fn get(&mut self, registry: &Arc<MetricsRegistry>, name: &str) -> &Counter {
+        if !matches!(&self.0, Some((resolved, _)) if Arc::ptr_eq(resolved, registry)) {
+            self.0 = Some((Arc::clone(registry), registry.counter(name)));
+        }
+        &self.0.as_ref().expect("resolved above").1
+    }
+}
+
 /// The atomics behind a [`Histogram`]. The total count is derivable
 /// from the bins (each record lands in exactly one), so it is not
 /// stored.
@@ -372,6 +396,17 @@ mod tests {
         b.inc();
         assert_eq!(registry.counter("x").get(), 4);
         assert_eq!(registry.counters_snapshot(), vec![("x".to_string(), 4)]);
+    }
+
+    #[test]
+    fn counter_slot_registers_on_first_use_and_follows_its_registry() {
+        let (a, b) = (MetricsRegistry::shared(), MetricsRegistry::shared());
+        let mut slot = CounterSlot::default();
+        assert!(a.counters_snapshot().is_empty(), "nothing registered before first use");
+        slot.get(&a, "x").inc();
+        slot.get(&a, "x").add(2);
+        slot.get(&b, "x").inc();
+        assert_eq!((a.counter("x").get(), b.counter("x").get()), (3, 1));
     }
 
     #[test]

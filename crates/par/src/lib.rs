@@ -162,7 +162,7 @@ where
     let pool_start = Instant::now();
 
     if threads == 1 {
-        let span = config.registry.as_ref().map(|r| opened_worker_span(r, 0, n as u64));
+        let mut span = config.registry.as_ref().map(|r| opened_worker_span(r, 0));
         let out = items
             .iter()
             .enumerate()
@@ -175,7 +175,9 @@ where
                 result
             })
             .collect();
-        drop(span);
+        if let Some(span) = &mut span {
+            span.set_field("tasks", n as u64);
+        }
         return out;
     }
 
@@ -191,6 +193,7 @@ where
             let metrics = metrics.as_ref();
             let registry = config.registry.clone();
             scope.spawn(move || {
+                let mut span = registry.as_ref().map(|r| opened_worker_span(r, worker as u64));
                 let mut executed = 0u64;
                 loop {
                     let index = cursor.fetch_add(1, Ordering::Relaxed);
@@ -205,8 +208,8 @@ where
                     *slots[index].lock().expect("result slot poisoned") = Some(result);
                     executed += 1;
                 }
-                if let Some(registry) = &registry {
-                    opened_worker_span(registry, worker as u64, executed);
+                if let Some(span) = &mut span {
+                    span.set_field("tasks", executed);
                 }
             });
         }
@@ -243,10 +246,12 @@ where
     par_map_indexed(config, items, |i, item| f(i, task_seed(base_seed, i as u64), item))
 }
 
-fn opened_worker_span(registry: &Arc<MetricsRegistry>, worker: u64, tasks: u64) -> obs::SpanGuard {
+/// The `par.worker` span of `worker`, open from the worker's start until
+/// the guard drops after its last task; its caller adds the `tasks`
+/// field once the count is known.
+fn opened_worker_span(registry: &Arc<MetricsRegistry>, worker: u64) -> obs::SpanGuard {
     let mut guard = MetricsRegistry::span(registry, "par.worker", 0);
     guard.set_field("worker", worker);
-    guard.set_field("tasks", tasks);
     guard
 }
 
@@ -349,6 +354,25 @@ mod tests {
         assert_eq!(task_ns, Some(32));
         let (spans, _) = registry.spans_snapshot();
         assert!(spans.iter().any(|s| s.name == "par.worker"), "worker spans must be recorded");
+    }
+
+    #[test]
+    fn worker_spans_cover_their_tasks() {
+        let registry = MetricsRegistry::shared();
+        let cfg = ParConfig::metered(2, Arc::clone(&registry));
+        let sleep = std::time::Duration::from_millis(20);
+        let _ = par_map(&cfg, &[0u8, 1], |_| std::thread::sleep(sleep));
+        let (spans, _) = registry.spans_snapshot();
+        let workers: Vec<_> = spans.iter().filter(|s| s.name == "par.worker").collect();
+        assert_eq!(workers.len(), 2);
+        let mut tasks_seen = 0;
+        for span in workers {
+            // A worker that started late may find both tasks taken.
+            let tasks = span.fields.iter().find(|(k, _)| k == "tasks").unwrap().1;
+            assert!(span.wall_ns >= tasks * sleep.as_nanos() as u64, "{span:?}");
+            tasks_seen += tasks;
+        }
+        assert_eq!(tasks_seen, 2);
     }
 
     #[test]

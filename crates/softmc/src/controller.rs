@@ -92,13 +92,21 @@ pub struct MemoryController {
     faults: Option<Box<dyn FaultInjector>>,
     /// Adaptive-recovery ladder state (see [`RecoveryLadder`]).
     recovery: RecoveryLadder,
+    /// Counter handles of the layers above (see
+    /// [`MemoryController::counter`]).
+    counters: Vec<obs::CounterSlot>,
 }
 
 impl MemoryController {
     /// Takes ownership of a module. No refresh happens unless explicitly
     /// requested.
     pub fn new(module: Module) -> Self {
-        MemoryController { module, faults: None, recovery: RecoveryLadder::default() }
+        MemoryController {
+            module,
+            faults: None,
+            recovery: RecoveryLadder::default(),
+            counters: Vec::new(),
+        }
     }
 
     /// Installs (or, with `None`, removes) the fault injector.
@@ -155,6 +163,17 @@ impl MemoryController {
     /// The metrics registry of the underlying device.
     pub fn registry(&self) -> &std::sync::Arc<obs::MetricsRegistry> {
         self.module.registry()
+    }
+
+    /// The counter `name` of the device's registry, for a layer above
+    /// the controller that bumps it per command: `slot` resolves the
+    /// name once and keeps the handle (see [`obs::CounterSlot`]). A
+    /// caller gives each name it bumps its own fixed slot index.
+    pub fn counter(&mut self, slot: usize, name: &str) -> &obs::Counter {
+        if slot >= self.counters.len() {
+            self.counters.resize_with(slot + 1, obs::CounterSlot::default);
+        }
+        self.counters[slot].get(self.module.registry(), name)
     }
 
     /// Current device time.
