@@ -55,6 +55,10 @@ impl AccessPattern for SingleSided {
     fn schedule(&self, layout: &AggressorLayout, _interval: u64, slots: &mut Vec<HammerOp>) {
         schedulers::cascade(layout, slots);
     }
+
+    fn period(&self) -> u64 {
+        1
+    }
 }
 
 /// Alternately activate the two aggressors around the victim (Fig. 2b).
@@ -93,6 +97,10 @@ impl AccessPattern for DoubleSided {
 
     fn schedule(&self, layout: &AggressorLayout, _interval: u64, slots: &mut Vec<HammerOp>) {
         schedulers::interleave(layout, slots);
+    }
+
+    fn period(&self) -> u64 {
+        1
     }
 }
 
@@ -147,6 +155,10 @@ impl AccessPattern for ManySided {
 
     fn schedule(&self, layout: &AggressorLayout, _interval: u64, slots: &mut Vec<HammerOp>) {
         schedulers::round_robin(layout, slots);
+    }
+
+    fn period(&self) -> u64 {
+        1
     }
 }
 

@@ -86,6 +86,10 @@ impl AccessPattern for VendorAPattern {
     fn schedule(&self, layout: &AggressorLayout, _interval: u64, slots: &mut Vec<HammerOp>) {
         schedulers::cascade(layout, slots);
     }
+
+    fn period(&self) -> u64 {
+        1
+    }
 }
 
 /// Vendor B: hammer the aggressors at full rate in the intervals after a
@@ -178,6 +182,10 @@ impl AccessPattern for VendorBPattern {
     fn schedule(&self, layout: &AggressorLayout, interval: u64, slots: &mut Vec<HammerOp>) {
         schedulers::ref_sync(self.ratio, layout, interval, slots);
     }
+
+    fn period(&self) -> u64 {
+        self.ratio.max(1)
+    }
 }
 
 /// Vendor C: right after a TRR-induced refresh, fill the detector's
@@ -252,6 +260,10 @@ impl AccessPattern for VendorCPattern {
 
     fn schedule(&self, layout: &AggressorLayout, interval: u64, slots: &mut Vec<HammerOp>) {
         schedulers::window_sync(self.ratio, self.dummy_acts, layout, interval, slots);
+    }
+
+    fn period(&self) -> u64 {
+        self.ratio.max(1)
     }
 }
 

@@ -9,12 +9,12 @@
 
 use std::sync::Arc;
 
-use dram_sim::{Bank, DataPattern, Module, PhysRow};
+use dram_sim::{Bank, DataPattern, DramError, HammerPlan, Module, PhysRow};
 use obs::MetricsRegistry;
 use softmc::MemoryController;
 use utrr_modules::ModuleSpec;
 
-use crate::pattern::{AccessPattern, PatternTarget};
+use crate::pattern::{AccessPattern, AggressorLayout, PatternTarget};
 
 /// Evaluation parameters.
 #[derive(Debug, Clone)]
@@ -163,11 +163,41 @@ impl BankSweep {
 
 /// Runs `pattern` against one victim position for
 /// `windows × period_refs` `REF` intervals and reads the victim back.
+///
+/// The position's attack program is loaded as the §7.2 SoftMC harness
+/// loads it: each schedule phase is resolved into a
+/// [`HammerPlan`] the first time it comes up and replayed every
+/// interval of that phase from then on.
 pub(crate) fn evaluate_position(
     mc: &mut MemoryController,
     pattern: &dyn AccessPattern,
     config: &EvalConfig,
     victim_phys: PhysRow,
+) -> PositionResult {
+    let phases = pattern.period().max(1);
+    let mut plans: Vec<Option<HammerPlan>> = vec![None; phases as usize];
+    let mut slots = Vec::new();
+    evaluate_with(mc, pattern, config, victim_phys, |mc, layout, interval| {
+        let plan = plans[(interval % phases) as usize].get_or_insert_with(|| {
+            slots.clear();
+            pattern.schedule(layout, interval, &mut slots);
+            mc.module().plan(config.bank, &slots)
+        });
+        mc.module_mut().run_plan(plan)
+    })
+}
+
+/// The position harness around an interval issuer: writes the victim
+/// and its aggressors, has `issue` run each interval's accesses (given
+/// the layout and the interval, which is the device's `REF` count),
+/// closes the interval with its `REF` and the idle rest of `tREFI`, and
+/// reads the victim back.
+fn evaluate_with(
+    mc: &mut MemoryController,
+    pattern: &dyn AccessPattern,
+    config: &EvalConfig,
+    victim_phys: PhysRow,
+    mut issue: impl FnMut(&mut MemoryController, &AggressorLayout, u64) -> Result<(), DramError>,
 ) -> PositionResult {
     let target = PatternTarget::for_victim(mc, config.bank, victim_phys);
     if target.aggressors.is_empty() {
@@ -186,15 +216,10 @@ pub(crate) fn evaluate_position(
     let period = mc.module().config().refresh.period_refs as u64;
     let intervals = period * config.windows as u64;
     let layout = pattern.layout(mc, &target);
-    let mut slots = Vec::new();
     for _ in 0..intervals {
         let started = mc.now();
         let interval = mc.module().ref_count();
-        slots.clear();
-        pattern.schedule(&layout, interval, &mut slots);
-        mc.module_mut()
-            .hammer_batch(config.bank, &slots)
-            .expect("patterns stay within protocol rules");
+        issue(mc, &layout, interval).expect("patterns stay within protocol rules");
         mc.module_mut().refresh();
         let elapsed = mc.now() - started;
         mc.module_mut().advance(timings.t_refi.saturating_sub(elapsed));
@@ -252,9 +277,23 @@ pub fn sweep_bank(
 /// When [`EvalConfig::registry`] is set it is attached to the module
 /// first, and the sweep runs under an `attacks.eval.sweep` span.
 pub fn sweep_bank_module(
+    module: Module,
+    pattern: &dyn AccessPattern,
+    config: &EvalConfig,
+) -> BankSweep {
+    sweep_with(module, pattern, config, evaluate_position)
+}
+
+/// Runs `pattern` against one victim position ([`evaluate_position`]).
+type Evaluate =
+    fn(&mut MemoryController, &dyn AccessPattern, &EvalConfig, PhysRow) -> PositionResult;
+
+/// [`sweep_bank_module`] with `evaluate` running each victim position.
+fn sweep_with(
     mut module: Module,
     pattern: &dyn AccessPattern,
     config: &EvalConfig,
+    evaluate: Evaluate,
 ) -> BankSweep {
     if let Some(registry) = &config.registry {
         module.attach_registry(Arc::clone(registry));
@@ -277,7 +316,7 @@ pub fn sweep_bank_module(
     let results: Vec<PositionResult> = positions
         .into_iter()
         .map(|victim| {
-            let result = evaluate_position(&mut mc, pattern, config, victim);
+            let result = evaluate(&mut mc, pattern, config, victim);
             // Per-position verdict citing the victim-adjacent events
             // (ACTs, TRR detections, the final read_check) as evidence.
             if registry.tracing_enabled() {
@@ -322,8 +361,13 @@ fn sample_positions(rows_per_bank: u32, count: u32) -> Vec<PhysRow> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::DoubleSided;
-    use dram_sim::ModuleConfig;
+    use crate::baseline::{DoubleSided, ManySided, SingleSided};
+    use crate::custom::{pattern_for, VendorAPattern, VendorBPattern, VendorCPattern};
+    use crate::fuzz::{FuzzParams, FuzzPattern};
+    use crate::pattern::RowDose;
+    use dram_sim::rng::SplitMix64;
+    use dram_sim::{ModuleConfig, RowAddr};
+    use utrr_modules::by_id;
 
     #[test]
     fn sample_positions_spread_and_alternate_parity() {
@@ -383,6 +427,124 @@ mod tests {
             registry.counter(faults::CTR_INJECTED_TOTAL).get() > 0,
             "a hostile sweep must inject faults"
         );
+    }
+
+    /// The interval loop before plans, kept as the reference model of
+    /// [`evaluate_position`]: every interval schedules its ops afresh
+    /// and issues them as one `hammer_batch`.
+    fn evaluate_position_per_interval(
+        mc: &mut MemoryController,
+        pattern: &dyn AccessPattern,
+        config: &EvalConfig,
+        victim_phys: PhysRow,
+    ) -> PositionResult {
+        let mut slots = Vec::new();
+        evaluate_with(mc, pattern, config, victim_phys, |mc, layout, interval| {
+            slots.clear();
+            pattern.schedule(layout, interval, &mut slots);
+            mc.module_mut().hammer_batch(config.bank, &slots)
+        })
+    }
+
+    /// Attack `kind` (one of the seven [`AccessPattern`] impls) with
+    /// parameters drawn from `rng`.
+    fn random_pattern(kind: u64, rng: &mut SplitMix64) -> Box<dyn AccessPattern> {
+        match kind {
+            0 => Box::new(SingleSided { hammers: 1 + rng.next_below(149) }),
+            1 => Box::new(DoubleSided { hammers_per_aggressor: 1 + rng.next_below(74) }),
+            2 => Box::new(ManySided {
+                sides: 2 + rng.next_below(16) as u32,
+                hammers_per_aggressor: 1 + rng.next_below(16),
+            }),
+            3 => Box::new(VendorAPattern::with_aggressor_hammers(rng.next_below(80))),
+            4 => Box::new(VendorBPattern {
+                ratio: 1 + rng.next_below(17),
+                per_bank_sampler: rng.next_bool(0.5),
+                hammers_per_interval: rng.next_below(75),
+                dummy_hammers: rng.next_below(160),
+            }),
+            5 => Box::new(VendorCPattern {
+                ratio: 1 + rng.next_below(17),
+                dummy_acts: rng.next_below(500),
+                hammers_per_interval: rng.next_below(75),
+            }),
+            _ => Box::new(FuzzPattern { params: FuzzParams::sample(rng) }),
+        }
+    }
+
+    /// A layout of up to two aggressors, 16 dummies and four other-bank
+    /// rows, with random rows and doses (zero included).
+    fn random_layout(rng: &mut SplitMix64) -> AggressorLayout {
+        let dose = |rng: &mut SplitMix64| {
+            RowDose::new(RowAddr::new(rng.next_below(1_024) as u32), rng.next_below(200))
+        };
+        let (a, d, o) = (rng.next_below(3), rng.next_below(17), rng.next_below(5));
+        AggressorLayout {
+            aggressors: (0..a).map(|_| dose(rng)).collect(),
+            dummies: (0..d).map(|_| dose(rng)).collect(),
+            other_bank: (1..=o as u8).map(|b| (Bank::new(b), dose(rng))).collect(),
+        }
+    }
+
+    #[test]
+    fn every_pattern_repeats_with_its_declared_period() {
+        let mut rng = SplitMix64::new(29);
+        for kind in 0..7 {
+            for _ in 0..100 {
+                let pattern = random_pattern(kind, &mut rng);
+                let layout = random_layout(&mut rng);
+                let period = pattern.period();
+                assert!(period >= 1, "{}", pattern.name());
+                let start = rng.next_below(1 << 20);
+                for interval in start..start + 2 * period + 3 {
+                    let (mut phase, mut next) = (Vec::new(), Vec::new());
+                    pattern.schedule(&layout, interval, &mut phase);
+                    pattern.schedule(&layout, interval + period, &mut next);
+                    assert_eq!(phase, next, "{} period {period} at {interval}", pattern.name());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn replayed_sweeps_match_the_per_interval_loop() {
+        let mut rng = SplitMix64::new(7);
+        let mut flips = 0;
+        for (m, id) in ["A0", "A5", "B7", "B13", "C7"].into_iter().enumerate() {
+            let spec = by_id(id).unwrap();
+            for profile in [faults::FaultProfile::None, faults::FaultProfile::Hostile] {
+                // The module's §7.1 pattern, a baseline and a fuzz
+                // candidate, on random parameters.
+                let patterns = [
+                    pattern_for(&spec),
+                    random_pattern(m as u64 % 3, &mut rng),
+                    random_pattern(6, &mut rng),
+                ];
+                for pattern in &patterns {
+                    let run = |evaluate: Evaluate| {
+                        let registry = obs::MetricsRegistry::shared();
+                        let recorder = Arc::new(obs::FlightRecorder::unfiltered());
+                        registry.install_recorder(Arc::clone(&recorder));
+                        let config = EvalConfig {
+                            windows: 1,
+                            scaled_rows: Some(1_024),
+                            registry: Some(Arc::clone(&registry)),
+                            fault_profile: profile,
+                            fault_seed: 5,
+                            ..EvalConfig::quick(2)
+                        };
+                        let module = spec.build_scaled(1_024, config.seed);
+                        let sweep = sweep_with(module, pattern.as_ref(), &config, evaluate);
+                        (sweep, registry.counters_snapshot(), recorder.snapshot())
+                    };
+                    let replayed = run(evaluate_position);
+                    flips += replayed.0.max_flips_per_row();
+                    let what = format!("{id} {profile:?} {}", pattern.name());
+                    assert_eq!(replayed, run(evaluate_position_per_interval), "{what}");
+                }
+            }
+        }
+        assert!(flips > 0, "the sweeps flip bits");
     }
 
     #[test]

@@ -307,6 +307,10 @@ impl AccessPattern for FuzzPattern {
             budget -= acts;
         }
     }
+
+    fn period(&self) -> u64 {
+        self.params.period.max(1)
+    }
 }
 
 /// One scored candidate × engine outcome.

@@ -16,7 +16,9 @@
 //! at what per-interval dose (resolved once per victim position), and
 //! its [`schedule`](AccessPattern::schedule) says when those activations
 //! are issued relative to the TRR-capable-`REF` cadence, usually through
-//! one of the shared [`schedulers`]. The [`fuzz`] module searches the
+//! one of the shared [`schedulers`], and its
+//! [`period`](AccessPattern::period) how many intervals the schedule
+//! takes to repeat (so [`eval`] resolves each phase once per position). The [`fuzz`] module searches the
 //! same shape with a seeded frequency-domain fuzzer and re-derives
 //! §7.1-class bypasses against the ground-truth TRR engines.
 //!

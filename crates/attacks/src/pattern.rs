@@ -126,12 +126,18 @@ pub trait AccessPattern {
     fn layout(&self, mc: &MemoryController, target: &PatternTarget) -> AggressorLayout;
 
     /// Appends one `tREFI` interval's accesses to `slots` (cleared by
-    /// the caller), which the harness issues as one
-    /// [`dram_sim::Module::hammer_batch`]. `interval` counts intervals
-    /// since power-on (equal to the device's `REF` count), so patterns
-    /// can synchronize with the TRR-capable-`REF` cadence the way the
-    /// paper's attacker does via SMASH-style timing channels.
+    /// the caller). `interval` counts intervals since power-on (equal to
+    /// the device's `REF` count), so patterns can synchronize with the
+    /// TRR-capable-`REF` cadence the way the paper's attacker does via
+    /// SMASH-style timing channels.
     fn schedule(&self, layout: &AggressorLayout, interval: u64, slots: &mut Vec<HammerOp>);
+
+    /// The schedule's repetition period in intervals (≥ 1): intervals
+    /// `i` and `i + period()` schedule identical ops. The harness
+    /// resolves each phase's ops once per victim position
+    /// ([`dram_sim::Module::plan`]) and replays phase
+    /// `interval % period()` every interval.
+    fn period(&self) -> u64;
 }
 
 #[cfg(test)]

@@ -443,6 +443,10 @@ const SHARED_FLAGS: [&str; 4] = ["--faults", "--fault-seed", "--threads", "--met
 /// The flags [`Run`] reads on a binary built with [`Run::from_args`].
 const TRACE_FLAGS: [&str; 2] = ["--trace-out", "--trace-rows"];
 
+/// The binaries' own flags that take no value (`repro-fig10`,
+/// `repro-fleet`); every other flag is followed by its value.
+const SWITCHES: [&str; 2] = ["--ecc", "--resume"];
+
 /// The run harness of every repro binary, built once from its argv.
 /// It owns the flags all of them share:
 ///
@@ -459,10 +463,12 @@ const TRACE_FLAGS: [&str; 2] = ["--trace-out", "--trace-rows"];
 ///
 /// Each binary hands over the flags it reads itself. Any other `--flag`
 /// exits with status 2 (`error: unknown flag '<flag>'`), so a misspelt
-/// flag cannot silently run the defaults; a malformed value exits 2
-/// too and names its flag. The run registry, its flight recorder
-/// (installed only under `--trace-out`) and the metered worker pool are
-/// built here; [`Run::finish`] writes the artifacts.
+/// flag cannot silently run the defaults, and so does a token that is
+/// neither a flag nor a flag's value (`error: unexpected argument
+/// '<token>'`); a malformed value exits 2 too and names its flag. The
+/// run registry, its flight recorder (installed only under
+/// `--trace-out`) and the metered worker pool are built here;
+/// [`Run::finish`] writes the artifacts.
 #[derive(Debug)]
 pub struct Run {
     /// Fault profile of every module the run builds.
@@ -498,6 +504,15 @@ impl Run {
         };
         if let Some(flag) = args.iter().find(|a| a.starts_with("--") && !known(a)) {
             usage_error(&format!("unknown flag '{flag}'"));
+        }
+        let mut tokens = args.iter();
+        while let Some(token) = tokens.next() {
+            if !token.starts_with("--") {
+                usage_error(&format!("unexpected argument '{token}'"));
+            }
+            if !SWITCHES.contains(&token.as_str()) {
+                tokens.next();
+            }
         }
         let fault_profile = match arg_value(args, "--faults") {
             Some(name) => name.parse().unwrap_or_else(|e| usage_error(&format!("--faults: {e}"))),

@@ -48,6 +48,17 @@ pub fn assert_unknown_flag_rejected(exe: &str, flag: &str) {
     assert!(out.stdout.is_empty(), "{exe} {flag}: no work may start before the error");
 }
 
+/// `exe args` exits 2 with `error: unexpected argument '<token>'` and
+/// prints nothing to stdout: `token`, neither a flag the binary reads
+/// nor a flag's value, is never silently ignored.
+pub fn assert_stray_argument_rejected(exe: &str, args: &[&str], token: &str) {
+    let out = run(exe, args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{exe} {args:?} must exit 2: {stderr}");
+    assert!(stderr.contains(&format!("error: unexpected argument '{token}'")), "{exe}: {stderr}");
+    assert!(out.stdout.is_empty(), "{exe} {args:?}: no work may start before the error");
+}
+
 /// `recipe` with `--metrics-out` under a missing directory prints the
 /// stdout of the same recipe without the flag, then exits 1 with
 /// `error: writing <path>` and no panic. A recipe's `--out` directory

@@ -70,6 +70,6 @@ pub use data::{majority_flips, DataPattern, RowReadout};
 pub use error::DramError;
 pub use mapping::{RowMapping, Topology};
 pub use mitigation::{MitigationEngine, NeighborSpan, NoMitigation, TrrDetection};
-pub use module::{HammerOp, Module, ModuleConfig, RefreshConfig};
+pub use module::{HammerOp, HammerPlan, Module, ModuleConfig, RefreshConfig};
 pub use physics::PhysicsConfig;
 pub use time::{Nanos, Timings};

@@ -22,6 +22,7 @@
 //! refreshes internally every 3758 REFs instead of every ~8192) is a
 //! [`RefreshConfig`] parameter.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use obs::MetricsRegistry;
@@ -207,9 +208,9 @@ struct BankState {
     last_act: Option<PhysRow>,
 }
 
-/// One op of a [`Module::hammer_batch`]. An op with a zero dose is a
-/// strict no-op on the device (no state, no metrics, no clock), so
-/// callers may emit them freely.
+/// One op of a [`Module::hammer_batch`] or a [`HammerPlan`]. An op with
+/// a zero dose is a strict no-op on the device (no state, no metrics, no
+/// clock), so callers may emit them freely.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HammerOp {
     /// Back-to-back activations of one row ([`Module::hammer`]).
@@ -244,11 +245,75 @@ pub enum HammerOp {
     },
 }
 
+/// Hammer ops resolved once against one module and replayable any number
+/// of times ([`Module::plan`], [`Module::run_plan`]): the §7.2 harness
+/// loads a pattern as a program and loops it every `tREFI`. Each run is
+/// observationally identical to a [`Module::hammer_batch`] of the ops it
+/// was resolved from.
+#[derive(Debug, Clone)]
+pub struct HammerPlan {
+    /// [`Module::id`] of the module that resolved it: cached row indices
+    /// mean nothing on another module.
+    module: u64,
+    ops: Vec<ResolvedOp>,
+    /// Why the op after the last resolved one failed to resolve, if one
+    /// did: each run issues the resolved prefix, then returns it.
+    error: Option<DramError>,
+}
+
+/// One [`HammerOp`] with its bank and rows checked and each logical row
+/// mapped to its physical position.
+#[derive(Debug, Clone, Copy)]
+struct ResolvedOp {
+    bank: Bank,
+    shape: Shape,
+    /// The op's rows; a burst uses only the first.
+    rows: [ResolvedRow; 2],
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    /// `acts` back-to-back activations; an other-bank burst is not
+    /// `clocked` (it overlaps the batch bank's time).
+    Burst { acts: u64, clocked: bool },
+    /// `pairs` alternations of two distinct rows.
+    Pair { pairs: u64 },
+}
+
+/// A physical row of a resolved op, with the lookups of its first
+/// activation cached: its index into `row_states` / `hot_rows` and its
+/// disturb targets' indices. The first activation resolves them exactly
+/// where the uncached path would look them up (creating any row not yet
+/// touched), so caching moves no row creation and no restore stamp.
+#[derive(Debug, Clone, Copy)]
+struct ResolvedRow {
+    phys: PhysRow,
+    /// `u32::MAX` until the first activation.
+    index: u32,
+    /// `(index, coupling weight)` of each disturb target, in
+    /// [`Topology::for_each_disturb_target`] order.
+    targets: [(u32, f64); 4],
+    /// Valid entries of `targets`; `u8::MAX` until the first activation.
+    n_targets: u8,
+}
+
+impl ResolvedRow {
+    fn new(phys: PhysRow) -> Self {
+        ResolvedRow { phys, index: u32::MAX, targets: [(0, 0.0); 4], n_targets: u8::MAX }
+    }
+}
+
+/// Source of [`Module::id`].
+static NEXT_MODULE_ID: AtomicU64 = AtomicU64::new(0);
+
 /// A simulated DRAM module (one rank) driven at DDR-command granularity.
 ///
 /// See the [crate documentation](crate) for an end-to-end example.
 #[derive(Debug)]
 pub struct Module {
+    /// Process-unique identity, so a [`HammerPlan`] runs only on the
+    /// module that resolved it.
+    id: u64,
     config: ModuleConfig,
     engine: Box<dyn MitigationEngine>,
     /// Cached [`MitigationEngine::detects_inline`] capability. Engines
@@ -322,6 +387,7 @@ impl Module {
         let ref_window =
             RefWindow::new(config.geometry.rows_per_bank as u64, config.refresh.period_refs as u64);
         Module {
+            id: NEXT_MODULE_ID.fetch_add(1, Ordering::Relaxed),
             config,
             engine,
             engine_inline,
@@ -466,29 +532,11 @@ impl Module {
             return Err(DramError::BankAlreadyOpen { bank, open });
         }
         let phys = self.phys_of(row);
-        let index = self.restore(bank, phys);
-        // Re-opening the row that was just closed toggles the wordline
-        // less effectively, exactly as in the batched hammer paths.
-        let weight = if self.banks[bank.index() as usize].last_act == Some(phys) {
-            self.config.physics.same_row_discount
-        } else {
-            1.0
-        };
-        self.disturb_from(bank, phys, weight, self.hot_rows[index].coupling);
-        self.engine.on_activations(bank, phys, 1, self.now);
-        self.apply_inline_detections();
-        let b = &mut self.banks[bank.index() as usize];
-        b.open = Some((row, phys));
-        b.last_act = Some(phys);
+        // A one-activation burst: re-opening the row that was just
+        // closed carries the same-row discount, as in the hammer paths.
+        self.burst(bank, &mut ResolvedRow::new(phys), 1);
+        self.banks[bank.index() as usize].open = Some((row, phys));
         self.activations += 1;
-        self.metrics.trace(
-            TraceKind::Act,
-            self.now.as_ns(),
-            bank.index() as u32,
-            Some(phys.index()),
-            &[("count", 1)],
-            "",
-        );
         self.now += self.config.timings.t_ras;
         Ok(())
     }
@@ -618,10 +666,9 @@ impl Module {
     }
 
     /// Runs `ops` in order against `bank` (an [`HammerOp::OtherBank`]
-    /// op names its own bank). Each op has exactly the physics, engine
-    /// hook and trace event of its single call ([`Module::hammer`],
-    /// [`Module::hammer_pair`]); the batch only folds the `ACT` count
-    /// into one update.
+    /// op names its own bank), resolving and running one op at a time:
+    /// each op has exactly the physics, engine hook and trace event of
+    /// its single call ([`Module::hammer`], [`Module::hammer_pair`]).
     ///
     /// # Errors
     ///
@@ -629,82 +676,114 @@ impl Module {
     /// is out of range: the ops before it have run and are counted, the
     /// rest do not run.
     pub fn hammer_batch(&mut self, bank: Bank, ops: &[HammerOp]) -> Result<(), DramError> {
-        let mut acts = 0u64;
-        let mut result = Ok(());
         for &op in ops {
-            match self.hammer_op(bank, op) {
-                Ok(n) => acts += n,
+            let mut op = self.resolve(bank, op)?;
+            self.run_op(&mut op)?;
+        }
+        Ok(())
+    }
+
+    /// Resolves `ops` (against `bank`, as [`Module::hammer_batch`] would
+    /// run them) into a plan this module can replay with
+    /// [`Module::run_plan`]. Resolution stops at the first op with an
+    /// out-of-range bank or row; the plan keeps that error for its runs.
+    pub fn plan(&self, bank: Bank, ops: &[HammerOp]) -> HammerPlan {
+        let mut resolved = Vec::with_capacity(ops.len());
+        let mut error = None;
+        for &op in ops {
+            match self.resolve(bank, op) {
+                Ok(op) => resolved.push(op),
                 Err(e) => {
-                    result = Err(e);
+                    error = Some(e);
                     break;
                 }
             }
         }
-        self.activations += acts;
-        result
+        HammerPlan { module: self.id, ops: resolved, error }
     }
 
-    /// Runs one batch op and returns the activations it issued.
-    fn hammer_op(&mut self, bank: Bank, op: HammerOp) -> Result<u64, DramError> {
-        let t_rc = self.config.timings.t_rc();
-        match op {
-            HammerOp::Burst { row, acts } => {
-                self.check_hammer(bank, row, row)?;
-                if acts > 0 {
-                    self.burst(bank, self.phys_of(row), acts);
-                    self.now += t_rc * acts;
-                }
-                Ok(acts)
-            }
-            HammerOp::OtherBank { bank, row, acts } => {
-                self.check_hammer(bank, row, row)?;
-                if acts > 0 {
-                    // Overlapped with the target bank's interval: no
-                    // clock of its own.
-                    self.burst(bank, self.phys_of(row), acts);
-                }
-                Ok(acts)
-            }
-            HammerOp::Pair { first, second, pairs } => {
-                self.check_hammer(bank, first, second)?;
-                if pairs == 0 {
-                    return Ok(0);
-                }
-                let (p1, p2) = (self.phys_of(first), self.phys_of(second));
-                if p1 == p2 {
-                    // Degenerate: identical rows alternate into plain
-                    // hammering.
-                    self.burst(bank, p1, 2 * pairs);
-                } else {
-                    self.pair(bank, p1, p2, pairs);
-                }
-                self.now += t_rc * (2 * pairs);
-                Ok(2 * pairs)
-            }
+    /// Runs `plan`, observationally identical to a
+    /// [`Module::hammer_batch`] of the ops it was resolved from. Its first
+    /// run caches each row's state and disturb-target lookups; later runs
+    /// go straight to the physics.
+    ///
+    /// # Errors
+    ///
+    /// As [`Module::hammer_batch`]: stops at the first op whose bank has
+    /// an open row, or after the resolved prefix with the error of the op
+    /// that failed to resolve.
+    ///
+    /// # Panics
+    ///
+    /// If `plan` was resolved by another module.
+    pub fn run_plan(&mut self, plan: &mut HammerPlan) -> Result<(), DramError> {
+        assert_eq!(plan.module, self.id, "a hammer plan runs only on the module that resolved it");
+        for op in &mut plan.ops {
+            self.run_op(op)?;
         }
+        plan.error.clone().map_or(Ok(()), Err)
     }
 
-    /// The checks of a hammer op, in the order the single calls make
-    /// them: bank, rows, then the bank must be precharged.
-    fn check_hammer(&self, bank: Bank, first: RowAddr, second: RowAddr) -> Result<(), DramError> {
+    /// Checks `op`'s bank and rows, in the order the single calls make
+    /// them, and maps its rows. A pair of one physical row is the burst
+    /// of identical rows alternating into plain hammering.
+    fn resolve(&self, bank: Bank, op: HammerOp) -> Result<ResolvedOp, DramError> {
+        let (bank, first, second, shape) = match op {
+            HammerOp::Burst { row, acts } => (bank, row, row, Shape::Burst { acts, clocked: true }),
+            HammerOp::OtherBank { bank, row, acts } => {
+                (bank, row, row, Shape::Burst { acts, clocked: false })
+            }
+            HammerOp::Pair { first, second, pairs } => (bank, first, second, Shape::Pair { pairs }),
+        };
         self.check_bank(bank)?;
         self.check_row(first)?;
         self.check_row(second)?;
-        match self.banks[bank.index() as usize].open {
-            Some((open, _)) => Err(DramError::BankAlreadyOpen { bank, open }),
-            None => Ok(()),
-        }
+        let p1 = self.phys_of(first);
+        let p2 = if second == first { p1 } else { self.phys_of(second) };
+        let shape = match shape {
+            Shape::Pair { pairs } if p1 == p2 => Shape::Burst { acts: 2 * pairs, clocked: true },
+            shape => shape,
+        };
+        Ok(ResolvedOp { bank, shape, rows: [ResolvedRow::new(p1), ResolvedRow::new(p2)] })
     }
 
-    /// `count ≥ 1` back-to-back activations of `phys` at the current
+    /// Runs one resolved op: the bank must be precharged. An op with a
+    /// zero dose touches nothing.
+    fn run_op(&mut self, op: &mut ResolvedOp) -> Result<(), DramError> {
+        let bank = op.bank;
+        if let Some((open, _)) = self.banks[bank.index() as usize].open {
+            return Err(DramError::BankAlreadyOpen { bank, open });
+        }
+        let t_rc = self.config.timings.t_rc();
+        match op.shape {
+            Shape::Burst { acts: 0, .. } | Shape::Pair { pairs: 0 } => {}
+            Shape::Burst { acts, clocked } => {
+                self.burst(bank, &mut op.rows[0], acts);
+                self.activations += acts;
+                if clocked {
+                    self.now += t_rc * acts;
+                }
+            }
+            Shape::Pair { pairs } => {
+                let [first, second] = &mut op.rows;
+                self.pair(bank, first, second, pairs);
+                self.activations += 2 * pairs;
+                self.now += t_rc * (2 * pairs);
+            }
+        }
+        Ok(())
+    }
+
+    /// `count ≥ 1` back-to-back activations of `row` at the current
     /// time, clock and `ACT` counters aside.
-    fn burst(&mut self, bank: Bank, phys: PhysRow, count: u64) {
-        let index = self.restore(bank, phys);
+    fn burst(&mut self, bank: Bank, row: &mut ResolvedRow, count: u64) {
+        let index = self.restore_resolved(bank, row);
         let discount = self.config.physics.same_row_discount;
+        let phys = row.phys;
         let first =
             if self.banks[bank.index() as usize].last_act == Some(phys) { discount } else { 1.0 };
         let weight = first + discount * (count - 1) as f64;
-        self.disturb_from(bank, phys, weight, self.hot_rows[index].coupling);
+        self.disturb(bank, row, weight, self.hot_rows[index].coupling);
         self.engine.on_activations(bank, phys, count, self.now);
         self.apply_inline_detections();
         self.banks[bank.index() as usize].last_act = Some(phys);
@@ -720,9 +799,10 @@ impl Module {
 
     /// `pairs ≥ 1` alternations of two distinct rows at the current
     /// time, clock and `ACT` counters aside.
-    fn pair(&mut self, bank: Bank, p1: PhysRow, p2: PhysRow, pairs: u64) {
+    fn pair(&mut self, bank: Bank, r1: &mut ResolvedRow, r2: &mut ResolvedRow, pairs: u64) {
         let bank_idx = bank.index() as usize;
-        let (i1, i2) = (self.restore(bank, p1), self.restore(bank, p2));
+        let (p1, p2) = (r1.phys, r2.phys);
+        let (i1, i2) = (self.restore_resolved(bank, r1), self.restore_resolved(bank, r2));
         let discount = self.config.physics.same_row_discount;
         let p1_was_last = self.banks[bank_idx].last_act == Some(p1);
         let first_weight = if p1_was_last { discount + (pairs - 1) as f64 } else { pairs as f64 };
@@ -752,8 +832,8 @@ impl Module {
                 pairs as f64,
             );
         }
-        self.disturb_from(bank, p1, first_weight, self.hot_rows[i1].coupling);
-        self.disturb_from(bank, p2, pairs as f64, self.hot_rows[i2].coupling);
+        self.disturb(bank, r1, first_weight, self.hot_rows[i1].coupling);
+        self.disturb(bank, r2, pairs as f64, self.hot_rows[i2].coupling);
         // Each real alternation cycle re-restores both aggressors, so the
         // radius-2 disturbance they deposit on *each other* never
         // accumulates past one cycle; the batch restores them only once
@@ -1061,6 +1141,21 @@ impl Module {
         }
     }
 
+    /// [`Module::restore`] of a resolved row, caching its index on the
+    /// first call.
+    #[inline]
+    fn restore_resolved(&mut self, bank: Bank, row: &mut ResolvedRow) -> usize {
+        if row.index == u32::MAX {
+            let index = self.restore(bank, row.phys);
+            row.index = index as u32;
+            index
+        } else {
+            let index = row.index as usize;
+            self.restore_row(bank, row.phys, index);
+            index
+        }
+    }
+
     /// [`Module::restore`] of a touched row, `index` its entry.
     fn restore_row(&mut self, bank: Bank, phys: PhysRow, index: usize) {
         #[cfg(debug_assertions)]
@@ -1203,7 +1298,7 @@ impl Module {
                     }
                     None => self.config.physics.aggressor_coupling(None),
                 };
-                self.disturb_from(det.bank, victim, 1.0, coupling);
+                self.disturb(det.bank, &mut ResolvedRow::new(victim), 1.0, coupling);
                 if tracing {
                     self.metrics.trace(
                         TraceKind::TrrRefresh,
@@ -1234,16 +1329,28 @@ impl Module {
     }
 
     /// Adds `weight` units of disturbance (before `coupling`, the
-    /// source row's aggressor coupling) from an activation of `source`
-    /// to its topological neighbours.
-    fn disturb_from(&mut self, bank: Bank, source: PhysRow, weight: f64, coupling: f64) {
+    /// source row's aggressor coupling) from an activation of `row` to
+    /// its topological neighbours. The row's first activation looks its
+    /// neighbours up (creating any not yet touched) as it disturbs them,
+    /// and caches them for the next.
+    fn disturb(&mut self, bank: Bank, row: &mut ResolvedRow, weight: f64, coupling: f64) {
+        if row.n_targets != u8::MAX {
+            for &(index, w) in &row.targets[..row.n_targets as usize] {
+                self.hot_rows[index as usize].disturbance += w * weight * coupling;
+            }
+            return;
+        }
         let topology = self.config.topology;
         let (rows_per_bank, radius2_weight) =
             (self.config.geometry.rows_per_bank, self.config.physics.radius2_weight);
-        topology.for_each_disturb_target(source, rows_per_bank, radius2_weight, |victim, w| {
+        let mut n = 0;
+        topology.for_each_disturb_target(row.phys, rows_per_bank, radius2_weight, |victim, w| {
             let index = self.row_index_of(bank, victim);
             self.hot_rows[index].disturbance += w * weight * coupling;
+            row.targets[n] = (index as u32, w);
+            n += 1;
         });
+        row.n_targets = n as u8;
     }
 }
 
@@ -1605,6 +1712,14 @@ mod tests {
         assert_eq!((new.counter(CTR_ACT).get(), new.counter(CTR_REF).get()), (6, 1));
         assert_eq!(new.counter("trr.probe.batches").get(), 1);
         assert_eq!(old.counter(CTR_ACT).get(), 15);
+    }
+
+    #[test]
+    #[should_panic(expected = "a hammer plan runs only on the module that resolved it")]
+    fn a_plan_runs_only_on_the_module_that_resolved_it() {
+        let mut plan =
+            module().plan(Bank::new(0), &[HammerOp::Burst { row: RowAddr::new(5), acts: 3 }]);
+        let _ = module().run_plan(&mut plan);
     }
 
     #[test]

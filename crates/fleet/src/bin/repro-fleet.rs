@@ -164,6 +164,10 @@ fn summarise(args: &[String]) {
         eprintln!("usage: repro-fleet summarise FILE.jsonl");
         std::process::exit(2);
     };
+    if let Some(stray) = args.get(2) {
+        eprintln!("error: unexpected argument '{stray}' (summarise takes one file)");
+        std::process::exit(2);
+    }
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("error: reading {path}: {e}");
         std::process::exit(1);
