@@ -34,6 +34,20 @@ pub fn measure_hc_first(
     samples: u32,
     start_guess: u64,
 ) -> Result<u64, UtrrError> {
+    let registry = std::sync::Arc::clone(mc.registry());
+    let span = obs::span!(registry, "utrr.hc_first", mc.now().as_ns());
+    let result = bisect_hc_first(mc, bank, samples, start_guess);
+    span.finish(mc.now().as_ns());
+    result
+}
+
+/// The search of [`measure_hc_first`].
+fn bisect_hc_first(
+    mc: &mut MemoryController,
+    bank: Bank,
+    samples: u32,
+    start_guess: u64,
+) -> Result<u64, UtrrError> {
     let rows = mc.module().geometry().rows_per_bank;
     let shape = match mc.module().config().topology {
         Topology::Paired => HammerShape::PairSided,

@@ -112,6 +112,21 @@ pub(crate) fn learn_row_schedule(
     retention: dram_sim::Nanos,
     pattern: &dram_sim::DataPattern,
 ) -> Result<RefreshSchedule, UtrrError> {
+    let registry = std::sync::Arc::clone(mc.registry());
+    let span = obs::span!(registry, "utrr.schedule.learn_row", mc.now().as_ns());
+    let result = learn_row_schedule_attempts(mc, bank, probe, retention, pattern);
+    span.finish(mc.now().as_ns());
+    result
+}
+
+/// The retried, verified measurements of [`learn_row_schedule`].
+fn learn_row_schedule_attempts(
+    mc: &mut MemoryController,
+    bank: dram_sim::Bank,
+    probe: dram_sim::RowAddr,
+    retention: dram_sim::Nanos,
+    pattern: &dram_sim::DataPattern,
+) -> Result<RefreshSchedule, UtrrError> {
     let policy = RecoveryPolicy::of(mc);
     let registry = std::sync::Arc::clone(mc.registry());
     let mut last = UtrrError::ScheduleNotFound;

@@ -4,16 +4,18 @@
 //! Line shapes (`type` field first so artifacts grep and diff well):
 //!
 //! ```text
-//! {"type":"meta","schema":"utrr-obs/2","spans_evicted":0}
+//! {"type":"meta","schema":"utrr-obs/3"}
 //! {"type":"counter","name":"dram.cmd.act","value":5000}
 //! {"type":"histogram","name":"par.task_ns","count":…,"sum":…,
 //!  "min":…,"max":…,"mean":…,"p50":…,"p90":…,"p99":…,"bins":[[lower,count],…]}
-//! {"type":"span","id":3,"parent":2,"depth":1,"name":"trr_analyzer.round",
-//!  "wall_ns":…,"sim_start_ns":…,"sim_end_ns":…,"fields":{"round":4}}
+//! {"type":"span","name":"utrr.analyzer.round","count":12868,"wall_ns":…,"sim_ns":…}
 //! ```
 //!
-//! Counters and histograms are emitted in name order, so two
-//! runs of the same workload produce line-diffable artifacts.
+//! A span line holds the exact totals of every closed span of its name:
+//! how many closed, and their summed wall-clock and simulated
+//! durations. Counters, histograms and spans are each emitted in name
+//! order, so two runs of the same workload produce line-diffable
+//! artifacts.
 
 use std::fmt::Write as _;
 use std::io::{self, Write};
@@ -21,16 +23,11 @@ use std::io::{self, Write};
 use crate::metrics::{HistogramSnapshot, MetricsRegistry};
 
 /// Artifact schema tag, bumped on incompatible line-shape changes.
-pub(crate) const SCHEMA: &str = "utrr-obs/2";
+pub(crate) const SCHEMA: &str = "utrr-obs/3";
 
 /// Serialises the registry's full state as JSONL into `out`.
 pub(crate) fn write_jsonl(registry: &MetricsRegistry, out: &mut impl Write) -> io::Result<()> {
-    let (spans, spans_evicted) = registry.spans_snapshot();
-
-    writeln!(
-        out,
-        "{{\"type\":\"meta\",\"schema\":\"{SCHEMA}\",\"spans_evicted\":{spans_evicted}}}"
-    )?;
+    writeln!(out, "{{\"type\":\"meta\",\"schema\":\"{SCHEMA}\"}}")?;
 
     for (name, value) in registry.counters_snapshot() {
         writeln!(out, "{{\"type\":\"counter\",\"name\":{},\"value\":{value}}}", quote(&name))?;
@@ -38,23 +35,14 @@ pub(crate) fn write_jsonl(registry: &MetricsRegistry, out: &mut impl Write) -> i
     for (name, snapshot) in registry.histograms_snapshot() {
         writeln!(out, "{}", histogram_line(&name, &snapshot))?;
     }
-    for span in &spans {
-        let parent = match span.parent {
-            Some(id) => id.to_string(),
-            None => "null".to_string(),
-        };
+    for (name, totals) in registry.span_totals() {
         writeln!(
             out,
-            "{{\"type\":\"span\",\"id\":{},\"parent\":{parent},\"depth\":{},\
-             \"name\":{},\"wall_ns\":{},\"sim_start_ns\":{},\"sim_end_ns\":{},\
-             \"fields\":{}}}",
-            span.id,
-            span.depth,
-            quote(&span.name),
-            span.wall_ns,
-            span.sim_start,
-            span.sim_end,
-            fields_object(&span.fields),
+            "{{\"type\":\"span\",\"name\":{},\"count\":{},\"wall_ns\":{},\"sim_ns\":{}}}",
+            quote(&name),
+            totals.count,
+            totals.wall_ns,
+            totals.sim_ns,
         )?;
     }
     Ok(())
@@ -101,18 +89,6 @@ fn histogram_line(name: &str, snapshot: &HistogramSnapshot) -> String {
     }
     line.push_str("]}");
     line
-}
-
-fn fields_object(fields: &[(String, u64)]) -> String {
-    let mut object = String::from("{");
-    for (i, (key, value)) in fields.iter().enumerate() {
-        if i > 0 {
-            object.push(',');
-        }
-        let _ = write!(object, "{}:{value}", quote(key));
-    }
-    object.push('}');
-    object
 }
 
 fn fmt_f64(value: f64) -> String {
@@ -432,6 +408,7 @@ mod tests {
         {
             let outer = registry.span("outer", 10);
             registry.span("inner", 12).finish(20);
+            registry.span("inner", 20).finish(25);
             outer.finish(30);
         }
 
@@ -454,10 +431,13 @@ mod tests {
         assert!(!histogram.get("bins").unwrap().as_array().unwrap().is_empty());
 
         let spans: Vec<_> = lines.iter().filter(|l| kind(l) == "span").collect();
-        assert_eq!(spans.len(), 2);
-        let inner =
-            spans.iter().find(|s| s.get("name").unwrap().as_str() == Some("inner")).unwrap();
-        assert!(inner.get("parent").unwrap().as_u64().is_some());
+        let names: Vec<_> =
+            spans.iter().map(|s| s.get("name").unwrap().as_str().unwrap()).collect();
+        assert_eq!(names, ["inner", "outer"], "one line per name, in name order");
+        let number = |line: &JsonValue, key: &str| line.get(key).unwrap().as_u64().unwrap();
+        assert_eq!((number(spans[0], "count"), number(spans[0], "sim_ns")), (2, 8 + 5));
+        assert_eq!((number(spans[1], "count"), number(spans[1], "sim_ns")), (1, 20));
+        assert!(spans.iter().all(|s| s.get("wall_ns").unwrap().as_u64().is_some()));
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //! - **Histograms** ([`Histogram`]): log₂-binned distributions with
 //!   count/sum/min/max and quantile estimates accurate to one bin.
 //! - **Spans** ([`SpanGuard`], [`span!`]): hierarchical timed regions
-//!   carrying both wall-clock and simulated-time durations, kept in a
-//!   bounded ring buffer.
+//!   carrying both wall-clock and simulated-time durations, summed into
+//!   exact per-name totals ([`SpanTotals`]); the most recent are also
+//!   kept, packed, in a bounded ring.
 //! - **Flight recorder** ([`FlightRecorder`], [`trace`]): an opt-in,
 //!   row-filterable ring of causal trace events (bit flips, TRR
 //!   detections, commands) with verdict provenance, exported as
@@ -36,7 +37,7 @@ pub use metrics::{
     bin_index, bin_lower_bound, bin_upper_bound, Counter, CounterSlot, Histogram,
     HistogramSnapshot, MetricsRegistry, BIN_COUNT,
 };
-pub use span::{SpanGuard, SpanRecord};
+pub use span::{SpanGuard, SpanRecord, SpanTotals};
 pub use trace::{
     FlightRecorder, TraceEvent, TraceFilter, TraceKind, DEFAULT_TRACE_CAPACITY, TRACE_SCHEMA,
 };
@@ -50,10 +51,12 @@ pub use trace::{
 /// [`SpanGuard::finish`] with the simulated clock at close.
 #[macro_export]
 macro_rules! span {
-    ($registry:expr, $name:expr, $sim_now:expr $(, $key:ident = $value:expr)* $(,)?) => {{
-        #[allow(unused_mut)]
-        let mut guard = $crate::MetricsRegistry::span(&$registry, $name, $sim_now);
-        $(guard.set_field(stringify!($key), $value as u64);)*
-        guard
-    }};
+    ($registry:expr, $name:expr, $sim_now:expr $(, $key:ident = $value:expr)* $(,)?) => {
+        $crate::MetricsRegistry::span_with(
+            &$registry,
+            $name,
+            $sim_now,
+            &[$((stringify!($key), $value as u64)),*],
+        )
+    };
 }

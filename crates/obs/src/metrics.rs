@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::span::{SpanCollector, SpanGuard, SpanRecord};
+use crate::span::{SpanCollector, SpanGuard, SpanRecord, SpanTotals};
 use crate::trace::{FlightRecorder, TraceKind};
 
 /// Number of histogram bins: bin 0 holds zeros, bin `b ≥ 1` holds
@@ -358,7 +358,18 @@ impl MetricsRegistry {
     /// parent is the innermost span still open on this thread. Prefer
     /// the [`crate::span!`] macro, which also attaches fields.
     pub fn span(self: &Arc<Self>, name: &str, sim_now: u64) -> SpanGuard {
-        SpanGuard::open(Arc::clone(self), name, sim_now)
+        self.span_with(name, sim_now, &[])
+    }
+
+    /// [`Self::span`] with `fields` attached in order, interned under
+    /// the same lock as the name (the [`crate::span!`] expansion).
+    pub fn span_with(
+        self: &Arc<Self>,
+        name: &str,
+        sim_now: u64,
+        fields: &[(&str, u64)],
+    ) -> SpanGuard {
+        SpanGuard::open(Arc::clone(self), name, sim_now, fields)
     }
 
     /// The span collector (used by [`SpanGuard`]).
@@ -376,8 +387,20 @@ impl MetricsRegistry {
         self.histograms.lock().unwrap().iter().map(|(k, v)| (k.clone(), v.snapshot())).collect()
     }
 
-    /// Closed spans in completion order, plus how many the ring
-    /// evicted.
+    /// Exact totals of every span name with a closed span, sorted by
+    /// name: what the summary and `--metrics-out` report.
+    pub fn span_totals(&self) -> Vec<(String, SpanTotals)> {
+        self.spans.totals()
+    }
+
+    /// The last 16,384 closed spans in completion order, plus how many
+    /// the ring evicted.
+    ///
+    /// Survives beside [`Self::span_totals`] for one reader outside
+    /// tests: `utrr-benchmark --trace 1` rebuilds its benchmark-owned
+    /// span tree (ids, parents, fields) and the program's per-call
+    /// sweep and fuzz-round timings from these records. Once that
+    /// reader moves onto totals, the ring can go.
     pub fn spans_snapshot(&self) -> (Vec<SpanRecord>, u64) {
         self.spans.snapshot()
     }

@@ -1,12 +1,11 @@
 //! Human-readable end-of-run summary, printed by the bench binaries
 //! alongside the JSONL artifact.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::metrics::MetricsRegistry;
 
-/// Renders counters, histograms, and per-span-name aggregates as an
+/// Renders counters, histograms, and exact per-span-name totals as an
 /// aligned plain-text table. Empty sections are omitted; an empty
 /// registry renders an explicit placeholder.
 pub fn render_summary(registry: &MetricsRegistry) -> String {
@@ -17,7 +16,7 @@ pub fn render_summary(registry: &MetricsRegistry) -> String {
         .into_iter()
         .filter(|(_, snapshot)| snapshot.count > 0)
         .collect();
-    let (spans, evicted) = registry.spans_snapshot();
+    let spans = registry.span_totals();
 
     if counters.is_empty() && histograms.is_empty() && spans.is_empty() {
         return "metrics: (none recorded)\n".to_string();
@@ -61,15 +60,7 @@ pub fn render_summary(registry: &MetricsRegistry) -> String {
     }
 
     if !spans.is_empty() {
-        // Aggregate by span name: count, total wall time, total sim time.
-        let mut by_name: BTreeMap<&str, (u64, u64, u64)> = BTreeMap::new();
-        for span in &spans {
-            let entry = by_name.entry(span.name.as_str()).or_default();
-            entry.0 += 1;
-            entry.1 += span.wall_ns;
-            entry.2 += span.sim_end.saturating_sub(span.sim_start);
-        }
-        let span_width = by_name.keys().map(|name| name.len()).max().unwrap_or(0).max(12);
+        let span_width = spans.iter().map(|(name, _)| name.len()).max().unwrap_or(0).max(12);
         let _ = writeln!(
             out,
             "spans      ({:<width$}  {:>10} {:>12} {:>14})",
@@ -79,16 +70,14 @@ pub fn render_summary(registry: &MetricsRegistry) -> String {
             "sim_ms",
             width = span_width.saturating_sub(1),
         );
-        for (name, (count, wall_ns, sim_ns)) in &by_name {
+        for (name, totals) in &spans {
             let _ = writeln!(
                 out,
-                "  {name:<span_width$} {count:>10} {:>12.3} {:>14.3}",
-                *wall_ns as f64 / 1e6,
-                *sim_ns as f64 / 1e6,
+                "  {name:<span_width$} {:>10} {:>12.3} {:>14.3}",
+                totals.count,
+                totals.wall_ns as f64 / 1e6,
+                totals.sim_ns as f64 / 1e6,
             );
-        }
-        if evicted > 0 {
-            let _ = writeln!(out, "  (ring evicted {evicted} older spans)");
         }
     }
 

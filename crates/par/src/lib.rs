@@ -22,7 +22,7 @@
 //!   re-raised on the caller's thread after the pool drains.
 //! - With a [`MetricsRegistry`] attached, the pool reports
 //!   `par.tasks`, `par.queue_wait_ns` / `par.task_ns` histograms, and
-//!   one `par.worker` span per worker into the standard `utrr-obs/2`
+//!   one `par.worker` span per worker into the standard `utrr-obs/3`
 //!   artifact.
 //!
 //! Thread count resolution (CLI `--threads` → `UTRR_THREADS` env →
