@@ -62,6 +62,8 @@ pub mod metrics;
 pub mod mitigation;
 pub mod module;
 pub mod physics;
+#[cfg(test)]
+mod refresh_equiv;
 pub mod rng;
 pub mod time;
 

@@ -465,7 +465,7 @@ impl Module {
     }
 
     /// Name of the installed mitigation engine. Kept for the engine
-    /// checks of `burst_equiv.rs`, `batch_equiv.rs` and the catalog tests.
+    /// checks of the catalog tests.
     pub fn engine_name(&self) -> &str {
         self.engine.name()
     }
@@ -805,35 +805,9 @@ impl Module {
         let (i1, i2) = (self.restore_resolved(bank, r1), self.restore_resolved(bank, r2));
         let discount = self.config.physics.same_row_discount;
         let p1_was_last = self.banks[bank_idx].last_act == Some(p1);
-        let first_weight = if p1_was_last { discount + (pairs - 1) as f64 } else { pairs as f64 };
-        #[cfg(debug_assertions)]
-        {
-            // The batched accounting above must equal the loop
-            // equivalent: p1's first activation carries the same-row
-            // discount iff p1 was the last ACT; every later p1
-            // activation follows one of p2 (full weight), as does every
-            // p2 activation, and the batch issues exactly 2*pairs ACTs.
-            let mut loop_w1 = if p1_was_last { discount } else { 1.0 };
-            let mut loop_w2 = 0.0f64;
-            let mut loop_acts = 0u64;
-            for pair in 0..pairs {
-                if pair > 0 {
-                    loop_w1 += 1.0;
-                }
-                loop_w2 += 1.0;
-                loop_acts += 2;
-            }
-            let close = |a: f64, b: f64| (a - b).abs() <= 1e-6 * (1.0 + b.abs());
-            debug_assert_eq!(loop_acts, 2 * pairs, "batched ACT count != loop equivalent");
-            debug_assert!(
-                close(loop_w1, first_weight) && close(loop_w2, pairs as f64),
-                "batched hammer weights ({first_weight}, {}) != loop equivalent \
-                 ({loop_w1}, {loop_w2})",
-                pairs as f64,
-            );
-        }
-        self.disturb(bank, r1, first_weight, self.hot_rows[i1].coupling);
-        self.disturb(bank, r2, pairs as f64, self.hot_rows[i2].coupling);
+        let (w1, w2) = pair_weights(p1_was_last, discount, pairs);
+        self.disturb(bank, r1, w1, self.hot_rows[i1].coupling);
+        self.disturb(bank, r2, w2, self.hot_rows[i2].coupling);
         // Each real alternation cycle re-restores both aggressors, so the
         // radius-2 disturbance they deposit on *each other* never
         // accumulates past one cycle; the batch restores them only once
@@ -871,8 +845,8 @@ impl Module {
     /// `REF` whose window holds no touched rows goes straight to the
     /// mitigation engine's `on_refresh` hook. The restore order
     /// (ascending physical row within each bank, banks in order) is
-    /// identical to the full-window probe retained in
-    /// [`Module::refresh_naive`].
+    /// identical to a probe of every row of the window, which the
+    /// crate's `refresh_equiv` unit tests keep as the reference.
     pub fn refresh(&mut self) {
         let (start, end) = self.refresh_window();
         self.metrics.pending.regular_row_refreshes += self.sweep_window(start, end);
@@ -907,12 +881,10 @@ impl Module {
 
     /// Reference implementation of [`Module::refresh`] that probes every
     /// row of the round-robin window whether touched or not (the
-    /// behaviour before the event-driven bitmap scan). Kept so the
-    /// equivalence property suite can drive randomized command traces
-    /// through both implementations and assert identical observable
-    /// state; not part of the simulator API.
-    #[doc(hidden)]
-    pub fn refresh_naive(&mut self) {
+    /// behaviour before the event-driven bitmap scan), for the
+    /// `refresh_equiv` unit tests.
+    #[cfg(test)]
+    pub(crate) fn refresh_naive(&mut self) {
         let (start, end) = self.refresh_window();
         for bank_idx in 0..self.config.geometry.banks {
             let bank = Bank::new(bank_idx);
@@ -1316,8 +1288,8 @@ impl Module {
 
     /// Restores a row only if it has ever been touched; returns whether a
     /// restore happened. Untouched rows have no observable state, so
-    /// skipping them is semantically free and keeps `REF` cheap — the
-    /// existence test is the `row_index` load, no hashing.
+    /// skipping them is semantically free.
+    #[cfg(test)]
     fn restore_existing(&mut self, bank: Bank, phys: PhysRow) -> bool {
         match self.existing_index(bank, phys) {
             Some(index) => {
@@ -1358,6 +1330,15 @@ impl Drop for Module {
     fn drop(&mut self) {
         self.flush_metrics();
     }
+}
+
+/// The disturbance weights of `pairs ≥ 1` alternations `p1, p2, p1, …`:
+/// p1's first activation carries the same-row `discount` iff p1 was the
+/// last `ACT`; every later activation of either row follows the other at
+/// full weight.
+fn pair_weights(p1_was_last: bool, discount: f64, pairs: u64) -> (f64, f64) {
+    let first_weight = if p1_was_last { discount + (pairs - 1) as f64 } else { pairs as f64 };
+    (first_weight, pairs as f64)
 }
 
 /// A decay window under retention drift `drift ≠ 1.0`. Out of line and
@@ -1720,6 +1701,33 @@ mod tests {
         let mut plan =
             module().plan(Bank::new(0), &[HammerOp::Burst { row: RowAddr::new(5), acts: 3 }]);
         let _ = module().run_plan(&mut plan);
+    }
+
+    /// `pair_weights`' closed form equals the per-activation loop it
+    /// batches.
+    #[test]
+    fn pair_weights_match_the_activation_loop() {
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-6 * (1.0 + b.abs());
+        for p1_was_last in [false, true] {
+            for discount in [0.0, 0.1, PhysicsConfig::default_test().same_row_discount, 1.0] {
+                for pairs in [1, 2, 3, 1000] {
+                    let mut loop_w1 = if p1_was_last { discount } else { 1.0 };
+                    let mut loop_w2 = 0.0f64;
+                    for pair in 0..pairs {
+                        if pair > 0 {
+                            loop_w1 += 1.0;
+                        }
+                        loop_w2 += 1.0;
+                    }
+                    let (w1, w2) = pair_weights(p1_was_last, discount, pairs);
+                    assert!(
+                        close(loop_w1, w1) && close(loop_w2, w2),
+                        "{p1_was_last} {discount} {pairs}: batched ({w1}, {w2}) != loop \
+                         ({loop_w1}, {loop_w2})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

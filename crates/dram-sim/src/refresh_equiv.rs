@@ -1,7 +1,8 @@
 //! Equivalence property: the event-driven bitmap-scan `refresh()` must be
-//! observationally identical to the retained naive full-window reference
-//! (`refresh_naive()`) — same row data, same metrics counters, same TRR
-//! detections — across randomized command traces.
+//! observationally identical to the naive full-window reference
+//! (`refresh_naive()`, compiled only for these tests) — same row data,
+//! same metrics counters, same TRR detections — across randomized
+//! command traces.
 //!
 //! The event-driven sweep only visits touched rows; the naive reference
 //! walks every row of the window and relies on the touched-set check
@@ -12,12 +13,13 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use dram_sim::metrics::CTR_REGULAR_ROW_REFRESHES;
-use dram_sim::{
-    Bank, DataPattern, MitigationEngine, Module, ModuleConfig, Nanos, PhysRow, RowAddr,
-    TrrDetection,
-};
 use proptest::prelude::*;
+
+use crate::metrics::CTR_REGULAR_ROW_REFRESHES;
+use crate::{
+    Bank, DataPattern, MitigationEngine, Module, ModuleConfig, Nanos, NeighborSpan, PhysRow,
+    RowAddr, TrrDetection,
+};
 
 /// A deterministic counter-based TRR: rows whose activation count crosses
 /// the threshold are detected at the next `REF` (ties broken by row
@@ -51,7 +53,7 @@ impl MitigationEngine for CountingTrr {
             let det = TrrDetection {
                 bank: Bank::new(bank),
                 aggressor: PhysRow::new(row),
-                span: dram_sim::NeighborSpan::One,
+                span: NeighborSpan::One,
             };
             self.log.lock().unwrap().push((self.refs_seen, det));
             out.push(det);

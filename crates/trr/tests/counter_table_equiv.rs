@@ -8,8 +8,8 @@
 //! inserted row and order) and `table()` entries, for 1–4 banks and
 //! table sizes 2..=17.
 //!
-//! `burst_equiv` and `batch_equiv` cannot catch an LRU slip: both of
-//! their twins run through the same table.
+//! The `device_twins` suite cannot catch an LRU slip: both sides of
+//! each of its twins run through the same table.
 
 use std::sync::Arc;
 
