@@ -205,7 +205,7 @@ fn evaluate_with(
     }
     // Initialize the victim with the evaluation pattern and its
     // adjacent aggressors with the coupling-maximizing row stripe.
-    mc.write_row(config.bank, target.victim, config.victim_pattern.clone())
+    mc.write_row(config.bank, target.victim, config.victim_pattern)
         .expect("victim address is in range");
     for &aggressor in &target.aggressors {
         mc.write_row(config.bank, aggressor, DataPattern::RowStripe)

@@ -3,11 +3,11 @@
 //! [`AccessPattern::schedule`](crate::AccessPattern::schedule) calls one
 //! of these (the fuzzer's phased schedule is its own).
 //!
-//! Free-running schedules ([`cascade`], [`interleave`], [`round_robin`])
-//! issue the same ops every interval; REF-synchronised ones
-//! ([`ref_sync`], [`window_sync`]) phase their work against the
-//! TRR-capable-`REF` cadence the way the paper's attacker does via
-//! SMASH-style timing channels (§7.1).
+//! Free-running schedules (cascaded, interleaved, round-robin) issue
+//! the same ops every interval; REF-synchronised ones (vendor B's
+//! sampler diversion, vendor C's window exhaustion) phase their work
+//! against the TRR-capable-`REF` cadence the way the paper's attacker
+//! does via SMASH-style timing channels (§7.1).
 
 use dram_sim::HammerOp;
 

@@ -5,7 +5,7 @@
 //! 1. reset the TRR mechanism's internal state (Requirement 4): the
 //!    caller runs `flush_tracker` before the experiment;
 //! 2. initialize the profiled (victim) rows with their profiling pattern
-//!    and the aggressor rows with [`AGGRESSOR_PATTERN`];
+//!    and the aggressor rows with the row-stripe pattern;
 //! 3. wait half the victims' retention time;
 //! 4. run one or more *rounds* of {hammer aggressors and dummy rows,
 //!    issue `REF` commands};
@@ -78,7 +78,7 @@ impl Experiment {
             bank,
             victims: group.victim_rows(),
             retention: group.retention,
-            victim_pattern: group.pattern.clone(),
+            victim_pattern: group.pattern,
             hammer: HammerSpec::default(),
             dummies: Vec::new(),
             dummy_hammers: 0,
@@ -272,10 +272,10 @@ impl TrrAnalyzer {
         // flip at step ⑥ and be misclassified as "not refreshed".
         // Fault-free this is exactly one write per row, as before.
         for &victim in &exp.victims {
-            crate::robust::write_row_checked(mc, exp.bank, victim, &exp.victim_pattern)?;
+            crate::robust::write_row_checked(mc, exp.bank, victim, exp.victim_pattern)?;
         }
         for &(aggressor, _) in &exp.hammer.aggressors {
-            crate::robust::write_row_checked(mc, exp.bank, aggressor, &AGGRESSOR_PATTERN)?;
+            crate::robust::write_row_checked(mc, exp.bank, aggressor, AGGRESSOR_PATTERN)?;
         }
 
         // Wait the first half of the retention window (the policy's
@@ -366,7 +366,7 @@ impl TrrAnalyzer {
         exp: &Experiment,
     ) -> Result<(), UtrrError> {
         for &victim in &exp.victims {
-            crate::robust::write_row_checked(mc, exp.bank, victim, &exp.victim_pattern)?;
+            crate::robust::write_row_checked(mc, exp.bank, victim, exp.victim_pattern)?;
         }
         mc.hammer(exp.bank, &exp.hammer)?;
         for &victim in &exp.victims {
@@ -395,7 +395,7 @@ impl TrrAnalyzer {
         hammers: u64,
     ) -> Result<(), UtrrError> {
         for &victim in &exp.victims {
-            crate::robust::write_row_checked(mc, exp.bank, victim, &exp.victim_pattern)?;
+            crate::robust::write_row_checked(mc, exp.bank, victim, exp.victim_pattern)?;
         }
         let heavy = HammerSpec {
             aggressors: exp.hammer.aggressors.iter().map(|&(r, _)| (r, hammers)).collect(),
@@ -408,7 +408,7 @@ impl TrrAnalyzer {
                 any_flip = true;
             }
             // Restore the victim for subsequent experiments.
-            mc.write_row(exp.bank, victim, exp.victim_pattern.clone())?;
+            mc.write_row(exp.bank, victim, exp.victim_pattern)?;
         }
         if any_flip {
             Ok(())

@@ -111,7 +111,7 @@ mod tests {
             max_retention: Nanos::from_ms(4_000),
         };
         assert!(e.to_string().contains("1 of 3"));
-        let e: UtrrError = DramError::BankClosed { bank: Bank::new(0) }.into();
+        let e: UtrrError = DramError::BankOutOfRange { bank: Bank::new(0), banks: 0 }.into();
         assert!(e.to_string().contains("device error"));
         assert!(e.source().is_some());
     }
@@ -141,7 +141,7 @@ mod tests {
     #[test]
     fn causes_are_distinct_kebab_labels() {
         let errors = [
-            UtrrError::Dram(DramError::BankClosed { bank: Bank::new(0) }),
+            UtrrError::Dram(DramError::BankOutOfRange { bank: Bank::new(0), banks: 0 }),
             UtrrError::NotEnoughRowGroups { found: 0, needed: 1, max_retention: Nanos::ZERO },
             UtrrError::ScheduleNotFound,
             UtrrError::HammerCountUnsafe { count: 1 },
@@ -158,10 +158,11 @@ mod tests {
 
     #[test]
     fn only_device_errors_carry_a_source() {
-        let wrapped: UtrrError = DramError::BankClosed { bank: Bank::new(3) }.into();
-        assert!(
-            matches!(&wrapped, UtrrError::Dram(DramError::BankClosed { bank }) if bank.index() == 3)
-        );
+        let wrapped: UtrrError = DramError::BankOutOfRange { bank: Bank::new(3), banks: 2 }.into();
+        assert!(matches!(
+            &wrapped,
+            UtrrError::Dram(DramError::BankOutOfRange { bank, .. }) if bank.index() == 3
+        ));
         assert!(wrapped.source().is_some());
         for err in [
             UtrrError::ScheduleNotFound,

@@ -5,29 +5,28 @@
 //! [`RecoveryPolicy`] (docs/recovery.md has the table), which
 //! [`RecoveryPolicy::of`] resolves from the controller's fault severity
 //! — the only place the pipeline reads fault state.
-//! [`RecoveryPolicy::IDENTITY`] issues exactly the fault-free command
-//! stream: a width-1 vote is one read, a one-attempt write is one
-//! unverified write, and every budget is unlimited.
+//! The identity policy (fault severity 0) issues exactly the
+//! fault-free command stream: a width-1 vote is one read, a one-attempt
+//! write is one unverified write, and every budget is unlimited.
 //!
 //! Under `hostile` the static settings run out: vote disagreements
 //! become frequent enough that triple-modular redundancy itself
 //! mis-votes, whole scan windows are poisoned by VRT bursts, and the
 //! injected retention drift outgrows the static 1.05×/0.5× validation
-//! margins. [`RecoveryPolicy::HOSTILE`] therefore escalates:
+//! margins. The hostile policy therefore escalates:
 //!
 //! * **vote widening** — the majority-vote width escalates 3→5→7 when
-//!   the per-controller disagreement rate crosses
-//!   [`VOTE_WIDEN_NUM`]/[`VOTE_WIDEN_DEN`] over a window of at least
-//!   [`VOTE_WINDOW_MIN`] voted reads;
+//!   the per-controller disagreement rate crosses 1/8 over a window of
+//!   at least 24 voted reads;
 //! * **candidate relocation** — a Row Scout whose window runs dry
 //!   relocates to fresh subarray regions via a deterministic seeded
 //!   search instead of giving up (see
 //!   [`RowScout::scan_recover`](crate::rowscout::RowScout::scan_recover));
-//! * **drift re-profiling** — a [`DriftEstimator`] escalates the
+//! * **drift re-profiling** — a drift estimator escalates the
 //!   retention-validation margins mid-run when repeated margin failures
 //!   show the static envelope no longer holds;
 //! * **ACT-budget circuit breakers** — every discovery phase carries an
-//!   activation budget ([`PhaseBudget`]) and closes with partial
+//!   activation budget and closes with partial
 //!   evidence instead of spinning or erroring when it runs out.
 //!
 //! Ladder *decisions* read only the per-controller
@@ -105,13 +104,13 @@ pub(crate) const VOTE_WIDEN_DEN: u64 = 8;
 /// Voted reads required in the rate window before widening can trigger.
 pub(crate) const VOTE_WINDOW_MIN: u64 = 24;
 
-/// Per-phase ACT budget of [`RecoveryPolicy::HOSTILE`] on every
+/// Per-phase ACT budget of the hostile policy on every
 /// `discover_*` phase: far above what any honest phase consumes, so it
 /// only trips on pathological spin — and the phase then closes with
 /// partial evidence instead of hanging.
 pub const HOSTILE_PHASE_ACT_BUDGET: u64 = 48_000_000;
 
-/// Whole-scan ACT budget of [`RecoveryPolicy::HOSTILE`] on each Row
+/// Whole-scan ACT budget of the hostile policy on each Row
 /// Scout scan.
 pub const HOSTILE_SCOUT_ACT_BUDGET: u64 = 24_000_000;
 
@@ -140,7 +139,7 @@ pub struct RecoveryPolicy {
     /// Whether Row Scout skips quarantined candidates and requires each
     /// row's failure signature to repeat across checks.
     pub scout_filter: bool,
-    /// Row Scout validation margins, one entry per [`DriftEstimator`]
+    /// Row Scout validation margins, one entry per drift-estimator
     /// level; the estimator escalates only when there is more than one.
     pub scout_margins: &'static [MarginLevel],
     /// Relocations of a Row Scout window that comes up short.
@@ -237,9 +236,9 @@ impl RecoveryPolicy {
         RecoveryPolicy::for_severity(mc.fault_severity())
     }
 
-    /// The policy for a fault severity: 0 gives
-    /// [`RecoveryPolicy::IDENTITY`], 1 [`RecoveryPolicy::MILD`], and 2
-    /// or more [`RecoveryPolicy::HOSTILE`].
+    /// The policy for a fault severity: 0 gives the identity policy
+    /// (the fault-free command stream), 1 the mild one, and 2 or more
+    /// the hostile one.
     pub fn for_severity(severity: u8) -> RecoveryPolicy {
         match severity {
             0 => RecoveryPolicy::IDENTITY,
@@ -549,7 +548,7 @@ pub(crate) mod tests {
             &mut self,
             _: Bank,
             _: RowAddr,
-            _: &DataPattern,
+            _: DataPattern,
             _: Nanos,
         ) -> softmc::WriteFault {
             if self.drop_writes == 0 {

@@ -67,7 +67,7 @@ pub struct ReverseOptions {
     pub long_iterations: u32,
     /// Per-phase ACT-budget circuit breaker: each `discover_*` phase
     /// closes with the partial evidence it has once it consumes this
-    /// many row activations (see [`PhaseBudget`]). `None` — the default
+    /// many row activations. `None` — the default
     /// — leaves the budget to the controller's
     /// [`RecoveryPolicy::phase_act_budget`] (unbounded below hostile).
     pub phase_act_budget: Option<u64>,
@@ -553,11 +553,11 @@ pub fn discover_cross_bank_sharing(
             break;
         }
         for &v in &groups[long].victim_rows() {
-            crate::robust::write_row_checked(mc, banks[long], v, &groups[long].pattern)?;
+            crate::robust::write_row_checked(mc, banks[long], v, groups[long].pattern)?;
         }
         mc.wait_no_refresh((t_long - t_short) / 2);
         for &v in &groups[short].victim_rows() {
-            crate::robust::write_row_checked(mc, banks[short], v, &groups[short].pattern)?;
+            crate::robust::write_row_checked(mc, banks[short], v, groups[short].pattern)?;
         }
         mc.wait_no_refresh(t_short / 2);
         let ref_start = mc.module().ref_count();

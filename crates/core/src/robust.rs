@@ -5,8 +5,8 @@
 //! crate) — would corrupt the retention side channel the whole
 //! methodology rests on. The helpers here reconcile repeated reads into
 //! a consensus readout and verify writes by reading them back, as far
-//! as the controller's [`RecoveryPolicy`] asks. Under
-//! [`RecoveryPolicy::IDENTITY`] they are exactly one read or one write,
+//! as the controller's [`RecoveryPolicy`] asks. Under the identity
+//! policy (fault severity 0) they are exactly one read or one write,
 //! keeping fault-free command traces (and therefore experiment output)
 //! bit-identical to a build without this layer.
 
@@ -103,16 +103,16 @@ pub(crate) fn write_row_checked(
     mc: &mut MemoryController,
     bank: Bank,
     row: RowAddr,
-    pattern: &DataPattern,
+    pattern: DataPattern,
 ) -> Result<bool, UtrrError> {
     let attempts = RecoveryPolicy::of(mc).write_attempts;
     if attempts == 1 {
         // A single attempt could not be retried, so it is not verified.
-        mc.write_row(bank, row, pattern.clone())?;
+        mc.write_row(bank, row, pattern)?;
         return Ok(true);
     }
     for attempt in 1..=attempts {
-        mc.write_row(bank, row, pattern.clone())?;
+        mc.write_row(bank, row, pattern)?;
         let back = read_row_voted(mc, bank, row)?;
         if back.pattern() == pattern && back.is_clean() {
             return Ok(true);
@@ -158,7 +158,7 @@ mod tests {
                 (registry.counter(CTR_ROW_WRITES).get(), registry.counter(CTR_ROW_READS).get())
             };
             let before = stats(&mut mc);
-            assert!(write_row_checked(&mut mc, BANK, row, &DataPattern::Ones).unwrap());
+            assert!(write_row_checked(&mut mc, BANK, row, DataPattern::Ones).unwrap());
             let after = stats(&mut mc);
             assert_eq!((after.0 - before.0, after.1 - before.1), write_cmds, "{severity}");
             let readout = read_row_voted(&mut mc, BANK, row).unwrap();
@@ -237,7 +237,7 @@ mod tests {
             &mut self,
             _: Bank,
             _: RowAddr,
-            _: &DataPattern,
+            _: DataPattern,
             _: Nanos,
         ) -> softmc::WriteFault {
             softmc::WriteFault::None
@@ -355,7 +355,7 @@ mod tests {
         mc.wait_no_refresh(Nanos::from_ms(2_000));
         let drop_two = Scripted { drop_writes: 2, severity: 1, ..Scripted::default() };
         mc.set_fault_injector(Some(Box::new(drop_two)));
-        assert!(write_row_checked(&mut mc, BANK, row, &DataPattern::Zeros).unwrap());
+        assert!(write_row_checked(&mut mc, BANK, row, DataPattern::Zeros).unwrap());
         assert!(mc.registry().counter(CTR_WRITE_RETRIES).get() >= 1);
         mc.set_fault_injector(None);
         assert!(mc.read_row(BANK, row).unwrap().is_clean());

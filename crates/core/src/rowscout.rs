@@ -22,11 +22,11 @@
 //! device faults (see the `faults` crate): reads are majority-voted and
 //! writes verified, failed validation checks get a bounded retry, rows
 //! that keep misbehaving land on a quarantine list with a recorded
-//! [`QuarantineReason`], and the scan assembles a partial
-//! [`ScoutReport`] instead of an opaque error when it cannot complete.
-//! How much of that runs is the controller's [`RecoveryPolicy`]; under
-//! [`RecoveryPolicy::IDENTITY`] a scan issues exactly the command
-//! sequence of the paper's loop.
+//! reason, and the scan keeps the groups it found instead of returning
+//! an opaque error when it cannot complete.
+//! How much of that runs is the controller's [`RecoveryPolicy`]; at
+//! fault severity 0 a scan issues exactly the command sequence of the
+//! paper's loop.
 
 use std::collections::BTreeMap;
 
@@ -341,7 +341,7 @@ impl RowScout {
     ///   the partial groups come back `Degraded { scout-shortfall }`
     ///   (plus `act-budget` when the ACT budget stopped a pass).
     ///
-    /// The [`DriftEstimator`] persists across relocation attempts, so
+    /// The drift estimator persists across relocation attempts, so
     /// margin escalations learned in one window carry into the next.
     /// Below hostile severity no window relocates and no tier degrades.
     ///
@@ -545,7 +545,7 @@ impl RowScout {
         let cfg = &self.config;
         for phys in cfg.row_start..cfg.row_end {
             let row = mc.module().logical_of(PhysRow::new(phys));
-            mc.write_row(cfg.bank, row, cfg.pattern.clone())?;
+            mc.write_row(cfg.bank, row, cfg.pattern)?;
         }
         mc.wait_no_refresh(wait);
         failed.clear();
@@ -584,7 +584,7 @@ impl RowScout {
             aggressors,
             retention,
             base: PhysRow::new(base),
-            pattern: cfg.pattern.clone(),
+            pattern: cfg.pattern,
         }
     }
 
@@ -698,7 +698,7 @@ impl RowScout {
     ) -> Result<Option<(ProfiledRow, QuarantineReason)>, UtrrError> {
         let cfg = &self.config;
         for profiled in &group.rows {
-            if !robust::write_row_checked(mc, cfg.bank, profiled.row, &cfg.pattern)? {
+            if !robust::write_row_checked(mc, cfg.bank, profiled.row, cfg.pattern)? {
                 return Ok(Some((*profiled, QuarantineReason::WriteUnstable)));
             }
         }
@@ -783,10 +783,10 @@ mod tests {
         let groups = scout("RAR", 2).scan(&mut mc).unwrap();
         for g in &groups {
             for p in &g.rows {
-                mc.write_row(g.pattern_bank(), p.row, g.pattern.clone()).unwrap();
+                mc.write_row(g.pattern_bank(), p.row, g.pattern).unwrap();
                 mc.wait_no_refresh(g.retention);
                 assert!(!mc.read_row(g.pattern_bank(), p.row).unwrap().is_clean());
-                mc.write_row(g.pattern_bank(), p.row, g.pattern.clone()).unwrap();
+                mc.write_row(g.pattern_bank(), p.row, g.pattern).unwrap();
                 mc.wait_no_refresh(g.retention / 2);
                 assert!(mc.read_row(g.pattern_bank(), p.row).unwrap().is_clean());
             }

@@ -54,7 +54,7 @@ impl RefreshSchedule {
 ///
 /// # Errors
 ///
-/// Propagates [`learn_row_schedule`] errors.
+/// Propagates the first error of a row's schedule learning.
 pub fn learn_group_schedules(
     mc: &mut MemoryController,
     bank: dram_sim::Bank,
@@ -64,7 +64,7 @@ pub fn learn_group_schedules(
     for profiled in &group.rows {
         if analyzer.schedule(profiled.row).is_none() {
             let schedule =
-                learn_row_schedule(mc, bank, profiled.row, group.retention, &group.pattern)?;
+                learn_row_schedule(mc, bank, profiled.row, group.retention, group.pattern)?;
             analyzer.add_schedule(profiled.row, schedule);
         }
     }
@@ -83,7 +83,7 @@ pub fn learn_refresh_schedule(
     group: &ProfiledRowGroup,
     bank: dram_sim::Bank,
 ) -> Result<RefreshSchedule, UtrrError> {
-    learn_row_schedule(mc, bank, group.rows[0].row, group.retention, &group.pattern)
+    learn_row_schedule(mc, bank, group.rows[0].row, group.retention, group.pattern)
 }
 
 /// Learns the regular-refresh schedule of one retention-profiled row.
@@ -110,7 +110,7 @@ pub(crate) fn learn_row_schedule(
     bank: dram_sim::Bank,
     probe: dram_sim::RowAddr,
     retention: dram_sim::Nanos,
-    pattern: &dram_sim::DataPattern,
+    pattern: dram_sim::DataPattern,
 ) -> Result<RefreshSchedule, UtrrError> {
     let registry = std::sync::Arc::clone(mc.registry());
     let span = obs::span!(registry, "utrr.schedule.learn_row", mc.now().as_ns());
@@ -125,7 +125,7 @@ fn learn_row_schedule_attempts(
     bank: dram_sim::Bank,
     probe: dram_sim::RowAddr,
     retention: dram_sim::Nanos,
-    pattern: &dram_sim::DataPattern,
+    pattern: dram_sim::DataPattern,
 ) -> Result<RefreshSchedule, UtrrError> {
     let policy = RecoveryPolicy::of(mc);
     let registry = std::sync::Arc::clone(mc.registry());
@@ -187,7 +187,7 @@ fn reprofile_retention(
     mc: &mut MemoryController,
     bank: dram_sim::Bank,
     probe: dram_sim::RowAddr,
-    pattern: &dram_sim::DataPattern,
+    pattern: dram_sim::DataPattern,
     hint: dram_sim::Nanos,
 ) -> Result<dram_sim::Nanos, UtrrError> {
     let mut lo = hint * 2 / 5;
@@ -212,7 +212,7 @@ fn verify_schedule(
     mc: &mut MemoryController,
     bank: dram_sim::Bank,
     probe: dram_sim::RowAddr,
-    pattern: &dram_sim::DataPattern,
+    pattern: dram_sim::DataPattern,
     (pre_burst, post_burst): (dram_sim::Nanos, dram_sim::Nanos),
     schedule: &RefreshSchedule,
 ) -> Result<bool, UtrrError> {
@@ -238,11 +238,10 @@ fn learn_row_schedule_once(
     mc: &mut MemoryController,
     bank: dram_sim::Bank,
     probe: dram_sim::RowAddr,
-    pattern: &dram_sim::DataPattern,
+    pattern: dram_sim::DataPattern,
     (pre_burst, post_burst): (dram_sim::Nanos, dram_sim::Nanos),
 ) -> Result<RefreshSchedule, UtrrError> {
     const COARSE_BURST: u64 = 64;
-    let pattern = pattern.clone();
 
     // Flush the TRR tracker first: activating plenty of far-away dummy
     // rows evicts any stale entry *adjacent* to the probe (left over
@@ -265,7 +264,7 @@ fn learn_row_schedule_once(
     // fault injection they keep single in-flight faults from forging a
     // restore observation.
     let trial = |mc: &mut MemoryController, burst: u64| -> Result<bool, UtrrError> {
-        robust::write_row_checked(mc, bank, probe, &pattern)?;
+        robust::write_row_checked(mc, bank, probe, pattern)?;
         mc.wait_no_refresh(pre_burst);
         mc.refresh(burst);
         mc.wait_no_refresh(post_burst);
@@ -372,7 +371,7 @@ mod tests {
         for burst in [32u64, 64, 128] {
             for _ in 0..8 {
                 let before = mc.module().ref_count();
-                mc.write_row(bank, g.rows[0].row, g.pattern.clone()).unwrap();
+                mc.write_row(bank, g.rows[0].row, g.pattern).unwrap();
                 mc.wait_no_refresh(g.retention / 2);
                 mc.refresh(burst);
                 mc.wait_no_refresh(g.retention / 2 + g.retention / 25);

@@ -7,7 +7,6 @@
 //! are exactly "bits that differ from what was written".
 
 use std::fmt;
-use std::sync::Arc;
 
 use crate::addr::RowAddr;
 
@@ -26,7 +25,7 @@ use crate::addr::RowAddr;
 /// assert_eq!(p.bit_at(RowAddr::new(0), 0), false);
 /// assert_eq!(p.bit_at(RowAddr::new(0), 1), true);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataPattern {
     /// Every bit zero.
     Zeros,
@@ -37,34 +36,27 @@ pub enum DataPattern {
     /// All ones on even rows, all zeros on odd rows — maximizes
     /// aggressor-to-victim coupling for double-sided hammering.
     RowStripe,
-    /// A caller-supplied byte sequence, repeated cyclically across the row.
-    Custom(Arc<[u8]>),
 }
 
 impl DataPattern {
     /// The value of `bit` (0-based, LSB-first within each byte) for a row
     /// at logical address `row`.
-    pub fn bit_at(&self, row: RowAddr, bit: u32) -> bool {
+    pub fn bit_at(self, row: RowAddr, bit: u32) -> bool {
         match self {
             DataPattern::Zeros => false,
             DataPattern::Ones => true,
             DataPattern::Checkerboard => bit % 2 == 1,
             DataPattern::RowStripe => row.index().is_multiple_of(2),
-            DataPattern::Custom(bytes) => {
-                let byte = bytes[(bit / 8) as usize % bytes.len()];
-                byte >> (bit % 8) & 1 == 1
-            }
         }
     }
 
     /// A short identifier used in experiment logs.
-    pub fn label(&self) -> &'static str {
+    pub fn label(self) -> &'static str {
         match self {
             DataPattern::Zeros => "zeros",
             DataPattern::Ones => "ones",
             DataPattern::Checkerboard => "checkerboard",
             DataPattern::RowStripe => "rowstripe",
-            DataPattern::Custom(_) => "custom",
         }
     }
 }
@@ -110,21 +102,8 @@ impl RowData {
 }
 
 /// The result of reading an entire row back: which bits differ from the
-/// pattern the row was last written with.
-///
-/// # Example
-///
-/// ```
-/// use dram_sim::{Module, ModuleConfig, DataPattern, Bank, RowAddr, Nanos};
-/// # fn main() -> Result<(), dram_sim::DramError> {
-/// let mut m = Module::new(ModuleConfig::small_test(), 1);
-/// let (bank, row) = (Bank::new(0), RowAddr::new(5));
-/// m.activate(bank, row)?;
-/// m.write_open_row(bank, DataPattern::Ones)?;
-/// let readout = m.read_open_row(bank)?;
-/// assert!(readout.is_clean()); // no time has passed
-/// # Ok(()) }
-/// ```
+/// pattern the row was last written with, as
+/// [`Module::read_row`](crate::Module::read_row) returns it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RowReadout {
     row: RowAddr,
@@ -149,8 +128,8 @@ impl RowReadout {
     }
 
     /// The pattern the row was last written with.
-    pub fn pattern(&self) -> &DataPattern {
-        &self.pattern
+    pub fn pattern(&self) -> DataPattern {
+        self.pattern
     }
 
     /// Bit positions (LSB-first within the row) that read back inverted,
@@ -237,12 +216,7 @@ impl RowReadout {
     pub fn with_flips(&self, mut flips: Vec<u32>) -> RowReadout {
         flips.sort_unstable();
         flips.dedup();
-        RowReadout {
-            row: self.row,
-            pattern: self.pattern.clone(),
-            flipped: flips,
-            row_bits: self.row_bits,
-        }
+        RowReadout { row: self.row, pattern: self.pattern, flipped: flips, row_bits: self.row_bits }
     }
 }
 
@@ -323,16 +297,6 @@ mod tests {
         assert!(!DataPattern::Checkerboard.bit_at(even, 2));
         assert!(DataPattern::RowStripe.bit_at(even, 9));
         assert!(!DataPattern::RowStripe.bit_at(odd, 9));
-    }
-
-    #[test]
-    fn custom_pattern_cycles() {
-        let p = DataPattern::Custom(Arc::from(&[0x01u8, 0x80][..]));
-        let r = RowAddr::new(0);
-        assert!(p.bit_at(r, 0)); // byte 0 bit 0
-        assert!(!p.bit_at(r, 1));
-        assert!(p.bit_at(r, 15)); // byte 1 bit 7
-        assert!(p.bit_at(r, 16)); // cycles back to byte 0
     }
 
     #[test]

@@ -3,28 +3,19 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::addr::{Bank, PhysRow, RowAddr};
-use crate::time::Nanos;
+use crate::addr::{Bank, RowAddr};
 
-/// Errors raised when a DDR command sequence violates the device's
-/// protocol or addressing constraints.
+/// Errors raised when a DDR command addresses a bank or row outside the
+/// device.
 ///
 /// These model controller programming mistakes (the FPGA would hang or
 /// corrupt data on real hardware); the physics layer itself is infallible.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DramError {
     /// A bank index outside the module geometry.
     BankOutOfRange { bank: Bank, banks: u8 },
     /// A logical row address outside the bank.
     RowOutOfRange { row: RowAddr, rows: u32 },
-    /// A physical row position outside the bank.
-    PhysRowOutOfRange { row: PhysRow, rows: u32 },
-    /// `ACT` issued to a bank that already has an open row.
-    BankAlreadyOpen { bank: Bank, open: RowAddr },
-    /// A column command (`RD`/`WR`) issued to a bank with no open row.
-    BankClosed { bank: Bank },
-    /// Commands must carry monotonically non-decreasing timestamps.
-    TimeRegression { now: Nanos, requested: Nanos },
 }
 
 impl fmt::Display for DramError {
@@ -35,18 +26,6 @@ impl fmt::Display for DramError {
             }
             DramError::RowOutOfRange { row, rows } => {
                 write!(f, "row {row} out of range (bank has {rows} rows)")
-            }
-            DramError::PhysRowOutOfRange { row, rows } => {
-                write!(f, "physical row {row} out of range (bank has {rows} rows)")
-            }
-            DramError::BankAlreadyOpen { bank, open } => {
-                write!(f, "activate to bank {bank} which already has row {open} open")
-            }
-            DramError::BankClosed { bank } => {
-                write!(f, "column command to bank {bank} with no open row")
-            }
-            DramError::TimeRegression { now, requested } => {
-                write!(f, "command timestamp {requested} is before device time {now}")
             }
         }
     }
@@ -60,7 +39,7 @@ mod tests {
 
     #[test]
     fn messages_are_lowercase_and_informative() {
-        let e = DramError::BankClosed { bank: Bank::new(1) };
+        let e = DramError::BankOutOfRange { bank: Bank::new(1), banks: 1 };
         let msg = e.to_string();
         assert!(msg.starts_with(char::is_lowercase));
         assert!(msg.contains("B1"));
@@ -71,16 +50,6 @@ mod tests {
         let cases: Vec<(DramError, &str)> = vec![
             (DramError::BankOutOfRange { bank: Bank::new(9), banks: 8 }, "8 banks"),
             (DramError::RowOutOfRange { row: RowAddr::new(4096), rows: 2048 }, "2048 rows"),
-            (DramError::PhysRowOutOfRange { row: PhysRow::new(4096), rows: 2048 }, "physical row"),
-            (
-                DramError::BankAlreadyOpen { bank: Bank::new(2), open: RowAddr::new(7) },
-                "already has row",
-            ),
-            (DramError::BankClosed { bank: Bank::new(3) }, "no open row"),
-            (
-                DramError::TimeRegression { now: Nanos::from_ms(2), requested: Nanos::from_ms(1) },
-                "before device time",
-            ),
         ];
         for (error, needle) in cases {
             let msg = error.to_string();
@@ -100,6 +69,6 @@ mod tests {
     #[test]
     fn error_trait_is_implemented() {
         fn takes_error<E: Error + Send + Sync + 'static>(_: E) {}
-        takes_error(DramError::BankClosed { bank: Bank::new(0) });
+        takes_error(DramError::BankOutOfRange { bank: Bank::new(0), banks: 0 });
     }
 }

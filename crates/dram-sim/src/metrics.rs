@@ -1,6 +1,6 @@
 //! The device's bridge into the workspace [`obs`] instrumentation layer.
 //!
-//! Every [`crate::Module`] owns a [`DeviceMetrics`]: pre-resolved counter
+//! Every [`crate::Module`] owns a `DeviceMetrics`: pre-resolved counter
 //! handles into a [`MetricsRegistry`] plus a plain-`u64` tally of
 //! everything counted since the last flush. The per-command hot path
 //! only bumps the tally — no atomics, no name lookups, no locks — and

@@ -198,16 +198,6 @@ impl RefWindow {
     }
 }
 
-/// Per-bank interface state.
-#[derive(Debug, Default, Clone, Copy)]
-struct BankState {
-    /// The open row, as (logical, physical), if any.
-    open: Option<(RowAddr, PhysRow)>,
-    /// The most recently activated physical row (for the same-row
-    /// hammering discount).
-    last_act: Option<PhysRow>,
-}
-
 /// One op of a [`Module::hammer_batch`] or a [`HammerPlan`]. An op with
 /// a zero dose is a strict no-op on the device (no state, no metrics, no
 /// clock), so callers may emit them freely.
@@ -351,7 +341,9 @@ pub struct Module {
     touched: Vec<u64>,
     /// Words of `touched` per physical row (`⌈banks / 64⌉`).
     bank_words: usize,
-    banks: Vec<BankState>,
+    /// Per bank, the most recently activated physical row (for the
+    /// same-row hammering discount).
+    last_act: Vec<Option<PhysRow>>,
     /// Reusable drain buffer for mitigation detections, so the `REF`
     /// and post-batch hot paths allocate nothing per command.
     detect_buf: Vec<TrrDetection>,
@@ -375,7 +367,7 @@ impl Module {
 
     /// Creates a module protected by the given mitigation engine.
     pub fn with_engine(config: ModuleConfig, engine: Box<dyn MitigationEngine>, seed: u64) -> Self {
-        let banks = vec![BankState::default(); config.geometry.banks as usize];
+        let last_act = vec![None; config.geometry.banks as usize];
         let row_slots = config.geometry.banks as usize * config.geometry.rows_per_bank as usize;
         let bank_words = (config.geometry.banks as usize).div_ceil(64).max(1);
         let touched = vec![0u64; config.geometry.rows_per_bank as usize * bank_words];
@@ -401,7 +393,7 @@ impl Module {
             hot_rows: Vec::new(),
             touched,
             bank_words,
-            banks,
+            last_act,
             detect_buf: Vec::new(),
             retention_drift: 1.0,
             vrt_switch_override: None,
@@ -517,63 +509,38 @@ impl Module {
         self.vrt_switch_override
     }
 
-    /// Opens `row` in `bank`. The activation restores the row itself and
-    /// disturbs its physical neighbours.
+    /// Writes a full-row data pattern into `row`: `ACT`, `WR`, `PRE`.
     ///
     /// # Errors
     ///
-    /// Fails if the bank already has an open row or an address is out of
-    /// range.
-    pub fn activate(&mut self, bank: Bank, row: RowAddr) -> Result<(), DramError> {
-        self.check_bank(bank)?;
-        self.check_row(row)?;
-        let state = self.banks[bank.index() as usize];
-        if let Some((open, _)) = state.open {
-            return Err(DramError::BankAlreadyOpen { bank, open });
-        }
-        let phys = self.phys_of(row);
-        // A one-activation burst: re-opening the row that was just
-        // closed carries the same-row discount, as in the hammer paths.
-        self.burst(bank, &mut ResolvedRow::new(phys), 1);
-        self.banks[bank.index() as usize].open = Some((row, phys));
-        self.activations += 1;
-        self.now += self.config.timings.t_ras;
-        Ok(())
-    }
-
-    /// Closes the open row of `bank` (no-op timing-wise if already
-    /// closed is an error: real controllers never blind-precharge here).
+    /// Fails if an address is out of range.
     ///
-    /// # Errors
+    /// # Example
     ///
-    /// Fails if the bank index is out of range or no row is open.
-    pub fn precharge(&mut self, bank: Bank) -> Result<(), DramError> {
-        self.check_bank(bank)?;
-        let b = &mut self.banks[bank.index() as usize];
-        if b.open.is_none() {
-            return Err(DramError::BankClosed { bank });
-        }
-        b.open = None;
-        self.metrics.pending.pre += 1;
-        self.now += self.config.timings.t_rp;
-        Ok(())
-    }
-
-    /// Writes a full-row data pattern into the open row of `bank`.
-    ///
-    /// # Errors
-    ///
-    /// Fails if no row is open in the bank.
-    pub fn write_open_row(&mut self, bank: Bank, pattern: DataPattern) -> Result<(), DramError> {
-        self.check_bank(bank)?;
-        let (logical, phys) = self.open_row(bank)?;
+    /// ```
+    /// use dram_sim::{Module, ModuleConfig, DataPattern, Bank, RowAddr};
+    /// # fn main() -> Result<(), dram_sim::DramError> {
+    /// let mut m = Module::new(ModuleConfig::small_test(), 1);
+    /// let (bank, row) = (Bank::new(0), RowAddr::new(5));
+    /// m.write_row(bank, row, DataPattern::Ones)?;
+    /// let readout = m.read_row(bank, row)?;
+    /// assert!(readout.is_clean()); // no time has passed
+    /// # Ok(()) }
+    /// ```
+    pub fn write_row(
+        &mut self,
+        bank: Bank,
+        row: RowAddr,
+        pattern: DataPattern,
+    ) -> Result<(), DramError> {
+        let phys = self.activate(bank, row)?;
         let index = self.row_index_of(bank, phys);
-        let data = RowData::new(pattern, logical);
+        let data = RowData::new(pattern, row);
         let state = &mut self.row_states[index];
         self.hot_rows[index] = HotRow {
             last_restore: self.now,
             disturbance: 0.0,
-            coupling: self.config.physics.aggressor_coupling(Some(&data.pattern)),
+            coupling: self.config.physics.aggressor_coupling(Some(data.pattern)),
             min_live: state.physics.cells.min_live(|bit| data.bit(bit)),
             has_data: true,
             ..self.hot_rows[index]
@@ -581,67 +548,57 @@ impl Module {
         state.data = Some(data);
         self.metrics.pending.row_writes += 1;
         self.now += ROW_IO;
+        self.precharge();
         Ok(())
     }
 
-    /// Reads the open row of `bank` back and reports which bits differ
-    /// from the pattern it was last written with. Reading a row that was
-    /// never written returns a clean all-zeros readout.
+    /// Reads `row` back (`ACT`, `RD`, `PRE`) and reports which bits
+    /// differ from the pattern it was last written with. Reading a row
+    /// that was never written returns a clean all-zeros readout.
     ///
     /// # Errors
     ///
-    /// Fails if no row is open in the bank.
-    pub fn read_open_row(&mut self, bank: Bank) -> Result<RowReadout, DramError> {
-        self.check_bank(bank)?;
-        let (logical, phys) = self.open_row(bank)?;
+    /// Fails if an address is out of range.
+    pub fn read_row(&mut self, bank: Bank, row: RowAddr) -> Result<RowReadout, DramError> {
+        let phys = self.activate(bank, row)?;
         let row_bits = self.config.geometry.row_bits();
-        let state = self.row_state(bank, phys);
-        let readout = match &state.data {
-            Some(data) => {
-                RowReadout::new(logical, data.pattern.clone(), data.flips.clone(), row_bits)
-            }
-            None => RowReadout::new(logical, DataPattern::Zeros, Vec::new(), row_bits),
+        let readout = match &self.row_state(bank, phys).data {
+            Some(data) => RowReadout::new(row, data.pattern, data.flips.clone(), row_bits),
+            None => RowReadout::new(row, DataPattern::Zeros, Vec::new(), row_bits),
         };
         self.metrics.pending.row_reads += 1;
         self.now += ROW_IO;
+        self.precharge();
         Ok(readout)
     }
 
-    /// Composite: activate, write, precharge.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any protocol error from the three steps.
-    pub fn write_row(
-        &mut self,
-        bank: Bank,
-        row: RowAddr,
-        pattern: DataPattern,
-    ) -> Result<(), DramError> {
-        self.activate(bank, row)?;
-        self.write_open_row(bank, pattern)?;
-        self.precharge(bank)
+    /// Opens `row` in `bank` and returns its physical position. The
+    /// activation restores the row itself and disturbs its physical
+    /// neighbours.
+    fn activate(&mut self, bank: Bank, row: RowAddr) -> Result<PhysRow, DramError> {
+        self.check_bank(bank)?;
+        self.check_row(row)?;
+        let phys = self.phys_of(row);
+        // A one-activation burst: re-opening the row that was just
+        // closed carries the same-row discount, as in the hammer paths.
+        self.burst(bank, &mut ResolvedRow::new(phys), 1);
+        self.activations += 1;
+        self.now += self.config.timings.t_ras;
+        Ok(phys)
     }
 
-    /// Composite: activate, read, precharge.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any protocol error from the three steps.
-    pub fn read_row(&mut self, bank: Bank, row: RowAddr) -> Result<RowReadout, DramError> {
-        self.activate(bank, row)?;
-        let readout = self.read_open_row(bank)?;
-        self.precharge(bank)?;
-        Ok(readout)
+    /// Closes the row [`Module::activate`] opened.
+    fn precharge(&mut self) {
+        self.metrics.pending.pre += 1;
+        self.now += self.config.timings.t_rp;
     }
 
-    /// Hammers `row`: `count` back-to-back `ACT`/`PRE` cycles. The bank
-    /// must be precharged and is left precharged. Batched but
-    /// behaviourally identical to `count` single activations.
+    /// Hammers `row`: `count` back-to-back `ACT`/`PRE` cycles. Batched
+    /// but behaviourally identical to `count` single activations.
     ///
     /// # Errors
     ///
-    /// Fails if the bank has an open row or an address is out of range.
+    /// Fails if an address is out of range.
     pub fn hammer(&mut self, bank: Bank, row: RowAddr, count: u64) -> Result<(), DramError> {
         self.hammer_batch(bank, &[HammerOp::Burst { row, acts: count }])
     }
@@ -654,7 +611,7 @@ impl Module {
     ///
     /// # Errors
     ///
-    /// Fails if the bank has an open row or an address is out of range.
+    /// Fails if an address is out of range.
     pub fn hammer_pair(
         &mut self,
         bank: Bank,
@@ -672,13 +629,12 @@ impl Module {
     ///
     /// # Errors
     ///
-    /// Stops at the first op whose bank has an open row or whose address
-    /// is out of range: the ops before it have run and are counted, the
-    /// rest do not run.
+    /// Stops at the first op whose address is out of range: the ops
+    /// before it have run and are counted, the rest do not run.
     pub fn hammer_batch(&mut self, bank: Bank, ops: &[HammerOp]) -> Result<(), DramError> {
         for &op in ops {
             let mut op = self.resolve(bank, op)?;
-            self.run_op(&mut op)?;
+            self.run_op(&mut op);
         }
         Ok(())
     }
@@ -709,9 +665,8 @@ impl Module {
     ///
     /// # Errors
     ///
-    /// As [`Module::hammer_batch`]: stops at the first op whose bank has
-    /// an open row, or after the resolved prefix with the error of the op
-    /// that failed to resolve.
+    /// As [`Module::hammer_batch`]: runs the resolved prefix, then
+    /// returns the error of the op that failed to resolve.
     ///
     /// # Panics
     ///
@@ -719,9 +674,9 @@ impl Module {
     pub fn run_plan(&mut self, plan: &mut HammerPlan) -> Result<(), DramError> {
         assert_eq!(plan.module, self.id, "a hammer plan runs only on the module that resolved it");
         for op in &mut plan.ops {
-            self.run_op(op)?;
+            self.run_op(op);
         }
-        plan.error.clone().map_or(Ok(()), Err)
+        plan.error.map_or(Ok(()), Err)
     }
 
     /// Checks `op`'s bank and rows, in the order the single calls make
@@ -747,13 +702,9 @@ impl Module {
         Ok(ResolvedOp { bank, shape, rows: [ResolvedRow::new(p1), ResolvedRow::new(p2)] })
     }
 
-    /// Runs one resolved op: the bank must be precharged. An op with a
-    /// zero dose touches nothing.
-    fn run_op(&mut self, op: &mut ResolvedOp) -> Result<(), DramError> {
+    /// Runs one resolved op. An op with a zero dose touches nothing.
+    fn run_op(&mut self, op: &mut ResolvedOp) {
         let bank = op.bank;
-        if let Some((open, _)) = self.banks[bank.index() as usize].open {
-            return Err(DramError::BankAlreadyOpen { bank, open });
-        }
         let t_rc = self.config.timings.t_rc();
         match op.shape {
             Shape::Burst { acts: 0, .. } | Shape::Pair { pairs: 0 } => {}
@@ -771,7 +722,6 @@ impl Module {
                 self.now += t_rc * (2 * pairs);
             }
         }
-        Ok(())
     }
 
     /// `count ≥ 1` back-to-back activations of `row` at the current
@@ -780,13 +730,12 @@ impl Module {
         let index = self.restore_resolved(bank, row);
         let discount = self.config.physics.same_row_discount;
         let phys = row.phys;
-        let first =
-            if self.banks[bank.index() as usize].last_act == Some(phys) { discount } else { 1.0 };
+        let first = if self.last_act[bank.index() as usize] == Some(phys) { discount } else { 1.0 };
         let weight = first + discount * (count - 1) as f64;
         self.disturb(bank, row, weight, self.hot_rows[index].coupling);
         self.engine.on_activations(bank, phys, count, self.now);
         self.apply_inline_detections();
-        self.banks[bank.index() as usize].last_act = Some(phys);
+        self.last_act[bank.index() as usize] = Some(phys);
         self.metrics.trace(
             TraceKind::Act,
             self.now.as_ns(),
@@ -804,7 +753,7 @@ impl Module {
         let (p1, p2) = (r1.phys, r2.phys);
         let (i1, i2) = (self.restore_resolved(bank, r1), self.restore_resolved(bank, r2));
         let discount = self.config.physics.same_row_discount;
-        let p1_was_last = self.banks[bank_idx].last_act == Some(p1);
+        let p1_was_last = self.last_act[bank_idx] == Some(p1);
         let (w1, w2) = pair_weights(p1_was_last, discount, pairs);
         self.disturb(bank, r1, w1, self.hot_rows[i1].coupling);
         self.disturb(bank, r2, w2, self.hot_rows[i2].coupling);
@@ -817,7 +766,7 @@ impl Module {
         }
         self.engine.on_interleaved_pair(bank, p1, p2, pairs, self.now);
         self.apply_inline_detections();
-        self.banks[bank_idx].last_act = Some(p2);
+        self.last_act[bank_idx] = Some(p2);
         if self.metrics.tracing() {
             let t = self.now.as_ns();
             let b = bank.index() as u32;
@@ -1053,10 +1002,6 @@ impl Module {
         }
     }
 
-    fn open_row(&self, bank: Bank) -> Result<(RowAddr, PhysRow), DramError> {
-        self.banks[bank.index() as usize].open.ok_or(DramError::BankClosed { bank })
-    }
-
     /// Get-or-create a row: its index into `row_states` / `hot_rows`.
     /// The common "row already exists" path is one array read.
     #[inline]
@@ -1201,7 +1146,7 @@ impl Module {
     #[cfg(debug_assertions)]
     fn debug_assert_hot_row(&self, index: usize) {
         let (hot, state) = (&self.hot_rows[index], &self.row_states[index]);
-        let pattern = state.data.as_ref().map(|d| &d.pattern);
+        let pattern = state.data.as_ref().map(|d| d.pattern);
         debug_assert_eq!(hot.coupling, self.config.physics.aggressor_coupling(pattern));
         debug_assert_eq!(hot.hc_base, state.physics.hc_base);
         debug_assert_eq!(hot.vrt_cells, state.physics.vrt_cells());
@@ -1353,7 +1298,9 @@ fn drifted(elapsed: Nanos, drift: f64) -> Nanos {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{CTR_ACT, CTR_REF, CTR_REGULAR_ROW_REFRESHES, CTR_ROW_WRITES};
+    use crate::metrics::{
+        CTR_ACT, CTR_PRE, CTR_REF, CTR_REGULAR_ROW_REFRESHES, CTR_ROW_READS, CTR_ROW_WRITES,
+    };
 
     fn module() -> Module {
         Module::new(ModuleConfig::small_test(), 7)
@@ -1396,10 +1343,10 @@ mod tests {
         let (row, ret) = find_weak_row(&mut m, b);
         // Write both orientations so the charged value is covered.
         for pattern in [DataPattern::Ones, DataPattern::Zeros] {
-            m.write_row(b, row, pattern.clone()).unwrap();
+            m.write_row(b, row, pattern).unwrap();
             m.advance(ret + ret);
             let readout = m.read_row(b, row).unwrap();
-            m.write_row(b, row, pattern.clone()).unwrap();
+            m.write_row(b, row, pattern).unwrap();
             m.advance(ret / 4);
             let clean = m.read_row(b, row).unwrap();
             assert!(clean.is_clean(), "within retention the row must hold");
@@ -1484,7 +1431,7 @@ mod tests {
         // (which restores it) must not flip.
         m.hammer_pair(b, victim.minus(1), victim.plus(1), (hc * 3) / 4).unwrap();
         m.activate(b, victim).unwrap();
-        m.precharge(b).unwrap();
+        m.precharge();
         m.hammer_pair(b, victim.minus(1), victim.plus(1), (hc * 3) / 4).unwrap();
         let readout = m.read_row(b, victim).unwrap();
         assert!(readout.is_clean(), "restore between rounds must reset disturbance");
@@ -1508,18 +1455,15 @@ mod tests {
     #[test]
     fn protocol_errors() {
         let mut m = module();
-        let b = Bank::new(0);
-        assert_eq!(m.precharge(b), Err(DramError::BankClosed { bank: b }));
-        assert!(m.read_open_row(b).is_err());
-        m.activate(b, RowAddr::new(1)).unwrap();
-        assert_eq!(
-            m.activate(b, RowAddr::new(2)),
-            Err(DramError::BankAlreadyOpen { bank: b, open: RowAddr::new(1) })
-        );
-        assert!(m.hammer(b, RowAddr::new(5), 3).is_err());
-        m.precharge(b).unwrap();
-        assert!(m.activate(Bank::new(99), RowAddr::new(0)).is_err());
-        assert!(m.activate(b, RowAddr::new(1 << 30)).is_err());
+        let (b, far_bank, far_row) = (Bank::new(0), Bank::new(99), RowAddr::new(1 << 30));
+        let bank_err = DramError::BankOutOfRange { bank: far_bank, banks: 2 };
+        let row_err = DramError::RowOutOfRange { row: far_row, rows: 1024 };
+        assert_eq!(m.write_row(far_bank, RowAddr::new(0), DataPattern::Ones), Err(bank_err));
+        assert_eq!(m.read_row(b, far_row), Err(row_err));
+        assert_eq!(m.hammer(b, far_row, 3), Err(row_err));
+        assert_eq!(m.hammer_pair(b, RowAddr::new(5), far_row, 3), Err(row_err));
+        // A rejected command issues nothing.
+        assert_eq!((m.activations(), m.now()), (0, Nanos::ZERO));
     }
 
     #[test]
@@ -1633,11 +1577,17 @@ mod tests {
         let b = Bank::new(0);
         m.write_row(b, RowAddr::new(1), DataPattern::Ones).unwrap();
         m.hammer(b, RowAddr::new(2), 10).unwrap();
+        m.hammer_pair(b, RowAddr::new(3), RowAddr::new(5), 4).unwrap();
+        m.read_row(b, RowAddr::new(1)).unwrap();
         m.refresh();
+        // Each row write and read is one ACT and one PRE; hammering
+        // counts only its ACTs.
         assert_eq!(flushed(&mut m, CTR_ROW_WRITES), 1);
-        assert_eq!(flushed(&mut m, CTR_ACT), 11);
+        assert_eq!(flushed(&mut m, CTR_ROW_READS), 1);
+        assert_eq!(flushed(&mut m, CTR_PRE), 2);
+        assert_eq!(flushed(&mut m, CTR_ACT), 20);
         assert_eq!(flushed(&mut m, CTR_REF), 1);
-        assert_eq!((m.activations(), m.ref_count()), (11, 1));
+        assert_eq!((m.activations(), m.ref_count()), (20, 1));
     }
 
     /// An engine counting its activation hooks into `trr.probe.batches`.
@@ -1669,7 +1619,7 @@ mod tests {
         let b = Bank::new(0);
         m.hammer(b, RowAddr::new(2), 10).unwrap();
         m.activate(b, RowAddr::new(5)).unwrap();
-        m.precharge(b).unwrap();
+        m.precharge();
         m.refresh();
         // The device's own count is live; the registry sees it only
         // after a flush, and a second flush adds nothing.
@@ -1735,6 +1685,6 @@ mod tests {
         let mut m = module();
         let r = m.read_row(Bank::new(1), RowAddr::new(77)).unwrap();
         assert!(r.is_clean());
-        assert_eq!(r.pattern(), &DataPattern::Zeros);
+        assert_eq!(r.pattern(), DataPattern::Zeros);
     }
 }

@@ -84,10 +84,9 @@ pub struct PhysicsConfig {
     pub striped_aggressor_coupling: f64,
     /// Operating temperature in °C. The paper runs every experiment at
     /// 85 °C (§6), which is also this model's calibration point:
-    /// retention times halve per [`PhysicsConfig::RETENTION_HALVING_C`]
-    /// degrees of heating, so cooler parts hold their charge
-    /// correspondingly longer and Row Scout has to wait further into its
-    /// `T` sweep.
+    /// retention times halve per 10 degrees of heating, so cooler parts
+    /// hold their charge correspondingly longer and Row Scout has to
+    /// wait further into its `T` sweep.
     pub temperature_c: f64,
 }
 
@@ -136,10 +135,10 @@ impl PhysicsConfig {
     }
 
     /// Disturbance coupling factor for an aggressor holding `pattern`.
-    pub(crate) fn aggressor_coupling(&self, pattern: Option<&DataPattern>) -> f64 {
+    pub(crate) fn aggressor_coupling(&self, pattern: Option<DataPattern>) -> f64 {
         match pattern {
             Some(DataPattern::Checkerboard) => self.striped_aggressor_coupling,
-            // Solid, row-striped, custom, or unwritten rows couple fully.
+            // Solid, row-striped or unwritten rows couple fully.
             _ => 1.0,
         }
     }
@@ -640,9 +639,9 @@ mod tests {
     #[test]
     fn aggressor_coupling_distinguishes_patterns() {
         let c = cfg();
-        assert_eq!(c.aggressor_coupling(Some(&DataPattern::Ones)), 1.0);
+        assert_eq!(c.aggressor_coupling(Some(DataPattern::Ones)), 1.0);
         assert_eq!(c.aggressor_coupling(None), 1.0);
-        assert!(c.aggressor_coupling(Some(&DataPattern::Checkerboard)) < 1.0);
+        assert!(c.aggressor_coupling(Some(DataPattern::Checkerboard)) < 1.0);
     }
 
     #[test]

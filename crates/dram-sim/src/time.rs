@@ -34,8 +34,7 @@ impl Nanos {
     }
 
     /// Creates a value from microseconds. Kept for the property suites
-    /// (`refresh_equiv`, `device_twins`) and the `trace_capture`
-    /// example, which state their times in µs.
+    /// (`refresh_equiv`, `device_twins`), which state their times in µs.
     pub const fn from_us(us: u64) -> Self {
         Nanos(us * 1_000)
     }

@@ -359,7 +359,7 @@ impl FaultPlan {
     }
 
     /// A pattern observably different from `requested` for garbling.
-    fn garble_pattern(requested: &DataPattern) -> DataPattern {
+    fn garble_pattern(requested: DataPattern) -> DataPattern {
         match requested {
             DataPattern::Zeros => DataPattern::Ones,
             _ => DataPattern::Zeros,
@@ -388,7 +388,7 @@ impl FaultInjector for FaultPlan {
         &mut self,
         bank: Bank,
         row: RowAddr,
-        pattern: &DataPattern,
+        pattern: DataPattern,
         now: Nanos,
     ) -> WriteFault {
         if self.rng.next_bool(self.cfg.dropped_write_prob) {
@@ -547,7 +547,7 @@ mod tests {
         let bank = Bank::new(0);
         for round in 0..2_000u32 {
             let (row, now) = (RowAddr::new(round % 256), Nanos::from_ms(u64::from(round)));
-            if plan.on_write(bank, row, &DataPattern::Ones, now) == WriteFault::None {
+            if plan.on_write(bank, row, DataPattern::Ones, now) == WriteFault::None {
                 module.write_row(bank, row, DataPattern::Ones).unwrap();
             }
             let mut readout = module.read_row(bank, row).unwrap();
@@ -608,7 +608,7 @@ mod tests {
     #[test]
     fn garbled_pattern_differs_from_request() {
         for p in [DataPattern::Zeros, DataPattern::Ones, DataPattern::Checkerboard] {
-            assert_ne!(FaultPlan::garble_pattern(&p), p);
+            assert_ne!(FaultPlan::garble_pattern(p), p);
         }
     }
 }

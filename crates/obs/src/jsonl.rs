@@ -198,7 +198,7 @@ impl std::fmt::Display for JsonParseError {
 
 impl std::error::Error for JsonParseError {}
 
-/// Parses one JSON document (as emitted by [`write_jsonl`]; strings use
+/// Parses one JSON document (as [`write_jsonl_to_path`] emits; strings use
 /// the escapes [`quote`] produces plus `\u` escapes, and `\/`).
 pub fn parse_json(input: &str) -> Result<JsonValue, JsonParseError> {
     let mut parser = Parser { bytes: input.as_bytes(), pos: 0 };

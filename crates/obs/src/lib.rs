@@ -19,8 +19,8 @@
 //!   detections, commands) with verdict provenance, exported as
 //!   `utrr-trace/1` JSONL or Chrome `trace_event` JSON.
 //!
-//! [`jsonl::write_jsonl`] serialises all of the above as one JSON
-//! object per line — diffable across runs and parseable without serde
+//! [`jsonl::write_jsonl_to_path`] serialises all of the above as one
+//! JSON object per line — diffable across runs and parseable without serde
 //! via [`jsonl::parse_json`]. [`report::render_summary`] renders the
 //! human-readable end-of-run table the bench binaries print.
 //!

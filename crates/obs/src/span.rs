@@ -3,11 +3,11 @@
 //! closed span, plus a bounded ring of the most recent ones.
 //!
 //! A span costs memory per *name*, not per span: names and field keys
-//! are interned once per collector, an open span carries up to
-//! [`INLINE_FIELDS`] fields inline, and the ring stores closed spans in
+//! are interned once per collector, an open span carries up to four
+//! fields inline, and the ring stores closed spans in
 //! that packed form. [`SpanRecord`]s are built only when the ring is
 //! read. After a name's first use, opening and closing a span with at
-//! most [`INLINE_FIELDS`] fields allocates nothing.
+//! most four fields allocates nothing.
 
 use std::collections::{HashMap, VecDeque};
 use std::num::NonZeroU64;

@@ -543,7 +543,8 @@ pub(crate) fn write_chrome_trace(
     writeln!(out, "\n]}}")
 }
 
-/// [`write_chrome_trace`] to a file.
+/// Writes `events` to `path` as Chrome `trace_event` JSON (instant
+/// events, `ts` in microseconds, one `tid` per bank).
 pub fn write_chrome_trace_to_path(events: &[TraceEvent], path: &std::path::Path) -> io::Result<()> {
     let mut file = io::BufWriter::new(std::fs::File::create(path)?);
     write_chrome_trace(events, &mut file)?;

@@ -7,11 +7,11 @@
 //! guarantee with `std` only (the build environment has no registry
 //! access, so rayon is not an option):
 //!
-//! - [`par_map`] / [`par_map_indexed`] fan a slice out over a scoped
-//!   worker pool. Workers pull task indices from one atomic cursor, so
-//!   scheduling is dynamic, but every result lands in an output slot
-//!   keyed by its **input index** — the returned `Vec` is always in
-//!   input order regardless of completion order.
+//! - [`par_map`] fans a slice out over a scoped worker pool. Workers
+//!   pull task indices from one atomic cursor, so scheduling is
+//!   dynamic, but every result lands in an output slot keyed by its
+//!   **input index** — the returned `Vec` is always in input order
+//!   regardless of completion order.
 //! - Tasks that need randomness derive their stream with
 //!   [`task_seed`], which delegates to `dram_sim::rng::derive_seed`.
 //!   The seed depends only on `(base_seed, task_index)`, never on the
@@ -70,7 +70,7 @@ pub fn task_seed(base_seed: u64, task_index: u64) -> u64 {
 /// How a [`par_map`] call should run.
 #[derive(Debug, Clone, Default)]
 pub struct ParConfig {
-    /// Worker count; `0` means "use [`available_threads`]". Always
+    /// Worker count; `0` means the machine's hardware threads. Always
     /// clamped to the task count so short sweeps don't spawn idle
     /// threads.
     pub threads: usize,
@@ -124,8 +124,10 @@ impl PoolMetrics {
     }
 }
 
-/// Maps `f` over `items` on a worker pool; results are returned in
-/// input order. See [`par_map_indexed`] for the full contract.
+/// Maps `f` over `items` on a scoped worker pool. Results come back in
+/// input order whichever worker ran each task; with `threads == 1`
+/// tasks run inline on the calling thread; a panicking task re-raises
+/// the payload of the lowest task index once all workers drain.
 pub fn par_map<T, R, F>(config: &ParConfig, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,

@@ -193,7 +193,7 @@ impl MemoryController {
         pattern: DataPattern,
     ) -> Result<(), DramError> {
         if let Some(mut hook) = self.faults.take() {
-            let fate = hook.on_write(bank, row, &pattern, self.module.now());
+            let fate = hook.on_write(bank, row, pattern, self.module.now());
             self.faults = Some(hook);
             return match fate {
                 WriteFault::None => self.module.write_row(bank, row, pattern),

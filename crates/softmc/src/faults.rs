@@ -48,7 +48,7 @@ pub trait FaultInjector: std::fmt::Debug {
         &mut self,
         bank: Bank,
         row: RowAddr,
-        pattern: &DataPattern,
+        pattern: DataPattern,
         now: Nanos,
     ) -> WriteFault;
 
@@ -92,7 +92,7 @@ mod tests {
             readout.inject_flip(7);
         }
 
-        fn on_write(&mut self, _: Bank, _: RowAddr, _: &DataPattern, _: Nanos) -> WriteFault {
+        fn on_write(&mut self, _: Bank, _: RowAddr, _: DataPattern, _: Nanos) -> WriteFault {
             self.writes += 1;
             if self.drop_every > 0 && self.writes.is_multiple_of(self.drop_every) {
                 WriteFault::Dropped
@@ -132,7 +132,7 @@ mod tests {
         mc.write_row(bank, row, DataPattern::Zeros).unwrap();
         mc.set_fault_injector(None);
         let readout = mc.read_row(bank, row).unwrap();
-        assert_eq!(readout.pattern(), &DataPattern::Ones, "write must have been dropped");
+        assert_eq!(readout.pattern(), DataPattern::Ones, "write must have been dropped");
     }
 
     #[test]

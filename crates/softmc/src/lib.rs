@@ -5,14 +5,10 @@
 //! al., HPCA 2017), an FPGA platform that can issue individual DDR
 //! commands at precisely controlled times — the capability §3.3 calls out
 //! as the reason commodity CPUs cannot run these experiments. This crate
-//! provides the same contract against a [`dram_sim::Module`]:
-//!
-//! * a [`CommandTrace`]: one flat list of timed DDR commands that
-//!   serializes to text, parses back and replays onto a module, the
-//!   moral equivalent of a SoftMC program;
-//! * a [`MemoryController`] with higher-level building blocks — paced
-//!   refresh, hammer specifications with interleaved/cascaded modes
-//!   (§5.2), dummy-row selection and a fault-injection hook.
+//! provides the same contract against a [`dram_sim::Module`]: a
+//! [`MemoryController`] with higher-level building blocks — paced
+//! refresh, hammer specifications with interleaved/cascaded modes
+//! (§5.2), dummy-row selection and a fault-injection hook.
 //!
 //! There is no auto-refresh: a `REF` is issued only when the caller asks
 //! for one, since the whole methodology depends on deciding exactly when
@@ -44,8 +40,6 @@
 
 pub mod controller;
 pub mod faults;
-pub mod trace;
 
 pub use controller::{HammerMode, HammerSpec, MemoryController, RecoveryLadder};
 pub use faults::{FaultInjector, WriteFault};
-pub use trace::{CommandTrace, TraceCommand, TraceEntry};

@@ -179,7 +179,7 @@ fn run(path: Path, device: &Device, program: &Program) -> Outcome {
     let mut m = Module::with_engine(config, engine, device.seed);
     m.attach_registry(Arc::clone(&registry));
     let (t_refi, t_rfc) = (m.timings().t_refi, m.timings().t_rfc);
-    let pattern = |p: u8| PATTERNS[p as usize].clone();
+    let pattern = |p: u8| PATTERNS[p as usize];
     let (mut results, mut plans, mut interval) = (Vec::new(), BTreeMap::new(), 0);
     for op in &program.ops {
         match *op {
